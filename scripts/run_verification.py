@@ -40,15 +40,15 @@ def run_shape(name: str, mults: tuple[int, ...], window: int) -> bool:
     shape, g = ctx.shape, ctx.graph
     hat = enumerate_hat(shape, g)
     tilde = enumerate_tilde(shape, g)
-    oracle = AffineOracle(shape, g, default_window=window)
-    report = oracle.covers_to_edges(window)
+    oracle = AffineOracle(shape, g, window=window)
+    report = oracle.covers_to_edges()
     fails = 0
     inconclusive = 0
     cache: dict = {}
     for eta in hat:
         try:
             lifted = lift(eta, shape, g, cache=cache)
-            ok = oracle.verify_ls_path(lifted, window=window)
+            ok = oracle.verify_ls_path(lifted)
             ok = ok and endpoint_delta(lifted) == -degree(eta, shape, g, cache=cache)
             fails += 0 if ok else 1
         except InconclusiveSearch:

@@ -40,7 +40,6 @@ def build_context(
     type_name: str,
     multiplicities: tuple[int, ...] | list[int],
     parabolic: frozenset[int] | set[int] | None = None,
-    group_cap: int | None = None,
 ) -> Context:
     """Build root system, Weyl group, coset system and graph for one shape.
 
@@ -48,7 +47,7 @@ def build_context(
     of the labels where the shape vanishes.
     """
     rs = build_root_system(FiniteType.parse(type_name))
-    group = enumerate_group(rs) if group_cap is None else enumerate_group(rs, cap=group_cap)
+    group = enumerate_group(rs)
     shape = compute_shape(rs, multiplicities)
     J = shape.parabolic if parabolic is None else frozenset(parabolic)
     if not J <= shape.parabolic:

@@ -19,8 +19,8 @@ reduce to integer bookkeeping on (vertex, delta):
 
 Covers never need other reflections, so chain searches over these steps are
 exhaustive.  Delta never decreases along a step, which bounds every search
-between the two endpoint delta-coefficients; the window parameter only
-guards entry and is reported distinctly from "no chain".
+between the two endpoint delta-coefficients; the oracle's window, fixed at
+construction, only guards entry and is reported distinctly from "no chain".
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class AffineOracle:
 
     shape: LevelZeroShape
     g: PQBG
-    default_window: int = 10
+    window: int = 10
     _pairings: list[tuple[int, ...]] = field(init=False, repr=False)
     _step_vertex: list[tuple[int, ...]] = field(init=False, repr=False)
     _dist_memo: dict = field(default_factory=dict, repr=False)
@@ -108,14 +108,11 @@ class AffineOracle:
         self._pairings = pairings
         self._step_vertex = step_vertex
 
-    def _window(self, window: int | None) -> int:
-        return self.default_window if window is None else window
-
-    def _check_window(self, window: int, *elements: AffineOrbitElement) -> None:
+    def _check_window(self, *elements: AffineOrbitElement) -> None:
         for mu in elements:
-            if abs(mu.delta) > window:
+            if abs(mu.delta) > self.window:
                 raise InconclusiveSearch(
-                    f"delta-coefficient {mu.delta} outside window {window}; enlarge the window"
+                    f"delta-coefficient {mu.delta} outside window {self.window}; enlarge the window"
                 )
 
     # -- steps ---------------------------------------------------------------
@@ -138,14 +135,13 @@ class AffineOracle:
 
     # -- order ---------------------------------------------------------------
 
-    def dist(self, mu: AffineOrbitElement, nu: AffineOrbitElement, window: int | None = None) -> int | None:
+    def dist(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
         """Maximal chain length from mu down to nu, or None when mu is not above nu.
 
         Every traversed delta lies between mu.delta and nu.delta, so the
         result is window-independent once both endpoints fit.
         """
-        w = self._window(window)
-        self._check_window(w, mu, nu)
+        self._check_window(mu, nu)
         return self._dist(mu, nu)
 
     def _dist(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
@@ -166,23 +162,15 @@ class AffineOracle:
         self._dist_memo[key] = best
         return best
 
-    def is_cover(self, mu: AffineOrbitElement, nu: AffineOrbitElement, window: int | None = None) -> bool:
-        return self.dist(mu, nu, window) == 1
+    def is_cover(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> bool:
+        return self.dist(mu, nu) == 1
 
     # -- chains ----------------------------------------------------------------
 
-    def verify_sigma_chain(
-        self,
-        mu: AffineOrbitElement,
-        nu: AffineOrbitElement,
-        sigma: Fraction,
-        window: int | None = None,
-    ) -> bool:
+    def verify_sigma_chain(self, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:
         """Whether some saturated cover chain from mu to nu has all pairings sigma-integral."""
-        w = self._window(window)
-        self._check_window(w, mu, nu)
-        q = sigma.denominator
-        return self._sigma_chain(mu, nu, q)
+        self._check_window(mu, nu)
+        return self._sigma_chain(mu, nu, sigma.denominator)
 
     def _sigma_chain(self, mu: AffineOrbitElement, nu: AffineOrbitElement, q: int) -> bool:
         if mu == nu:
@@ -205,19 +193,14 @@ class AffineOracle:
 
     # -- path-level checks -------------------------------------------------------
 
-    def verify_ls_path(self, lifted, window: int | None = None) -> bool:
+    def verify_ls_path(self, lifted) -> bool:
         """Certify a lifted path: adjacent weights strictly ordered with sigma-chains.
 
         ``lifted`` is any object with ``weights`` (orbit elements) and
-        ``times`` attributes, as produced by the degree module.  With
-        ``window=None`` the window is auto-sized to the lift.
+        ``times`` attributes, as produced by the degree module.
         """
         weights = tuple(lifted.weights)
-        if window is None:
-            window = max(
-                self.default_window, max((abs(m.delta) for m in weights), default=0)
-            )
-        self._check_window(window, *weights)
+        self._check_window(*weights)
         for k in range(len(weights) - 1):
             mu, nu = weights[k], weights[k + 1]
             d = self._dist(mu, nu)
@@ -241,14 +224,14 @@ class AffineOracle:
             coords = tuple(-c for c in coords)
         return coords
 
-    def covers_to_edges(self, window: int | None = None) -> CoverEdgeReport:
+    def covers_to_edges(self) -> CoverEdgeReport:
         """Exhaustive two-way check between orbit covers and graph edges in a slice.
 
         Every cover found in the |delta| <= window slice must map to a graph
         edge of the matching kind, and every graph edge instantiated at each
         delta in the slice must map back to a cover.
         """
-        w = self._window(window)
+        w = self.window
         g = self.g
         values = g.pair_values(self.shape.classical)
         mismatches: list[str] = []

@@ -21,9 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-Rational = Fraction
 
 _RANK_RANGE = {
     "A": (1, 8),
@@ -276,15 +273,6 @@ class RootSystem:
 
     # -- arithmetic ------------------------------------------------------
 
-    def pair_root_coroot(self, beta: Root, h: Coroot) -> int:
-        C = self.cartan
-        return sum(
-            beta.coords[i] * h.coords[j] * C[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if beta.coords[i] and h.coords[j]
-        )
-
     def reflect_weight(self, w: Weight, index: int) -> Weight:
         """r_beta(w) = w - <w, beta^vee> beta for the positive root at ``index``."""
         k = pair(w, self.positive_coroots[index])
@@ -318,9 +306,6 @@ class LevelZeroShape:
         check, never as an exact lattice claim.
         """
         return math.gcd(*self.multiplicities)
-
-    def describe(self) -> str:
-        return f"{self.rs.type} lambda={','.join(map(str, self.multiplicities))}"
 
 
 def compute_shape(rs: RootSystem, multiplicities: tuple[int, ...] | list[int]) -> LevelZeroShape:

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +39,6 @@ class CliConfig:
     fmt: str
     window: int
     cap: int
-    threads: int
 
 
 def _parse_multiplicities(text: str) -> tuple[int, ...]:
@@ -61,13 +58,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
                 parabolic = frozenset(int(x) for x in args.parabolic.split(","))
             except ValueError as exc:
                 raise CliError(f"bad --parabolic value {args.parabolic!r}") from exc
-    threads = 1
-    env = os.environ.get("QBRUHAT_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError as exc:
-            raise CliError(f"bad QBRUHAT_THREADS value {env!r}") from exc
     return CliConfig(
         type=args.type,
         multiplicities=_parse_multiplicities(args.lam),
@@ -75,7 +65,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
         fmt=args.format,
         window=args.window,
         cap=args.cap,
-        threads=threads,
     )
 
 
@@ -211,20 +200,19 @@ def cmd_degree(config: CliConfig, literal: str | None) -> int:
 def _failing_pair(oracle, lifted) -> str:
     for k in range(len(lifted.weights) - 1):
         mu, nu = lifted.weights[k], lifted.weights[k + 1]
-        d = oracle.dist(mu, nu, window=oracle.default_window)
+        d = oracle.dist(mu, nu)
         if d is None or d < 1:
             return f"weights {k} > {k + 1}: not comparable"
-        if not oracle.verify_sigma_chain(mu, nu, lifted.times[k + 1], window=oracle.default_window):
+        if not oracle.verify_sigma_chain(mu, nu, lifted.times[k + 1]):
             return f"weights {k} > {k + 1}: no sigma-chain at {lifted.times[k + 1]}"
     return "endpoint mismatch"
 
 
-def _verify_one(args):
-    oracle, shape, graph, path = args
+def _verify_one(oracle, shape, graph, path) -> dict:
     try:
         lifted = lift(path, shape, graph)
         deg = degree(path, shape, graph)
-        certified = oracle.verify_ls_path(lifted, window=oracle.default_window)
+        certified = oracle.verify_ls_path(lifted)
         agree = endpoint_delta(lifted) == -deg
         status = "pass" if (certified and agree) else "fail"
         detail = "" if status == "pass" else _failing_pair(oracle, lifted)
@@ -250,11 +238,11 @@ def cmd_verify(config: CliConfig) -> int:
     )
 
     try:
-        oracle = AffineOracle(shape, graph, default_window=config.window)
+        oracle = AffineOracle(shape, graph, window=config.window)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     try:
-        report = oracle.covers_to_edges(config.window)
+        report = oracle.covers_to_edges()
         status = "pass" if report.ok else "fail"
         detail = f"covers={report.covers_checked} mismatches={len(report.mismatches)}"
         if report.inconclusive:
@@ -263,13 +251,7 @@ def cmd_verify(config: CliConfig) -> int:
         status, detail = "inconclusive", str(exc)
     checks.append({"check": "covers-match-edges", "status": status, "detail": detail})
 
-    ordered = sorted(hat, key=path_sort_key)
-    work = [(oracle, shape, graph, p) for p in ordered]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            path_reports = list(pool.map(_verify_one, work))
-    else:
-        path_reports = [_verify_one(w) for w in work]
+    path_reports = [_verify_one(oracle, shape, graph, p) for p in sorted(hat, key=path_sort_key)]
 
     n_fail = sum(1 for r in path_reports if r["status"] == "fail")
     n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")

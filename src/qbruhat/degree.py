@@ -61,12 +61,11 @@ def segment_energy(
     x_cur: int,
     sigma: Fraction,
     index: int = 0,
-    tie_break: str = "forward",
 ) -> SegmentData:
     """One canonical segment datum for the pair (x_cur <- x_next) at time sigma."""
     if x_next == x_cur:
         return SegmentData(index, x_next, x_cur, sigma, DirectedPath((x_cur,), (), ()), 0)
-    result = g.sigma_path(x_cur, x_next, sigma, lam, tie_break=tie_break)
+    result = g.sigma_path(x_cur, x_next, sigma, lam)
     if result.path is None or not result.shortest:
         raise InvalidQLSPath(
             f"no admissible shortest path from vertex {x_next} to {x_cur} at sigma={sigma}"
@@ -75,11 +74,7 @@ def segment_energy(
 
 
 def _segments(
-    path: QLSPath,
-    shape: LevelZeroShape,
-    g: PQBG,
-    cache: SegmentCache | None,
-    tie_break: str,
+    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None
 ) -> list[SegmentData]:
     if not _structure_ok(g, path):
         raise InvalidQLSPath(f"structurally invalid path {path}")
@@ -89,35 +84,31 @@ def _segments(
         key = (x_next, x_cur, sigma)
         seg = cache.get(key) if cache is not None else None
         if seg is None:
-            seg = segment_energy(g, lam, x_next, x_cur, sigma, index=p, tie_break=tie_break)
+            seg = segment_energy(g, lam, x_next, x_cur, sigma, index=p)
             if cache is not None:
                 cache[key] = seg
         out.append(seg)
     return out
 
 
-def degree(
-    path: QLSPath,
-    shape: LevelZeroShape,
-    g: PQBG,
-    cache: SegmentCache | None = None,
-    tie_break: str = "forward",
-) -> int:
-    """Exact degree of a strong-variant path; always a nonpositive integer."""
+def _degree_of(segments: list[SegmentData]) -> int:
     total = Fraction(0)
-    for seg in _segments(path, shape, g, cache, tie_break):
+    for seg in segments:
         total += (1 - seg.sigma) * seg.energy
     if total.denominator != 1 or total < 0:
         raise NonIntegralDegree(f"degree sum {total} is not a nonpositive integer")
     return -int(total)
 
 
+def degree(
+    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None = None
+) -> int:
+    """Exact degree of a strong-variant path; always a nonpositive integer."""
+    return _degree_of(_segments(path, shape, g, cache))
+
+
 def lift(
-    path: QLSPath,
-    shape: LevelZeroShape,
-    g: PQBG,
-    cache: SegmentCache | None = None,
-    tie_break: str = "forward",
+    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None = None
 ) -> AffineLSPath:
     """Raise the path into the affine orbit, with the per-segment cover chains.
 
@@ -126,7 +117,7 @@ def lift(
     where a quantum step adds the pairing of its label to the running
     delta-coefficient and a Bruhat step leaves it unchanged.
     """
-    segments = _segments(path, shape, g, cache, tie_break)
+    segments = _segments(path, shape, g, cache)
     lam = shape.classical
     values = g.pair_values(lam)
 
@@ -174,23 +165,18 @@ def endpoint_classical(lifted: AffineLSPath, g: PQBG, lam: Weight) -> tuple[Frac
     return tuple(acc)
 
 
-def degree_table(
-    shape: LevelZeroShape,
-    g: PQBG,
-    paths,
-    tie_break: str = "forward",
-) -> list[dict]:
+def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     """One record per path: directions, times, per-segment energies and the degree."""
     cache: SegmentCache = {}
     rows = []
     for path in paths:
-        segs = _segments(path, shape, g, cache, tie_break)
+        segs = _segments(path, shape, g, cache)
         rows.append(
             {
                 "dirs": [g.vertex_name(v) for v in path.directions],
                 "times": [str(t) for t in path.times],
                 "energies": [seg.energy for seg in segs],
-                "deg": degree(path, shape, g, cache=cache, tie_break=tie_break),
+                "deg": _degree_of(segs),
             }
         )
     return rows

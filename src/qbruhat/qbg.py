@@ -206,18 +206,13 @@ class PQBG:
             per_sigma[y] = self._bfs(y, self._admissible_labels(sigma, lam))
         return per_sigma[y]
 
-    def _bfs_tree(
-        self, y: int, allowed: frozenset[int] | None, tie_break: str
-    ) -> dict[int, QBGEdge]:
-        if tie_break not in ("forward", "reverse"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
+    def _bfs_tree(self, y: int, allowed: frozenset[int] | None) -> dict[int, QBGEdge]:
         parent: dict[int, QBGEdge] = {}
         seen = {y}
         dq = deque([y])
         while dq:
             v = dq.popleft()
-            out = self.out_edges[v] if tie_break == "forward" else tuple(reversed(self.out_edges[v]))
-            for e in out:
+            for e in self.out_edges[v]:
                 if allowed is not None and e.label not in allowed:
                     continue
                 if e.target not in seen:
@@ -243,16 +238,14 @@ class PQBG:
             vertices.append(cur)
         return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
 
-    def shortest_path(self, x: int, y: int, tie_break: str = "forward") -> DirectedPath:
-        """A shortest directed path from y to x, deterministic under the tie-break."""
-        path = self._path_from_tree(x, y, self._bfs_tree(y, None, tie_break))
+    def shortest_path(self, x: int, y: int) -> DirectedPath:
+        """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
+        path = self._path_from_tree(x, y, self._bfs_tree(y, None))
         if path is None:
             raise RuntimeError("graph is strongly connected; no path is a bug")
         return path
 
-    def sigma_path(
-        self, x: int, y: int, sigma: Fraction, lam: Weight, tie_break: str = "forward"
-    ) -> SigmaPathResult:
+    def sigma_path(self, x: int, y: int, sigma: Fraction, lam: Weight) -> SigmaPathResult:
         """A path from y to x inside the sigma-admissible subgraph, if any.
 
         ``shortest`` reports whether that path is as short as an unrestricted
@@ -261,7 +254,7 @@ class PQBG:
         if not 0 < sigma < 1:
             raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
         allowed = self._admissible_labels(sigma, lam)
-        path = self._path_from_tree(x, y, self._bfs_tree(y, allowed, tie_break))
+        path = self._path_from_tree(x, y, self._bfs_tree(y, allowed))
         if path is None:
             return SigmaPathResult(None, False)
         return SigmaPathResult(path, path.length == self.directed_distance(x, y))

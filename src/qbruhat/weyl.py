@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .cartan import RootSystem, Weight, weyl_order
 
 DEFAULT_GROUP_CAP = 40320
+WARN_GROUP_ORDER = 5000  # larger groups are enumerated with a warning
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -54,11 +55,11 @@ class WeylElement:
 class WeylGroup:
     """The finite Weyl group of a root system, fully enumerated."""
 
-    def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP, warn_at: int = 5000):
+    def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         order = weyl_order(rs.type)
         if order > cap:
             raise GroupCapExceeded(f"|W| = {order} for {rs.type} exceeds the cap {cap}")
-        if order > warn_at:
+        if order > WARN_GROUP_ORDER:
             warnings.warn(f"enumerating a Weyl group of order {order}; this is in-memory", stacklevel=2)
         self.rs = rs
         self._enumerate()

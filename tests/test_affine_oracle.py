@@ -20,7 +20,7 @@ from test_qls import example_paths
 
 @pytest.fixture(scope="module")
 def oracle_a2(a2_21):
-    return AffineOracle(a2_21.shape, a2_21.graph)
+    return AffineOracle(a2_21.shape, a2_21.graph, window=10)
 
 
 def test_rejects_parabolic_override():
@@ -119,18 +119,18 @@ class TestDist:
 
     def test_window_guard(self, oracle_a2):
         with pytest.raises(InconclusiveSearch):
-            oracle_a2.dist(AffineOrbitElement(0, 0), AffineOrbitElement(0, 40), window=10)
+            oracle_a2.dist(AffineOrbitElement(0, 0), AffineOrbitElement(0, 40))
 
     def test_window_monotone(self, a2_21):
         shape, g = a2_21.shape, a2_21.graph
-        small = AffineOracle(shape, g)
-        large = AffineOracle(shape, g)
+        small = AffineOracle(shape, g, window=6)
+        large = AffineOracle(shape, g, window=30)
         for v in range(g.num_vertices):
             for w in range(g.num_vertices):
                 for dn in range(0, 4):
                     mu = AffineOrbitElement(v, 0)
                     nu = AffineOrbitElement(w, dn)
-                    assert small.dist(mu, nu, window=6) == large.dist(mu, nu, window=30)
+                    assert small.dist(mu, nu) == large.dist(mu, nu)
 
 
 class TestSigmaChains:
@@ -170,7 +170,7 @@ class TestVerifyLsPath:
     def test_example_lifts(self, a2_21, oracle_a2):
         shape, g = a2_21.shape, a2_21.graph
         for eta in example_paths(a2_21):
-            assert oracle_a2.verify_ls_path(lift(eta, shape, g), window=10)
+            assert oracle_a2.verify_ls_path(lift(eta, shape, g))
 
     def test_corrupted_lift_fails(self, a2_21, oracle_a2):
         from qbruhat.degree import AffineLSPath
@@ -181,28 +181,25 @@ class TestVerifyLsPath:
         bad_weights = list(lifted.weights)
         bad_weights[1] = AffineOrbitElement(bad_weights[1].vertex, bad_weights[1].delta - 1)
         corrupted = AffineLSPath(tuple(bad_weights), lifted.times, lifted.segment_chains)
-        assert not oracle_a2.verify_ls_path(corrupted, window=10)
+        assert not oracle_a2.verify_ls_path(corrupted)
 
 
 class TestCoversToEdges:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
     def test_no_mismatches(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        oracle = AffineOracle(ctx.shape, ctx.graph)
-        report = oracle.covers_to_edges(5)
+        report = AffineOracle(ctx.shape, ctx.graph, window=5).covers_to_edges()
         assert report.ok
         assert report.covers_checked > 0
 
     def test_a1_both_edges(self, a1_1):
-        oracle = AffineOracle(a1_1.shape, a1_1.graph)
-        report = oracle.covers_to_edges(3)
+        report = AffineOracle(a1_1.shape, a1_1.graph, window=3).covers_to_edges()
         assert report.ok
         # both graph edges instantiated at every delta in the slice
         assert report.edges_checked == 2 * 7
 
     def test_empty_window(self, a2_21):
-        oracle = AffineOracle(a2_21.shape, a2_21.graph)
-        report = oracle.covers_to_edges(-1)
+        report = AffineOracle(a2_21.shape, a2_21.graph, window=-1).covers_to_edges()
         assert report.covers_checked == 0 and report.edges_checked == 0
         assert report.ok and not report.inconclusive
 
@@ -214,11 +211,11 @@ class TestOracleAgreement:
 
         ctx = request.getfixturevalue(fixture)
         shape, g = ctx.shape, ctx.graph
-        oracle = AffineOracle(shape, g)
+        oracle = AffineOracle(shape, g, window=10)
         cache = {}
         for eta in enumerate_hat(shape, g):
             lifted = lift(eta, shape, g, cache=cache)
-            assert oracle.verify_ls_path(lifted, window=10)
+            assert oracle.verify_ls_path(lifted)
             assert endpoint_delta(lifted) == -degree(eta, shape, g, cache=cache)
             # first lifted weight has no delta-shift
             assert lifted.weights[0].delta == 0

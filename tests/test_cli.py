@@ -136,11 +136,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--type", "C2", "--lambda", "1,1", "--window", "10")
         assert code == 0 and json.loads(out)["status"] == "pass"
 
-    def test_threaded_run_matches(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("threads", ["8", "abc"])
+    def test_threads_env_ignored(self, capsys, monkeypatch, threads):
+        # verify certifies paths in one thread on one oracle, whose memos are
+        # not safe to share; QBRUHAT_THREADS must neither change nor break it
+        monkeypatch.delenv("QBRUHAT_THREADS", raising=False)
         _, base, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
-        monkeypatch.setenv("QBRUHAT_THREADS", "4")
-        code, threaded, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
-        assert code == 0 and threaded == base
+        monkeypatch.setenv("QBRUHAT_THREADS", threads)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
+        assert code == 0 and out == base
 
 
 class TestDeterminism:

@@ -119,15 +119,6 @@ class TestInvariants:
             lifted = lift(eta, shape, g)
             assert endpoint_classical(lifted, g, lam) == evaluate(g, eta, F(1), lam)
 
-    @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
-    def test_tie_break_independence(self, fixture, request):
-        ctx = request.getfixturevalue(fixture)
-        shape, g = ctx.shape, ctx.graph
-        for eta in enumerate_hat(shape, g):
-            assert degree(eta, shape, g, tie_break="forward") == degree(
-                eta, shape, g, tie_break="reverse"
-            )
-
     def test_cache_consistency(self, a2_21):
         shape, g = a2_21.shape, a2_21.graph
         cache = {}

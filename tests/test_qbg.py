@@ -122,15 +122,14 @@ class TestDistances:
         assert g.rs.positive_roots[q.labels[0]].coords == (1, 1)
 
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11", "a3_010"])
-    def test_paths_validate_both_tiebreaks(self, fixture, request):
+    def test_shortest_paths_validate(self, fixture, request):
         g = request.getfixturevalue(fixture).graph
         for x in range(g.num_vertices):
             for y in range(g.num_vertices):
-                for tb in ("forward", "reverse"):
-                    p = g.shortest_path(x, y, tie_break=tb)
-                    assert p.length == g.directed_distance(x, y)
-                    assert p.vertices[0] == x and p.vertices[-1] == y
-                    validate_path(g, p)
+                p = g.shortest_path(x, y)
+                assert p.length == g.directed_distance(x, y)
+                assert p.vertices[0] == x and p.vertices[-1] == y
+                validate_path(g, p)
 
 
 class TestWeights:
