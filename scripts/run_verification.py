@@ -5,8 +5,9 @@ Usage:
     python3 scripts/run_verification.py [--window N]
 
 This is the batch form of ``qbruhat verify``: strong/weak enumeration
-agreement, cover/edge correspondence on a delta slice, and per-path lift
-certification with the endpoint identity.
+agreement, cover/edge correspondence (exact for every delta, independent of
+the window), and per-path lift certification with the endpoint identity
+inside the window.
 """
 
 from __future__ import annotations

@@ -18,9 +18,13 @@ reduce to integer bookkeeping on (vertex, delta):
   by that pairing.
 
 Covers never need other reflections, so chain searches over these steps are
-exhaustive.  Delta never decreases along a step, which bounds every search
-between the two endpoint delta-coefficients; the oracle's window, fixed at
-construction, only guards entry and is reported distinctly from "no chain".
+exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
+so every order question depends only on the two vertices and the difference
+of their delta-coefficients: the memos are keyed that way, and the cover/edge
+correspondence is checked once, at delta 0, for every delta.  Delta never
+decreases along a step, which bounds every search between the two endpoint
+delta-coefficients; the oracle's window, fixed at construction, only guards
+entry and is reported distinctly from "no chain".
 """
 
 from __future__ import annotations
@@ -53,24 +57,15 @@ class RaisingStep:
 
 @dataclass(frozen=True)
 class CoverEdgeReport:
-    window: int
     covers_checked: int
     edges_checked: int
     mismatches: tuple[str, ...]
-    inconclusive: tuple[str, ...]
+    # always empty, since the check is exact; kept because perfbench/tracing.py reads it
+    inconclusive: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {
-            "window": self.window,
-            "covers_checked": self.covers_checked,
-            "edges_checked": self.edges_checked,
-            "mismatches": list(self.mismatches),
-            "inconclusive": list(self.inconclusive),
-        }
 
 
 @dataclass
@@ -86,6 +81,8 @@ class AffineOracle:
     _chain_memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if self.window < 0:
+            raise ValueError(f"window must be non-negative, not {self.window}")
         g, rs = self.g, self.g.rs
         if g.J != self.shape.parabolic:
             # orbit elements are keyed by vertex, which is only faithful when
@@ -109,11 +106,11 @@ class AffineOracle:
         self._step_vertex = step_vertex
 
     def _check_window(self, *elements: AffineOrbitElement) -> None:
-        for mu in elements:
-            if abs(mu.delta) > self.window:
-                raise InconclusiveSearch(
-                    f"delta-coefficient {mu.delta} outside window {self.window}; enlarge the window"
-                )
+        need = max(abs(mu.delta) for mu in elements)
+        if need > self.window:
+            raise InconclusiveSearch(
+                f"|delta| reaches {need}, outside window {self.window}; needs window {need}"
+            )
 
     # -- steps ---------------------------------------------------------------
 
@@ -149,7 +146,7 @@ class AffineOracle:
             return 0
         if mu.delta > nu.delta:
             return None
-        key = (mu, nu)
+        key = (mu.vertex, nu.vertex, nu.delta - mu.delta)
         if key in self._dist_memo:
             return self._dist_memo[key]
         best = None
@@ -177,7 +174,7 @@ class AffineOracle:
             return True
         if mu.delta > nu.delta:
             return False
-        key = (mu, nu, q)
+        key = (mu.vertex, nu.vertex, nu.delta - mu.delta, q)
         if key in self._chain_memo:
             return self._chain_memo[key]
         self._chain_memo[key] = False  # steps strictly descend, so re-entry cannot occur
@@ -225,17 +222,16 @@ class AffineOracle:
         return coords
 
     def covers_to_edges(self) -> CoverEdgeReport:
-        """Exhaustive two-way check between orbit covers and graph edges in a slice.
+        """Exhaustive two-way check between orbit covers and graph edges.
 
-        Every cover found in the |delta| <= window slice must map to a graph
-        edge of the matching kind, and every graph edge instantiated at each
-        delta in the slice must map back to a cover.
+        Every cover out of each (v, 0) must map to a graph edge of the
+        matching kind, and every graph edge must lift to a cover.  Since
+        (v, n) > (t, n + k) is a cover exactly when (v, 0) > (t, k) is, the
+        check holds for every delta and does not use the window.
         """
-        w = self.window
         g = self.g
         values = g.pair_values(self.shape.classical)
         mismatches: list[str] = []
-        inconclusive: list[str] = []
         covers = 0
         edges_checked = 0
 
@@ -243,26 +239,22 @@ class AffineOracle:
             return f"({g.vertex_name(mu.vertex)}, {mu.delta}d)"
 
         for v in range(g.num_vertices):
-            for n in range(-w, w + 1):
-                mu = AffineOrbitElement(v, n)
-                for step in self.raising_steps(mu):
-                    if abs(step.target.delta) > w:
-                        inconclusive.append(f"step {name(mu)} -> {name(step.target)} leaves the window")
-                        continue
-                    if self._dist(mu, step.target) != 1:
-                        continue
-                    covers += 1
-                    beta = self._edge_root_from_cover(step)
-                    idx = g.rs.root_index(beta)
-                    if idx is None or idx not in g.labels:
-                        mismatches.append(f"cover {name(mu)} > {name(step.target)}: bad label {beta}")
-                        continue
-                    e = g.edge(step.target.vertex, idx)
-                    want_quantum = step.kind == "affine"
-                    if e is None or e.target != mu.vertex or e.quantum != want_quantum:
-                        mismatches.append(
-                            f"cover {name(mu)} > {name(step.target)}: no matching {step.kind} edge"
-                        )
+            mu = AffineOrbitElement(v, 0)
+            for step in self.raising_steps(mu):
+                if self._dist(mu, step.target) != 1:
+                    continue
+                covers += 1
+                beta = self._edge_root_from_cover(step)
+                idx = g.rs.root_index(beta)
+                if idx is None or idx not in g.labels:
+                    mismatches.append(f"cover {name(mu)} > {name(step.target)}: bad label {beta}")
+                    continue
+                e = g.edge(step.target.vertex, idx)
+                want_quantum = step.kind == "affine"
+                if e is None or e.target != mu.vertex or e.quantum != want_quantum:
+                    mismatches.append(
+                        f"cover {name(mu)} > {name(step.target)}: no matching {step.kind} edge"
+                    )
 
         for e in g.edges:
             wmoved = g.group.apply_root_coords(g.rep_id(e.source), g.rs.positive_roots[e.label].coords)
@@ -273,17 +265,13 @@ class AffineOracle:
                     f"sign of the moved label contradicts the edge kind"
                 )
                 continue
+            edges_checked += 1
             # the smaller element sits at the edge source; its cover partner at
             # the target has delta lowered by the pairing on quantum edges
             gain = 0 if not e.quantum else values[e.label]
-            for n in range(-w, w + 1):
-                edges_checked += 1
-                nu = AffineOrbitElement(e.source, n)
-                mu = AffineOrbitElement(e.target, n - gain)
-                if abs(mu.delta) > w:
-                    inconclusive.append(f"edge lift {name(mu)} > {name(nu)} leaves the window")
-                    continue
-                if self._dist(mu, nu) != 1:
-                    mismatches.append(f"edge lift {name(mu)} > {name(nu)} is not a cover")
+            mu = AffineOrbitElement(e.target, 0)
+            nu = AffineOrbitElement(e.source, gain)
+            if self._dist(mu, nu) != 1:
+                mismatches.append(f"edge lift {name(mu)} > {name(nu)} is not a cover")
 
-        return CoverEdgeReport(w, covers, edges_checked, tuple(mismatches), tuple(inconclusive))
+        return CoverEdgeReport(covers, edges_checked, tuple(mismatches))

@@ -89,6 +89,21 @@ class TestRaisingSteps:
                         assert all(t >= c for t, c in zip(theta, gamma.coords))
 
 
+    @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
+    def test_delta_translation(self, fixture, request):
+        # the steps out of (v, n) are those out of (v, 0) shifted by n: the
+        # oracle's memos and its single cover/edge pass rely on this
+        ctx = request.getfixturevalue(fixture)
+        oracle = AffineOracle(ctx.shape, ctx.graph)
+        for v in range(ctx.graph.num_vertices):
+            base = oracle.raising_steps(AffineOrbitElement(v, 0))
+            for n in (-3, 0, 4):
+                shifted = oracle.raising_steps(AffineOrbitElement(v, n))
+                assert [(s.kind, s.root, s.pairing, s.target.vertex, s.target.delta) for s in shifted] == [
+                    (s.kind, s.root, s.pairing, s.target.vertex, s.target.delta + n) for s in base
+                ]
+
+
 class TestDist:
     def test_reflexive(self, oracle_a2):
         mu = AffineOrbitElement(0, 0)
@@ -120,6 +135,10 @@ class TestDist:
     def test_window_guard(self, oracle_a2):
         with pytest.raises(InconclusiveSearch):
             oracle_a2.dist(AffineOrbitElement(0, 0), AffineOrbitElement(0, 40))
+
+    def test_negative_window_rejected(self, a2_21):
+        with pytest.raises(ValueError):
+            AffineOracle(a2_21.shape, a2_21.graph, window=-1)
 
     def test_window_monotone(self, a2_21):
         shape, g = a2_21.shape, a2_21.graph
@@ -172,6 +191,20 @@ class TestVerifyLsPath:
         for eta in example_paths(a2_21):
             assert oracle_a2.verify_ls_path(lift(eta, shape, g))
 
+    def test_inconclusive_names_settling_window(self):
+        # the lift has delta-coefficients 0, 3, 5: the message names 5, the
+        # largest, and that window settles the check
+        from qbruhat import build_context
+        from qbruhat.cli import parse_path_literal
+
+        ctx = build_context("A2", (3, 2))
+        shape, g = ctx.shape, ctx.graph
+        lifted = lift(parse_path_literal(ctx, "e;s1;s1 s2|0,1/3,1/2,1"), shape, g)
+        assert [m.delta for m in lifted.weights] == [0, 3, 5]
+        with pytest.raises(InconclusiveSearch, match=r"needs window 5$"):
+            AffineOracle(shape, g, window=0).verify_ls_path(lifted)
+        assert AffineOracle(shape, g, window=5).verify_ls_path(lifted)
+
     def test_corrupted_lift_fails(self, a2_21, oracle_a2):
         from qbruhat.degree import AffineLSPath
 
@@ -192,16 +225,15 @@ class TestCoversToEdges:
         assert report.ok
         assert report.covers_checked > 0
 
-    def test_a1_both_edges(self, a1_1):
-        report = AffineOracle(a1_1.shape, a1_1.graph, window=3).covers_to_edges()
-        assert report.ok
-        # both graph edges instantiated at every delta in the slice
-        assert report.edges_checked == 2 * 7
-
-    def test_empty_window(self, a2_21):
-        report = AffineOracle(a2_21.shape, a2_21.graph, window=-1).covers_to_edges()
-        assert report.covers_checked == 0 and report.edges_checked == 0
-        assert report.ok and not report.inconclusive
+    @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010"])
+    def test_cover_edge_bijection(self, fixture, request):
+        # one cover per graph edge and one lift per graph edge, whatever the window
+        ctx = request.getfixturevalue(fixture)
+        reports = [AffineOracle(ctx.shape, ctx.graph, window=w).covers_to_edges() for w in (0, 3, 10)]
+        assert reports[0] == reports[1] == reports[2]
+        report = reports[0]
+        assert report.covers_checked == report.edges_checked == len(ctx.graph.edges)
+        assert report.ok and report.inconclusive == ()
 
 
 class TestOracleAgreement:

@@ -147,6 +147,22 @@ class TestVerify:
         assert code == 0 and out == base
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qls", "--type", "A2", "--lambda", "2,1", "--cap", "5"),
+            ("degree", "--type", "A2", "--lambda", "2,1", "--cap", "5"),
+            ("verify", "--type", "A2", "--lambda", "2,1", "--cap", "5"),
+            ("verify", "--type", "A2", "--lambda", "2,1", "--window", "-1"),
+        ],
+    )
+    def test_bad_budget_is_bad_input(self, capsys, argv):
+        # an exceeded --cap or a negative --window is input error 2, not a traceback
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
