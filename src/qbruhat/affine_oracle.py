@@ -75,8 +75,8 @@ class AffineOracle:
     shape: LevelZeroShape
     g: PQBG
     window: int = 10
-    _pairings: list[tuple[int, ...]] = field(init=False, repr=False)
-    _step_vertex: list[tuple[int, ...]] = field(init=False, repr=False)
+    # per vertex v, (root, target vertex, delta gain, pairing) of each step out of (v, 0)
+    _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
     _dist_memo: dict = field(default_factory=dict, repr=False)
     _chain_memo: dict = field(default_factory=dict, repr=False)
 
@@ -90,20 +90,18 @@ class AffineOracle:
             raise ValueError("oracle requires the graph built for the shape's parabolic set")
         lam = self.shape.classical
         group = g.group
-        # <x Lambda, gamma^vee> and the vertex of proj(r_gamma x), per (vertex, root)
-        pairings = []
-        step_vertex = []
+        # p = <x Lambda, gamma^vee> and the vertex of proj(r_gamma x): a finite
+        # step when p < 0, an affine one gaining p when p > 0
+        self._steps = []
         for v in range(g.num_vertices):
             w = g.orbit_weight(v, lam)
-            pairings.append(tuple(pair(w, c) for c in rs.positive_coroots))
-            step_vertex.append(
-                tuple(
-                    g.vertex_of_element(group.mul(group.reflection(i), g.rep_id(v)))
-                    for i in range(rs.num_positive)
-                )
-            )
-        self._pairings = pairings
-        self._step_vertex = step_vertex
+            steps = []
+            for i, c in enumerate(rs.positive_coroots):
+                p = pair(w, c)
+                if p:
+                    target = g.vertex_of_element(group.mul(group.reflection(i), g.rep_id(v)))
+                    steps.append((i, target, 0, p) if p < 0 else (i, target, p, -p))
+            self._steps.append(tuple(steps))
 
     def _check_window(self, *elements: AffineOrbitElement) -> None:
         need = max(abs(mu.delta) for mu in elements)
@@ -116,19 +114,10 @@ class AffineOracle:
 
     def raising_steps(self, mu: AffineOrbitElement) -> tuple[RaisingStep, ...]:
         """All order-lowering steps out of mu over the two admissible root kinds."""
-        steps = []
-        prow = self._pairings[mu.vertex]
-        trow = self._step_vertex[mu.vertex]
-        for i, p in enumerate(prow):
-            if p < 0:
-                steps.append(
-                    RaisingStep("finite", i, mu, AffineOrbitElement(trow[i], mu.delta), p)
-                )
-            elif p > 0:
-                steps.append(
-                    RaisingStep("affine", i, mu, AffineOrbitElement(trow[i], mu.delta + p), -p)
-                )
-        return tuple(steps)
+        return tuple(
+            RaisingStep("affine" if gain else "finite", i, mu, AffineOrbitElement(t, mu.delta + gain), p)
+            for i, t, gain, p in self._steps[mu.vertex]
+        )
 
     # -- order ---------------------------------------------------------------
 
@@ -139,21 +128,22 @@ class AffineOracle:
         result is window-independent once both endpoints fit.
         """
         self._check_window(mu, nu)
-        return self._dist(mu, nu)
+        return self._dist(mu.vertex, nu.vertex, nu.delta - mu.delta)
 
-    def _dist(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
-        if mu == nu:
-            return 0
-        if mu.delta > nu.delta:
+    def _dist(self, v: int, w: int, d: int) -> int | None:
+        # dist from (v, 0) down to (w, d)
+        if d < 0:
             return None
-        key = (mu.vertex, nu.vertex, nu.delta - mu.delta)
+        if v == w and d == 0:
+            return 0
+        key = (v, w, d)
         if key in self._dist_memo:
             return self._dist_memo[key]
         best = None
-        for step in self.raising_steps(mu):
-            if step.target.delta > nu.delta:
+        for _, t, gain, _ in self._steps[v]:
+            if gain > d:
                 continue
-            sub = self._dist(step.target, nu)
+            sub = self._dist(t, w, d - gain)
             if sub is not None and (best is None or sub + 1 > best):
                 best = sub + 1
         self._dist_memo[key] = best
@@ -167,22 +157,23 @@ class AffineOracle:
     def verify_sigma_chain(self, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:
         """Whether some saturated cover chain from mu to nu has all pairings sigma-integral."""
         self._check_window(mu, nu)
-        return self._sigma_chain(mu, nu, sigma.denominator)
+        return self._sigma_chain(mu.vertex, nu.vertex, nu.delta - mu.delta, sigma.denominator)
 
-    def _sigma_chain(self, mu: AffineOrbitElement, nu: AffineOrbitElement, q: int) -> bool:
-        if mu == nu:
-            return True
-        if mu.delta > nu.delta:
+    def _sigma_chain(self, v: int, w: int, d: int, q: int) -> bool:
+        # a sigma-chain from (v, 0) down to (w, d), sigma of denominator q
+        if d < 0:
             return False
-        key = (mu.vertex, nu.vertex, nu.delta - mu.delta, q)
+        if v == w and d == 0:
+            return True
+        key = (v, w, d, q)
         if key in self._chain_memo:
             return self._chain_memo[key]
         self._chain_memo[key] = False  # steps strictly descend, so re-entry cannot occur
         ok = False
-        for step in self.raising_steps(mu):
-            if step.target.delta > nu.delta or step.pairing % q != 0:
+        for _, t, gain, p in self._steps[v]:
+            if gain > d or p % q != 0:
                 continue
-            if self._dist(mu, step.target) == 1 and self._sigma_chain(step.target, nu, q):
+            if self._dist(v, t, gain) == 1 and self._sigma_chain(t, w, d - gain, q):
                 ok = True
                 break
         self._chain_memo[key] = ok
@@ -199,12 +190,11 @@ class AffineOracle:
         weights = tuple(lifted.weights)
         self._check_window(*weights)
         for k in range(len(weights) - 1):
-            mu, nu = weights[k], weights[k + 1]
-            d = self._dist(mu, nu)
+            v, w, gap = weights[k].vertex, weights[k + 1].vertex, weights[k + 1].delta - weights[k].delta
+            d = self._dist(v, w, gap)
             if d is None or d < 1:
                 return False
-            sigma = lifted.times[k + 1]
-            if not self._sigma_chain(mu, nu, sigma.denominator):
+            if not self._sigma_chain(v, w, gap, lifted.times[k + 1].denominator):
                 return False
         return True
 
@@ -241,7 +231,7 @@ class AffineOracle:
         for v in range(g.num_vertices):
             mu = AffineOrbitElement(v, 0)
             for step in self.raising_steps(mu):
-                if self._dist(mu, step.target) != 1:
+                if self._dist(v, step.target.vertex, step.target.delta) != 1:
                     continue
                 covers += 1
                 beta = self._edge_root_from_cover(step)
@@ -271,7 +261,7 @@ class AffineOracle:
             gain = 0 if not e.quantum else values[e.label]
             mu = AffineOrbitElement(e.target, 0)
             nu = AffineOrbitElement(e.source, gain)
-            if self._dist(mu, nu) != 1:
+            if self._dist(e.target, e.source, gain) != 1:
                 mismatches.append(f"edge lift {name(mu)} > {name(nu)} is not a cover")
 
         return CoverEdgeReport(covers, edges_checked, tuple(mismatches))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import Context, build_context
 from .affine_oracle import AffineOracle, InconclusiveSearch
-from .degree import InvalidQLSPath, degree, degree_table, endpoint_delta, lift
+from .degree import InvalidQLSPath, SegmentCache, degree, degree_table, endpoint_delta, lift
 from .qls import (
     EnumerationCap,
     QLSPath,
@@ -210,10 +210,10 @@ def _failing_pair(oracle, lifted) -> str:
     return "endpoint mismatch"
 
 
-def _verify_one(oracle, shape, graph, path) -> dict:
+def _verify_one(oracle, shape, graph, path, cache: SegmentCache) -> dict:
     try:
-        lifted = lift(path, shape, graph)
-        deg = degree(path, shape, graph)
+        lifted = lift(path, shape, graph, cache)
+        deg = degree(path, shape, graph, cache)
         certified = oracle.verify_ls_path(lifted)
         agree = endpoint_delta(lifted) == -deg
         status = "pass" if (certified and agree) else "fail"
@@ -252,7 +252,8 @@ def cmd_verify(config: CliConfig) -> int:
         }
     )
 
-    path_reports = [_verify_one(oracle, shape, graph, p) for p in sorted(hat, key=path_sort_key)]
+    cache: SegmentCache = {}
+    path_reports = [_verify_one(oracle, shape, graph, p, cache) for p in sorted(hat, key=path_sort_key)]
 
     n_fail = sum(1 for r in path_reports if r["status"] == "fail")
     n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")

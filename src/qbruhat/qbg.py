@@ -14,6 +14,11 @@ on the allowed labels; this is asserted during the build.
 Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
+
+Every distance and shortest-path query reads one memoised BFS per (source,
+admissible label set); the unrestricted graph is the set of all labels.  A
+path follows that BFS's first-discovery edges, so ties go to the first edge
+in ``out_edges``.  Strong connectivity is checked when the graph is built.
 """
 
 from __future__ import annotations
@@ -80,8 +85,9 @@ class PQBG:
         self.vertices = cs.reps
         self.num_vertices = len(cs.reps)
         self._build()
-        self._dist_cache: dict[int, tuple[int, ...]] = {}
-        self._sigma_dist_cache: dict[tuple, dict[int, tuple[int, ...]]] = {}
+        self._all_labels = frozenset(self.labels)
+        self._admissible_cache: dict[tuple[int, tuple[int, ...]], frozenset[int]] = {}
+        self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
         self._pair_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._orbit_cache: dict[tuple[int, ...], tuple[Weight, ...]] = {}
         self._check_strongly_connected()
@@ -132,9 +138,10 @@ class PQBG:
         self.in_edges = tuple(tuple(sorted(es, key=lambda e: (e.source, e.label))) for es in incoming)
 
     def _check_strongly_connected(self) -> None:
-        for y in range(self.num_vertices):
-            if any(d < 0 for d in self.distances_from(y)):
-                raise RuntimeError("parabolic quantum Bruhat graph is not strongly connected")
+        # every vertex is reached from vertex 0 and reaches it: two traversals
+        # that together are equivalent to strong connectivity
+        if min(self.distances_from(0)) < 0 or min(self._distances_to(0, self._all_labels)) < 0:
+            raise RuntimeError("parabolic quantum Bruhat graph is not strongly connected")
 
     # -- vertex helpers ----------------------------------------------------
 
@@ -171,90 +178,99 @@ class PQBG:
     # -- distances and shortest paths --------------------------------------
 
     def _admissible_labels(self, sigma: Fraction, lam: Weight) -> frozenset[int]:
-        q = sigma.denominator
-        values = self.pair_values(lam)
-        return frozenset(idx for idx in self.labels if values[idx] % q == 0)
+        key = (sigma.denominator, lam.coords)
+        if key not in self._admissible_cache:
+            values = self.pair_values(lam)
+            self._admissible_cache[key] = frozenset(idx for idx in self.labels if values[idx] % key[0] == 0)
+        return self._admissible_cache[key]
 
-    def _bfs(self, y: int, allowed: frozenset[int] | None) -> tuple[int, ...]:
-        dist = [-1] * self.num_vertices
-        dist[y] = 0
-        dq = deque([y])
+    def _search(self, y: int, allowed: frozenset[int]) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...]]:
+        """BFS from y over the edges labelled in ``allowed``, memoised per (y, allowed).
+
+        Returns ``(dist, parent)``: ``dist[x]`` is the length of a shortest
+        such path from y to x (-1 when unreachable) and ``parent[x]`` the edge
+        that first reached x, scanning ``out_edges`` in order.
+        """
+        key = (y, allowed)
+        found = self._search_cache.get(key)
+        if found is None:
+            dist = [-1] * self.num_vertices
+            parent: list[QBGEdge | None] = [None] * self.num_vertices
+            dist[y] = 0
+            dq = deque([y])
+            while dq:
+                v = dq.popleft()
+                for e in self.out_edges[v]:
+                    if dist[e.target] < 0 and e.label in allowed:
+                        dist[e.target] = dist[v] + 1
+                        parent[e.target] = e
+                        dq.append(e.target)
+            found = self._search_cache[key] = (tuple(dist), tuple(parent))
+        return found
+
+    def _distances_to(self, x: int, allowed: frozenset[int]) -> list[int]:
+        """Distance of every vertex to x over the edges labelled in ``allowed``; -1 if x is out of reach."""
+        to_x = [-1] * self.num_vertices
+        to_x[x] = 0
+        dq = deque([x])
         while dq:
             v = dq.popleft()
-            for e in self.out_edges[v]:
-                if allowed is not None and e.label not in allowed:
-                    continue
-                if dist[e.target] < 0:
-                    dist[e.target] = dist[v] + 1
-                    dq.append(e.target)
-        return tuple(dist)
+            for e in self.in_edges[v]:
+                if to_x[e.source] < 0 and e.label in allowed:
+                    to_x[e.source] = to_x[v] + 1
+                    dq.append(e.source)
+        return to_x
+
+    def _path(self, x: int, y: int, allowed: frozenset[int]) -> DirectedPath | None:
+        """The path from y to x along the parent edges of ``_search(y, allowed)``."""
+        dist, parent = self._search(y, allowed)
+        if dist[x] < 0:
+            return None
+        vertices = [x]
+        labels = []
+        quantum = []
+        while x != y:
+            e = parent[x]
+            labels.append(e.label)
+            quantum.append(e.quantum)
+            x = e.source
+            vertices.append(x)
+        return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
 
     def distances_from(self, y: int) -> tuple[int, ...]:
-        """BFS distances from y along edge orientation; -1 marks unreachable."""
-        if y not in self._dist_cache:
-            self._dist_cache[y] = self._bfs(y, None)
-        return self._dist_cache[y]
+        """BFS distances from y along edge orientation; -1 marks unreachable.
+
+        Read from the memoised BFS that ``shortest_path`` also follows.
+        """
+        return self._search(y, self._all_labels)[0]
 
     def directed_distance(self, x: int, y: int) -> int:
         """Length of a shortest directed path from y to x."""
         return self.distances_from(y)[x]
 
     def sigma_distances_from(self, y: int, sigma: Fraction, lam: Weight) -> tuple[int, ...]:
-        key = (sigma.denominator, lam.coords)
-        per_sigma = self._sigma_dist_cache.setdefault(key, {})
-        if y not in per_sigma:
-            per_sigma[y] = self._bfs(y, self._admissible_labels(sigma, lam))
-        return per_sigma[y]
-
-    def _bfs_tree(self, y: int, allowed: frozenset[int] | None) -> dict[int, QBGEdge]:
-        parent: dict[int, QBGEdge] = {}
-        seen = {y}
-        dq = deque([y])
-        while dq:
-            v = dq.popleft()
-            for e in self.out_edges[v]:
-                if allowed is not None and e.label not in allowed:
-                    continue
-                if e.target not in seen:
-                    seen.add(e.target)
-                    parent[e.target] = e
-                    dq.append(e.target)
-        return parent
-
-    def _path_from_tree(self, x: int, y: int, parent: dict[int, QBGEdge]) -> DirectedPath | None:
-        if x == y:
-            return DirectedPath((x,), (), ())
-        if x not in parent:
-            return None
-        vertices = [x]
-        labels = []
-        quantum = []
-        cur = x
-        while cur != y:
-            e = parent[cur]
-            labels.append(e.label)
-            quantum.append(e.quantum)
-            cur = e.source
-            vertices.append(cur)
-        return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
+        """Like ``distances_from``, inside the sigma-admissible subgraph."""
+        return self._search(y, self._admissible_labels(sigma, lam))[0]
 
     def shortest_path(self, x: int, y: int) -> DirectedPath:
         """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
-        path = self._path_from_tree(x, y, self._bfs_tree(y, None))
+        path = self._path(x, y, self._all_labels)
         if path is None:
             raise RuntimeError("graph is strongly connected; no path is a bug")
         return path
 
     def sigma_path(self, x: int, y: int, sigma: Fraction, lam: Weight) -> SigmaPathResult:
-        """A path from y to x inside the sigma-admissible subgraph, if any.
+        """A shortest path from y to x inside the sigma-admissible subgraph, if any.
 
-        ``shortest`` reports whether that path is as short as an unrestricted
-        one, i.e. whether the pair satisfies the strong segment condition.
+        The path is rebuilt from the same memoised BFS that
+        ``sigma_distances_from`` reads, so ties go to the first edge in
+        ``out_edges``.  ``shortest`` reports whether that path is as short as
+        an unrestricted one, i.e. whether the pair satisfies the strong
+        segment condition.
         """
         if not 0 < sigma < 1:
             raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-        allowed = self._admissible_labels(sigma, lam)
-        path = self._path_from_tree(x, y, self._bfs_tree(y, allowed))
+        path = self._path(x, y, self._admissible_labels(sigma, lam))
         if path is None:
             return SigmaPathResult(None, False)
         return SigmaPathResult(path, path.length == self.directed_distance(x, y))
@@ -288,7 +304,7 @@ class PQBG:
         """
         if max_len is None:
             max_len = 2 * self.rs.num_positive
-        allowed = None if sigma is None else self._admissible_labels(sigma, lam)
+        allowed = self._all_labels if sigma is None else self._admissible_labels(sigma, lam)
         found: list[DirectedPath] = []
         budget = [cap]
 
@@ -303,7 +319,7 @@ class PQBG:
             if len(labels) == max_len:
                 return
             for e in self.out_edges[v]:
-                if allowed is not None and e.label not in allowed:
+                if e.label not in allowed:
                     continue
                 vertices.append(e.target)
                 labels.append(e.label)
@@ -321,18 +337,7 @@ class PQBG:
     ) -> list[DirectedPath]:
         """All sigma-admissible paths from y to x of minimal sigma-admissible length."""
         allowed = self._admissible_labels(sigma, lam)
-        # distance of every vertex to x inside the admissible subgraph
-        to_x = [-1] * self.num_vertices
-        to_x[x] = 0
-        dq = deque([x])
-        while dq:
-            v = dq.popleft()
-            for e in self.in_edges[v]:
-                if e.label not in allowed:
-                    continue
-                if to_x[e.source] < 0:
-                    to_x[e.source] = to_x[v] + 1
-                    dq.append(e.source)
+        to_x = self._distances_to(x, allowed)
         if to_x[y] < 0:
             return []
         found: list[DirectedPath] = []

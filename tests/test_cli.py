@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import qbruhat.degree as degree_mod
 from qbruhat.cli import main
+from qbruhat.qls import enumerate_hat
 
 
 def run(capsys, *argv):
@@ -135,6 +137,25 @@ class TestVerify:
     def test_c2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "C2", "--lambda", "1,1", "--window", "10")
         assert code == 0 and json.loads(out)["status"] == "pass"
+
+    def test_segments_computed_once(self, capsys, monkeypatch, a2_21):
+        # lift and degree share one segment cache across all paths, so each
+        # distinct turning point's segment is computed at most once
+        calls = []
+        real = degree_mod.segment_energy
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(degree_mod, "segment_energy", counting)
+        code, _, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
+        distinct = {
+            (x_next, x_cur, sigma)
+            for path in enumerate_hat(a2_21.shape, a2_21.graph)
+            for x_cur, x_next, sigma in path.turning_points()
+        }
+        assert code == 0 and 0 < len(calls) <= len(distinct)
 
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import vertex_by_word
 from qbruhat.cartan import pair
-from qbruhat.qbg import PathEnumerationCap, validate_path
+from qbruhat.qbg import PQBG, DirectedPath, PathEnumerationCap, validate_path
+from qbruhat.qls import sigma_candidates
 
 # the full A2 edge list, read off the rank-2 hexagon figure:
 # (source word, target word, label coords, kind)
@@ -29,6 +31,39 @@ A2_EDGES = {
     ("s1 s2 s1", "s2 s1", (0, 1), "quantum"),
     ("s1 s2 s1", "e", (1, 1), "quantum"),
 }
+
+
+def reference_bfs_tree(g, y, allowed):
+    """Parent edges of a BFS from y over the labels in ``allowed`` (None: all), first discovery wins."""
+    parent = {}
+    seen = {y}
+    dq = deque([y])
+    while dq:
+        v = dq.popleft()
+        for e in g.out_edges[v]:
+            if allowed is not None and e.label not in allowed:
+                continue
+            if e.target not in seen:
+                seen.add(e.target)
+                parent[e.target] = e
+                dq.append(e.target)
+    return parent
+
+
+def reference_path(x, y, parent):
+    """The path from y to x along ``reference_bfs_tree`` parents, or None."""
+    if x == y:
+        return DirectedPath((x,), (), ())
+    if x not in parent:
+        return None
+    vertices, labels, quantum = [x], [], []
+    while x != y:
+        e = parent[x]
+        labels.append(e.label)
+        quantum.append(e.quantum)
+        x = e.source
+        vertices.append(x)
+    return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
 
 
 def edge_set(g):
@@ -91,6 +126,26 @@ class TestBuild:
             for y in range(g.num_vertices):
                 assert g.directed_distance(x, y) >= 0
 
+    @pytest.mark.parametrize("cut", ["first", "last"])
+    @pytest.mark.parametrize("side", ["target", "source"])
+    def test_not_strongly_connected_raises(self, a2_21, monkeypatch, cut, side):
+        # dropping every edge into (side=target) or out of (side=source) one
+        # vertex leaves a graph that is not strongly connected; vertex 0 and a
+        # later vertex make each of the two traversals the one that notices
+        real_build = PQBG._build
+        v = 0 if cut == "first" else a2_21.graph.num_vertices - 1
+
+        def build(g):
+            real_build(g)
+            keep = lambda e: getattr(e, side) != v
+            g.edges = tuple(filter(keep, g.edges))
+            g.out_edges = tuple(tuple(filter(keep, es)) for es in g.out_edges)
+            g.in_edges = tuple(tuple(filter(keep, es)) for es in g.in_edges)
+
+        monkeypatch.setattr(PQBG, "_build", build)
+        with pytest.raises(RuntimeError, match="not strongly connected"):
+            PQBG(a2_21.rs, a2_21.cs)
+
 
 class TestDistances:
     def test_reflexive(self, a2_21):
@@ -130,6 +185,30 @@ class TestDistances:
                 assert p.length == g.directed_distance(x, y)
                 assert p.vertices[0] == x and p.vertices[-1] == y
                 validate_path(g, p)
+
+
+class TestTieBreak:
+    """Paths follow the first-discovery edges of a BFS; lift chains depend on this choice."""
+
+    @pytest.mark.parametrize("fixture", ["a2_21", "c2_11", "a3_010"])
+    def test_paths_match_reference_search(self, fixture, request):
+        ctx = request.getfixturevalue(fixture)
+        g, lam = ctx.graph, ctx.shape.classical
+        values = g.pair_values(lam)
+        n = g.num_vertices
+        for y in range(n):
+            tree = reference_bfs_tree(g, y, None)
+            for x in range(n):
+                assert g.shortest_path(x, y) == reference_path(x, y, tree)
+        for sigma in sigma_candidates(ctx.shape, g):
+            allowed = {i for i in g.labels if values[i] % sigma.denominator == 0}
+            for y in range(n):
+                tree = reference_bfs_tree(g, y, allowed)
+                for x in range(n):
+                    ref = reference_path(x, y, tree)
+                    res = g.sigma_path(x, y, sigma, lam)
+                    assert res.path == ref
+                    assert res.shortest == (ref is not None and ref.length == g.directed_distance(x, y))
 
 
 class TestWeights:
@@ -236,7 +315,6 @@ class TestWellDefinedness:
         ctx = request.getfixturevalue(fixture)
         g, shape = ctx.graph, ctx.shape
         lam = shape.classical
-        from qbruhat.qls import sigma_candidates
 
         J = sorted(g.J)
         for sigma in sigma_candidates(shape, g):
@@ -264,7 +342,6 @@ class TestShortestSigmaPaths:
     def test_agrees_with_exhaustive_enumeration(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
         g, lam = ctx.graph, ctx.shape.classical
-        from qbruhat.qls import sigma_candidates
 
         for sigma in sigma_candidates(ctx.shape, g):
             for x in range(g.num_vertices):
