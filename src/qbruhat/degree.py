@@ -37,7 +37,6 @@ class NonIntegralDegree(RuntimeError):
 
 @dataclass(frozen=True)
 class SegmentData:
-    index: int
     source: int  # x_{p+1}
     target: int  # x_p
     sigma: Fraction
@@ -60,17 +59,16 @@ def segment_energy(
     x_next: int,
     x_cur: int,
     sigma: Fraction,
-    index: int = 0,
 ) -> SegmentData:
     """One canonical segment datum for the pair (x_cur <- x_next) at time sigma."""
     if x_next == x_cur:
-        return SegmentData(index, x_next, x_cur, sigma, DirectedPath((x_cur,), (), ()), 0)
+        return SegmentData(x_next, x_cur, sigma, DirectedPath((x_cur,), (), ()), 0)
     result = g.sigma_path(x_cur, x_next, sigma, lam)
     if result.path is None or not result.shortest:
         raise InvalidQLSPath(
             f"no admissible shortest path from vertex {x_next} to {x_cur} at sigma={sigma}"
         )
-    return SegmentData(index, x_next, x_cur, sigma, result.path, pair(lam, g.path_weight(result.path)))
+    return SegmentData(x_next, x_cur, sigma, result.path, pair(lam, g.path_weight(result.path)))
 
 
 def _segments(
@@ -80,11 +78,11 @@ def _segments(
         raise InvalidQLSPath(f"structurally invalid path {path}")
     lam = shape.classical
     out = []
-    for p, (x_cur, x_next, sigma) in enumerate(path.turning_points(), start=1):
+    for x_cur, x_next, sigma in path.turning_points():
         key = (x_next, x_cur, sigma)
         seg = cache.get(key) if cache is not None else None
         if seg is None:
-            seg = segment_energy(g, lam, x_next, x_cur, sigma, index=p)
+            seg = segment_energy(g, lam, x_next, x_cur, sigma)
             if cache is not None:
                 cache[key] = seg
         out.append(seg)

@@ -1,39 +1,22 @@
 """Finite Weyl group enumeration and minimal-length coset machinery.
 
 Elements are interned with dense ids in BFS discovery order (so ids sort by
-length first).  Each element stores two integer matrices: its action on
-fundamental-weight coordinates (the canonical form used for equality) and
-its action on simple-root coordinates (used for sign tests on roots).
-Reduced words follow the BFS discovery order; they are reduced but not
-guaranteed ShortLex.
+length first).  An element ``w`` is keyed on the weight ``w^-1 rho`` in
+fundamental-weight coordinates; the key is faithful because rho is regular.
+The key of ``w r_j`` is ``mu - mu_j alpha_j`` with ``mu = w^-1 rho``, so each
+edge of the enumeration costs O(rank).  Elements store only their reduced
+word, and the action on weights and on simple-root coordinates applies the
+word's simple reflections right to left.  Reduced words follow the BFS
+discovery order; they are reduced but not guaranteed ShortLex.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .cartan import RootSystem, Weight, weyl_order
 
 DEFAULT_GROUP_CAP = 40320
-WARN_GROUP_ORDER = 5000  # larger groups are enumerated with a warning
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
 class GroupCapExceeded(RuntimeError):
@@ -43,8 +26,6 @@ class GroupCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class WeylElement:
     id: int
-    wmat: Matrix  # action on fundamental-weight coordinates
-    rmat: Matrix  # action on simple-root coordinates
     word: tuple[int, ...]  # reduced word, 1-based generator labels
 
     @property
@@ -59,50 +40,41 @@ class WeylGroup:
         order = weyl_order(rs.type)
         if order > cap:
             raise GroupCapExceeded(f"|W| = {order} for {rs.type} exceeds the cap {cap}")
-        if order > WARN_GROUP_ORDER:
-            warnings.warn(f"enumerating a Weyl group of order {order}; this is in-memory", stacklevel=2)
         self.rs = rs
         self._enumerate()
         if len(self.elements) != order:
             raise RuntimeError(f"enumerated {len(self.elements)} elements, expected {order}")
 
-    def _generator_matrices(self, j: int) -> tuple[Matrix, Matrix]:
-        # 1-based j.  Weight action: w_k -> w_k - w_j * C[j][k];
-        # root action: c_k -> c_k - delta_{k,j} * sum_l c_l C[l][j].
-        n = self.rs.rank
-        C = self.rs.cartan
-        wmat = tuple(
-            tuple((1 if k == l else 0) - (C[j - 1][k] if l == j - 1 else 0) for l in range(n))
-            for k in range(n)
-        )
-        rmat = tuple(
-            tuple((1 if k == l else 0) - (C[l][j - 1] if k == j - 1 else 0) for l in range(n))
-            for k in range(n)
-        )
-        return wmat, rmat
-
     def _enumerate(self) -> None:
         n = self.rs.rank
-        gen_mats = [self._generator_matrices(j) for j in range(1, n + 1)]
-        identity = WeylElement(0, _identity(n), _identity(n), ())
-        self.elements: list[WeylElement] = [identity]
-        self._by_wmat: dict[Matrix, int] = {identity.wmat: 0}
-        right: list[list[int]] = [[-1] * n]
+        # alpha_{j+1} in fundamental-weight coordinates is row j of the Cartan
+        # matrix; r_{j+1} changes only coordinate j and its Dynkin neighbours.
+        alpha = [[(k, c) for k, c in enumerate(row) if c] for row in self.rs.cartan]
+        rho = self.rs.rho.coords
+        self.elements: list[WeylElement] = [WeylElement(0, ())]
+        self._by_key: dict[tuple[int, ...], int] = {rho: 0}
+        keys = [rho]
+        right: list[list[int]] = []
 
         head = 0
         while head < len(self.elements):
-            cur = self.elements[head]
-            for j in range(1, n + 1):
-                gw, gr = gen_mats[j - 1]
-                wmat = _mat_mul(cur.wmat, gw)
-                found = self._by_wmat.get(wmat)
+            mu = keys[head]
+            word = self.elements[head].word
+            row = []
+            for j in range(n):
+                mj = mu[j]
+                moved = list(mu)
+                for k, c in alpha[j]:
+                    moved[k] -= mj * c
+                key = tuple(moved)
+                found = self._by_key.get(key)
                 if found is None:
-                    elt = WeylElement(len(self.elements), wmat, _mat_mul(cur.rmat, gr), cur.word + (j,))
-                    self._by_wmat[wmat] = elt.id
-                    self.elements.append(elt)
-                    right.append([-1] * n)
-                    found = elt.id
-                right[head][j - 1] = found
+                    found = len(self.elements)
+                    self.elements.append(WeylElement(found, word + (j + 1,)))
+                    self._by_key[key] = found
+                    keys.append(key)
+                row.append(found)
+            right.append(row)
             head += 1
         self._right = right
         self._reflection_cache: dict[int, int] = {}
@@ -136,25 +108,31 @@ class WeylGroup:
         return out
 
     def apply_weight(self, a: int, w: Weight) -> Weight:
-        return Weight(_mat_vec(self.elements[a].wmat, w.coords))
+        # r_j(v) = v - v_j alpha_j, alpha_j being row j-1 of the Cartan matrix
+        C = self.rs.cartan
+        v = w.coords
+        for j in reversed(self.elements[a].word):
+            vj = v[j - 1]
+            v = tuple(x - vj * c for x, c in zip(v, C[j - 1]))
+        return Weight(v)
 
     def apply_root_coords(self, a: int, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return _mat_vec(self.elements[a].rmat, coords)
+        # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j in simple-root coordinates
+        C = self.rs.cartan
+        out = list(coords)
+        for j in reversed(self.elements[a].word):
+            out[j - 1] -= sum(c * row[j - 1] for c, row in zip(out, C))
+        return tuple(out)
 
     def reflection(self, root_index: int) -> int:
         """Group element id of the reflection in the positive root at ``root_index``."""
         cached = self._reflection_cache.get(root_index)
         if cached is not None:
             return cached
-        n = self.rs.rank
-        beta_w = self.rs.root_weight_coords[root_index]
-        cov = self.rs.positive_coroots[root_index].coords
-        wmat = tuple(
-            tuple((1 if k == l else 0) - cov[l] * beta_w[k] for l in range(n)) for k in range(n)
-        )
-        rid = self._by_wmat.get(wmat)
+        # r_beta is an involution, so its key is r_beta rho = rho - <rho, beta^vee> beta.
+        rid = self._by_key.get(self.rs.reflect_weight(self.rs.rho, root_index).coords)
         if rid is None:
-            raise RuntimeError("reflection matrix not found in group table")
+            raise RuntimeError("reflection not found in group table")
         self._reflection_cache[root_index] = rid
         return rid
 
@@ -206,26 +184,25 @@ class CosetSystem:
 
 
 def coset_system(group: WeylGroup, J: frozenset[int] | set[int]) -> CosetSystem:
-    """Compute W^J by iterated right descent through J-generators."""
+    """Compute W^J by right descent through J-generators, in one pass over ids.
+
+    ``a`` projects like ``a r_j`` for the first j in J that shortens it, and
+    onto itself if none does; ids sort by length, so ``a r_j`` is already
+    projected.
+    """
     J = frozenset(J)
     for j in J:
         if not 1 <= j <= group.rs.rank:
             raise ValueError(f"parabolic label {j} out of range")
-    proj = [0] * len(group)
+    gens = sorted(J)
+    proj = list(range(len(group)))
     for a in range(len(group)):
-        w = a
-        while True:
-            lw = group.length(w)
-            nxt = None
-            for j in sorted(J):
-                cand = group.right_gen(w, j)
-                if group.length(cand) < lw:
-                    nxt = cand
-                    break
-            if nxt is None:
+        la = group.length(a)
+        for j in gens:
+            b = group.right_gen(a, j)
+            if group.length(b) < la:
+                proj[a] = proj[b]
                 break
-            w = nxt
-        proj[a] = w
     reps = tuple(sorted(set(proj)))
     if len(group) % len(reps) != 0:
         raise RuntimeError("coset count does not divide the group order")

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbruhat.cartan import FiniteType, build_root_system, weyl_order
+from qbruhat import build_context
+from qbruhat.cartan import FiniteType, Weight, build_root_system, weyl_order
 from qbruhat.weyl import GroupCapExceeded, WeylGroup, coset_system, enumerate_group, project
 
 
@@ -24,6 +27,10 @@ def inversion_count(group: WeylGroup, a: int) -> int:
         if all(c <= 0 for c in image):
             neg += 1
     return neg
+
+
+def never_enumerate(self):
+    raise AssertionError("the group was enumerated although its order exceeds the cap")
 
 
 class TestEnumerate:
@@ -59,10 +66,17 @@ class TestEnumerate:
         g = group_of("A2")
         assert g.identity.id == 0 and g.identity.length == 0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(WeylGroup, "_enumerate", never_enumerate)
         rs = build_root_system(FiniteType.parse("A3"))
         with pytest.raises(GroupCapExceeded):
             WeylGroup(rs, cap=10)
+
+    def test_e6_exceeds_default_cap(self, monkeypatch):
+        # `perfbench/run.py --quick` relies on `qbg --type E6` ending in this error
+        monkeypatch.setattr(WeylGroup, "_enumerate", never_enumerate)
+        with pytest.raises(GroupCapExceeded):
+            build_context("E6", (1, 0, 0, 0, 0, 0))
 
     def test_order_matches_formula(self):
         for name in ["A3", "B2", "C3", "D4", "G2"]:
@@ -173,3 +187,120 @@ class TestCosets:
         cs = coset_system(g, shape.parabolic)
         images = {g.apply_weight(r, shape.classical).coords for r in cs.reps}
         assert len(images) == len(cs.reps)
+
+
+# -- reference: the matrix enumeration the keyed BFS replaced -------------
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _mat_vec(a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+@cache
+def reference_group(name: str):
+    """BFS over (wmat, rmat) matrix pairs, keyed on wmat.
+
+    ``wmat`` acts on fundamental-weight coordinates, ``rmat`` on simple-root
+    coordinates.  Returns (words, right multiplication table, wmats, rmats,
+    wmat -> id).
+    """
+    rs = build_root_system(FiniteType.parse(name))
+    n = rs.rank
+    C = rs.cartan
+    eye = tuple(tuple(int(k == l) for l in range(n)) for k in range(n))
+    gens = [
+        (
+            tuple(tuple(int(k == l) - (C[j][k] if l == j else 0) for l in range(n)) for k in range(n)),
+            tuple(tuple(int(k == l) - (C[l][j] if k == j else 0) for l in range(n)) for k in range(n)),
+        )
+        for j in range(n)
+    ]
+    words, wmats, rmats = [()], [eye], [eye]
+    by_wmat = {eye: 0}
+    right = []
+    head = 0
+    while head < len(words):
+        row = []
+        for j, (gw, gr) in enumerate(gens):
+            wmat = _mat_mul(wmats[head], gw)
+            found = by_wmat.get(wmat)
+            if found is None:
+                found = by_wmat[wmat] = len(words)
+                words.append(words[head] + (j + 1,))
+                wmats.append(wmat)
+                rmats.append(_mat_mul(rmats[head], gr))
+            row.append(found)
+        right.append(row)
+        head += 1
+    return words, right, wmats, rmats, by_wmat
+
+
+def reference_reflection(rs, by_wmat, root_index: int) -> int:
+    n = rs.rank
+    beta_w = rs.root_weight_coords[root_index]
+    cov = rs.positive_coroots[root_index].coords
+    wmat = tuple(tuple(int(k == l) - cov[l] * beta_w[k] for l in range(n)) for k in range(n))
+    return by_wmat[wmat]
+
+
+def reference_projection(g: WeylGroup, J) -> list[int]:
+    """Iterated right descent: step to a r_j for the first shortening j in J until none shortens."""
+    proj = []
+    for a in range(len(g)):
+        w = a
+        while True:
+            shorter = [g.right_gen(w, j) for j in sorted(J) if g.length(g.right_gen(w, j)) < g.length(w)]
+            if not shorter:
+                break
+            w = shorter[0]
+        proj.append(w)
+    return proj
+
+
+# every type with |W| <= 2000
+SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", SMALL_TYPES)
+class TestReferenceEquivalence:
+    def test_ids_words_and_right_table(self, name):
+        g = group_of(name)
+        words, right, _, _, _ = reference_group(name)
+        assert [e.word for e in g.elements] == words
+        assert [e.id for e in g.elements] == list(range(len(words)))
+        assert [[g.right_gen(a, j) for j in range(1, g.rs.rank + 1)] for a in range(len(g))] == right
+
+    def test_actions_match_matrices(self, name):
+        g = group_of(name)
+        rs = g.rs
+        _, _, wmats, rmats, _ = reference_group(name)
+        fundamentals = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+        weights = fundamentals + list(rs.root_weight_coords)
+        roots = [r.coords for r in rs.positive_roots]
+        for a in range(len(g)):
+            for v in weights:
+                assert g.apply_weight(a, Weight(v)).coords == _mat_vec(wmats[a], v)
+            for c in roots:
+                assert g.apply_root_coords(a, c) == _mat_vec(rmats[a], c)
+
+    def test_reflections(self, name):
+        g = group_of(name)
+        by_wmat = reference_group(name)[4]
+        for i in range(g.rs.num_positive):
+            assert g.reflection(i) == reference_reflection(g.rs, by_wmat, i)
+
+    def test_projection_small_subsets(self, name):
+        g = group_of(name)
+        labels = range(1, g.rs.rank + 1)
+        for size in range(3):
+            for J in combinations(labels, size):
+                assert list(coset_system(g, J).projection) == reference_projection(g, J)
