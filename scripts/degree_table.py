@@ -12,7 +12,7 @@ from collections import Counter
 
 from qbruhat import build_context
 from qbruhat.degree import degree_table
-from qbruhat.qls import enumerate_hat, path_sort_key
+from qbruhat.qls import enumerate_hat
 
 
 def main() -> int:
@@ -20,8 +20,7 @@ def main() -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
-    paths = sorted(enumerate_hat(ctx.shape, ctx.graph), key=path_sort_key)
-    rows = degree_table(ctx.shape, ctx.graph, paths)
+    rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph))
     for row in rows:
         dirs = ";".join(row["dirs"])
         times = ",".join(row["times"])

@@ -22,11 +22,13 @@ from .qls import (
     QLSPath,
     enumerate_hat,
     enumerate_tilde,
-    path_sort_key,
     path_to_json,
 )
 
 SCHEMA_PREFIX = "qbruhat"
+
+# the accepted formats of each command, its default first
+_FORMATS = {"qbg": ("json", "dot"), "qls": ("json", "csv"), "degree": ("csv", "json"), "verify": ("json",)}
 
 
 class CliError(Exception):
@@ -51,6 +53,10 @@ def _parse_multiplicities(text: str) -> tuple[int, ...]:
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
+    formats = _FORMATS[args.command]
+    fmt = formats[0] if args.format is None else args.format
+    if fmt not in formats:
+        raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
     parabolic = None
     if args.parabolic is not None:
         if args.parabolic.strip() == "":
@@ -64,7 +70,7 @@ def _config(args: argparse.Namespace) -> CliConfig:
         type=args.type,
         multiplicities=_parse_multiplicities(args.lam),
         parabolic=parabolic,
-        fmt=args.format,
+        fmt=fmt,
         window=args.window,
         cap=args.cap,
     )
@@ -103,8 +109,6 @@ def cmd_qbg(config: CliConfig) -> int:
     if config.fmt == "dot":
         sys.stdout.write(g.to_dot(ctx.shape.classical))
         return 0
-    if config.fmt != "json":
-        raise CliError(f"qbg supports formats dot|json, not {config.fmt!r}")
     values = g.pair_values(ctx.shape.classical)
     doc = {
         "schema": f"{SCHEMA_PREFIX}/qbg/1",
@@ -134,15 +138,13 @@ def cmd_qbg(config: CliConfig) -> int:
 def cmd_qls(config: CliConfig, variant: str) -> int:
     ctx = _context(config)
     enum = enumerate_hat if variant == "hat" else enumerate_tilde
-    paths = sorted(enum(ctx.shape, ctx.graph, cap=config.cap), key=path_sort_key)
+    paths = enum(ctx.shape, ctx.graph, cap=config.cap)
     if config.fmt == "csv":
         sys.stdout.write("dirs,times\n")
         for p in paths:
             rec = path_to_json(ctx.graph, p)
             sys.stdout.write(";".join(rec["dirs"]) + "," + ";".join(rec["times"]) + "\n")
         return 0
-    if config.fmt != "json":
-        raise CliError(f"qls supports formats json|csv, not {config.fmt!r}")
     doc = {
         "schema": f"{SCHEMA_PREFIX}/qls/1",
         "type": config.type,
@@ -170,8 +172,7 @@ def cmd_degree(config: CliConfig, literal: str | None) -> int:
             print(f"invalid path: {exc}", file=sys.stderr)
             return 1
     else:
-        paths = sorted(enumerate_hat(ctx.shape, ctx.graph, cap=config.cap), key=path_sort_key)
-        rows = degree_table(ctx.shape, ctx.graph, paths)
+        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph, cap=config.cap))
     if config.fmt == "json":
         doc = {
             "schema": f"{SCHEMA_PREFIX}/degree/1",
@@ -182,8 +183,6 @@ def cmd_degree(config: CliConfig, literal: str | None) -> int:
         json.dump(doc, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    if config.fmt != "csv":
-        raise CliError(f"degree supports formats csv|json, not {config.fmt!r}")
     sys.stdout.write("dirs,times,energies,deg\n")
     for row in rows:
         sys.stdout.write(
@@ -253,7 +252,7 @@ def cmd_verify(config: CliConfig) -> int:
     )
 
     cache: SegmentCache = {}
-    path_reports = [_verify_one(oracle, shape, graph, p, cache) for p in sorted(hat, key=path_sort_key)]
+    path_reports = [_verify_one(oracle, shape, graph, p, cache) for p in hat]
 
     n_fail = sum(1 for r in path_reports if r["status"] == "fail")
     n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")
@@ -304,17 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_FORMATS = {"qbg": "json", "qls": "json", "degree": "csv", "verify": "json"}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[args.command]
     try:
         if args.command == "qbg":
             return cmd_qbg(_config(args))

@@ -6,12 +6,15 @@ The degree is computed from the closed formula
 
 where d_p is any shortest sigma_p-admissible directed path connecting the
 p-th pair of directions; the pairing does not depend on that choice (the
-well-definedness is property-tested, not assumed silently).  The lift
-raises each direction x_p to the affine orbit element with delta-coefficient
-equal to the sum of the earlier segment energies, and records the cover
-chain each segment path induces; the oracle re-certifies those chains from
-first principles.  The formula is the product here; the lift is retained
-purely as verification machinery.
+well-definedness is property-tested, not assumed silently).  Times stay
+``Fraction`` in a ``QLSPath`` and are read as integer ticks over L, the lcm
+of their denominators: segments are cached on (x_{p+1}, x_p, numerator,
+denominator), and the sum is an integer over L.  The lift raises each
+direction x_p to the affine orbit element with delta-coefficient equal to
+the sum of the earlier segment energies, and records the cover chain each
+segment path induces; the oracle re-certifies those chains from first
+principles.  The formula is the product here; the lift is retained purely
+as verification machinery.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape, Weight, pair
 from .qbg import PQBG, DirectedPath
-from .qls import QLSPath, _structure_ok
+from .qls import QLSPath, _structure_ok, time_ticks
 
 SegmentCache = dict
 
@@ -73,36 +76,36 @@ def segment_energy(
 
 def _segments(
     path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None
-) -> list[SegmentData]:
-    if not _structure_ok(g, path):
+) -> tuple[list[SegmentData], int, list[int]]:
+    """The path's segments, with its times as integer ticks over L."""
+    L, ticks = time_ticks(path.times)
+    if not _structure_ok(g, path.directions, L, ticks):
         raise InvalidQLSPath(f"structurally invalid path {path}")
     lam = shape.classical
     out = []
     for x_cur, x_next, sigma in path.turning_points():
-        key = (x_next, x_cur, sigma)
+        key = (x_next, x_cur, sigma.numerator, sigma.denominator)
         seg = cache.get(key) if cache is not None else None
         if seg is None:
             seg = segment_energy(g, lam, x_next, x_cur, sigma)
             if cache is not None:
                 cache[key] = seg
         out.append(seg)
-    return out
+    return out, L, ticks
 
 
-def _degree_of(segments: list[SegmentData]) -> int:
-    total = Fraction(0)
-    for seg in segments:
-        total += (1 - seg.sigma) * seg.energy
-    if total.denominator != 1 or total < 0:
-        raise NonIntegralDegree(f"degree sum {total} is not a nonpositive integer")
-    return -int(total)
+def _degree_of(segments: list[SegmentData], L: int, ticks: list[int]) -> int:
+    total = sum((L - t) * seg.energy for t, seg in zip(ticks[1:], segments))
+    if total % L or total < 0:
+        raise NonIntegralDegree(f"degree sum {Fraction(total, L)} is not a nonpositive integer")
+    return -(total // L)
 
 
 def degree(
     path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None = None
 ) -> int:
     """Exact degree of a strong-variant path; always a nonpositive integer."""
-    return _degree_of(_segments(path, shape, g, cache))
+    return _degree_of(*_segments(path, shape, g, cache))
 
 
 def lift(
@@ -115,7 +118,7 @@ def lift(
     where a quantum step adds the pairing of its label to the running
     delta-coefficient and a Bruhat step leaves it unchanged.
     """
-    segments = _segments(path, shape, g, cache)
+    segments = _segments(path, shape, g, cache)[0]
     lam = shape.classical
     values = g.pair_values(lam)
 
@@ -168,13 +171,13 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     cache: SegmentCache = {}
     rows = []
     for path in paths:
-        segs = _segments(path, shape, g, cache)
+        segs, L, ticks = _segments(path, shape, g, cache)
         rows.append(
             {
                 "dirs": [g.vertex_name(v) for v in path.directions],
                 "times": [str(t) for t in path.times],
                 "energies": [seg.energy for seg in segs],
-                "deg": _degree_of(segs),
+                "deg": _degree_of(segs, L, ticks),
             }
         )
     return rows

@@ -85,6 +85,7 @@ class PQBG:
         self.vertices = cs.reps
         self.num_vertices = len(cs.reps)
         self._build()
+        self._names = tuple(self.group.word_name(rep) for rep in self.vertices)
         self._all_labels = frozenset(self.labels)
         self._admissible_cache: dict[tuple[int, tuple[int, ...]], frozenset[int]] = {}
         self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
@@ -150,7 +151,7 @@ class PQBG:
         return self.vertices[v]
 
     def vertex_name(self, v: int) -> str:
-        return self.group.word_name(self.vertices[v])
+        return self._names[v]
 
     def vertex_of_element(self, elt_id: int) -> int:
         rep = self.cs.project(elt_id)

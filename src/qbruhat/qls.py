@@ -6,12 +6,17 @@ to 1.  The strong ("hat") variant asks each internal time sigma_k for a
 sigma_k-admissible directed path from x_{k+1} to x_k that is as short as an
 unrestricted one; the weak ("tilde") variant only asks for reachability in
 the sigma_k-admissible subgraph.
+
+Times are ``Fraction`` only at the boundary (``QLSPath.times``, literals,
+JSON); inside they are candidate indices or integer ticks over L, the lcm
+of the denominators.  Enumeration returns a tuple in ``path_sort_key`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cartan import LevelZeroShape, Weight
 from .qbg import PQBG
@@ -27,10 +32,6 @@ class EnumerationCap(RuntimeError):
 class QLSPath:
     directions: tuple[int, ...]  # vertex indices, adjacent entries distinct
     times: tuple[Fraction, ...]  # 0 = t_0 < t_1 < ... < t_s = 1
-
-    @property
-    def segments(self) -> int:
-        return len(self.directions)
 
     def turning_points(self) -> tuple[tuple[int, int, Fraction], ...]:
         """Triples (x_k, x_{k+1}, sigma_k) for the internal times."""
@@ -64,13 +65,18 @@ def sigma_candidates(shape: LevelZeroShape, g: PQBG) -> tuple[Fraction, ...]:
     return tuple(sorted(out))
 
 
-def _structure_ok(g: PQBG, path: QLSPath) -> bool:
-    dirs, times = path.directions, path.times
-    if len(times) != len(dirs) + 1 or not dirs:
+def time_ticks(times) -> tuple[int, list[int]]:
+    """(L, the times as integers over L), L the lcm of their denominators."""
+    L = lcm(*[t.denominator for t in times])
+    return L, [t.numerator * (L // t.denominator) for t in times]
+
+
+def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:
+    if len(ticks) != len(dirs) + 1 or not dirs:
         return False
-    if times[0] != 0 or times[-1] != 1:
+    if ticks[0] != 0 or ticks[-1] != L:
         return False
-    if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+    if any(t1 >= t2 for t1, t2 in zip(ticks, ticks[1:])):
         return False
     if any(not 0 <= v < g.num_vertices for v in dirs):
         return False
@@ -79,7 +85,7 @@ def _structure_ok(g: PQBG, path: QLSPath) -> bool:
 
 def is_hat_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
     """Independent validator for the strong variant (used to re-check enumerations)."""
-    if not _structure_ok(g, path):
+    if not _structure_ok(g, path.directions, *time_ticks(path.times)):
         return False
     lam = shape.classical
     return all(
@@ -89,7 +95,7 @@ def is_hat_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
 
 def is_tilde_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
     """Independent validator for the weak variant."""
-    if not _structure_ok(g, path):
+    if not _structure_ok(g, path.directions, *time_ticks(path.times)):
         return False
     lam = shape.classical
     return all(
@@ -98,60 +104,61 @@ def is_tilde_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
     )
 
 
-def _relation_tables(
+def _successors(
     shape: LevelZeroShape, g: PQBG, candidates: tuple[Fraction, ...], strong: bool
-) -> dict[Fraction, list[list[bool]]]:
-    # rel[sigma][x][y]: the pair (x_k, x_{k+1}) = (x, y) is allowed at time sigma
+) -> list[list[list[int]]]:
+    # succ[i][x]: the directions y, ascending, that may follow x at time candidates[i]
     lam = shape.classical
-    tables: dict[Fraction, list[list[bool]]] = {}
     m = g.num_vertices
+    succ = []
     for sigma in candidates:
-        rel = [[False] * m for _ in range(m)]
+        table: list[list[int]] = [[] for _ in range(m)]
         for y in range(m):
             sdist = g.sigma_distances_from(y, sigma, lam)
             full = g.distances_from(y)
             for x in range(m):
-                if x == y:
-                    continue
-                rel[x][y] = sdist[x] == full[x] if strong else sdist[x] >= 0
-        tables[sigma] = rel
-    return tables
+                if x != y and (sdist[x] == full[x] if strong else sdist[x] >= 0):
+                    table[x].append(y)
+        succ.append(table)
+    return succ
 
 
-def _enumerate(shape: LevelZeroShape, g: PQBG, strong: bool, cap: int) -> frozenset[QLSPath]:
+def _enumerate(shape: LevelZeroShape, g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
     candidates = sigma_candidates(shape, g)
-    rel = _relation_tables(shape, g, candidates, strong)
-    out: list[QLSPath] = []
-    zero, one = Fraction(0), Fraction(1)
+    succ = _successors(shape, g, candidates, strong)
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []  # (len, dirs, candidate indices)
 
-    def extend(dirs: list[int], times: list[Fraction], last: int) -> None:
-        out.append(QLSPath(tuple(dirs), (zero, *times, one)))
-        if len(out) > cap:
+    def extend(dirs: list[int], idx: list[int], last: int) -> None:
+        found.append((len(dirs), tuple(dirs), tuple(idx)))
+        if len(found) > cap:
             raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
         cur = dirs[-1]
         for si in range(last + 1, len(candidates)):
-            sigma = candidates[si]
-            row = rel[sigma][cur]
-            for nxt in range(g.num_vertices):
-                if row[nxt]:
-                    dirs.append(nxt)
-                    times.append(sigma)
-                    extend(dirs, times, si)
-                    dirs.pop()
-                    times.pop()
+            for nxt in succ[si][cur]:
+                dirs.append(nxt)
+                idx.append(si)
+                extend(dirs, idx, si)
+                dirs.pop()
+                idx.pop()
 
     for start in range(g.num_vertices):
         extend([start], [], -1)
-    return frozenset(out)
+    found.sort()
+    zero, one = Fraction(0), Fraction(1)
+    return tuple(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)) for _, dirs, idx in found)
 
 
-def enumerate_hat(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> frozenset[QLSPath]:
-    """All paths of the strong variant for this shape."""
+def enumerate_hat(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+    """All paths of the strong variant, in the canonical ``path_sort_key`` order.
+
+    That is by number of directions, then directions, then times; the
+    internal times are the ``sigma_candidates`` objects themselves.
+    """
     return _enumerate(shape, g, True, cap)
 
 
-def enumerate_tilde(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> frozenset[QLSPath]:
-    """All paths of the weak variant; coincides with the strong set (tested, not assumed)."""
+def enumerate_tilde(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+    """All paths of the weak variant, in the same order; equal to the strong ones (tested, not assumed)."""
     return _enumerate(shape, g, False, cap)
 
 

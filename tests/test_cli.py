@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+import qbruhat.cli as cli
 import qbruhat.degree as degree_mod
 from qbruhat.cli import main
 from qbruhat.qls import enumerate_hat
+from qbruhat.weyl import WeylGroup
 
 
 def run(capsys, *argv):
@@ -166,6 +168,38 @@ class TestVerify:
         monkeypatch.setenv("QBRUHAT_THREADS", threads)
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
         assert code == 0 and out == base
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("degree", "--type", "D4", "--lambda", "1,1,1,1", "--format", "xml"),
+            ("qls", "--type", "D4", "--lambda", "1,1,1,1", "--format", "xml"),
+            ("verify", "--type", "A2", "--lambda", "2,1", "--format", "csv"),
+        ],
+    )
+    def test_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated before the format was checked")
+
+        monkeypatch.setattr(cli, "enumerate_hat", fail)
+        monkeypatch.setattr(cli, "enumerate_tilde", fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_vertex_names_built_once(self, capsys, monkeypatch, a2_21):
+        # the graph names each vertex once; the table's rows only look names up
+        calls = []
+        real = WeylGroup.word_name
+
+        def counting(self, a):
+            calls.append(a)
+            return real(self, a)
+
+        monkeypatch.setattr(WeylGroup, "word_name", counting)
+        code, out, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--format", "csv")
+        assert code == 0 and out.count("\n") == 28 and 0 < len(calls) <= a2_21.graph.num_vertices
 
 
 class TestExitCodes:
