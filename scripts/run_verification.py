@@ -4,10 +4,12 @@
 Usage:
     python3 scripts/run_verification.py [--window N]
 
-This is the batch form of ``qbruhat verify``: strong/weak enumeration
-agreement, cover/edge correspondence (exact for every delta, independent of
-the window), and per-path lift certification with the endpoint identity
-inside the window.
+This is the batch form of ``qbruhat verify`` and runs the same code
+(``qbruhat.cli.verify_shape``): strong/weak enumeration agreement,
+cover/edge correspondence (exact for every delta, independent of the
+window), and per-path lift certification with the endpoint identity inside
+the window.  A shape is verified when every check passes; an inconclusive
+check counts as not verified.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import sys
 import time
 
 from qbruhat import build_context
-from qbruhat.affine_oracle import AffineOracle, InconclusiveSearch
-from qbruhat.degree import degree, endpoint_delta, lift
-from qbruhat.qls import enumerate_hat, enumerate_tilde
+from qbruhat.cli import verify_shape
 
 SHAPES = [
     ("A1", (1,)),
@@ -37,29 +37,12 @@ SHAPES = [
 
 def run_shape(name: str, mults: tuple[int, ...], window: int) -> bool:
     t0 = time.monotonic()
-    ctx = build_context(name, mults)
-    shape, g = ctx.shape, ctx.graph
-    hat = enumerate_hat(shape, g)
-    tilde = enumerate_tilde(shape, g)
-    oracle = AffineOracle(shape, g, window=window)
-    report = oracle.covers_to_edges()
-    fails = 0
-    inconclusive = 0
-    cache: dict = {}
-    for eta in hat:
-        try:
-            lifted = lift(eta, shape, g, cache=cache)
-            ok = oracle.verify_ls_path(lifted)
-            ok = ok and endpoint_delta(lifted) == -degree(eta, shape, g, cache=cache)
-            fails += 0 if ok else 1
-        except InconclusiveSearch:
-            inconclusive += 1
+    status, checks, _ = verify_shape(build_context(name, mults), window, cap=10**6)
     elapsed = time.monotonic() - t0
-    good = hat == tilde and report.ok and fails == 0 and inconclusive == 0
+    details = " ".join(f"{c['check']}={c['status']}({c['detail']})" for c in checks)
+    good = status == "pass"
     print(
-        f"{name} lambda={','.join(map(str, mults))}: paths={len(hat)} "
-        f"strong==weak={hat == tilde} cover-mismatches={len(report.mismatches)} "
-        f"lift-failures={fails} inconclusive={inconclusive} [{elapsed:.2f}s]"
+        f"{name} lambda={','.join(map(str, mults))}: {details} [{elapsed:.2f}s]"
         f" -> {'OK' if good else 'PROBLEM'}"
     )
     return good

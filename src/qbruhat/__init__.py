@@ -36,24 +36,16 @@ class Context:
     graph: PQBG
 
 
-def build_context(
-    type_name: str,
-    multiplicities: tuple[int, ...] | list[int],
-    parabolic: frozenset[int] | set[int] | None = None,
-) -> Context:
+def build_context(type_name: str, multiplicities: tuple[int, ...] | list[int]) -> Context:
     """Build root system, Weyl group, coset system and graph for one shape.
 
-    ``parabolic`` overrides the canonical parabolic set; it must be a subset
-    of the labels where the shape vanishes.
+    The graph lives on W^J with J = ``shape.parabolic``, the labels where
+    the shape vanishes: the quantum LS paths of the shape and their degrees
+    are defined on exactly that graph.
     """
     rs = build_root_system(FiniteType.parse(type_name))
     group = enumerate_group(rs)
     shape = compute_shape(rs, multiplicities)
-    J = shape.parabolic if parabolic is None else frozenset(parabolic)
-    if not J <= shape.parabolic:
-        raise ValueError(
-            f"parabolic override {sorted(J)} not contained in the vanishing set {sorted(shape.parabolic)}"
-        )
-    cs = coset_system(group, J)
+    cs = coset_system(group, shape.parabolic)
     graph = build_pqbg(rs, cs)
     return Context(rs, group, shape, cs, graph)

@@ -39,10 +39,7 @@ class CliError(Exception):
 class CliConfig:
     type: str
     multiplicities: tuple[int, ...]
-    parabolic: frozenset[int] | None
     fmt: str
-    window: int
-    cap: int
 
 
 def _parse_multiplicities(text: str) -> tuple[int, ...]:
@@ -57,28 +54,12 @@ def _config(args: argparse.Namespace) -> CliConfig:
     fmt = formats[0] if args.format is None else args.format
     if fmt not in formats:
         raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
-    parabolic = None
-    if args.parabolic is not None:
-        if args.parabolic.strip() == "":
-            parabolic = frozenset()
-        else:
-            try:
-                parabolic = frozenset(int(x) for x in args.parabolic.split(","))
-            except ValueError as exc:
-                raise CliError(f"bad --parabolic value {args.parabolic!r}") from exc
-    return CliConfig(
-        type=args.type,
-        multiplicities=_parse_multiplicities(args.lam),
-        parabolic=parabolic,
-        fmt=fmt,
-        window=args.window,
-        cap=args.cap,
-    )
+    return CliConfig(type=args.type, multiplicities=_parse_multiplicities(args.lam), fmt=fmt)
 
 
 def _context(config: CliConfig) -> Context:
     try:
-        return build_context(config.type, config.multiplicities, parabolic=config.parabolic)
+        return build_context(config.type, config.multiplicities)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -91,16 +72,9 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     words = [w.strip() for w in dirs_part.split(";")]
     if not words or any(not w for w in words):
         raise ValueError("empty direction in path literal")
-    g = ctx.graph
-    dirs = []
-    for w in words:
-        elt = g.group.parse_word(w)
-        rep = ctx.cs.project(elt)
-        if rep != elt:
-            raise ValueError(f"direction {w!r} is not a minimal coset representative")
-        dirs.append(ctx.cs.rep_position[rep])
+    dirs = tuple(ctx.graph.vertex_of_word(w) for w in words)
     times = tuple(Fraction(t.strip()) for t in times_part.split(","))
-    return QLSPath(tuple(dirs), times)
+    return QLSPath(dirs, times)
 
 
 def cmd_qbg(config: CliConfig) -> int:
@@ -135,10 +109,10 @@ def cmd_qbg(config: CliConfig) -> int:
     return 0
 
 
-def cmd_qls(config: CliConfig, variant: str) -> int:
+def cmd_qls(config: CliConfig, variant: str, cap: int) -> int:
     ctx = _context(config)
     enum = enumerate_hat if variant == "hat" else enumerate_tilde
-    paths = enum(ctx.shape, ctx.graph, cap=config.cap)
+    paths = enum(ctx.shape, ctx.graph, cap=cap)
     if config.fmt == "csv":
         sys.stdout.write("dirs,times\n")
         for p in paths:
@@ -158,7 +132,7 @@ def cmd_qls(config: CliConfig, variant: str) -> int:
     return 0
 
 
-def cmd_degree(config: CliConfig, literal: str | None) -> int:
+def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
     ctx = _context(config)
     if literal is not None:
         try:
@@ -172,7 +146,7 @@ def cmd_degree(config: CliConfig, literal: str | None) -> int:
             print(f"invalid path: {exc}", file=sys.stderr)
             return 1
     else:
-        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph, cap=config.cap))
+        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph, cap=cap))
     if config.fmt == "json":
         doc = {
             "schema": f"{SCHEMA_PREFIX}/degree/1",
@@ -223,13 +197,18 @@ def _verify_one(oracle, shape, graph, path, cache: SegmentCache) -> dict:
     return {"dirs": rec["dirs"], "times": rec["times"], "status": status, "detail": detail}
 
 
-def cmd_verify(config: CliConfig) -> int:
-    ctx = _context(config)
+def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], list[dict]]:
+    """Run the oracle suites on one shape: (overall status, checks, reports of the paths that did not pass).
+
+    The checks are strong/weak enumeration agreement, the cover/edge
+    correspondence (exact for every delta) and per-path lift certification
+    with the endpoint identity inside ``window``.
+    """
     shape, graph = ctx.shape, ctx.graph
     checks: list[dict] = []
 
-    hat = enumerate_hat(shape, graph, cap=config.cap)
-    tilde = enumerate_tilde(shape, graph, cap=config.cap)
+    hat = enumerate_hat(shape, graph, cap=cap)
+    tilde = enumerate_tilde(shape, graph, cap=cap)
     checks.append(
         {
             "check": "strong-equals-weak",
@@ -239,7 +218,7 @@ def cmd_verify(config: CliConfig) -> int:
     )
 
     try:
-        oracle = AffineOracle(shape, graph, window=config.window)
+        oracle = AffineOracle(shape, graph, window=window)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     report = oracle.covers_to_edges()
@@ -269,14 +248,19 @@ def cmd_verify(config: CliConfig) -> int:
         overall = "fail"
     elif any(c["status"] == "inconclusive" for c in checks):
         overall = "inconclusive"
+    return overall, checks, [r for r in path_reports if r["status"] != "pass"]
+
+
+def cmd_verify(config: CliConfig, window: int, cap: int) -> int:
+    overall, checks, failing = verify_shape(_context(config), window, cap)
     doc = {
         "schema": f"{SCHEMA_PREFIX}/verify/1",
         "type": config.type,
         "lambda": list(config.multiplicities),
-        "window": config.window,
+        "window": window,
         "status": overall,
         "checks": checks,
-        "paths": [r for r in path_reports if r["status"] != "pass"],
+        "paths": failing,
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -287,19 +271,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", required=True, help="simple type, e.g. A2")
     common.add_argument("--lambda", dest="lam", required=True, help="comma-separated multiplicities")
-    common.add_argument("--parabolic", default=None, help="override parabolic labels, e.g. '2' or ''")
     common.add_argument("--format", default=None, help="output format")
-    common.add_argument("--window", type=int, default=10, help="delta window for oracle searches")
-    common.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
 
     parser = argparse.ArgumentParser(prog="qbruhat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("qbg", parents=[common], help="export the graph")
-    qls_p = sub.add_parser("qls", parents=[common], help="enumerate paths")
+    qls_p = sub.add_parser("qls", parents=[common, capped], help="enumerate paths")
     qls_p.add_argument("--variant", choices=("hat", "tilde"), default="hat")
-    deg_p = sub.add_parser("degree", parents=[common], help="degree table")
+    deg_p = sub.add_parser("degree", parents=[common, capped], help="degree table")
     deg_p.add_argument("--path", default=None, help="path literal 'w;w|t,t,t'")
-    sub.add_parser("verify", parents=[common], help="run the oracle suites")
+    ver_p = sub.add_parser("verify", parents=[common, capped], help="run the oracle suites")
+    ver_p.add_argument("--window", type=int, default=10, help="delta window for oracle searches")
     return parser
 
 
@@ -310,13 +294,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        config = _config(args)
         if args.command == "qbg":
-            return cmd_qbg(_config(args))
+            return cmd_qbg(config)
         if args.command == "qls":
-            return cmd_qls(_config(args), args.variant)
+            return cmd_qls(config, args.variant, args.cap)
         if args.command == "degree":
-            return cmd_degree(_config(args), args.path)
-        return cmd_verify(_config(args))
+            return cmd_degree(config, args.path, args.cap)
+        return cmd_verify(config, args.window, args.cap)
     except (CliError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape, Weight, pair
 from .qbg import PQBG, DirectedPath
-from .qls import QLSPath, _structure_ok, time_ticks
+from .qls import QLSPath, _structure_ok, path_to_json, time_ticks
 
 SegmentCache = dict
 
@@ -155,29 +155,14 @@ def endpoint_delta(lifted: AffineLSPath) -> int:
     return int(total)
 
 
-def endpoint_classical(lifted: AffineLSPath, g: PQBG, lam: Weight) -> tuple[Fraction, ...]:
-    """Classical part of the lift at time 1 (for cross-checks against evaluation)."""
-    acc = [Fraction(0)] * g.rs.rank
-    for k in range(1, len(lifted.times)):
-        span = lifted.times[k] - lifted.times[k - 1]
-        w = g.orbit_weight(lifted.weights[k - 1].vertex, lam)
-        for i, c in enumerate(w.coords):
-            acc[i] += span * c
-    return tuple(acc)
-
-
 def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     """One record per path: directions, times, per-segment energies and the degree."""
     cache: SegmentCache = {}
     rows = []
     for path in paths:
         segs, L, ticks = _segments(path, shape, g, cache)
-        rows.append(
-            {
-                "dirs": [g.vertex_name(v) for v in path.directions],
-                "times": [str(t) for t in path.times],
-                "energies": [seg.energy for seg in segs],
-                "deg": _degree_of(segs, L, ticks),
-            }
-        )
+        row = path_to_json(g, path)
+        row["energies"] = [seg.energy for seg in segs]
+        row["deg"] = _degree_of(segs, L, ticks)
+        rows.append(row)
     return rows

@@ -157,6 +157,13 @@ class PQBG:
         rep = self.cs.project(elt_id)
         return self.cs.rep_position[rep]
 
+    def vertex_of_word(self, text: str) -> int:
+        """The vertex a reduced word names; ValueError unless the word is a minimal coset representative."""
+        v = self.cs.rep_position.get(self.group.parse_word(text))
+        if v is None:
+            raise ValueError(f"direction {text!r} is not a minimal coset representative")
+        return v
+
     def orbit_weight(self, v: int, lam: Weight) -> Weight:
         """w Lambda for the representative at vertex v."""
         cached = self._orbit_cache.get(lam.coords)

@@ -194,6 +194,6 @@ def path_to_json(g: PQBG, path: QLSPath) -> dict:
 
 
 def path_from_json(g: PQBG, record: dict) -> QLSPath:
-    dirs = tuple(g.vertex_of_element(g.group.parse_word(w)) for w in record["dirs"])
+    dirs = tuple(g.vertex_of_word(w) for w in record["dirs"])
     times = tuple(Fraction(t) for t in record["times"])
     return QLSPath(dirs, times)

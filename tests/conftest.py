@@ -10,8 +10,8 @@ from qbruhat import build_context
 
 
 @functools.lru_cache(maxsize=None)
-def cached_context(type_name: str, mults: tuple[int, ...], parabolic=None):
-    return build_context(type_name, mults, parabolic=parabolic)
+def cached_context(type_name: str, mults: tuple[int, ...]):
+    return build_context(type_name, mults)
 
 
 @pytest.fixture(scope="session")

@@ -23,14 +23,15 @@ def oracle_a2(a2_21):
     return AffineOracle(a2_21.shape, a2_21.graph, window=10)
 
 
-def test_rejects_parabolic_override():
+def test_rejects_parabolic_override(a2_10):
     # orbit elements are keyed by vertex; only the canonical parabolic set
-    # makes that identification faithful
-    from qbruhat import build_context
+    # makes that identification faithful, so a graph on another J is refused
+    from qbruhat.qbg import build_pqbg
+    from qbruhat.weyl import coset_system
 
-    ctx = build_context("A2", (1, 0), parabolic=frozenset())
+    g = build_pqbg(a2_10.rs, coset_system(a2_10.group, frozenset()))
     with pytest.raises(ValueError):
-        AffineOracle(ctx.shape, ctx.graph)
+        AffineOracle(a2_10.shape, g)
 
 
 class TestRaisingSteps:

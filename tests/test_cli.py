@@ -53,8 +53,9 @@ class TestQbg:
         assert code == 2
 
     def test_bad_parabolic_override(self, capsys):
-        code, _, _ = run(capsys, "qbg", "--type", "A2", "--lambda", "1,1", "--parabolic", "2")
-        assert code == 2
+        # the graph always lives on the shape's own parabolic set; there is no override
+        code, out, err = run(capsys, "qbg", "--type", "A2", "--lambda", "1,1", "--parabolic", "2")
+        assert code == 2 and out == "" and "--parabolic" in err
 
 
 class TestDegree:
@@ -216,6 +217,38 @@ class TestExitCodes:
         # an exceeded --cap or a negative --window is input error 2, not a traceback
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qbg", "--type", "A2", "--lambda", "2,1", "--window", "3"),
+            ("qbg", "--type", "A2", "--lambda", "2,1", "--cap", "5"),
+            ("qls", "--type", "A2", "--lambda", "2,1", "--window", "3"),
+            ("degree", "--type", "A2", "--lambda", "2,1", "--window", "3"),
+            ("degree", "--type", "A2", "--lambda", "1,0", "--parabolic", ""),
+        ],
+    )
+    def test_flag_not_read_is_rejected(self, capsys, argv):
+        # a subcommand takes only the flags it reads
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
+
+    def test_settable_values(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        flags = {
+            name: {opt for a in p._actions for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+            for name, p in subparsers.items()
+        }
+        common = {"--type", "--lambda", "--format"}
+        assert flags == {
+            "qbg": common,
+            "qls": common | {"--cap", "--variant"},
+            "degree": common | {"--cap", "--path"},
+            "verify": common | {"--cap", "--window"},
+        }
 
 
 class TestDeterminism:

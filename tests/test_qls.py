@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cached_context, vertex_by_word
+from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
     QLSPath,
@@ -194,11 +195,22 @@ class TestEndpointCharacter:
 
 
 class TestJson:
-    def test_roundtrip(self, a2_21):
-        g = a2_21.graph
-        for eta in example_paths(a2_21):
-            rec = path_to_json(g, eta)
-            assert path_from_json(g, rec) == eta
+    def test_roundtrip(self, a2_21, c2_11):
+        for ctx in (a2_21, c2_11):
+            g = ctx.graph
+            for eta in enumerate_hat(ctx.shape, g):
+                assert path_from_json(g, path_to_json(g, eta)) == eta
+
+    @pytest.mark.parametrize("word", ["s2", "s1 s2"])
+    def test_rejects_non_representative(self, a2_10, word):
+        # the same decoder and message as a --path literal
+        g = a2_10.graph
+        with pytest.raises(ValueError) as from_json:
+            path_from_json(g, {"dirs": [word], "times": ["0", "1"]})
+        with pytest.raises(ValueError) as from_literal:
+            parse_path_literal(a2_10, f"{word}|0,1")
+        assert str(from_json.value) == str(from_literal.value)
+        assert str(from_json.value) == f"direction {word!r} is not a minimal coset representative"
 
     def test_record_shape(self, a2_21):
         g = a2_21.graph
