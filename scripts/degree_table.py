@@ -20,7 +20,7 @@ def main() -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
-    rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph))
+    rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.graph))
     for row in rows:
         dirs = ";".join(row["dirs"])
         times = ",".join(row["times"])

@@ -19,7 +19,7 @@ import sys
 import time
 
 from qbruhat import build_context
-from qbruhat.cli import verify_shape
+from qbruhat.cli import CliError, verify_shape
 
 SHAPES = [
     ("A1", (1,)),
@@ -52,7 +52,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--window", type=int, default=10)
     args = parser.parse_args()
-    results = [run_shape(name, mults, args.window) for name, mults in SHAPES]
+    try:
+        results = [run_shape(name, mults, args.window) for name, mults in SHAPES]
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"\n{sum(results)}/{len(results)} shapes fully verified")
     return 0 if all(results) else 1
 

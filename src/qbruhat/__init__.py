@@ -39,13 +39,13 @@ class Context:
 def build_context(type_name: str, multiplicities: tuple[int, ...] | list[int]) -> Context:
     """Build root system, Weyl group, coset system and graph for one shape.
 
-    The graph lives on W^J with J = ``shape.parabolic``, the labels where
-    the shape vanishes: the quantum LS paths of the shape and their degrees
-    are defined on exactly that graph.
+    The graph is the shape's own: it lives on W^J with J = ``shape.parabolic``,
+    the labels where the shape vanishes, and carries the shape, so path
+    enumeration, the degree and the oracle take only the graph.
     """
     rs = build_root_system(FiniteType.parse(type_name))
     group = enumerate_group(rs)
     shape = compute_shape(rs, multiplicities)
     cs = coset_system(group, shape.parabolic)
-    graph = build_pqbg(rs, cs)
+    graph = build_pqbg(shape, cs)
     return Context(rs, group, shape, cs, graph)

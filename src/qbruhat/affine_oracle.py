@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cartan import LevelZeroShape, pair
+from .cartan import pair
 from .qbg import PQBG
 
 
@@ -70,9 +70,8 @@ class CoverEdgeReport:
 
 @dataclass
 class AffineOracle:
-    """Chain searches and cover/edge correspondence for one shape and graph."""
+    """Chain searches and cover/edge correspondence on the affine orbit of the graph's shape."""
 
-    shape: LevelZeroShape
     g: PQBG
     window: int = 10
     # per vertex v, (root, target vertex, delta gain, pairing) of each step out of (v, 0)
@@ -84,17 +83,12 @@ class AffineOracle:
         if self.window < 0:
             raise ValueError(f"window must be non-negative, not {self.window}")
         g, rs = self.g, self.g.rs
-        if g.J != self.shape.parabolic:
-            # orbit elements are keyed by vertex, which is only faithful when
-            # the graph uses the shape's own parabolic set
-            raise ValueError("oracle requires the graph built for the shape's parabolic set")
-        lam = self.shape.classical
         group = g.group
         # p = <x Lambda, gamma^vee> and the vertex of proj(r_gamma x): a finite
         # step when p < 0, an affine one gaining p when p > 0
         self._steps = []
         for v in range(g.num_vertices):
-            w = g.orbit_weight(v, lam)
+            w = g.orbit_weight(v)
             steps = []
             for i, c in enumerate(rs.positive_coroots):
                 p = pair(w, c)
@@ -220,7 +214,6 @@ class AffineOracle:
         check holds for every delta and does not use the window.
         """
         g = self.g
-        values = g.pair_values(self.shape.classical)
         mismatches: list[str] = []
         covers = 0
         edges_checked = 0
@@ -258,7 +251,7 @@ class AffineOracle:
             edges_checked += 1
             # the smaller element sits at the edge source; its cover partner at
             # the target has delta lowered by the pairing on quantum edges
-            gain = 0 if not e.quantum else values[e.label]
+            gain = 0 if not e.quantum else g.pairings[e.label]
             mu = AffineOrbitElement(e.target, 0)
             nu = AffineOrbitElement(e.source, gain)
             if self._dist(e.target, e.source, gain) != 1:

@@ -81,9 +81,8 @@ def cmd_qbg(config: CliConfig) -> int:
     ctx = _context(config)
     g = ctx.graph
     if config.fmt == "dot":
-        sys.stdout.write(g.to_dot(ctx.shape.classical))
+        sys.stdout.write(g.to_dot())
         return 0
-    values = g.pair_values(ctx.shape.classical)
     doc = {
         "schema": f"{SCHEMA_PREFIX}/qbg/1",
         "type": config.type,
@@ -98,7 +97,7 @@ def cmd_qbg(config: CliConfig) -> int:
                 "source": g.vertex_name(e.source),
                 "target": g.vertex_name(e.target),
                 "label": g.root_name(e.label),
-                "pairing": values[e.label],
+                "pairing": g.pairings[e.label],
                 "kind": e.kind,
             }
             for e in sorted(g.edges, key=lambda e: (e.source, e.label))
@@ -112,7 +111,7 @@ def cmd_qbg(config: CliConfig) -> int:
 def cmd_qls(config: CliConfig, variant: str, cap: int) -> int:
     ctx = _context(config)
     enum = enumerate_hat if variant == "hat" else enumerate_tilde
-    paths = enum(ctx.shape, ctx.graph, cap=cap)
+    paths = enum(ctx.graph, cap=cap)
     if config.fmt == "csv":
         sys.stdout.write("dirs,times\n")
         for p in paths:
@@ -146,7 +145,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
             print(f"invalid path: {exc}", file=sys.stderr)
             return 1
     else:
-        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.shape, ctx.graph, cap=cap))
+        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.graph, cap=cap))
     if config.fmt == "json":
         doc = {
             "schema": f"{SCHEMA_PREFIX}/degree/1",
@@ -183,10 +182,10 @@ def _failing_pair(oracle, lifted) -> str:
     return "endpoint mismatch"
 
 
-def _verify_one(oracle, shape, graph, path, cache: SegmentCache) -> dict:
+def _verify_one(oracle, graph, path, cache: SegmentCache) -> dict:
     try:
-        lifted = lift(path, shape, graph, cache)
-        deg = degree(path, shape, graph, cache)
+        lifted = lift(path, graph, cache)
+        deg = degree(path, graph, cache)
         certified = oracle.verify_ls_path(lifted)
         agree = endpoint_delta(lifted) == -deg
         status = "pass" if (certified and agree) else "fail"
@@ -204,11 +203,15 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
     correspondence (exact for every delta) and per-path lift certification
     with the endpoint identity inside ``window``.
     """
-    shape, graph = ctx.shape, ctx.graph
+    graph = ctx.graph
+    try:
+        oracle = AffineOracle(graph, window=window)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     checks: list[dict] = []
 
-    hat = enumerate_hat(shape, graph, cap=cap)
-    tilde = enumerate_tilde(shape, graph, cap=cap)
+    hat = enumerate_hat(graph, cap=cap)
+    tilde = enumerate_tilde(graph, cap=cap)
     checks.append(
         {
             "check": "strong-equals-weak",
@@ -217,10 +220,6 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         }
     )
 
-    try:
-        oracle = AffineOracle(shape, graph, window=window)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     report = oracle.covers_to_edges()
     checks.append(
         {
@@ -231,7 +230,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
     )
 
     cache: SegmentCache = {}
-    path_reports = [_verify_one(oracle, shape, graph, p, cache) for p in hat]
+    path_reports = [_verify_one(oracle, graph, p, cache) for p in hat]
 
     n_fail = sum(1 for r in path_reports if r["status"] == "fail")
     n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")

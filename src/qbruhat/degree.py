@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_oracle import AffineOrbitElement
-from .cartan import LevelZeroShape, Weight, pair
+from .cartan import LevelZeroShape, pair
 from .qbg import PQBG, DirectedPath
 from .qls import QLSPath, _structure_ok, path_to_json, time_ticks
 
@@ -56,38 +56,29 @@ class AffineLSPath:
     segment_chains: tuple[tuple[AffineOrbitElement, ...], ...]
 
 
-def segment_energy(
-    g: PQBG,
-    lam: Weight,
-    x_next: int,
-    x_cur: int,
-    sigma: Fraction,
-) -> SegmentData:
+def segment_energy(g: PQBG, x_next: int, x_cur: int, sigma: Fraction) -> SegmentData:
     """One canonical segment datum for the pair (x_cur <- x_next) at time sigma."""
     if x_next == x_cur:
         return SegmentData(x_next, x_cur, sigma, DirectedPath((x_cur,), (), ()), 0)
-    result = g.sigma_path(x_cur, x_next, sigma, lam)
+    result = g.sigma_path(x_cur, x_next, sigma)
     if result.path is None or not result.shortest:
         raise InvalidQLSPath(
             f"no admissible shortest path from vertex {x_next} to {x_cur} at sigma={sigma}"
         )
-    return SegmentData(x_next, x_cur, sigma, result.path, pair(lam, g.path_weight(result.path)))
+    return SegmentData(x_next, x_cur, sigma, result.path, pair(g.shape.classical, g.path_weight(result.path)))
 
 
-def _segments(
-    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None
-) -> tuple[list[SegmentData], int, list[int]]:
+def _segments(path: QLSPath, g: PQBG, cache: SegmentCache | None) -> tuple[list[SegmentData], int, list[int]]:
     """The path's segments, with its times as integer ticks over L."""
     L, ticks = time_ticks(path.times)
     if not _structure_ok(g, path.directions, L, ticks):
         raise InvalidQLSPath(f"structurally invalid path {path}")
-    lam = shape.classical
     out = []
     for x_cur, x_next, sigma in path.turning_points():
         key = (x_next, x_cur, sigma.numerator, sigma.denominator)
         seg = cache.get(key) if cache is not None else None
         if seg is None:
-            seg = segment_energy(g, lam, x_next, x_cur, sigma)
+            seg = segment_energy(g, x_next, x_cur, sigma)
             if cache is not None:
                 cache[key] = seg
         out.append(seg)
@@ -101,16 +92,12 @@ def _degree_of(segments: list[SegmentData], L: int, ticks: list[int]) -> int:
     return -(total // L)
 
 
-def degree(
-    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None = None
-) -> int:
+def degree(path: QLSPath, g: PQBG, cache: SegmentCache | None = None) -> int:
     """Exact degree of a strong-variant path; always a nonpositive integer."""
-    return _degree_of(*_segments(path, shape, g, cache))
+    return _degree_of(*_segments(path, g, cache))
 
 
-def lift(
-    path: QLSPath, shape: LevelZeroShape, g: PQBG, cache: SegmentCache | None = None
-) -> AffineLSPath:
+def lift(path: QLSPath, g: PQBG, cache: SegmentCache | None = None) -> AffineLSPath:
     """Raise the path into the affine orbit, with the per-segment cover chains.
 
     The p-th weight is (x_p, sum of the energies of segments before p); each
@@ -118,9 +105,7 @@ def lift(
     where a quantum step adds the pairing of its label to the running
     delta-coefficient and a Bruhat step leaves it unchanged.
     """
-    segments = _segments(path, shape, g, cache)[0]
-    lam = shape.classical
-    values = g.pair_values(lam)
+    segments = _segments(path, g, cache)[0]
 
     weights = [AffineOrbitElement(path.directions[0], 0)]
     cumulative = 0
@@ -136,7 +121,7 @@ def lift(
         d = seg.path
         for k in range(d.length):
             if d.quantum[k]:
-                delta += values[d.labels[k]]
+                delta += g.pairings[d.labels[k]]
             chain.append(AffineOrbitElement(d.vertices[k + 1], delta))
         if chain[-1] != weights[p + 1]:
             raise NonIntegralDegree("segment chain does not land on the next lifted weight")
@@ -157,10 +142,13 @@ def endpoint_delta(lifted: AffineLSPath) -> int:
 
 def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     """One record per path: directions, times, per-segment energies and the degree."""
+    # the shape is the graph's own; the argument stays because perfbench/tracing.py reads the paths as args[2]
+    if shape is not g.shape:
+        raise ValueError("degree_table needs the graph's own shape")
     cache: SegmentCache = {}
     rows = []
     for path in paths:
-        segs, L, ticks = _segments(path, shape, g, cache)
+        segs, L, ticks = _segments(path, g, cache)
         row = path_to_json(g, path)
         row["energies"] = [seg.energy for seg in segs]
         row["deg"] = _degree_of(segs, L, ticks)

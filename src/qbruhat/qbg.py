@@ -1,4 +1,8 @@
-"""The parabolic quantum Bruhat graph and its directed-path machinery.
+"""The parabolic quantum Bruhat graph of one shape and its directed-path machinery.
+
+A graph is built for one dominant shape Lambda, on W^J with J the labels
+where Lambda vanishes.  It carries the pairings <Lambda, beta^vee>, which
+decide sigma-admissibility, and the orbit x -> x Lambda.
 
 Vertices are the minimal coset representatives, stored under dense indices
 0..m-1 (ascending element id).  For a vertex w and a positive root beta
@@ -26,13 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cartan import Coroot, RootSystem, Weight, pair
+from .cartan import Coroot, LevelZeroShape, Weight, pair
 from .weyl import CosetSystem
-
-
-class PathEnumerationCap(RuntimeError):
-    """Exhaustive path enumeration exceeded its configured budget."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,13 @@ class SigmaPathResult:
 
 
 class PQBG:
-    """Immutable graph object; all queries are pure."""
+    """The graph of one shape on W^J, J = ``shape.parabolic``; all queries are pure."""
 
-    def __init__(self, rs: RootSystem, cs: CosetSystem):
-        self.rs = rs
+    def __init__(self, shape: LevelZeroShape, cs: CosetSystem):
+        if cs.J != shape.parabolic:  # only there do the vertices stand for the orbit points x Lambda
+            raise ValueError(f"the graph of a shape lives on J = {sorted(shape.parabolic)}, not {sorted(cs.J)}")
+        self.shape = shape
+        self.rs = shape.rs
         self.cs = cs
         self.group = cs.group
         self.J = cs.J
@@ -86,11 +90,10 @@ class PQBG:
         self.num_vertices = len(cs.reps)
         self._build()
         self._names = tuple(self.group.word_name(rep) for rep in self.vertices)
+        self.pairings = tuple(pair(shape.classical, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
         self._all_labels = frozenset(self.labels)
-        self._admissible_cache: dict[tuple[int, tuple[int, ...]], frozenset[int]] = {}
+        self._admissible_cache: dict[int, frozenset[int]] = {}
         self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
-        self._pair_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._orbit_cache: dict[tuple[int, ...], tuple[Weight, ...]] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
@@ -164,33 +167,25 @@ class PQBG:
             raise ValueError(f"direction {text!r} is not a minimal coset representative")
         return v
 
-    def orbit_weight(self, v: int, lam: Weight) -> Weight:
-        """w Lambda for the representative at vertex v."""
-        cached = self._orbit_cache.get(lam.coords)
-        if cached is None:
-            cached = tuple(self.group.apply_weight(r, lam) for r in self.vertices)
-            self._orbit_cache[lam.coords] = cached
-        return cached[v]
+    @cached_property
+    def _orbit(self) -> tuple[Weight, ...]:
+        # built on first use: only the path evaluation and the oracle read it
+        return tuple(self.group.apply_weight(r, self.shape.classical) for r in self.vertices)
 
-    def pair_values(self, lam: Weight) -> tuple[int, ...]:
-        """<Lambda, beta^vee> for every positive root, indexed like positive_roots."""
-        cached = self._pair_cache.get(lam.coords)
-        if cached is None:
-            cached = tuple(pair(lam, c) for c in self.rs.positive_coroots)
-            self._pair_cache[lam.coords] = cached
-        return cached
+    def orbit_weight(self, v: int) -> Weight:
+        """x Lambda for the representative x at vertex v."""
+        return self._orbit[v]
 
     def edge(self, source: int, label: int) -> QBGEdge | None:
         return self._edge_by_source_label.get((source, label))
 
     # -- distances and shortest paths --------------------------------------
 
-    def _admissible_labels(self, sigma: Fraction, lam: Weight) -> frozenset[int]:
-        key = (sigma.denominator, lam.coords)
-        if key not in self._admissible_cache:
-            values = self.pair_values(lam)
-            self._admissible_cache[key] = frozenset(idx for idx in self.labels if values[idx] % key[0] == 0)
-        return self._admissible_cache[key]
+    def _admissible_labels(self, sigma: Fraction) -> frozenset[int]:
+        q = sigma.denominator
+        if q not in self._admissible_cache:
+            self._admissible_cache[q] = frozenset(idx for idx in self.labels if self.pairings[idx] % q == 0)
+        return self._admissible_cache[q]
 
     def _search(self, y: int, allowed: frozenset[int]) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...]]:
         """BFS from y over the edges labelled in ``allowed``, memoised per (y, allowed).
@@ -256,9 +251,9 @@ class PQBG:
         """Length of a shortest directed path from y to x."""
         return self.distances_from(y)[x]
 
-    def sigma_distances_from(self, y: int, sigma: Fraction, lam: Weight) -> tuple[int, ...]:
+    def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
         """Like ``distances_from``, inside the sigma-admissible subgraph."""
-        return self._search(y, self._admissible_labels(sigma, lam))[0]
+        return self._search(y, self._admissible_labels(sigma))[0]
 
     def shortest_path(self, x: int, y: int) -> DirectedPath:
         """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
@@ -267,7 +262,7 @@ class PQBG:
             raise RuntimeError("graph is strongly connected; no path is a bug")
         return path
 
-    def sigma_path(self, x: int, y: int, sigma: Fraction, lam: Weight) -> SigmaPathResult:
+    def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
         """A shortest path from y to x inside the sigma-admissible subgraph, if any.
 
         The path is rebuilt from the same memoised BFS that
@@ -278,7 +273,7 @@ class PQBG:
         """
         if not 0 < sigma < 1:
             raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-        path = self._path(x, y, self._admissible_labels(sigma, lam))
+        path = self._path(x, y, self._admissible_labels(sigma))
         if path is None:
             return SigmaPathResult(None, False)
         return SigmaPathResult(path, path.length == self.directed_distance(x, y))
@@ -294,81 +289,6 @@ class PQBG:
                     acc[k] += c
         return Coroot(tuple(acc))
 
-    # -- exhaustive enumeration ---------------------------------------------
-
-    def all_paths_up_to(
-        self,
-        x: int,
-        y: int,
-        max_len: int | None = None,
-        cap: int = 200_000,
-        sigma: Fraction | None = None,
-        lam: Weight | None = None,
-    ) -> list[DirectedPath]:
-        """Every directed path (vertex revisits allowed) from y to x of bounded length.
-
-        With ``sigma``/``lam`` given, only sigma-admissible edges are walked.
-        Raises PathEnumerationCap when the exploration budget is exhausted.
-        """
-        if max_len is None:
-            max_len = 2 * self.rs.num_positive
-        allowed = self._all_labels if sigma is None else self._admissible_labels(sigma, lam)
-        found: list[DirectedPath] = []
-        budget = [cap]
-
-        def walk(v: int, vertices: list[int], labels: list[int], quantum: list[bool]) -> None:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise PathEnumerationCap(f"path enumeration exceeded cap {cap}")
-            if v == x:
-                found.append(
-                    DirectedPath(tuple(reversed(vertices)), tuple(reversed(labels)), tuple(reversed(quantum)))
-                )
-            if len(labels) == max_len:
-                return
-            for e in self.out_edges[v]:
-                if e.label not in allowed:
-                    continue
-                vertices.append(e.target)
-                labels.append(e.label)
-                quantum.append(e.quantum)
-                walk(e.target, vertices, labels, quantum)
-                vertices.pop()
-                labels.pop()
-                quantum.pop()
-
-        walk(y, [y], [], [])
-        return found
-
-    def shortest_sigma_paths(
-        self, x: int, y: int, sigma: Fraction, lam: Weight
-    ) -> list[DirectedPath]:
-        """All sigma-admissible paths from y to x of minimal sigma-admissible length."""
-        allowed = self._admissible_labels(sigma, lam)
-        to_x = self._distances_to(x, allowed)
-        if to_x[y] < 0:
-            return []
-        found: list[DirectedPath] = []
-
-        def walk(v: int, vertices: list[int], labels: list[int], quantum: list[bool]) -> None:
-            if v == x:
-                found.append(
-                    DirectedPath(tuple(reversed(vertices)), tuple(reversed(labels)), tuple(reversed(quantum)))
-                )
-                return
-            for e in self.out_edges[v]:
-                if e.label in allowed and to_x[e.target] == to_x[v] - 1:
-                    vertices.append(e.target)
-                    labels.append(e.label)
-                    quantum.append(e.quantum)
-                    walk(e.target, vertices, labels, quantum)
-                    vertices.pop()
-                    labels.pop()
-                    quantum.pop()
-
-        walk(y, [y], [], [])
-        return found
-
     # -- export --------------------------------------------------------------
 
     def root_name(self, label: int) -> str:
@@ -380,33 +300,19 @@ class PQBG:
             terms.append(f"a{i + 1}" if c == 1 else f"{c}a{i + 1}")
         return "+".join(terms)
 
-    def to_dot(self, lam: Weight | None = None) -> str:
-        """Deterministic DOT rendering: solid Bruhat arrows, dashed quantum ones."""
+    def to_dot(self) -> str:
+        """Deterministic DOT rendering: solid Bruhat arrows, dashed quantum ones, pairings in brackets."""
         lines = ["digraph pqbg {"]
         for v in range(self.num_vertices):
             lines.append(f'  n{v} [label="{self.vertex_name(v)}"];')
-        values = self.pair_values(lam) if lam is not None else None
         for e in sorted(self.edges, key=lambda e: (e.source, e.label)):
-            tag = self.root_name(e.label)
             coords = ",".join(map(str, self.rs.positive_roots[e.label].coords))
-            label = f"{tag} ({coords})"
-            if values is not None:
-                label += f" [{values[e.label]}]"
+            label = f"{self.root_name(e.label)} ({coords}) [{self.pairings[e.label]}]"
             style = ' style="dashed"' if e.quantum else ""
             lines.append(f'  n{e.source} -> n{e.target} [label="{label}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def build_pqbg(rs: RootSystem, cs: CosetSystem) -> PQBG:
-    return PQBG(rs, cs)
-
-
-def validate_path(g: PQBG, path: DirectedPath) -> None:
-    """Re-check that every step of the path is a graph edge with the stated kind."""
-    if len(path.vertices) != len(path.labels) + 1 or len(path.labels) != len(path.quantum):
-        raise ValueError("ill-formed path arrays")
-    for k in range(len(path.labels)):
-        e = g.edge(path.vertices[k + 1], path.labels[k])
-        if e is None or e.target != path.vertices[k] or e.quantum != path.quantum[k]:
-            raise ValueError(f"step {k} is not an edge of the graph")
+def build_pqbg(shape: LevelZeroShape, cs: CosetSystem) -> PQBG:
+    return PQBG(shape, cs)

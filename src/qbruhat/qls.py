@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cartan import LevelZeroShape, Weight
 from .qbg import PQBG
 
 RationalVector = tuple[Fraction, ...]
@@ -45,7 +44,7 @@ def path_sort_key(path: QLSPath):
     return (len(path.directions), path.directions, path.times)
 
 
-def sigma_candidates(shape: LevelZeroShape, g: PQBG) -> tuple[Fraction, ...]:
+def sigma_candidates(g: PQBG) -> tuple[Fraction, ...]:
     """Every rational in (0,1) whose reduced denominator divides some edge-label value.
 
     This is a finite superset of all internal times that can occur: a valid
@@ -54,10 +53,9 @@ def sigma_candidates(shape: LevelZeroShape, g: PQBG) -> tuple[Fraction, ...]:
     beta^vee> integral with sigma = a/b in lowest terms forces b to divide
     the pairing value of that edge's label.
     """
-    values = g.pair_values(shape.classical)
     out: set[Fraction] = set()
     for label in sorted({e.label for e in g.edges}):
-        v = values[label]
+        v = g.pairings[label]
         for b in range(2, v + 1):
             if v % b == 0:
                 for a in range(1, b):
@@ -83,38 +81,28 @@ def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> b
     return all(a != b for a, b in zip(dirs, dirs[1:]))
 
 
-def is_hat_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
+def is_hat_path(g: PQBG, path: QLSPath) -> bool:
     """Independent validator for the strong variant (used to re-check enumerations)."""
     if not _structure_ok(g, path.directions, *time_ticks(path.times)):
         return False
-    lam = shape.classical
-    return all(
-        g.sigma_path(x, y, sigma, lam).shortest for x, y, sigma in path.turning_points()
-    )
+    return all(g.sigma_path(x, y, sigma).shortest for x, y, sigma in path.turning_points())
 
 
-def is_tilde_path(shape: LevelZeroShape, g: PQBG, path: QLSPath) -> bool:
+def is_tilde_path(g: PQBG, path: QLSPath) -> bool:
     """Independent validator for the weak variant."""
     if not _structure_ok(g, path.directions, *time_ticks(path.times)):
         return False
-    lam = shape.classical
-    return all(
-        g.sigma_path(x, y, sigma, lam).path is not None
-        for x, y, sigma in path.turning_points()
-    )
+    return all(g.sigma_path(x, y, sigma).path is not None for x, y, sigma in path.turning_points())
 
 
-def _successors(
-    shape: LevelZeroShape, g: PQBG, candidates: tuple[Fraction, ...], strong: bool
-) -> list[list[list[int]]]:
+def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[int]]]:
     # succ[i][x]: the directions y, ascending, that may follow x at time candidates[i]
-    lam = shape.classical
     m = g.num_vertices
     succ = []
     for sigma in candidates:
         table: list[list[int]] = [[] for _ in range(m)]
         for y in range(m):
-            sdist = g.sigma_distances_from(y, sigma, lam)
+            sdist = g.sigma_distances_from(y, sigma)
             full = g.distances_from(y)
             for x in range(m):
                 if x != y and (sdist[x] == full[x] if strong else sdist[x] >= 0):
@@ -123,9 +111,9 @@ def _successors(
     return succ
 
 
-def _enumerate(shape: LevelZeroShape, g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
-    candidates = sigma_candidates(shape, g)
-    succ = _successors(shape, g, candidates, strong)
+def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
+    candidates = sigma_candidates(g)
+    succ = _successors(g, candidates, strong)
     found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []  # (len, dirs, candidate indices)
 
     def extend(dirs: list[int], idx: list[int], last: int) -> None:
@@ -148,21 +136,21 @@ def _enumerate(shape: LevelZeroShape, g: PQBG, strong: bool, cap: int) -> tuple[
     return tuple(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)) for _, dirs, idx in found)
 
 
-def enumerate_hat(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
     """All paths of the strong variant, in the canonical ``path_sort_key`` order.
 
     That is by number of directions, then directions, then times; the
     internal times are the ``sigma_candidates`` objects themselves.
     """
-    return _enumerate(shape, g, True, cap)
+    return _enumerate(g, True, cap)
 
 
-def enumerate_tilde(shape: LevelZeroShape, g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+def enumerate_tilde(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
     """All paths of the weak variant, in the same order; equal to the strong ones (tested, not assumed)."""
-    return _enumerate(shape, g, False, cap)
+    return _enumerate(g, False, cap)
 
 
-def evaluate(g: PQBG, path: QLSPath, t: Fraction, lam: Weight) -> RationalVector:
+def evaluate(g: PQBG, path: QLSPath, t: Fraction) -> RationalVector:
     """The piecewise-linear map at time t, exactly.
 
     On the segment t in [t_{k-1}, t_k] the value is
@@ -175,14 +163,10 @@ def evaluate(g: PQBG, path: QLSPath, t: Fraction, lam: Weight) -> RationalVector
     times, dirs = path.times, path.directions
     for k in range(1, len(times)):
         lo, hi = times[k - 1], times[k]
+        for i, c in enumerate(g.orbit_weight(dirs[k - 1]).coords):
+            acc[i] += (min(t, hi) - lo) * c
         if t <= hi:
-            w = g.orbit_weight(dirs[k - 1], lam)
-            for i, c in enumerate(w.coords):
-                acc[i] += (t - lo) * c
             break
-        w = g.orbit_weight(dirs[k - 1], lam)
-        for i, c in enumerate(w.coords):
-            acc[i] += (hi - lo) * c
     return tuple(acc)
 
 

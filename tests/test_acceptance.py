@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import cached_context, vertex_by_word
+from conftest import all_paths_up_to, cached_context, shortest_sigma_paths, vertex_by_word
 from qbruhat.affine_oracle import AffineOracle
 from qbruhat.cartan import pair
 from qbruhat.degree import degree, degree_table, endpoint_delta, lift
@@ -30,9 +30,9 @@ def report(n: int, text: str) -> None:
 
 def test_criterion_1_golden_degrees(a2_21):
     start = time.monotonic()
-    shape, g = a2_21.shape, a2_21.graph
+    g = a2_21.graph
     eta1, eta2, eta3 = example_paths(a2_21)
-    values = (degree(eta1, shape, g), degree(eta2, shape, g), degree(eta3, shape, g))
+    values = (degree(eta1, g), degree(eta2, g), degree(eta3, g))
     elapsed = time.monotonic() - start
     assert values == (-1, -1, -2)
     assert elapsed < 1.0
@@ -58,13 +58,13 @@ def test_criterion_3_sigma_admissible_edges(a2_21):
     checked = 0
     for src, dst in theta_edges:
         for sigma in (F(1, 3), F(2, 3)):
-            res = g.sigma_path(v(dst), v(src), sigma, lam)
+            res = g.sigma_path(v(dst), v(src), sigma)
             assert res.shortest and res.path.length == 1
             assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 1)
             assert (sigma * pair(lam, g.rs.theta_coroot)).denominator == 1
             checked += 1
     for src, dst in alpha1_edges:
-        res = g.sigma_path(v(dst), v(src), F(1, 2), lam)
+        res = g.sigma_path(v(dst), v(src), F(1, 2))
         assert res.shortest and res.path.length == 1
         assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 0)
         checked += 1
@@ -72,7 +72,7 @@ def test_criterion_3_sigma_admissible_edges(a2_21):
 
 
 def test_criterion_4_membership(a2_21):
-    hat = enumerate_hat(a2_21.shape, a2_21.graph)
+    hat = enumerate_hat(a2_21.graph)
     for eta in example_paths(a2_21):
         assert eta in hat
     report(4, "the three worked example paths are enumerated")
@@ -82,8 +82,8 @@ def test_criterion_5_hat_equals_tilde():
     for name, mults in SHAPES:
         start = time.monotonic()
         ctx = cached_context(name, mults)
-        hat = enumerate_hat(ctx.shape, ctx.graph)
-        tilde = enumerate_tilde(ctx.shape, ctx.graph)
+        hat = enumerate_hat(ctx.graph)
+        tilde = enumerate_tilde(ctx.graph)
         elapsed = time.monotonic() - start
         assert hat == tilde, (name, mults)
         assert elapsed < 30.0
@@ -94,14 +94,14 @@ def test_criterion_6_oracle_agreement():
     total = 0
     for name, mults in SHAPES:
         ctx = cached_context(name, mults)
-        shape, g = ctx.shape, ctx.graph
+        g = ctx.graph
         # window 10 exactly; InconclusiveSearch would fail the criterion
-        oracle = AffineOracle(shape, g, window=10)
+        oracle = AffineOracle(g, window=10)
         cache = {}
-        for eta in enumerate_hat(shape, g):
-            lifted = lift(eta, shape, g, cache=cache)
+        for eta in enumerate_hat(g):
+            lifted = lift(eta, g, cache=cache)
             assert oracle.verify_ls_path(lifted), (name, mults, eta)
-            assert endpoint_delta(lifted) == -degree(eta, shape, g, cache=cache)
+            assert endpoint_delta(lifted) == -degree(eta, g, cache=cache)
             total += 1
     report(6, f"{total} lifts certified at window 10, zero failures or inconclusives")
 
@@ -110,7 +110,7 @@ def test_criterion_7_cover_edge_correspondence():
     covers = 0
     for name, mults in SHAPES:
         ctx = cached_context(name, mults)
-        rep = AffineOracle(ctx.shape, ctx.graph, window=5).covers_to_edges()
+        rep = AffineOracle(ctx.graph, window=5).covers_to_edges()
         assert rep.mismatches == (), (name, mults, rep.mismatches[:3])
         covers += rep.covers_checked
     report(7, f"{covers} covers matched against graph edges, zero mismatches")
@@ -121,23 +121,22 @@ def test_criterion_8_well_definedness():
     sampled = 0
     for name, mults in SHAPES:
         ctx = cached_context(name, mults)
-        shape, g = ctx.shape, ctx.graph
-        lam = shape.classical
+        g, lam = ctx.graph, ctx.shape.classical
         J = set(g.J)
-        candidates = sigma_candidates(shape, g)
+        candidates = sigma_candidates(g)
         valid = [
             (x, y, sigma)
             for sigma in candidates
             for x in range(g.num_vertices)
             for y in range(g.num_vertices)
-            if x != y and g.sigma_path(x, y, sigma, lam).shortest
+            if x != y and g.sigma_path(x, y, sigma).shortest
         ]
         if not valid:
             continue  # no internal time is admissible for this shape
         for _ in range(100):
             x, y, sigma = rng.choice(valid)
             sampled += 1
-            best = g.shortest_sigma_paths(x, y, sigma, lam)
+            best = shortest_sigma_paths(g, x, y, sigma)
             assert best and best[0].length == g.directed_distance(x, y)
             energies = {pair(lam, g.path_weight(p)) for p in best}
             assert len(energies) == 1
@@ -146,7 +145,7 @@ def test_criterion_8_well_definedness():
                 diff = tuple(a - b for a, b in zip(g.path_weight(p).coords, ref))
                 assert {i + 1 for i, c in enumerate(diff) if c} <= J
             floor = energies.pop()
-            for p in g.all_paths_up_to(x, y, sigma=sigma, lam=lam):
+            for p in all_paths_up_to(g, x, y, sigma=sigma):
                 assert pair(lam, g.path_weight(p)) >= floor
     assert sampled > 0
     report(8, f"{sampled} sampled triples: canonical energies, minimality holds")
@@ -160,10 +159,10 @@ def test_criterion_9_tie_break_invariance():
         ctx = cached_context(name, mults)
         shape, g = ctx.shape, ctx.graph
         lam = shape.classical
-        paths = sorted(enumerate_hat(shape, g), key=path_sort_key)
+        paths = sorted(enumerate_hat(g), key=path_sort_key)
         for eta, row in zip(paths, degree_table(shape, g, paths)):
             for (x_cur, x_next, sigma), energy in zip(eta.turning_points(), row["energies"]):
-                best = g.shortest_sigma_paths(x_cur, x_next, sigma, lam)
+                best = shortest_sigma_paths(g, x_cur, x_next, sigma)
                 assert best, (name, mults, eta)
                 assert {pair(lam, g.path_weight(p)) for p in best} == {energy}, (name, mults, eta)
                 checked += len(best)
@@ -174,6 +173,6 @@ def test_criterion_9_tie_break_invariance():
 def test_criterion_10_cardinality_regression(a2_21):
     # recorded on the first run on which criteria 6-8 passed; the value also
     # matches the product of the three one-column factor sizes (3 * 3 * 3)
-    hat = enumerate_hat(a2_21.shape, a2_21.graph)
+    hat = enumerate_hat(a2_21.graph)
     assert len(hat) == 27
     report(10, "regular rank-2 shape enumerates exactly 27 paths")

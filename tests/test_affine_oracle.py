@@ -20,18 +20,17 @@ from test_qls import example_paths
 
 @pytest.fixture(scope="module")
 def oracle_a2(a2_21):
-    return AffineOracle(a2_21.shape, a2_21.graph, window=10)
+    return AffineOracle(a2_21.graph, window=10)
 
 
 def test_rejects_parabolic_override(a2_10):
-    # orbit elements are keyed by vertex; only the canonical parabolic set
-    # makes that identification faithful, so a graph on another J is refused
+    # orbit elements are keyed by vertex; only the shape's own parabolic set
+    # makes that identification faithful, so no graph is built on another J
     from qbruhat.qbg import build_pqbg
     from qbruhat.weyl import coset_system
 
-    g = build_pqbg(a2_10.rs, coset_system(a2_10.group, frozenset()))
-    with pytest.raises(ValueError):
-        AffineOracle(a2_10.shape, g)
+    with pytest.raises(ValueError, match="lives on J"):
+        build_pqbg(a2_10.shape, coset_system(a2_10.group, frozenset()))
 
 
 class TestRaisingSteps:
@@ -66,8 +65,8 @@ class TestRaisingSteps:
         # every step adds a positive multiple of its root to the classical
         # part (finite kind) or delta - root (affine kind); delta never drops
         ctx = request.getfixturevalue(fixture)
-        oracle = AffineOracle(ctx.shape, ctx.graph)
-        g, lam = ctx.graph, ctx.shape.classical
+        oracle = AffineOracle(ctx.graph)
+        g = ctx.graph
         theta = g.rs.theta.coords
         for v in range(g.num_vertices):
             for n in (-2, 0, 3):
@@ -76,8 +75,8 @@ class TestRaisingSteps:
                     assert s.pairing < 0
                     assert s.target.delta >= mu.delta
                     gamma = g.rs.positive_roots[s.root]
-                    src_w = g.orbit_weight(mu.vertex, lam).coords
-                    dst_w = g.orbit_weight(s.target.vertex, lam).coords
+                    src_w = g.orbit_weight(mu.vertex).coords
+                    dst_w = g.orbit_weight(s.target.vertex).coords
                     mult = -s.pairing
                     beta_w = g.rs.root_weight_coords[s.root]
                     if s.kind == "finite":
@@ -95,7 +94,7 @@ class TestRaisingSteps:
         # the steps out of (v, n) are those out of (v, 0) shifted by n: the
         # oracle's memos and its single cover/edge pass rely on this
         ctx = request.getfixturevalue(fixture)
-        oracle = AffineOracle(ctx.shape, ctx.graph)
+        oracle = AffineOracle(ctx.graph)
         for v in range(ctx.graph.num_vertices):
             base = oracle.raising_steps(AffineOrbitElement(v, 0))
             for n in (-3, 0, 4):
@@ -112,18 +111,18 @@ class TestDist:
         assert not oracle_a2.is_cover(mu, mu)
 
     def test_lift_chain_pairs_are_covers(self, a2_21, oracle_a2):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         for eta in example_paths(a2_21):
-            lifted = lift(eta, shape, g)
+            lifted = lift(eta, g)
             for chain in lifted.segment_chains:
                 for a, b in zip(chain, chain[1:]):
                     assert oracle_a2.is_cover(a, b)
 
     def test_two_step_pair_not_cover(self, a2_21, oracle_a2):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         # concatenate two consecutive covers from a lifted chain
         eta1, _, _ = example_paths(a2_21)
-        lifted = lift(eta1, shape, g)
+        lifted = lift(eta1, g)
         chain = max(lifted.segment_chains, key=len)
         if len(chain) >= 3:
             assert oracle_a2.dist(chain[0], chain[2]) >= 2
@@ -139,12 +138,12 @@ class TestDist:
 
     def test_negative_window_rejected(self, a2_21):
         with pytest.raises(ValueError):
-            AffineOracle(a2_21.shape, a2_21.graph, window=-1)
+            AffineOracle(a2_21.graph, window=-1)
 
     def test_window_monotone(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
-        small = AffineOracle(shape, g, window=6)
-        large = AffineOracle(shape, g, window=30)
+        g = a2_21.graph
+        small = AffineOracle(g, window=6)
+        large = AffineOracle(g, window=30)
         for v in range(g.num_vertices):
             for w in range(g.num_vertices):
                 for dn in range(0, 4):
@@ -155,9 +154,9 @@ class TestDist:
 
 class TestSigmaChains:
     def test_first_lift_pair(self, a2_21, oracle_a2):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         eta1, _, _ = example_paths(a2_21)
-        lifted = lift(eta1, shape, g)
+        lifted = lift(eta1, g)
         assert oracle_a2.verify_sigma_chain(lifted.weights[0], lifted.weights[1], F(1, 2))
 
     def test_pairing_three_fails_at_half(self, a2_21, oracle_a2):
@@ -183,14 +182,14 @@ class TestSigmaChains:
 
 class TestVerifyLsPath:
     def test_straight(self, a2_21, oracle_a2):
-        shape, g = a2_21.shape, a2_21.graph
-        lifted = lift(QLSPath((0,), (F(0), F(1))), shape, g)
+        g = a2_21.graph
+        lifted = lift(QLSPath((0,), (F(0), F(1))), g)
         assert oracle_a2.verify_ls_path(lifted)
 
     def test_example_lifts(self, a2_21, oracle_a2):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         for eta in example_paths(a2_21):
-            assert oracle_a2.verify_ls_path(lift(eta, shape, g))
+            assert oracle_a2.verify_ls_path(lift(eta, g))
 
     def test_inconclusive_names_settling_window(self):
         # the lift has delta-coefficients 0, 3, 5: the message names 5, the
@@ -199,19 +198,19 @@ class TestVerifyLsPath:
         from qbruhat.cli import parse_path_literal
 
         ctx = build_context("A2", (3, 2))
-        shape, g = ctx.shape, ctx.graph
-        lifted = lift(parse_path_literal(ctx, "e;s1;s1 s2|0,1/3,1/2,1"), shape, g)
+        g = ctx.graph
+        lifted = lift(parse_path_literal(ctx, "e;s1;s1 s2|0,1/3,1/2,1"), g)
         assert [m.delta for m in lifted.weights] == [0, 3, 5]
         with pytest.raises(InconclusiveSearch, match=r"needs window 5$"):
-            AffineOracle(shape, g, window=0).verify_ls_path(lifted)
-        assert AffineOracle(shape, g, window=5).verify_ls_path(lifted)
+            AffineOracle(g, window=0).verify_ls_path(lifted)
+        assert AffineOracle(g, window=5).verify_ls_path(lifted)
 
     def test_corrupted_lift_fails(self, a2_21, oracle_a2):
         from qbruhat.degree import AffineLSPath
 
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         eta1, _, _ = example_paths(a2_21)
-        lifted = lift(eta1, shape, g)
+        lifted = lift(eta1, g)
         bad_weights = list(lifted.weights)
         bad_weights[1] = AffineOrbitElement(bad_weights[1].vertex, bad_weights[1].delta - 1)
         corrupted = AffineLSPath(tuple(bad_weights), lifted.times, lifted.segment_chains)
@@ -222,7 +221,7 @@ class TestCoversToEdges:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
     def test_no_mismatches(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        report = AffineOracle(ctx.shape, ctx.graph, window=5).covers_to_edges()
+        report = AffineOracle(ctx.graph, window=5).covers_to_edges()
         assert report.ok
         assert report.covers_checked > 0
 
@@ -230,7 +229,7 @@ class TestCoversToEdges:
     def test_cover_edge_bijection(self, fixture, request):
         # one cover per graph edge and one lift per graph edge, whatever the window
         ctx = request.getfixturevalue(fixture)
-        reports = [AffineOracle(ctx.shape, ctx.graph, window=w).covers_to_edges() for w in (0, 3, 10)]
+        reports = [AffineOracle(ctx.graph, window=w).covers_to_edges() for w in (0, 3, 10)]
         assert reports[0] == reports[1] == reports[2]
         report = reports[0]
         assert report.covers_checked == report.edges_checked == len(ctx.graph.edges)
@@ -244,12 +243,12 @@ class TestOracleAgreement:
 
         ctx = request.getfixturevalue(fixture)
         shape, g = ctx.shape, ctx.graph
-        oracle = AffineOracle(shape, g, window=10)
+        oracle = AffineOracle(g, window=10)
         cache = {}
-        for eta in enumerate_hat(shape, g):
-            lifted = lift(eta, shape, g, cache=cache)
+        for eta in enumerate_hat(g):
+            lifted = lift(eta, g, cache=cache)
             assert oracle.verify_ls_path(lifted)
-            assert endpoint_delta(lifted) == -degree(eta, shape, g, cache=cache)
+            assert endpoint_delta(lifted) == -degree(eta, g, cache=cache)
             # first lifted weight has no delta-shift
             assert lifted.weights[0].delta == 0
             # every delta is a multiple of the coarse shape gcd

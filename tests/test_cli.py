@@ -155,7 +155,7 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
         distinct = {
             (x_next, x_cur, sigma)
-            for path in enumerate_hat(a2_21.shape, a2_21.graph)
+            for path in enumerate_hat(a2_21.graph)
             for x_cur, x_next, sigma in path.turning_points()
         }
         assert code == 0 and 0 < len(calls) <= len(distinct)

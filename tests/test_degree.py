@@ -32,64 +32,64 @@ from test_qls import example_paths
 
 class TestGolden:
     def test_known_degrees(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         eta1, eta2, eta3 = example_paths(a2_21)
-        assert degree(eta1, shape, g) == -1
-        assert degree(eta2, shape, g) == -1
-        assert degree(eta3, shape, g) == -2
+        assert degree(eta1, g) == -1
+        assert degree(eta2, g) == -1
+        assert degree(eta3, g) == -2
 
     def test_straight_zero(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         for v in range(g.num_vertices):
-            assert degree(QLSPath((v,), (F(0), F(1))), shape, g) == 0
+            assert degree(QLSPath((v,), (F(0), F(1))), g) == 0
 
 
 class TestSegmentEnergy:
     def test_quantum_segment(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         r2r1, r2 = vertex_by_word(a2_21, "s2 s1"), vertex_by_word(a2_21, "s2")
-        seg = segment_energy(g, lam, r2r1, r2, F(1, 2))
+        seg = segment_energy(g, r2r1, r2, F(1, 2))
         assert seg.energy == 2 and seg.path.length == 1 and seg.path.quantum == (True,)
 
     def test_bruhat_segment(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         r1, r2r1 = vertex_by_word(a2_21, "s1"), vertex_by_word(a2_21, "s2 s1")
-        seg = segment_energy(g, lam, r1, r2r1, F(2, 3))
+        seg = segment_energy(g, r1, r2r1, F(2, 3))
         assert seg.energy == 0 and seg.path.quantum == (False,)
 
     def test_degenerate_equal_pair(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
-        seg = segment_energy(g, lam, 3, 3, F(1, 2))
+        g = a2_21.graph
+        seg = segment_energy(g, 3, 3, F(1, 2))
         assert seg.energy == 0 and seg.path.length == 0
 
     def test_invalid_segment_raises(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         e, r2 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s2")
         with pytest.raises(InvalidQLSPath):
-            segment_energy(g, lam, e, r2, F(1, 2))
+            segment_energy(g, e, r2, F(1, 2))
 
 
 class TestLift:
     def test_straight(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
-        lifted = lift(QLSPath((2,), (F(0), F(1))), shape, g)
+        g = a2_21.graph
+        lifted = lift(QLSPath((2,), (F(0), F(1))), g)
         assert len(lifted.weights) == 1
         assert lifted.weights[0].vertex == 2 and lifted.weights[0].delta == 0
         assert lifted.segment_chains == ()
 
     def test_eta1_deltas(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         eta1, _, eta3 = example_paths(a2_21)
-        l1 = lift(eta1, shape, g)
+        l1 = lift(eta1, g)
         assert [m.delta for m in l1.weights] == [0, 2, 2]
         assert [m.vertex for m in l1.weights] == list(eta1.directions)
-        l3 = lift(eta3, shape, g)
+        l3 = lift(eta3, g)
         assert [m.delta for m in l3.weights] == [0, 3, 3]
 
     def test_chains_interpolate(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         for eta in example_paths(a2_21):
-            lifted = lift(eta, shape, g)
+            lifted = lift(eta, g)
             for p, chain in enumerate(lifted.segment_chains):
                 assert chain[0] == lifted.weights[p]
                 assert chain[-1] == lifted.weights[p + 1]
@@ -97,22 +97,22 @@ class TestLift:
                     assert b.delta >= a.delta
 
     def test_endpoint_examples(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         eta1, _, eta3 = example_paths(a2_21)
-        assert endpoint_delta(lift(eta1, shape, g)) == 1
-        assert endpoint_delta(lift(eta3, shape, g)) == 2
-        assert endpoint_delta(lift(QLSPath((0,), (F(0), F(1))), shape, g)) == 0
+        assert endpoint_delta(lift(eta1, g)) == 1
+        assert endpoint_delta(lift(eta3, g)) == 2
+        assert endpoint_delta(lift(QLSPath((0,), (F(0), F(1))), g)) == 0
 
 
 class TestInvariants:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
     def test_degree_is_minus_endpoint(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        shape, g = ctx.shape, ctx.graph
+        g = ctx.graph
         cache = {}
-        for eta in enumerate_hat(shape, g):
-            d = degree(eta, shape, g, cache=cache)
-            lifted = lift(eta, shape, g, cache=cache)
+        for eta in enumerate_hat(g):
+            d = degree(eta, g, cache=cache)
+            lifted = lift(eta, g, cache=cache)
             assert d <= 0
             assert endpoint_delta(lifted) == -d
             energies = [
@@ -126,36 +126,42 @@ class TestInvariants:
         # the lift raises each direction in place: its classical part at any
         # time is the path's own, so only its vertices and times can go wrong
         ctx = request.getfixturevalue(fixture)
-        shape, g = ctx.shape, ctx.graph
-        for eta in enumerate_hat(shape, g):
-            lifted = lift(eta, shape, g)
+        g = ctx.graph
+        for eta in enumerate_hat(g):
+            lifted = lift(eta, g)
             assert tuple(w.vertex for w in lifted.weights) == eta.directions
             assert lifted.times == eta.times
 
     def test_cache_consistency(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         cache = {}
-        cold = {eta: degree(eta, shape, g) for eta in enumerate_hat(shape, g)}
-        warm = {eta: degree(eta, shape, g, cache=cache) for eta in cold}
-        again = {eta: degree(eta, shape, g, cache=cache) for eta in cold}
+        cold = {eta: degree(eta, g) for eta in enumerate_hat(g)}
+        warm = {eta: degree(eta, g, cache=cache) for eta in cold}
+        again = {eta: degree(eta, g, cache=cache) for eta in cold}
         assert cold == warm == again
 
 
 class TestErrors:
     def test_rejects_non_hat_times(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         e, w0 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s1 s2 s1")
         with pytest.raises(InvalidQLSPath):
-            degree(QLSPath((e, w0), (F(0), F(1, 5), F(1))), shape, g)
+            degree(QLSPath((e, w0), (F(0), F(1, 5), F(1))), g)
 
     def test_rejects_bad_structure(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
+        g = a2_21.graph
         with pytest.raises(InvalidQLSPath):
-            degree(QLSPath((0, 0), (F(0), F(1, 2), F(1))), shape, g)
+            degree(QLSPath((0, 0), (F(0), F(1, 2), F(1))), g)
         with pytest.raises(InvalidQLSPath):
-            degree(QLSPath((0, 1), (F(0), F(1))), shape, g)
+            degree(QLSPath((0, 1), (F(0), F(1))), g)
         with pytest.raises(InvalidQLSPath):
-            degree(QLSPath((0,), (F(0), F(1, 2))), shape, g)
+            degree(QLSPath((0,), (F(0), F(1, 2))), g)
+
+    def test_table_refuses_another_shape(self, a2_11, a2_21):
+        # both shapes have J = {}, so the graphs agree vertex for vertex; the
+        # table still takes only the graph's own shape
+        with pytest.raises(ValueError, match="own shape"):
+            degree_table(a2_11.shape, a2_21.graph, enumerate_hat(a2_11.graph))
 
 
 # The Fraction forms of the structure check and the degree sum that the
@@ -185,23 +191,23 @@ def _reference_degree_of(segments) -> int:
     return -int(total)
 
 
-def _reference_segments(path: QLSPath, shape, g, cache: dict) -> list:
+def _reference_segments(path: QLSPath, g, cache: dict) -> list:
     if not _reference_structure_ok(g, path):
         raise InvalidQLSPath(f"structurally invalid path {path}")
     out = []
     for x_cur, x_next, sigma in path.turning_points():
         key = (x_next, x_cur, sigma)
         if key not in cache:
-            cache[key] = segment_energy(g, shape.classical, x_next, x_cur, sigma)
+            cache[key] = segment_energy(g, x_next, x_cur, sigma)
         out.append(cache[key])
     return out
 
 
-def _reference_table(shape, g, paths) -> list[dict]:
+def _reference_table(g, paths) -> list[dict]:
     cache: dict = {}
     rows = []
     for path in sorted(paths, key=path_sort_key):
-        segs = _reference_segments(path, shape, g, cache)
+        segs = _reference_segments(path, g, cache)
         rows.append(
             {
                 "dirs": [g.group.word_name(g.rep_id(v)) for v in path.directions],
@@ -232,14 +238,14 @@ class TestTickEquivalence:
     @TICK_SHAPES
     def test_table_matches_reference(self, name, mults):
         ctx = cached_context(name, mults)
-        paths = enumerate_hat(ctx.shape, ctx.graph)
-        assert degree_table(ctx.shape, ctx.graph, paths) == _reference_table(ctx.shape, ctx.graph, paths)
+        paths = enumerate_hat(ctx.graph)
+        assert degree_table(ctx.shape, ctx.graph, paths) == _reference_table(ctx.graph, paths)
 
     @TICK_SHAPES
     def test_enumerated_paths_pass_structure_check(self, name, mults):
         ctx = cached_context(name, mults)
         g = ctx.graph
-        for path in enumerate_hat(ctx.shape, g) + enumerate_tilde(ctx.shape, g):
+        for path in enumerate_hat(g) + enumerate_tilde(g):
             assert _reference_structure_ok(g, path), path
             assert _structure_ok(g, path.directions, *time_ticks(path.times)), path
 
@@ -247,7 +253,7 @@ class TestTickEquivalence:
     def test_enumeration_in_canonical_order(self, name, mults):
         ctx = cached_context(name, mults)
         for enum in (enumerate_hat, enumerate_tilde):
-            paths = enum(ctx.shape, ctx.graph)
+            paths = enum(ctx.graph)
             assert list(paths) == sorted(set(paths), key=path_sort_key)
 
     @pytest.mark.parametrize(
@@ -267,11 +273,11 @@ class TestTickEquivalence:
     def test_external_path_errors_match_reference(self, a2_21, words, times):
         shape, g = a2_21.shape, a2_21.graph
         path = QLSPath(tuple(vertex_by_word(a2_21, w) for w in words), times)
-        expected = _raised(lambda: _reference_degree_of(_reference_segments(path, shape, g, {})))
+        expected = _raised(lambda: _reference_degree_of(_reference_segments(path, g, {})))
         assert expected is not None
-        assert _raised(degree, path, shape, g) == expected
+        assert _raised(degree, path, g) == expected
         # after every valid path has filled the segment cache, too
-        assert _raised(degree_table, shape, g, enumerate_hat(shape, g) + (path,)) == expected
+        assert _raised(degree_table, shape, g, enumerate_hat(g) + (path,)) == expected
 
     @pytest.mark.parametrize("sigma,energy", [(F(1, 2), 1), (F(1, 2), -2), (F(2, 3), 2), (F(1, 3), 3), (F(2, 5), 5)])
     def test_degree_sum_matches_reference(self, sigma, energy):

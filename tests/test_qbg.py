@@ -7,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import vertex_by_word
+from conftest import PathEnumerationCap, all_paths_up_to, shortest_sigma_paths, validate_path, vertex_by_word
 from qbruhat.cartan import pair
-from qbruhat.qbg import PQBG, DirectedPath, PathEnumerationCap, validate_path
+from qbruhat.qbg import PQBG, DirectedPath
 from qbruhat.qls import sigma_candidates
 
 # the full A2 edge list, read off the rank-2 hexagon figure:
@@ -144,7 +144,7 @@ class TestBuild:
 
         monkeypatch.setattr(PQBG, "_build", build)
         with pytest.raises(RuntimeError, match="not strongly connected"):
-            PQBG(a2_21.rs, a2_21.cs)
+            PQBG(a2_21.shape, a2_21.cs)
 
 
 class TestDistances:
@@ -193,20 +193,20 @@ class TestTieBreak:
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11", "a3_010"])
     def test_paths_match_reference_search(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        g, lam = ctx.graph, ctx.shape.classical
-        values = g.pair_values(lam)
+        g = ctx.graph
+        values = g.pairings
         n = g.num_vertices
         for y in range(n):
             tree = reference_bfs_tree(g, y, None)
             for x in range(n):
                 assert g.shortest_path(x, y) == reference_path(x, y, tree)
-        for sigma in sigma_candidates(ctx.shape, g):
+        for sigma in sigma_candidates(g):
             allowed = {i for i in g.labels if values[i] % sigma.denominator == 0}
             for y in range(n):
                 tree = reference_bfs_tree(g, y, allowed)
                 for x in range(n):
                     ref = reference_path(x, y, tree)
-                    res = g.sigma_path(x, y, sigma, lam)
+                    res = g.sigma_path(x, y, sigma)
                     assert res.path == ref
                     assert res.shortest == (ref is not None and ref.length == g.directed_distance(x, y))
 
@@ -242,49 +242,49 @@ class TestSigmaPaths:
     def test_third_paths(self, a2_21):
         g, lam = a2_21.graph, a2_21.shape.classical
         r2r1, r1 = vertex_by_word(a2_21, "s2 s1"), vertex_by_word(a2_21, "s1")
-        res = g.sigma_path(r2r1, r1, F(1, 3), lam)
+        res = g.sigma_path(r2r1, r1, F(1, 3))
         assert res.path is not None and res.shortest
         assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 1)
         assert F(1, 3) * pair(lam, g.rs.theta_coroot) == 1
 
     def test_half_paths(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         r1, e = vertex_by_word(a2_21, "s1"), vertex_by_word(a2_21, "e")
-        res = g.sigma_path(r1, e, F(1, 2), lam)
+        res = g.sigma_path(r1, e, F(1, 2))
         assert res.path is not None and res.shortest
         assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 0)
 
     def test_trivial(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
-        res = g.sigma_path(3, 3, F(1, 2), lam)
+        g = a2_21.graph
+        res = g.sigma_path(3, 3, F(1, 2))
         assert res.path is not None and res.path.length == 0 and res.shortest
 
     def test_sigma_out_of_range(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         with pytest.raises(ValueError):
-            g.sigma_path(0, 1, F(3, 2), lam)
+            g.sigma_path(0, 1, F(3, 2))
         with pytest.raises(ValueError):
-            g.sigma_path(0, 1, F(0), lam)
+            g.sigma_path(0, 1, F(0))
 
     def test_inadmissible_pair(self, a2_21):
         # at sigma = 1/2 only the alpha_1-labeled edges survive, so nothing
         # reaches a vertex whose only incoming edges carry other labels
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         e, r2 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s2")
-        res = g.sigma_path(r2, e, F(1, 2), lam)
+        res = g.sigma_path(r2, e, F(1, 2))
         assert res.path is None and not res.shortest
 
 
 class TestAllPaths:
     def test_empty_case(self, a2_21):
         g = a2_21.graph
-        paths = g.all_paths_up_to(4, 4, max_len=0)
+        paths = all_paths_up_to(g, 4, 4, max_len=0)
         assert len(paths) == 1 and paths[0].length == 0
 
     def test_contains_short_and_long(self, a2_21):
         g = a2_21.graph
         e, w0 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s1 s2 s1")
-        paths = g.all_paths_up_to(e, w0, max_len=3)
+        paths = all_paths_up_to(g, e, w0, max_len=3)
         lengths = sorted(p.length for p in paths)
         assert lengths[0] == 1 and lengths[-1] == 3
         short = [p for p in paths if p.length == 1]
@@ -293,18 +293,18 @@ class TestAllPaths:
     def test_single_step(self, a2_21):
         g = a2_21.graph
         r2, r2r1 = vertex_by_word(a2_21, "s2"), vertex_by_word(a2_21, "s2 s1")
-        paths = g.all_paths_up_to(r2, r2r1, max_len=1)
+        paths = all_paths_up_to(g, r2, r2r1, max_len=1)
         assert len(paths) == 1
 
     def test_all_found_are_valid(self, a2_21):
         g = a2_21.graph
-        for p in g.all_paths_up_to(0, 5, max_len=4):
+        for p in all_paths_up_to(g, 0, 5, max_len=4):
             validate_path(g, p)
 
     def test_cap_raises(self, a2_21):
         g = a2_21.graph
         with pytest.raises(PathEnumerationCap):
-            g.all_paths_up_to(0, 5, max_len=12, cap=50)
+            all_paths_up_to(g, 0, 5, max_len=12, cap=50)
 
 
 class TestWellDefinedness:
@@ -313,14 +313,13 @@ class TestWellDefinedness:
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
     def test_equal_weights_and_minimality(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        g, shape = ctx.graph, ctx.shape
-        lam = shape.classical
+        g, lam = ctx.graph, ctx.shape.classical
 
         J = sorted(g.J)
-        for sigma in sigma_candidates(shape, g):
+        for sigma in sigma_candidates(g):
             for x in range(g.num_vertices):
                 for y in range(g.num_vertices):
-                    best = g.shortest_sigma_paths(x, y, sigma, lam)
+                    best = shortest_sigma_paths(g, x, y, sigma)
                     if not best or best[0].length != g.directed_distance(x, y):
                         continue
                     values = {pair(lam, g.path_weight(p)) for p in best}
@@ -331,7 +330,7 @@ class TestWellDefinedness:
                         support = {i + 1 for i, c in enumerate(diff) if c}
                         assert support <= set(J)
                     floor = values.pop()
-                    for p in g.all_paths_up_to(x, y, sigma=sigma, lam=lam, max_len=best[0].length + 3):
+                    for p in all_paths_up_to(g, x, y, sigma=sigma, max_len=best[0].length + 3):
                         assert pair(lam, g.path_weight(p)) >= floor
 
 
@@ -341,19 +340,19 @@ class TestShortestSigmaPaths:
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
     def test_agrees_with_exhaustive_enumeration(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        g, lam = ctx.graph, ctx.shape.classical
+        g = ctx.graph
 
-        for sigma in sigma_candidates(ctx.shape, g):
+        for sigma in sigma_candidates(g):
             for x in range(g.num_vertices):
                 for y in range(g.num_vertices):
-                    fast = g.shortest_sigma_paths(x, y, sigma, lam)
-                    sdist = g.sigma_distances_from(y, sigma, lam)[x]
+                    fast = shortest_sigma_paths(g, x, y, sigma)
+                    sdist = g.sigma_distances_from(y, sigma)[x]
                     if sdist < 0:
                         assert fast == []
                         continue
                     brute = [
                         p
-                        for p in g.all_paths_up_to(x, y, max_len=sdist, sigma=sigma, lam=lam)
+                        for p in all_paths_up_to(g, x, y, max_len=sdist, sigma=sigma)
                         if p.length == sdist
                     ]
                     assert sorted(fast, key=lambda p: p.vertices) == sorted(
@@ -363,9 +362,9 @@ class TestShortestSigmaPaths:
 
 class TestDot:
     def test_deterministic_and_styled(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
-        dot = g.to_dot(lam)
-        assert dot == g.to_dot(lam)
+        g = a2_21.graph
+        dot = g.to_dot()
+        assert dot == g.to_dot()
         assert dot.startswith("digraph")
         assert 'style="dashed"' in dot
         assert "[3]" in dot  # the highest-root pairing annotation

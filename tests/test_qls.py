@@ -34,24 +34,24 @@ def example_paths(ctx):
 
 class TestSigmaCandidates:
     def test_regular_shape(self, a2_21):
-        assert sigma_candidates(a2_21.shape, a2_21.graph) == (F(1, 3), F(1, 2), F(2, 3))
+        assert sigma_candidates(a2_21.graph) == (F(1, 3), F(1, 2), F(2, 3))
 
     def test_fundamental_shape(self, a2_10):
-        assert sigma_candidates(a2_10.shape, a2_10.graph) == ()
+        assert sigma_candidates(a2_10.graph) == ()
 
     def test_rectangular_shape(self):
         ctx = cached_context("A2", (3, 0))
-        assert sigma_candidates(ctx.shape, ctx.graph) == (F(1, 3), F(2, 3))
+        assert sigma_candidates(ctx.graph) == (F(1, 3), F(2, 3))
 
 
 class TestEnumerate:
     def test_contains_known_paths(self, a2_21):
-        hat = enumerate_hat(a2_21.shape, a2_21.graph)
+        hat = enumerate_hat(a2_21.graph)
         for eta in example_paths(a2_21):
             assert eta in hat
 
     def test_fundamental_only_straight(self, a2_10):
-        hat = enumerate_hat(a2_10.shape, a2_10.graph)
+        hat = enumerate_hat(a2_10.graph)
         # a tuple in path_sort_key order, so the comparison pins the order too
         assert hat == tuple(
             QLSPath((v,), (F(0), F(1))) for v in range(a2_10.graph.num_vertices)
@@ -60,34 +60,34 @@ class TestEnumerate:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010", "a1_1"])
     def test_straight_paths_present(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        hat = enumerate_hat(ctx.shape, ctx.graph)
+        hat = enumerate_hat(ctx.graph)
         for v in range(ctx.graph.num_vertices):
             assert QLSPath((v,), (F(0), F(1))) in hat
 
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "a2_10", "c2_11", "a3_010"])
     def test_hat_equals_tilde(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        assert enumerate_hat(ctx.shape, ctx.graph) == enumerate_tilde(ctx.shape, ctx.graph)
+        assert enumerate_hat(ctx.graph) == enumerate_tilde(ctx.graph)
 
     def test_cardinality_regression(self, a2_21):
         # pinned after the oracle suites first certified this enumeration
-        assert len(enumerate_hat(a2_21.shape, a2_21.graph)) == 27
+        assert len(enumerate_hat(a2_21.graph)) == 27
 
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
     def test_members_revalidate(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        hat = enumerate_hat(ctx.shape, ctx.graph)
-        tilde = enumerate_tilde(ctx.shape, ctx.graph)
+        hat = enumerate_hat(ctx.graph)
+        tilde = enumerate_tilde(ctx.graph)
         for p in hat:
-            assert is_hat_path(ctx.shape, ctx.graph, p)
+            assert is_hat_path(ctx.graph, p)
         for p in tilde:
-            assert is_tilde_path(ctx.shape, ctx.graph, p)
+            assert is_tilde_path(ctx.graph, p)
 
     def test_conditions_prune(self, a2_21):
         # dropping the sigma conditions but keeping distinct adjacent
         # directions and increasing times strictly enlarges the set
-        shape, g = a2_21.shape, a2_21.graph
-        cands = sigma_candidates(shape, g)
+        g = a2_21.graph
+        cands = sigma_candidates(g)
         m = g.num_vertices
         total = [0]
 
@@ -100,59 +100,59 @@ class TestEnumerate:
 
         for start in range(m):
             extend(start, -1)
-        assert total[0] > len(enumerate_hat(shape, g))
+        assert total[0] > len(enumerate_hat(g))
 
     def test_cap(self, a2_21):
         with pytest.raises(EnumerationCap):
-            enumerate_hat(a2_21.shape, a2_21.graph, cap=5)
+            enumerate_hat(a2_21.graph, cap=5)
 
     def test_validator_rejects_junk(self, a2_21):
-        shape, g = a2_21.shape, a2_21.graph
-        assert not is_hat_path(shape, g, QLSPath((0, 0), (F(0), F(1, 2), F(1))))
-        assert not is_hat_path(shape, g, QLSPath((0, 1), (F(0), F(2, 3), F(1, 2))))
-        assert not is_hat_path(shape, g, QLSPath((0,), (F(0), F(1, 2))))
+        g = a2_21.graph
+        assert not is_hat_path(g, QLSPath((0, 0), (F(0), F(1, 2), F(1))))
+        assert not is_hat_path(g, QLSPath((0, 1), (F(0), F(2, 3), F(1, 2))))
+        assert not is_hat_path(g, QLSPath((0,), (F(0), F(1, 2))))
 
 
 class TestEvaluate:
     def test_straight_line(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         e = vertex_by_word(a2_21, "e")
         path = QLSPath((e,), (F(0), F(1)))
-        assert evaluate(g, path, F(1, 3), lam) == (F(2, 3), F(1, 3))
-        assert evaluate(g, path, F(1), lam) == (F(2), F(1))
+        assert evaluate(g, path, F(1, 3)) == (F(2, 3), F(1, 3))
+        assert evaluate(g, path, F(1)) == (F(2), F(1))
 
     def test_zero_at_zero(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         for eta in example_paths(a2_21):
-            assert evaluate(g, eta, F(0), lam) == (F(0), F(0))
+            assert evaluate(g, eta, F(0)) == (F(0), F(0))
 
     def test_eta3_endpoint(self, a2_21):
         # (1/3) lam + (1/6) w0.lam + (1/2) (s1 s2).lam computed by hand:
         # w0.lam = (-1,-2), (s1 s2).lam = (-3, 2), total (-1, 1)
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         _, _, eta3 = example_paths(a2_21)
-        assert evaluate(g, eta3, F(1), lam) == (F(-1), F(1))
+        assert evaluate(g, eta3, F(1)) == (F(-1), F(1))
 
     def test_out_of_range(self, a2_21):
-        g, lam = a2_21.graph, a2_21.shape.classical
+        g = a2_21.graph
         path = QLSPath((0,), (F(0), F(1)))
         with pytest.raises(ValueError):
-            evaluate(g, path, F(-1, 2), lam)
+            evaluate(g, path, F(-1, 2))
         with pytest.raises(ValueError):
-            evaluate(g, path, F(3, 2), lam)
+            evaluate(g, path, F(3, 2))
 
     @given(data=st.data())
     def test_piecewise_linear(self, data):
         ctx = cached_context("A2", (2, 1))
-        g, lam = ctx.graph, ctx.shape.classical
-        hat = sorted(enumerate_hat(ctx.shape, g), key=lambda p: (len(p.directions), p.directions))
+        g = ctx.graph
+        hat = sorted(enumerate_hat(g), key=lambda p: (len(p.directions), p.directions))
         path = data.draw(st.sampled_from(hat), label="path")
         k = data.draw(st.integers(1, len(path.times) - 1), label="segment")
         lo, hi = path.times[k - 1], path.times[k]
         a = data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=60), label="a")
         b = data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=60), label="b")
         mid = (a + b) / 2
-        va, vb, vm = (evaluate(g, path, t, lam) for t in (a, b, mid))
+        va, vb, vm = (evaluate(g, path, t) for t in (a, b, mid))
         assert tuple((x + y) / 2 for x, y in zip(va, vb)) == vm
 
 
@@ -175,7 +175,7 @@ class TestEndpointCharacter:
         from qbruhat.cartan import Weight
 
         ctx = cached_context(name, mults)
-        g, group, lam = ctx.graph, ctx.group, ctx.shape.classical
+        g, group = ctx.graph, ctx.group
         rank = ctx.rs.rank
 
         def orbit(i: int) -> list[tuple[int, ...]]:
@@ -189,7 +189,7 @@ class TestEndpointCharacter:
             tuple(sum(c) for c in zip(*choice)) for choice in product(*factors)
         )
         got = Counter(
-            tuple(evaluate(g, eta, F(1), lam)) for eta in enumerate_hat(ctx.shape, g)
+            tuple(evaluate(g, eta, F(1))) for eta in enumerate_hat(g)
         )
         assert got == expected
 
@@ -198,7 +198,7 @@ class TestJson:
     def test_roundtrip(self, a2_21, c2_11):
         for ctx in (a2_21, c2_11):
             g = ctx.graph
-            for eta in enumerate_hat(ctx.shape, g):
+            for eta in enumerate_hat(g):
                 assert path_from_json(g, path_to_json(g, eta)) == eta
 
     @pytest.mark.parametrize("word", ["s2", "s1 s2"])

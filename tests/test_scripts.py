@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name: str):
@@ -23,3 +27,16 @@ def test_run_verification_shape(capsys, window, verified):
     assert load("run_verification").run_shape("A2", (2, 1), window) is verified
     line = capsys.readouterr().out
     assert line.startswith("A2 lambda=2,1: ") and line.rstrip().endswith("OK" if verified else "PROBLEM")
+
+
+def test_run_verification_negative_window():
+    # a bad window is refused the way `qbruhat verify` refuses it, before any enumeration
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), "--window", "-1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: window must be non-negative, not -1\n"
+    assert "Traceback" not in proc.stderr
