@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import Context, build_context
 from .affine_oracle import AffineOracle, InconclusiveSearch
-from .degree import InvalidQLSPath, SegmentCache, degree, degree_table, endpoint_delta, lift
+from .degree import InvalidQLSPath, degree, degree_table, endpoint_delta, lift
 from .qls import (
     EnumerationCap,
     QLSPath,
@@ -100,7 +100,7 @@ def cmd_qbg(config: CliConfig) -> int:
                 "pairing": g.pairings[e.label],
                 "kind": e.kind,
             }
-            for e in sorted(g.edges, key=lambda e: (e.source, e.label))
+            for e in g.edges
         ],
     }
     json.dump(doc, sys.stdout, indent=2)
@@ -182,10 +182,10 @@ def _failing_pair(oracle, lifted) -> str:
     return "endpoint mismatch"
 
 
-def _verify_one(oracle, graph, path, cache: SegmentCache) -> dict:
+def _verify_one(oracle, graph, path) -> dict:
     try:
-        lifted = lift(path, graph, cache)
-        deg = degree(path, graph, cache)
+        lifted = lift(path, graph)
+        deg = degree(path, graph)
         certified = oracle.verify_ls_path(lifted)
         agree = endpoint_delta(lifted) == -deg
         status = "pass" if (certified and agree) else "fail"
@@ -229,8 +229,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         }
     )
 
-    cache: SegmentCache = {}
-    path_reports = [_verify_one(oracle, graph, p, cache) for p in hat]
+    path_reports = [_verify_one(oracle, graph, p) for p in hat]
 
     n_fail = sum(1 for r in path_reports if r["status"] == "fail")
     n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")

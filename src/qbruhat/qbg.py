@@ -19,10 +19,15 @@ Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
-Every distance and shortest-path query reads one memoised BFS per (source,
-admissible label set); the unrestricted graph is the set of all labels.  A
-path follows that BFS's first-discovery edges, so ties go to the first edge
-in ``out_edges``.  Strong connectivity is checked when the graph is built.
+Every distance, shortest-path and energy query reads one memoised BFS per
+(source, admissible label set); the unrestricted graph is the set of all
+labels.  A path follows that BFS's first-discovery edges, so ties go to the
+first edge in ``out_edges``.  Along the same tree the BFS sums the pairings
+of the quantum steps: the energy wt_Lambda(y => x) of the paper.  It does
+not depend on the shortest path chosen, since all of them agree modulo
+Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono, arXiv:1211.2042); every
+energy row the program reads re-checks this against the sigma-admissible
+tree.  Strong connectivity is checked when the graph is built.
 """
 
 from __future__ import annotations
@@ -76,7 +81,11 @@ class SigmaPathResult:
 
 
 class PQBG:
-    """The graph of one shape on W^J, J = ``shape.parabolic``; all queries are pure."""
+    """The graph of one shape on W^J, J = ``shape.parabolic``; all queries are pure.
+
+    ``edges`` is in (source, label) order: vertices ascending, and the
+    labels of each vertex ascending.
+    """
 
     def __init__(self, shape: LevelZeroShape, cs: CosetSystem):
         if cs.J != shape.parabolic:  # only there do the vertices stand for the orbit points x Lambda
@@ -94,6 +103,7 @@ class PQBG:
         self._all_labels = frozenset(self.labels)
         self._admissible_cache: dict[int, frozenset[int]] = {}
         self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
+        self._energy_rows: dict[tuple[int, int], tuple[int | None, ...]] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
@@ -118,12 +128,12 @@ class PQBG:
         out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         incoming: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         self._edge_by_source_label: dict[tuple[int, int], QBGEdge] = {}
+        drops = {idx: pair(two_rho_diff, rs.positive_coroots[idx]) for idx in self.labels}
+        if any(d < 2 for d in drops.values()):
+            raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
         for v, rep in enumerate(self.vertices):
             lw = group.length(rep)
-            for idx in self.labels:
-                drop2 = pair(two_rho_diff, rs.positive_coroots[idx])
-                if drop2 < 2:
-                    raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
+            for idx, drop2 in drops.items():
                 t_rep = cs.project(group.mul(rep, group.reflection(idx)))
                 lt = group.length(t_rep)
                 bruhat = lt == lw + 1
@@ -161,8 +171,11 @@ class PQBG:
         return self.cs.rep_position[rep]
 
     def vertex_of_word(self, text: str) -> int:
-        """The vertex a reduced word names; ValueError unless the word is a minimal coset representative."""
-        v = self.cs.rep_position.get(self.group.parse_word(text))
+        """The vertex a word names; ValueError unless the word is reduced and names a minimal coset representative."""
+        elt = self.group.parse_word(text)
+        if sum(tok != "e" for tok in text.split()) != self.group.length(elt):
+            raise ValueError(f"direction {text!r} is not a reduced word")
+        v = self.cs.rep_position.get(elt)
         if v is None:
             raise ValueError(f"direction {text!r} is not a minimal coset representative")
         return v
@@ -187,18 +200,24 @@ class PQBG:
             self._admissible_cache[q] = frozenset(idx for idx in self.labels if self.pairings[idx] % q == 0)
         return self._admissible_cache[q]
 
-    def _search(self, y: int, allowed: frozenset[int]) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...]]:
+    def _search(
+        self, y: int, allowed: frozenset[int]
+    ) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...], tuple[int, ...]]:
         """BFS from y over the edges labelled in ``allowed``, memoised per (y, allowed).
 
-        Returns ``(dist, parent)``: ``dist[x]`` is the length of a shortest
-        such path from y to x (-1 when unreachable) and ``parent[x]`` the edge
-        that first reached x, scanning ``out_edges`` in order.
+        Returns ``(dist, parent, energy)``: ``dist[x]`` is the length of a
+        shortest such path from y to x (-1 when unreachable), ``parent[x]``
+        the edge that first reached x, scanning ``out_edges`` in order, and
+        ``energy[x]`` the sum of the pairings of the quantum steps on the
+        tree path from y to x.
         """
         key = (y, allowed)
         found = self._search_cache.get(key)
         if found is None:
             dist = [-1] * self.num_vertices
             parent: list[QBGEdge | None] = [None] * self.num_vertices
+            energy = [0] * self.num_vertices
+            pairings = self.pairings
             dist[y] = 0
             dq = deque([y])
             while dq:
@@ -207,8 +226,9 @@ class PQBG:
                     if dist[e.target] < 0 and e.label in allowed:
                         dist[e.target] = dist[v] + 1
                         parent[e.target] = e
+                        energy[e.target] = energy[v] + pairings[e.label] if e.quantum else energy[v]
                         dq.append(e.target)
-            found = self._search_cache[key] = (tuple(dist), tuple(parent))
+            found = self._search_cache[key] = (tuple(dist), tuple(parent), tuple(energy))
         return found
 
     def _distances_to(self, x: int, allowed: frozenset[int]) -> list[int]:
@@ -226,7 +246,7 @@ class PQBG:
 
     def _path(self, x: int, y: int, allowed: frozenset[int]) -> DirectedPath | None:
         """The path from y to x along the parent edges of ``_search(y, allowed)``."""
-        dist, parent = self._search(y, allowed)
+        dist, parent, _ = self._search(y, allowed)
         if dist[x] < 0:
             return None
         vertices = [x]
@@ -278,6 +298,29 @@ class PQBG:
             return SigmaPathResult(None, False)
         return SigmaPathResult(path, path.length == self.directed_distance(x, y))
 
+    def segment_energies(self, y: int, sigma: Fraction) -> tuple[int | None, ...]:
+        """wt_Lambda(y => x) for every x; None where no shortest path from y to x is sigma-admissible.
+
+        The energy is read off the unrestricted BFS tree.  Where the
+        sigma-admissible distance equals the unrestricted one, the
+        sigma-admissible tree path is a shortest path too, and its energy
+        must agree: RuntimeError otherwise.  Memoised per (y, denominator
+        of sigma), which alone decides admissibility.
+        """
+        key = (y, sigma.denominator)
+        row = self._energy_rows.get(key)
+        if row is None:
+            if not 0 < sigma < 1:
+                raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
+            dist, _, energy = self._search(y, self._all_labels)
+            sdist, _, senergy = self._search(y, self._admissible_labels(sigma))
+            row = tuple(e if s == d else None for d, e, s in zip(dist, energy, sdist))
+            for x, (s, d, e, se) in enumerate(zip(sdist, dist, energy, senergy)):
+                if s == d and se != e:
+                    raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {se}")
+            self._energy_rows[key] = row
+        return row
+
     # -- weights -----------------------------------------------------------
 
     def path_weight(self, path: DirectedPath) -> Coroot:
@@ -305,7 +348,7 @@ class PQBG:
         lines = ["digraph pqbg {"]
         for v in range(self.num_vertices):
             lines.append(f'  n{v} [label="{self.vertex_name(v)}"];')
-        for e in sorted(self.edges, key=lambda e: (e.source, e.label)):
+        for e in self.edges:
             coords = ",".join(map(str, self.rs.positive_roots[e.label].coords))
             label = f"{self.root_name(e.label)} ({coords}) [{self.pairings[e.label]}]"
             style = ' style="dashed"' if e.quantum else ""

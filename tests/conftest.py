@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers: cached contexts for the shapes exercised across the suite, exhaustive path walks."""
+"""Shared fixtures and helpers: cached contexts for the suite's shapes, exhaustive path walks, lift chains."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from qbruhat import build_context
+from qbruhat.affine_oracle import AffineOrbitElement
+from qbruhat.degree import lift
 from qbruhat.qbg import DirectedPath
 
 
@@ -133,3 +135,28 @@ def validate_path(g, path: DirectedPath) -> None:
         e = g.edge(path.vertices[k + 1], path.labels[k])
         if e is None or e.target != path.vertices[k] or e.quantum != path.quantum[k]:
             raise ValueError(f"step {k} is not an edge of the graph")
+
+
+# -- lift chains: the cover chains between adjacent lifted weights ------------
+
+
+def segment_chains(g, path) -> tuple[tuple[AffineOrbitElement, ...], ...]:
+    """Per segment, the chain its shortest sigma-admissible path induces between adjacent lifted weights.
+
+    The p-th chain starts at the p-th lifted weight and walks the path from
+    x_p back to x_{p+1}; a quantum step adds the pairing of its label to the
+    running delta-coefficient and a Bruhat step leaves it unchanged.
+    """
+    weights = lift(path, g).weights
+    chains = []
+    for p, (x_cur, x_next, sigma) in enumerate(path.turning_points()):
+        d = g.sigma_path(x_cur, x_next, sigma).path
+        delta = weights[p].delta
+        chain = [weights[p]]
+        for k in range(d.length):
+            if d.quantum[k]:
+                delta += g.pairings[d.labels[k]]
+            chain.append(AffineOrbitElement(d.vertices[k + 1], delta))
+        assert chain[-1] == weights[p + 1], "segment chain does not land on the next lifted weight"
+        chains.append(tuple(chain))
+    return tuple(chains)

@@ -97,11 +97,10 @@ def test_criterion_6_oracle_agreement():
         g = ctx.graph
         # window 10 exactly; InconclusiveSearch would fail the criterion
         oracle = AffineOracle(g, window=10)
-        cache = {}
         for eta in enumerate_hat(g):
-            lifted = lift(eta, g, cache=cache)
+            lifted = lift(eta, g)
             assert oracle.verify_ls_path(lifted), (name, mults, eta)
-            assert endpoint_delta(lifted) == -degree(eta, g, cache=cache)
+            assert endpoint_delta(lifted) == -degree(eta, g)
             total += 1
     report(6, f"{total} lifts certified at window 10, zero failures or inconclusives")
 

@@ -7,7 +7,6 @@ import json
 import pytest
 
 import qbruhat.cli as cli
-import qbruhat.degree as degree_mod
 from qbruhat.cli import main
 from qbruhat.qls import enumerate_hat
 from qbruhat.weyl import WeylGroup
@@ -98,6 +97,12 @@ class TestDegree:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("word", ["s1 s1", "s2 s1 s2 s1 s2 s1 s2", "e s1 e s1"])
+    def test_non_reduced_direction(self, capsys, word):
+        # "s1 s1" is the identity, but it is not a reduced word for it
+        code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", f"{word}|0,1")
+        assert code == 2 and out == "" and err == f"error: direction {word!r} is not a reduced word\n"
+
     def test_rejects_unknown_format(self, capsys):
         code, _, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--format", "dot")
         assert code == 2
@@ -142,23 +147,24 @@ class TestVerify:
         assert code == 0 and json.loads(out)["status"] == "pass"
 
     def test_segments_computed_once(self, capsys, monkeypatch, a2_21):
-        # lift and degree share one segment cache across all paths, so each
-        # distinct turning point's segment is computed at most once
-        calls = []
-        real = degree_mod.segment_energy
+        # lift and degree read the energy rows the graph memoises per
+        # (source, denominator of sigma), so each row is computed at most once
+        built = []
+        real = cli.build_context
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(degree_mod, "segment_energy", counting)
+        monkeypatch.setattr(cli, "build_context", recording)
         code, _, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
         distinct = {
-            (x_next, x_cur, sigma)
+            (x_next, sigma.denominator)
             for path in enumerate_hat(a2_21.graph)
-            for x_cur, x_next, sigma in path.turning_points()
+            for _, x_next, sigma in path.turning_points()
         }
-        assert code == 0 and 0 < len(calls) <= len(distinct)
+        (ctx,) = built
+        assert code == 0 and 0 < len(ctx.graph._energy_rows) <= len(distinct)
 
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):

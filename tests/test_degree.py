@@ -6,11 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import cached_context, vertex_by_word
+from conftest import cached_context, segment_chains, vertex_by_word
+from qbruhat import build_context
 from qbruhat.degree import (
     InvalidQLSPath,
     NonIntegralDegree,
-    SegmentData,
     _degree_of,
     degree,
     degree_table,
@@ -18,7 +18,6 @@ from qbruhat.degree import (
     lift,
     segment_energy,
 )
-from qbruhat.qbg import DirectedPath
 from qbruhat.qls import (
     QLSPath,
     _structure_ok,
@@ -48,25 +47,38 @@ class TestSegmentEnergy:
     def test_quantum_segment(self, a2_21):
         g = a2_21.graph
         r2r1, r2 = vertex_by_word(a2_21, "s2 s1"), vertex_by_word(a2_21, "s2")
-        seg = segment_energy(g, r2r1, r2, F(1, 2))
-        assert seg.energy == 2 and seg.path.length == 1 and seg.path.quantum == (True,)
+        path = g.sigma_path(r2, r2r1, F(1, 2)).path
+        assert segment_energy(g, r2r1, r2, F(1, 2)) == 2 and path.length == 1 and path.quantum == (True,)
 
     def test_bruhat_segment(self, a2_21):
         g = a2_21.graph
         r1, r2r1 = vertex_by_word(a2_21, "s1"), vertex_by_word(a2_21, "s2 s1")
-        seg = segment_energy(g, r1, r2r1, F(2, 3))
-        assert seg.energy == 0 and seg.path.quantum == (False,)
+        path = g.sigma_path(r2r1, r1, F(2, 3)).path
+        assert segment_energy(g, r1, r2r1, F(2, 3)) == 0 and path.quantum == (False,)
 
     def test_degenerate_equal_pair(self, a2_21):
         g = a2_21.graph
-        seg = segment_energy(g, 3, 3, F(1, 2))
-        assert seg.energy == 0 and seg.path.length == 0
+        assert segment_energy(g, 3, 3, F(1, 2)) == 0 and g.sigma_path(3, 3, F(1, 2)).path.length == 0
 
     def test_invalid_segment_raises(self, a2_21):
         g = a2_21.graph
         e, r2 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s2")
         with pytest.raises(InvalidQLSPath):
             segment_energy(g, e, r2, F(1, 2))
+
+    def test_perturbed_energy_raises(self):
+        # the energy of the sigma-admissible tree must equal the unrestricted
+        # one wherever both trees reach x by a shortest path; a fresh graph,
+        # so that no row is memoised yet
+        ctx = build_context("A2", (2, 1))
+        g = ctx.graph
+        r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
+        key = (r2r1, g._admissible_labels(F(1, 2)))
+        dist, parent, energy = g._search(*key)
+        assert dist[r2] == g.directed_distance(r2, r2r1) and energy[r2] == 2
+        g._search_cache[key] = (dist, parent, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
+        with pytest.raises(RuntimeError, match="carry energies 2 and 3"):
+            g.segment_energies(r2r1, F(1, 2))
 
 
 class TestLift:
@@ -75,7 +87,7 @@ class TestLift:
         lifted = lift(QLSPath((2,), (F(0), F(1))), g)
         assert len(lifted.weights) == 1
         assert lifted.weights[0].vertex == 2 and lifted.weights[0].delta == 0
-        assert lifted.segment_chains == ()
+        assert segment_chains(g, QLSPath((2,), (F(0), F(1)))) == ()
 
     def test_eta1_deltas(self, a2_21):
         g = a2_21.graph
@@ -90,7 +102,7 @@ class TestLift:
         g = a2_21.graph
         for eta in example_paths(a2_21):
             lifted = lift(eta, g)
-            for p, chain in enumerate(lifted.segment_chains):
+            for p, chain in enumerate(segment_chains(g, eta)):
                 assert chain[0] == lifted.weights[p]
                 assert chain[-1] == lifted.weights[p + 1]
                 for a, b in zip(chain, chain[1:]):
@@ -109,10 +121,9 @@ class TestInvariants:
     def test_degree_is_minus_endpoint(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
         g = ctx.graph
-        cache = {}
         for eta in enumerate_hat(g):
-            d = degree(eta, g, cache=cache)
-            lifted = lift(eta, g, cache=cache)
+            d = degree(eta, g)
+            lifted = lift(eta, g)
             assert d <= 0
             assert endpoint_delta(lifted) == -d
             energies = [
@@ -133,12 +144,13 @@ class TestInvariants:
             assert lifted.times == eta.times
 
     def test_cache_consistency(self, a2_21):
-        g = a2_21.graph
-        cache = {}
+        # degrees computed while a fresh graph fills its energy rows equal
+        # those read back from the rows, and those of the shared graph
+        g = build_context("A2", (2, 1)).graph
         cold = {eta: degree(eta, g) for eta in enumerate_hat(g)}
-        warm = {eta: degree(eta, g, cache=cache) for eta in cold}
-        again = {eta: degree(eta, g, cache=cache) for eta in cold}
-        assert cold == warm == again
+        warm = {eta: degree(eta, g) for eta in cold}
+        shared = {eta: degree(eta, a2_21.graph) for eta in cold}
+        assert cold == warm == shared
 
 
 class TestErrors:
@@ -184,35 +196,29 @@ def _reference_structure_ok(g, path: QLSPath) -> bool:
 
 def _reference_degree_of(segments) -> int:
     total = F(0)
-    for seg in segments:
-        total += (1 - seg.sigma) * seg.energy
+    for sigma, energy in segments:
+        total += (1 - sigma) * energy
     if total.denominator != 1 or total < 0:
         raise NonIntegralDegree(f"degree sum {total} is not a nonpositive integer")
     return -int(total)
 
 
-def _reference_segments(path: QLSPath, g, cache: dict) -> list:
+def _reference_segments(path: QLSPath, g) -> list[tuple[F, int]]:
+    """(sigma, energy) per turning point."""
     if not _reference_structure_ok(g, path):
         raise InvalidQLSPath(f"structurally invalid path {path}")
-    out = []
-    for x_cur, x_next, sigma in path.turning_points():
-        key = (x_next, x_cur, sigma)
-        if key not in cache:
-            cache[key] = segment_energy(g, x_next, x_cur, sigma)
-        out.append(cache[key])
-    return out
+    return [(sigma, segment_energy(g, x_next, x_cur, sigma)) for x_cur, x_next, sigma in path.turning_points()]
 
 
 def _reference_table(g, paths) -> list[dict]:
-    cache: dict = {}
     rows = []
     for path in sorted(paths, key=path_sort_key):
-        segs = _reference_segments(path, g, cache)
+        segs = _reference_segments(path, g)
         rows.append(
             {
                 "dirs": [g.group.word_name(g.rep_id(v)) for v in path.directions],
                 "times": [str(t) for t in path.times],
-                "energies": [seg.energy for seg in segs],
+                "energies": [energy for _, energy in segs],
                 "deg": _reference_degree_of(segs),
             }
         )
@@ -273,18 +279,17 @@ class TestTickEquivalence:
     def test_external_path_errors_match_reference(self, a2_21, words, times):
         shape, g = a2_21.shape, a2_21.graph
         path = QLSPath(tuple(vertex_by_word(a2_21, w) for w in words), times)
-        expected = _raised(lambda: _reference_degree_of(_reference_segments(path, g, {})))
+        expected = _raised(lambda: _reference_degree_of(_reference_segments(path, g)))
         assert expected is not None
         assert _raised(degree, path, g) == expected
-        # after every valid path has filled the segment cache, too
+        # after every valid path has filled the energy rows, too
         assert _raised(degree_table, shape, g, enumerate_hat(g) + (path,)) == expected
 
     @pytest.mark.parametrize("sigma,energy", [(F(1, 2), 1), (F(1, 2), -2), (F(2, 3), 2), (F(1, 3), 3), (F(2, 5), 5)])
     def test_degree_sum_matches_reference(self, sigma, energy):
-        seg = SegmentData(1, 0, sigma, DirectedPath((0,), (), ()), energy)
         path = QLSPath((0, 1), (F(0), sigma, F(1)))
-        expected = _raised(_reference_degree_of, [seg])
-        got = _raised(_degree_of, [seg], *time_ticks(path.times))
+        expected = _raised(_reference_degree_of, [(sigma, energy)])
+        got = _raised(_degree_of, [energy], *time_ticks(path.times))
         assert got == expected
         if expected is None:
-            assert _degree_of([seg], *time_ticks(path.times)) == _reference_degree_of([seg])
+            assert _degree_of([energy], *time_ticks(path.times)) == _reference_degree_of([(sigma, energy)])

@@ -27,12 +27,11 @@ def graded_endpoints(type_name: str, mults: tuple[int, ...]) -> Counter:
     """Multiset of (degree, endpoint coordinates) over all paths of the shape."""
     ctx = cached_context(type_name, mults)
     g = ctx.graph
-    cache: dict = {}
     out: Counter = Counter()
     for eta in enumerate_hat(g):
         end = evaluate(g, eta, F(1))
         assert all(c.denominator == 1 for c in end)
-        out[(degree(eta, g, cache=cache), tuple(int(c) for c in end))] += 1
+        out[(degree(eta, g), tuple(int(c) for c in end))] += 1
     return out
 
 

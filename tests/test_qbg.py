@@ -118,6 +118,8 @@ class TestBuild:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_10", "c2_11", "a3_010", "a1_1"])
     def test_strong_connectivity_and_uniqueness(self, fixture, request):
         g = request.getfixturevalue(fixture).graph
+        # the build emits edges in (source, label) order, which the exports rely on
+        assert list(g.edges) == sorted(g.edges, key=lambda e: (e.source, e.label))
         seen = set()
         for e in g.edges:
             assert (e.source, e.label) not in seen

@@ -212,6 +212,11 @@ class TestJson:
         assert str(from_json.value) == str(from_literal.value)
         assert str(from_json.value) == f"direction {word!r} is not a minimal coset representative"
 
+    @pytest.mark.parametrize("word", ["s1 s1", "s2 s1 s2 s1 s2 s1 s2"])
+    def test_rejects_non_reduced_word(self, a2_21, word):
+        with pytest.raises(ValueError, match="is not a reduced word"):
+            path_from_json(a2_21.graph, {"dirs": [word], "times": ["0", "1"]})
+
     def test_record_shape(self, a2_21):
         g = a2_21.graph
         eta1, _, _ = example_paths(a2_21)
