@@ -32,6 +32,9 @@ SHAPES = [
     ("A3", (0, 1, 0)),
     ("A3", (1, 0, 1)),
     ("B3", (0, 0, 1)),
+    ("D4", (0, 1, 0, 0)),
+    ("F4", (0, 0, 0, 1)),
+    ("G2", (1, 0)),
 ]
 
 

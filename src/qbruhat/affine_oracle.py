@@ -17,6 +17,10 @@ reduce to integer bookkeeping on (vertex, delta):
 * affine delta-gamma, valid when <x Lambda, gamma^vee> > 0: delta grows
   by that pairing.
 
+The target of a step is the vertex of the orbit point r_gamma(x Lambda),
+found by reflecting the weight; the oracle never reads the Weyl group table,
+and it reads a cover's edge label by acting with the vertex words on roots.
+
 Covers never need other reflections, so chain searches over these steps are
 exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
 so every order question depends only on the two vertices and the difference
@@ -83,9 +87,9 @@ class AffineOracle:
         if self.window < 0:
             raise ValueError(f"window must be non-negative, not {self.window}")
         g, rs = self.g, self.g.rs
-        group = g.group
-        # p = <x Lambda, gamma^vee> and the vertex of proj(r_gamma x): a finite
-        # step when p < 0, an affine one gaining p when p > 0
+        # p = <x Lambda, gamma^vee> and the vertex of the orbit point
+        # r_gamma(x Lambda): a finite step when p < 0, an affine one gaining p
+        # when p > 0
         self._steps = []
         for v in range(g.num_vertices):
             w = g.orbit_weight(v)
@@ -93,7 +97,7 @@ class AffineOracle:
             for i, c in enumerate(rs.positive_coroots):
                 p = pair(w, c)
                 if p:
-                    target = g.vertex_of_element(group.mul(group.reflection(i), g.rep_id(v)))
+                    target = g.vertex_at(rs.reflect_weight(w, i))
                     steps.append((i, target, 0, p) if p < 0 else (i, target, p, -p))
             self._steps.append(tuple(steps))
 
@@ -196,11 +200,11 @@ class AffineOracle:
 
     def _edge_root_from_cover(self, step: RaisingStep) -> tuple[int, ...]:
         # beta = w^{-1} gamma (finite) or -w^{-1} gamma (affine), w the smaller
-        # element's representative; returned in simple-root coordinates.
+        # element's representative, whose inverse has the reversed word;
+        # returned in simple-root coordinates.
         g = self.g
-        group = g.group
-        winv = group.inverse(g.rep_id(step.target.vertex))
-        coords = group.apply_root_coords(winv, g.rs.positive_roots[step.root].coords)
+        winv = g.words[step.target.vertex][::-1]
+        coords = g.rs.apply_root_coords(winv, g.rs.positive_roots[step.root].coords)
         if step.kind == "affine":
             coords = tuple(-c for c in coords)
         return coords
@@ -240,7 +244,7 @@ class AffineOracle:
                     )
 
         for e in g.edges:
-            wmoved = g.group.apply_root_coords(g.rep_id(e.source), g.rs.positive_roots[e.label].coords)
+            wmoved = g.rs.apply_root_coords(g.words[e.source], g.rs.positive_roots[e.label].coords)
             positive = all(c >= 0 for c in wmoved)
             if positive == e.quantum:
                 mismatches.append(

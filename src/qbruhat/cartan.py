@@ -20,6 +20,7 @@ happen silently.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 _RANK_RANGE = {
@@ -141,10 +142,6 @@ class Root:
 
     coords: tuple[int, ...]
 
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coords) and any(c > 0 for c in self.coords)
 
@@ -249,10 +246,6 @@ class RootSystem:
 
     # -- lookups ---------------------------------------------------------
 
-    def simple_root(self, i: int) -> Root:
-        """alpha_i for a 1-based label i."""
-        return self.positive_roots[i - 1]
-
     def simple_coroot(self, i: int) -> Coroot:
         return self.positive_coroots[i - 1]
 
@@ -278,6 +271,25 @@ class RootSystem:
         k = pair(w, self.positive_coroots[index])
         beta_w = self.root_weight_coords[index]
         return Weight(tuple(a - k * b for a, b in zip(w.coords, beta_w)))
+
+    def apply_weight(self, word: Sequence[int], w: Weight) -> Weight:
+        """w moved by the element a word names: its simple reflections (1-based labels) applied right to left."""
+        # r_j(v) = v - v_j alpha_j, alpha_j being row j-1 of the Cartan matrix
+        C = self.cartan
+        v = w.coords
+        for j in reversed(word):
+            vj = v[j - 1]
+            v = tuple(x - vj * c for x, c in zip(v, C[j - 1]))
+        return Weight(v)
+
+    def apply_root_coords(self, word: Sequence[int], coords: tuple[int, ...]) -> tuple[int, ...]:
+        """Like ``apply_weight``, on simple-root coordinates."""
+        # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j
+        C = self.cartan
+        out = list(coords)
+        for j in reversed(word):
+            out[j - 1] -= sum(c * row[j - 1] for c, row in zip(out, C))
+        return tuple(out)
 
 
 def build_root_system(ftype: FiniteType) -> RootSystem:

@@ -64,6 +64,13 @@ def _context(config: CliConfig) -> Context:
         raise CliError(str(exc)) from exc
 
 
+def _write_doc(config: CliConfig, command: str, **fields) -> None:
+    """Write one JSON document: the schema, type and lambda header, then ``fields`` in order."""
+    doc = {"schema": f"{SCHEMA_PREFIX}/{command}/1", "type": config.type, "lambda": list(config.multiplicities)}
+    json.dump(doc | fields, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     """Parse 'word;word;word|t,t,t,t' with reduced words and exact fractions."""
     if "|" not in literal:
@@ -83,16 +90,14 @@ def cmd_qbg(config: CliConfig) -> int:
     if config.fmt == "dot":
         sys.stdout.write(g.to_dot())
         return 0
-    doc = {
-        "schema": f"{SCHEMA_PREFIX}/qbg/1",
-        "type": config.type,
-        "lambda": list(config.multiplicities),
-        "parabolic": sorted(g.J),
-        "vertices": [
-            {"index": v, "word": g.vertex_name(v), "length": g.group.length(g.rep_id(v))}
-            for v in range(g.num_vertices)
+    _write_doc(
+        config,
+        "qbg",
+        parabolic=sorted(g.J),
+        vertices=[
+            {"index": v, "word": g.vertex_name(v), "length": len(g.words[v])} for v in range(g.num_vertices)
         ],
-        "edges": [
+        edges=[
             {
                 "source": g.vertex_name(e.source),
                 "target": g.vertex_name(e.target),
@@ -102,9 +107,7 @@ def cmd_qbg(config: CliConfig) -> int:
             }
             for e in g.edges
         ],
-    }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    )
     return 0
 
 
@@ -118,16 +121,7 @@ def cmd_qls(config: CliConfig, variant: str, cap: int) -> int:
             rec = path_to_json(ctx.graph, p)
             sys.stdout.write(";".join(rec["dirs"]) + "," + ";".join(rec["times"]) + "\n")
         return 0
-    doc = {
-        "schema": f"{SCHEMA_PREFIX}/qls/1",
-        "type": config.type,
-        "lambda": list(config.multiplicities),
-        "variant": variant,
-        "count": len(paths),
-        "paths": [path_to_json(ctx.graph, p) for p in paths],
-    }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_doc(config, "qls", variant=variant, count=len(paths), paths=[path_to_json(ctx.graph, p) for p in paths])
     return 0
 
 
@@ -147,14 +141,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
     else:
         rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.graph, cap=cap))
     if config.fmt == "json":
-        doc = {
-            "schema": f"{SCHEMA_PREFIX}/degree/1",
-            "type": config.type,
-            "lambda": list(config.multiplicities),
-            "rows": rows,
-        }
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_doc(config, "degree", rows=rows)
         return 0
     sys.stdout.write("dirs,times,energies,deg\n")
     for row in rows:
@@ -251,17 +238,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 
 def cmd_verify(config: CliConfig, window: int, cap: int) -> int:
     overall, checks, failing = verify_shape(_context(config), window, cap)
-    doc = {
-        "schema": f"{SCHEMA_PREFIX}/verify/1",
-        "type": config.type,
-        "lambda": list(config.multiplicities),
-        "window": window,
-        "status": overall,
-        "checks": checks,
-        "paths": failing,
-    }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_doc(config, "verify", window=window, status=overall, checks=checks, paths=failing)
     return 0 if overall == "pass" else 1
 
 

@@ -5,9 +5,11 @@ where Lambda vanishes.  It carries the pairings <Lambda, beta^vee>, which
 decide sigma-admissibility, and the orbit x -> x Lambda.
 
 Vertices are the minimal coset representatives, stored under dense indices
-0..m-1 (ascending element id).  For a vertex w and a positive root beta
-outside the parabolic subsystem there is an edge w -> proj(w r_beta) when
-one of the two length conditions holds:
+0..m-1 (ascending element id).  A vertex x is its reduced word
+(``words[x]``) and its orbit point x Lambda; the graph build is the one
+place that reads the Weyl group table and the coset projection.  For a
+vertex w and a positive root beta outside the parabolic subsystem there is
+an edge w -> proj(w r_beta) when one of the two length conditions holds:
 
 * Bruhat:   len(target) = len(w) + 1
 * quantum:  len(target) = len(w) - 2 <rho - rho_J, beta^vee> + 1
@@ -80,11 +82,15 @@ class SigmaPathResult:
     shortest: bool  # True when path exists with length == directed distance
 
 
+def word_name(word: tuple[int, ...]) -> str:
+    return "e" if not word else " ".join(f"s{j}" for j in word)
+
+
 class PQBG:
     """The graph of one shape on W^J, J = ``shape.parabolic``; all queries are pure.
 
-    ``edges`` is in (source, label) order: vertices ascending, and the
-    labels of each vertex ascending.
+    ``words[v]`` is the reduced word of vertex v.  ``edges`` is in (source,
+    label) order: vertices ascending, and the labels of each vertex ascending.
     """
 
     def __init__(self, shape: LevelZeroShape, cs: CosetSystem):
@@ -92,13 +98,10 @@ class PQBG:
             raise ValueError(f"the graph of a shape lives on J = {sorted(shape.parabolic)}, not {sorted(cs.J)}")
         self.shape = shape
         self.rs = shape.rs
-        self.cs = cs
-        self.group = cs.group
         self.J = cs.J
-        self.vertices = cs.reps
         self.num_vertices = len(cs.reps)
-        self._build()
-        self._names = tuple(self.group.word_name(rep) for rep in self.vertices)
+        self._build(cs)
+        self._names = tuple(map(word_name, self.words))
         self.pairings = tuple(pair(shape.classical, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
         self._all_labels = frozenset(self.labels)
         self._admissible_cache: dict[int, frozenset[int]] = {}
@@ -106,8 +109,9 @@ class PQBG:
         self._energy_rows: dict[tuple[int, int], tuple[int | None, ...]] = {}
         self._check_strongly_connected()
 
-    def _build(self) -> None:
-        rs, group, cs = self.rs, self.group, self.cs
+    def _build(self, cs: CosetSystem) -> None:
+        rs, group = self.rs, cs.group
+        self.words = tuple(group.elements[rep].word for rep in cs.reps)
         in_J = [False] * rs.num_positive
         for idx, beta in enumerate(rs.positive_roots):
             support = {i + 1 for i, c in enumerate(beta.coords) if c}
@@ -131,10 +135,10 @@ class PQBG:
         drops = {idx: pair(two_rho_diff, rs.positive_coroots[idx]) for idx in self.labels}
         if any(d < 2 for d in drops.values()):
             raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
-        for v, rep in enumerate(self.vertices):
+        for v, rep in enumerate(cs.reps):
             lw = group.length(rep)
             for idx, drop2 in drops.items():
-                t_rep = cs.project(group.mul(rep, group.reflection(idx)))
+                t_rep = cs.projection[group.mul(rep, group.reflection(idx))]
                 lt = group.length(t_rep)
                 bruhat = lt == lw + 1
                 quantum = lt == lw - drop2 + 1
@@ -149,7 +153,7 @@ class PQBG:
         key = lambda e: (e.target, e.label)
         self.edges = tuple(edges)
         self.out_edges = tuple(tuple(sorted(es, key=key)) for es in out)
-        self.in_edges = tuple(tuple(sorted(es, key=lambda e: (e.source, e.label))) for es in incoming)
+        self.in_edges = tuple(map(tuple, incoming))  # appended in (source, label) order
 
     def _check_strongly_connected(self) -> None:
         # every vertex is reached from vertex 0 and reaches it: two traversals
@@ -159,35 +163,53 @@ class PQBG:
 
     # -- vertex helpers ----------------------------------------------------
 
-    def rep_id(self, v: int) -> int:
-        """Group element id of vertex v."""
-        return self.vertices[v]
-
     def vertex_name(self, v: int) -> str:
         return self._names[v]
 
-    def vertex_of_element(self, elt_id: int) -> int:
-        rep = self.cs.project(elt_id)
-        return self.cs.rep_position[rep]
-
     def vertex_of_word(self, text: str) -> int:
-        """The vertex a word names; ValueError unless the word is reduced and names a minimal coset representative."""
-        elt = self.group.parse_word(text)
-        if sum(tok != "e" for tok in text.split()) != self.group.length(elt):
+        """The vertex a word names; ValueError unless the word is reduced and names a minimal coset representative.
+
+        Accepts 's1', 'r1' or bare '1' tokens, and 'e' for the identity.
+        The word's element u = v z, with v the vertex of its orbit point and
+        z in W_J, has length len(v) + len(z) <= the token count k; so the
+        word names v exactly when k = len(v).
+        """
+        word = []
+        for tok in text.split():
+            if tok == "e":
+                continue
+            body = tok[1:] if tok[0] in ("s", "r") else tok
+            if not body.isdigit():
+                raise ValueError(f"bad generator token {tok!r}")
+            j = int(body)
+            if not 1 <= j <= self.rs.rank:
+                raise ValueError(f"generator index {j} out of range 1..{self.rs.rank}")
+            word.append(j)
+        v = self.vertex_at(self.rs.apply_weight(word, self.shape.classical))
+        if len(word) == len(self.words[v]):
+            return v
+        # len(u) counted as #{gamma > 0 : <u rho, gamma^vee> < 0}
+        u_rho = self.rs.apply_weight(word, self.rs.rho)
+        if sum(pair(u_rho, c) < 0 for c in self.rs.positive_coroots) != len(word):
             raise ValueError(f"direction {text!r} is not a reduced word")
-        v = self.cs.rep_position.get(elt)
-        if v is None:
-            raise ValueError(f"direction {text!r} is not a minimal coset representative")
-        return v
+        raise ValueError(f"direction {text!r} is not a minimal coset representative")
 
     @cached_property
     def _orbit(self) -> tuple[Weight, ...]:
-        # built on first use: only the path evaluation and the oracle read it
-        return tuple(self.group.apply_weight(r, self.shape.classical) for r in self.vertices)
+        # built on first use: only path evaluation, word decoding and the oracle read it
+        return tuple(self.rs.apply_weight(word, self.shape.classical) for word in self.words)
+
+    @cached_property
+    def _vertex_by_weight(self) -> dict[Weight, int]:
+        return {w: v for v, w in enumerate(self._orbit)}
 
     def orbit_weight(self, v: int) -> Weight:
         """x Lambda for the representative x at vertex v."""
         return self._orbit[v]
+
+    def vertex_at(self, weight: Weight) -> int:
+        """The vertex x with x Lambda = weight; KeyError off the orbit."""
+        return self._vertex_by_weight[weight]
 
     def edge(self, source: int, label: int) -> QBGEdge | None:
         return self._edge_by_source_label.get((source, label))

@@ -20,8 +20,6 @@ from math import lcm
 
 from .qbg import PQBG
 
-RationalVector = tuple[Fraction, ...]
-
 
 class EnumerationCap(RuntimeError):
     """Path enumeration exceeded its configured budget."""
@@ -150,7 +148,7 @@ def enumerate_tilde(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
     return _enumerate(g, False, cap)
 
 
-def evaluate(g: PQBG, path: QLSPath, t: Fraction) -> RationalVector:
+def evaluate(g: PQBG, path: QLSPath, t: Fraction) -> tuple[Fraction, ...]:
     """The piecewise-linear map at time t, exactly.
 
     On the segment t in [t_{k-1}, t_k] the value is

@@ -5,16 +5,19 @@ length first).  An element ``w`` is keyed on the weight ``w^-1 rho`` in
 fundamental-weight coordinates; the key is faithful because rho is regular.
 The key of ``w r_j`` is ``mu - mu_j alpha_j`` with ``mu = w^-1 rho``, so each
 edge of the enumeration costs O(rank).  Elements store only their reduced
-word, and the action on weights and on simple-root coordinates applies the
-word's simple reflections right to left.  Reduced words follow the BFS
-discovery order; they are reduced but not guaranteed ShortLex.
+word; reduced words follow the BFS discovery order and are reduced but not
+guaranteed ShortLex.
+
+Only the graph build (``PQBG._build``) and the tests read the group table
+and the coset projection.  Everything downstream works on the graph's
+vertex words and orbit points, and acts by words through ``RootSystem``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootSystem, Weight, weyl_order
+from .cartan import RootSystem, weyl_order
 
 DEFAULT_GROUP_CAP = 40320
 
@@ -84,10 +87,6 @@ class WeylGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
     def length(self, a: int) -> int:
         return len(self.elements[a].word)
 
@@ -101,29 +100,6 @@ class WeylGroup:
             out = self._right[out][j - 1]
         return out
 
-    def inverse(self, a: int) -> int:
-        out = 0
-        for j in reversed(self.elements[a].word):
-            out = self._right[out][j - 1]
-        return out
-
-    def apply_weight(self, a: int, w: Weight) -> Weight:
-        # r_j(v) = v - v_j alpha_j, alpha_j being row j-1 of the Cartan matrix
-        C = self.rs.cartan
-        v = w.coords
-        for j in reversed(self.elements[a].word):
-            vj = v[j - 1]
-            v = tuple(x - vj * c for x, c in zip(v, C[j - 1]))
-        return Weight(v)
-
-    def apply_root_coords(self, a: int, coords: tuple[int, ...]) -> tuple[int, ...]:
-        # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j in simple-root coordinates
-        C = self.rs.cartan
-        out = list(coords)
-        for j in reversed(self.elements[a].word):
-            out[j - 1] -= sum(c * row[j - 1] for c, row in zip(out, C))
-        return tuple(out)
-
     def reflection(self, root_index: int) -> int:
         """Group element id of the reflection in the positive root at ``root_index``."""
         cached = self._reflection_cache.get(root_index)
@@ -135,30 +111,6 @@ class WeylGroup:
             raise RuntimeError("reflection not found in group table")
         self._reflection_cache[root_index] = rid
         return rid
-
-    # -- serialization ---------------------------------------------------
-
-    def word_name(self, a: int) -> str:
-        word = self.elements[a].word
-        return "e" if not word else " ".join(f"s{j}" for j in word)
-
-    def parse_word(self, text: str) -> int:
-        """Parse a reduced-word string; accepts 's1', 'r1' or bare '1' tokens."""
-        text = text.strip()
-        if text == "e" or not text:
-            return 0
-        out = 0
-        for tok in text.split():
-            if tok == "e":
-                continue
-            body = tok[1:] if tok[0] in ("s", "r") else tok
-            if not body.isdigit():
-                raise ValueError(f"bad generator token {tok!r}")
-            j = int(body)
-            if not 1 <= j <= self.rs.rank:
-                raise ValueError(f"generator index {j} out of range 1..{self.rs.rank}")
-            out = self._right[out][j - 1]
-        return out
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> WeylGroup:
@@ -174,13 +126,6 @@ class CosetSystem:
     reps: tuple[int, ...]  # element ids, ascending (BFS order = by length first)
     projection: tuple[int, ...]  # element id -> rep id
     rep_position: dict[int, int]  # rep id -> dense vertex index
-
-    def project(self, a: int) -> int:
-        return self.projection[a]
-
-    @property
-    def subgroup_order(self) -> int:
-        return len(self.group) // len(self.reps)
 
 
 def coset_system(group: WeylGroup, J: frozenset[int] | set[int]) -> CosetSystem:
@@ -208,6 +153,3 @@ def coset_system(group: WeylGroup, J: frozenset[int] | set[int]) -> CosetSystem:
         raise RuntimeError("coset count does not divide the group order")
     return CosetSystem(group, J, reps, tuple(proj), {r: i for i, r in enumerate(reps)})
 
-
-def project(w: int, cs: CosetSystem) -> int:
-    return cs.projection[w]

@@ -48,9 +48,44 @@ def a3_010():
     return cached_context("A3", (0, 1, 0))
 
 
+def element_of_word(group, word: str) -> int:
+    """Group element id of a word of 's1', 'r1' or bare '1' tokens ('e' is the identity), by the right multiplication table."""
+    a = 0
+    for tok in word.split():
+        if tok != "e":
+            a = group.right_gen(a, int(tok.lstrip("sr")))
+    return a
+
+
 def vertex_by_word(ctx, word: str) -> int:
-    g = ctx.graph
-    return g.vertex_of_element(g.group.parse_word(word))
+    """The vertex of the coset of any word, through the group table and the coset projection."""
+    return ctx.cs.rep_position[ctx.cs.projection[element_of_word(ctx.group, word)]]
+
+
+# Shapes of A1-A5, B2-B4, C2-C4, D4-D5, F4 and G2 on which the graph and the
+# oracle are compared with group-built references: per type a regular shape
+# (J empty), one with a minuscule J (a fundamental weight for F4 and G2, which
+# have no minuscule weight) and, from rank 2 on, one with a mixed J.
+_REFERENCE_SHAPES = [
+    ("A1", (1,)),
+    ("A2", (1, 1)), ("A2", (1, 0)),
+    ("A3", (1, 1, 1)), ("A3", (0, 1, 0)), ("A3", (1, 0, 1)),
+    ("A4", (1, 1, 1, 1)), ("A4", (0, 1, 0, 0)), ("A4", (1, 0, 0, 1)),
+    ("A5", (1, 1, 1, 1, 1)), ("A5", (0, 0, 1, 0, 0)), ("A5", (1, 0, 1, 0, 0)),
+    ("B2", (1, 1)), ("B2", (0, 1)), ("B2", (2, 0)),
+    ("B3", (1, 1, 1)), ("B3", (0, 0, 1)), ("B3", (1, 1, 0)),
+    ("B4", (1, 1, 1, 1)), ("B4", (0, 0, 0, 1)), ("B4", (0, 1, 0, 1)),
+    ("C2", (1, 1)), ("C2", (1, 0)), ("C2", (0, 2)),
+    ("C3", (1, 1, 1)), ("C3", (1, 0, 0)), ("C3", (1, 0, 2)),
+    ("C4", (1, 1, 1, 1)), ("C4", (1, 0, 0, 0)), ("C4", (0, 1, 1, 0)),
+    ("D4", (1, 1, 1, 1)), ("D4", (0, 0, 0, 1)), ("D4", (1, 0, 1, 0)),
+    ("D5", (1, 1, 1, 1, 1)), ("D5", (0, 0, 0, 0, 1)), ("D5", (1, 0, 0, 1, 0)),
+    ("F4", (1, 1, 1, 1)), ("F4", (0, 0, 0, 1)), ("F4", (1, 0, 1, 0)),
+    ("G2", (1, 1)), ("G2", (1, 0)), ("G2", (0, 2)),
+]
+REFERENCE_SHAPES = pytest.mark.parametrize(
+    "name,mults", _REFERENCE_SHAPES, ids=[f"{n}-{','.join(map(str, m))}" for n, m in _REFERENCE_SHAPES]
+)
 
 
 # -- exhaustive path walks: reference checks for the graph's BFS queries ------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import segment_chains, vertex_by_word
+from conftest import REFERENCE_SHAPES, cached_context, segment_chains, vertex_by_word
 from qbruhat.affine_oracle import (
     AffineOracle,
     AffineOrbitElement,
@@ -102,6 +102,28 @@ class TestRaisingSteps:
                 assert [(s.kind, s.root, s.pairing, s.target.vertex, s.target.delta) for s in shifted] == [
                     (s.kind, s.root, s.pairing, s.target.vertex, s.target.delta + n) for s in base
                 ]
+
+
+def reference_steps(ctx) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """The oracle's step table built from the group: the target of r_gamma at x is the vertex of proj(r_gamma x)."""
+    group, cs, rs = ctx.group, ctx.cs, ctx.rs
+    table = []
+    for rep in cs.reps:
+        w = rs.apply_weight(group.elements[rep].word, ctx.shape.classical)
+        steps = []
+        for i, c in enumerate(rs.positive_coroots):
+            p = pair(w, c)
+            if p:
+                target = cs.rep_position[cs.projection[group.mul(group.reflection(i), rep)]]
+                steps.append((i, target, 0, p) if p < 0 else (i, target, p, -p))
+        table.append(tuple(steps))
+    return table
+
+
+@REFERENCE_SHAPES
+def test_steps_match_group_reference(name, mults):
+    ctx = cached_context(name, mults)
+    assert AffineOracle(ctx.graph)._steps == reference_steps(ctx)
 
 
 class TestDist:

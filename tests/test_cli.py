@@ -7,9 +7,9 @@ import json
 import pytest
 
 import qbruhat.cli as cli
+import qbruhat.qbg as qbg
 from qbruhat.cli import main
 from qbruhat.qls import enumerate_hat
-from qbruhat.weyl import WeylGroup
 
 
 def run(capsys, *argv):
@@ -198,13 +198,13 @@ class TestFormats:
     def test_vertex_names_built_once(self, capsys, monkeypatch, a2_21):
         # the graph names each vertex once; the table's rows only look names up
         calls = []
-        real = WeylGroup.word_name
+        real = qbg.word_name
 
-        def counting(self, a):
-            calls.append(a)
-            return real(self, a)
+        def counting(word):
+            calls.append(word)
+            return real(word)
 
-        monkeypatch.setattr(WeylGroup, "word_name", counting)
+        monkeypatch.setattr(qbg, "word_name", counting)
         code, out, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--format", "csv")
         assert code == 0 and out.count("\n") == 28 and 0 < len(calls) <= a2_21.graph.num_vertices
 

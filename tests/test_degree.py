@@ -216,7 +216,7 @@ def _reference_table(g, paths) -> list[dict]:
         segs = _reference_segments(path, g)
         rows.append(
             {
-                "dirs": [g.group.word_name(g.rep_id(v)) for v in path.directions],
+                "dirs": [" ".join(f"s{j}" for j in g.words[v]) or "e" for v in path.directions],
                 "times": [str(t) for t in path.times],
                 "energies": [energy for _, energy in segs],
                 "deg": _reference_degree_of(segs),

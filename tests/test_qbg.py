@@ -7,9 +7,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import PathEnumerationCap, all_paths_up_to, shortest_sigma_paths, validate_path, vertex_by_word
+from itertools import product
+
+from conftest import (
+    REFERENCE_SHAPES,
+    PathEnumerationCap,
+    all_paths_up_to,
+    cached_context,
+    shortest_sigma_paths,
+    validate_path,
+    vertex_by_word,
+)
 from qbruhat.cartan import pair
-from qbruhat.qbg import PQBG, DirectedPath
+from qbruhat.qbg import PQBG, DirectedPath, word_name
 from qbruhat.qls import sigma_candidates
 
 # the full A2 edge list, read off the rank-2 hexagon figure:
@@ -91,7 +101,8 @@ class TestBuild:
         labels = {g.rs.positive_roots[i].coords for i in g.labels}
         assert labels == {(1, 0), (1, 1)}
         # independent recomputation of the edge conditions over all candidate pairs
-        group, cs, rs = g.group, g.cs, g.rs
+        group, cs, rs = a2_10.group, a2_10.cs, g.rs
+        name = lambda a: word_name(group.elements[a].word)
         two_rho_diff = [0] * rs.rank
         for i in g.labels:
             for k, v in enumerate(rs.root_weight_coords[i]):
@@ -99,12 +110,12 @@ class TestBuild:
         expected = set()
         for rep in cs.reps:
             for i in g.labels:
-                t = cs.project(group.mul(rep, group.reflection(i)))
+                t = cs.projection[group.mul(rep, group.reflection(i))]
                 drop = sum(a * b for a, b in zip(two_rho_diff, rs.positive_coroots[i].coords))
                 if group.length(t) == group.length(rep) + 1:
-                    expected.add((group.word_name(rep), group.word_name(t), rs.positive_roots[i].coords, "bruhat"))
+                    expected.add((name(rep), name(t), rs.positive_roots[i].coords, "bruhat"))
                 elif group.length(t) == group.length(rep) - drop + 1:
-                    expected.add((group.word_name(rep), group.word_name(t), rs.positive_roots[i].coords, "quantum"))
+                    expected.add((name(rep), name(t), rs.positive_roots[i].coords, "quantum"))
         assert edge_set(g) == expected
         assert len(g.edges) == 3
 
@@ -137,8 +148,8 @@ class TestBuild:
         real_build = PQBG._build
         v = 0 if cut == "first" else a2_21.graph.num_vertices - 1
 
-        def build(g):
-            real_build(g)
+        def build(g, cs):
+            real_build(g, cs)
             keep = lambda e: getattr(e, side) != v
             g.edges = tuple(filter(keep, g.edges))
             g.out_edges = tuple(tuple(filter(keep, es)) for es in g.out_edges)
@@ -147,6 +158,45 @@ class TestBuild:
         monkeypatch.setattr(PQBG, "_build", build)
         with pytest.raises(RuntimeError, match="not strongly connected"):
             PQBG(a2_21.shape, a2_21.cs)
+
+
+def reference_vertex_of_word(ctx, word: tuple[int, ...]) -> int | str:
+    """The vertex a word names, or the error text: through the group table and the coset projection."""
+    group, cs = ctx.group, ctx.cs
+    a = 0
+    for j in word:
+        a = group.right_gen(a, j)
+    if group.length(a) != len(word):
+        return "is not a reduced word"
+    if cs.projection[a] != a:
+        return "is not a minimal coset representative"
+    return cs.rep_position[a]
+
+
+@REFERENCE_SHAPES
+class TestVertexWords:
+    def test_words_are_the_group_words(self, name, mults):
+        ctx = cached_context(name, mults)
+        g = ctx.graph
+        assert len(g.words) == g.num_vertices
+        for v in range(g.num_vertices):
+            assert g.words[v] == ctx.group.elements[ctx.cs.reps[v]].word
+            assert g.vertex_at(g.orbit_weight(v)) == v
+
+    def test_vertex_of_word_matches_group_reference(self, name, mults):
+        # every word of length <= 4: the same vertex, or the same error
+        ctx = cached_context(name, mults)
+        g = ctx.graph
+        for k in range(5):
+            for word in product(range(1, g.rs.rank + 1), repeat=k):
+                text = word_name(word)
+                expected = reference_vertex_of_word(ctx, word)
+                if isinstance(expected, int):
+                    assert g.vertex_of_word(text) == expected, text
+                else:
+                    with pytest.raises(ValueError) as err:
+                        g.vertex_of_word(text)
+                    assert str(err.value) == f"direction {text!r} {expected}"
 
 
 class TestDistances:

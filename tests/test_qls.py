@@ -180,7 +180,7 @@ class TestEndpointCharacter:
 
         def orbit(i: int) -> list[tuple[int, ...]]:
             w = Weight(tuple(1 if k == i - 1 else 0 for k in range(rank)))
-            return sorted({group.apply_weight(a, w).coords for a in range(len(group))})
+            return sorted({ctx.rs.apply_weight(e.word, w).coords for e in group.elements})
 
         factors = []
         for i, m in enumerate(mults, start=1):

@@ -10,20 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cached_context, element_of_word
 from qbruhat import build_context
 from qbruhat.cartan import FiniteType, Weight, build_root_system, weyl_order
-from qbruhat.weyl import GroupCapExceeded, WeylGroup, coset_system, enumerate_group, project
+from qbruhat.qbg import word_name
+from qbruhat.weyl import GroupCapExceeded, WeylGroup, coset_system, enumerate_group
 
 
 def group_of(name: str) -> WeylGroup:
     return enumerate_group(build_root_system(FiniteType.parse(name)))
 
 
+def inverse(group: WeylGroup, a: int) -> int:
+    """The inverse of a, whose reduced word is a's reversed."""
+    out = 0
+    for j in reversed(group.elements[a].word):
+        out = group.right_gen(out, j)
+    return out
+
+
 def inversion_count(group: WeylGroup, a: int) -> int:
     rs = group.rs
     neg = 0
     for r in rs.positive_roots:
-        image = group.apply_root_coords(a, r.coords)
+        image = rs.apply_root_coords(group.elements[a].word, r.coords)
         if all(c <= 0 for c in image):
             neg += 1
     return neg
@@ -64,7 +74,7 @@ class TestEnumerate:
 
     def test_identity_first(self):
         g = group_of("A2")
-        assert g.identity.id == 0 and g.identity.length == 0
+        assert g.elements[0].id == 0 and g.elements[0].length == 0
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(WeylGroup, "_enumerate", never_enumerate)
@@ -88,10 +98,10 @@ class TestProducts:
     @given(st.integers(0, 23), st.integers(0, 23))
     def test_inverse_and_mul(self, a, b):
         g = group_of("A3")
-        assert g.mul(a, g.inverse(a)) == 0
-        assert g.inverse(g.inverse(a)) == a
+        assert g.mul(a, inverse(g, a)) == 0
+        assert inverse(g, inverse(g, a)) == a
         ab = g.mul(a, b)
-        assert g.mul(ab, g.inverse(b)) == a
+        assert g.mul(ab, inverse(g, b)) == a
 
     @settings(max_examples=30)
     @given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
@@ -100,10 +110,14 @@ class TestProducts:
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
 
     def test_word_roundtrip(self):
-        g = group_of("C2")
-        for e in g.elements:
-            assert g.parse_word(g.word_name(e.id)) == e.id
-        assert g.parse_word("r1 r2") == g.parse_word("s1 s2") == g.parse_word("1 2")
+        # on J empty every element is a vertex, named by its reduced word
+        for name, mults in [("C2", (1, 1)), ("A3", (1, 1, 1)), ("G2", (1, 1))]:
+            g = cached_context(name, mults).graph
+            assert g.num_vertices == weyl_order(g.rs.type)
+            for v in range(g.num_vertices):
+                assert g.vertex_of_word(g.vertex_name(v)) == v
+        g = cached_context("C2", (1, 1)).graph
+        assert g.vertex_of_word("r1 r2") == g.vertex_of_word("s1 s2") == g.vertex_of_word("1 2")
 
 
 class TestCosets:
@@ -111,12 +125,12 @@ class TestCosets:
         g = group_of("A2")
         cs = coset_system(g, frozenset())
         assert len(cs.reps) == 6
-        assert all(cs.project(a) == a for a in range(6))
+        assert all(cs.projection[a] == a for a in range(6))
 
     def test_a2_j2(self):
         g = group_of("A2")
         cs = coset_system(g, {2})
-        assert sorted(g.word_name(r) for r in cs.reps) == ["e", "s1", "s2 s1"]
+        assert sorted(word_name(g.elements[r].word) for r in cs.reps) == ["e", "s1", "s2 s1"]
 
     def test_a2_full(self):
         g = group_of("A2")
@@ -126,13 +140,13 @@ class TestCosets:
     def test_projection_examples(self):
         g = group_of("A2")
         cs = coset_system(g, {2})
-        r2 = g.parse_word("s2")
-        assert project(r2, cs) == 0
-        r1r2 = g.parse_word("s1 s2")
-        assert project(r1r2, cs) == g.parse_word("s1")
+        r2 = element_of_word(g, "s2")
+        assert cs.projection[r2] == 0
+        r1r2 = element_of_word(g, "s1 s2")
+        assert cs.projection[r1r2] == element_of_word(g, "s1")
         cs0 = coset_system(g, frozenset())
-        w0 = g.parse_word("s1 s2 s1")
-        assert project(w0, cs0) == w0
+        w0 = element_of_word(g, "s1 s2 s1")
+        assert cs0.projection[w0] == w0
 
     @pytest.mark.parametrize(
         "name,J", [("A2", {2}), ("A3", {1, 3}), ("A3", {2}), ("C2", {1}), ("C2", {2})]
@@ -140,29 +154,30 @@ class TestCosets:
     def test_reps_minimal_and_counts(self, name, J):
         g = group_of(name)
         cs = coset_system(g, J)
-        assert len(g) == len(cs.reps) * cs.subgroup_order
+        subgroup_order = len(g) // len(cs.reps)
+        assert len(g) == len(cs.reps) * subgroup_order
         # exhaustive minimality: a rep's length is strictly smallest in its coset
         by_rep: dict[int, list[int]] = {}
         for a in range(len(g)):
-            by_rep.setdefault(cs.project(a), []).append(a)
+            by_rep.setdefault(cs.projection[a], []).append(a)
         for rep, members in by_rep.items():
             lengths = sorted(g.length(m) for m in members)
             assert g.length(rep) == lengths[0]
             assert lengths.count(lengths[0]) == 1
         # projection idempotent and constant on cosets
         for a in range(len(g)):
-            r = cs.project(a)
-            assert cs.project(r) == r
+            r = cs.projection[a]
+            assert cs.projection[r] == r
             # a and its rep differ by a subgroup element
-            assert cs.project(g.mul(g.inverse(r), a)) == 0
-        counts = Counter(cs.project(a) for a in range(len(g)))
-        assert set(counts.values()) == {cs.subgroup_order}
+            assert cs.projection[g.mul(inverse(g, r), a)] == 0
+        counts = Counter(cs.projection)
+        assert set(counts.values()) == {subgroup_order}
 
     @pytest.mark.parametrize("name,J", [("A2", {2}), ("A3", {1, 3}), ("C2", {1})])
     def test_length_additivity(self, name, J):
         g = group_of(name)
         cs = coset_system(g, J)
-        subgroup = [a for a in range(len(g)) if cs.project(a) == 0]
+        subgroup = [a for a in range(len(g)) if cs.projection[a] == 0]
         for w in cs.reps:
             for x in subgroup:
                 assert g.length(g.mul(w, x)) == g.length(w) + g.length(x)
@@ -173,8 +188,8 @@ class TestCosets:
         cs = coset_system(g, J)
         reps = set(cs.reps)
         for a in range(len(g)):
-            assert g.length(cs.project(a)) <= g.length(a)
-            assert (g.length(cs.project(a)) == g.length(a)) == (a in reps)
+            assert g.length(cs.projection[a]) <= g.length(a)
+            assert (g.length(cs.projection[a]) == g.length(a)) == (a in reps)
 
     @pytest.mark.parametrize(
         "name,mults", [("A2", (2, 1)), ("A2", (1, 0)), ("A3", (0, 1, 0)), ("C2", (1, 1))]
@@ -185,7 +200,7 @@ class TestCosets:
         g = group_of(name)
         shape = compute_shape(g.rs, mults)
         cs = coset_system(g, shape.parabolic)
-        images = {g.apply_weight(r, shape.classical).coords for r in cs.reps}
+        images = {g.rs.apply_weight(g.elements[r].word, shape.classical).coords for r in cs.reps}
         assert len(images) == len(cs.reps)
 
 
@@ -287,10 +302,11 @@ class TestReferenceEquivalence:
         weights = fundamentals + list(rs.root_weight_coords)
         roots = [r.coords for r in rs.positive_roots]
         for a in range(len(g)):
+            word = g.elements[a].word
             for v in weights:
-                assert g.apply_weight(a, Weight(v)).coords == _mat_vec(wmats[a], v)
+                assert rs.apply_weight(word, Weight(v)).coords == _mat_vec(wmats[a], v)
             for c in roots:
-                assert g.apply_root_coords(a, c) == _mat_vec(rmats[a], c)
+                assert rs.apply_root_coords(word, c) == _mat_vec(rmats[a], c)
 
     def test_reflections(self, name):
         g = group_of(name)
