@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Print the degree table of a shape, grouped by degree value.
+"""Print the degree table of a shape and its degree histogram.
+
+The rows come from ``degree_rows``: one enumeration walk that carries each
+segment's energy, in the canonical path order.
 
 Usage:
     python3 scripts/degree_table.py A2 2,1
@@ -11,8 +14,7 @@ import sys
 from collections import Counter
 
 from qbruhat import build_context
-from qbruhat.degree import degree_table
-from qbruhat.qls import enumerate_hat
+from qbruhat.degree import degree_rows
 
 
 def main() -> int:
@@ -20,7 +22,7 @@ def main() -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
-    rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.graph))
+    rows = degree_rows(ctx.graph)
     for row in rows:
         dirs = ";".join(row["dirs"])
         times = ",".join(row["times"])

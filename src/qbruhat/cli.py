@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import Context, build_context
 from .affine_oracle import AffineOracle, InconclusiveSearch
-from .degree import InvalidQLSPath, degree, degree_table, endpoint_delta, lift
+from .degree import InvalidQLSPath, degree, degree_rows, degree_table, endpoint_delta, lift
 from .qls import (
     EnumerationCap,
     QLSPath,
@@ -139,7 +139,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
             print(f"invalid path: {exc}", file=sys.stderr)
             return 1
     else:
-        rows = degree_table(ctx.shape, ctx.graph, enumerate_hat(ctx.graph, cap=cap))
+        rows = degree_rows(ctx.graph, cap)
     if config.fmt == "json":
         _write_doc(config, "degree", rows=rows)
         return 0
@@ -150,7 +150,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
             + ","
             + ";".join(row["times"])
             + ","
-            + ";".join(str(x) for x in row["energies"])
+            + ";".join(map(str, row["energies"]))
             + ","
             + str(row["deg"])
             + "\n"

@@ -10,21 +10,30 @@ path is sigma_p-admissible.  The graph reads the energies off its memoised
 BFS and checks their well-definedness on every row it builds
 (``PQBG.segment_energies``).  Times stay ``Fraction`` in a ``QLSPath`` and
 are read as integer ticks over L, the lcm of their denominators, so the sum
-is an integer over L.  The lift raises each direction x_p to the affine
-orbit element with delta-coefficient equal to the sum of the earlier segment
-energies; the oracle certifies it from first principles.  The formula is the
-product here; the lift is retained purely as verification machinery.
+is an integer over L.
+
+``degree_rows`` builds the table of every path in one pass: the enumeration
+walk carries the energies, and each row still passes the structure check
+and the exactness check of its sum.  ``degree`` and ``degree_table`` take
+given paths (``--path`` literals, JSON).
+
+The lift raises each direction x_p to the affine orbit element with
+delta-coefficient equal to the sum of the earlier segment energies; the
+oracle certifies it from first principles.  The formula is the product
+here; the lift is retained purely as verification machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import QLSPath, _structure_ok, path_to_json, time_ticks
+from .qls import QLSPath, _structure_ok, _walk, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -63,7 +72,8 @@ def _segments(path: QLSPath, g: PQBG) -> tuple[list[int], int, list[int]]:
 
 
 def _degree_of(energies: list[int], L: int, ticks: list[int]) -> int:
-    total = sum((L - t) * energy for t, energy in zip(ticks[1:], energies))
+    # sum_p (L - t_p) * energy_p
+    total = L * sum(energies) - sum(map(mul, ticks[1:], energies))
     if total % L or total < 0:
         raise NonIntegralDegree(f"degree sum {Fraction(total, L)} is not a nonpositive integer")
     return -(total // L)
@@ -106,4 +116,36 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
         row["energies"] = energies
         row["deg"] = _degree_of(energies, L, ticks)
         rows.append(row)
+    return rows
+
+
+def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
+    """The records of ``degree_table`` for every strong-variant path, from one enumeration walk.
+
+    Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.  The walk
+    carries each segment's energy from the checked energy rows; each
+    candidate time is split into integers and formatted once.  Every row
+    still passes the structure check and the exactness check of its sum.
+    """
+    candidates, found = _walk(g, True, cap)
+    nums = [t.numerator for t in candidates]
+    dens = [t.denominator for t in candidates]
+    texts = [str(t) for t in candidates]
+    names = [g.vertex_name(v) for v in range(g.num_vertices)]
+    rows = []
+    for _, dirs, idx, energies in found:
+        L = lcm(*[dens[i] for i in idx])
+        ticks = [0, *[nums[i] * (L // dens[i]) for i in idx], L]
+        times = ["0", *[texts[i] for i in idx], "1"]
+        if not _structure_ok(g, dirs, L, ticks):
+            raise InvalidQLSPath(f"structurally invalid path {dirs} at times {times}")
+        energies = list(energies)
+        rows.append(
+            {
+                "dirs": [names[v] for v in dirs],
+                "times": times,
+                "energies": energies,
+                "deg": _degree_of(energies, L, ticks),
+            }
+        )
     return rows

@@ -329,17 +329,20 @@ class PQBG:
         must agree: RuntimeError otherwise.  Memoised per (y, denominator
         of sigma), which alone decides admissibility.
         """
+        if not 0 < sigma.numerator < sigma.denominator:  # 0 < sigma < 1, on a warm row too
+            raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
         key = (y, sigma.denominator)
         row = self._energy_rows.get(key)
         if row is None:
-            if not 0 < sigma < 1:
-                raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
             dist, _, energy = self._search(y, self._all_labels)
             sdist, _, senergy = self._search(y, self._admissible_labels(sigma))
             row = tuple(e if s == d else None for d, e, s in zip(dist, energy, sdist))
-            for x, (s, d, e, se) in enumerate(zip(sdist, dist, energy, senergy)):
-                if s == d and se != e:
-                    raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {se}")
+            checked = tuple(se if s == d else None for d, se, s in zip(dist, senergy, sdist))
+            if row != checked:
+                x = next(x for x, (e, se) in enumerate(zip(row, checked)) if e != se)
+                raise RuntimeError(
+                    f"shortest paths from vertex {y} to {x} carry energies {row[x]} and {checked[x]}"
+                )
             self._energy_rows[key] = row
         return row
 

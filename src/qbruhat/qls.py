@@ -10,6 +10,13 @@ the sigma_k-admissible subgraph.
 Times are ``Fraction`` only at the boundary (``QLSPath.times``, literals,
 JSON); inside they are candidate indices or integer ticks over L, the lcm
 of the denominators.  Enumeration returns a tuple in ``path_sort_key`` order.
+
+One walk over candidate indices serves both variants and the degree table.
+Its successor lists hold, for the strong variant, each segment's energy
+wt_Lambda(x_{k+1} => x_k), read from the graph's energy rows: a segment is
+strong exactly where that energy is defined, and every row read is checked
+for well-definedness.  ``degree.degree_rows`` turns the walk's energies into
+the table in the same pass.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import lt, ne
 
 from .qbg import PQBG
 
@@ -72,11 +80,11 @@ def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> b
         return False
     if ticks[0] != 0 or ticks[-1] != L:
         return False
-    if any(t1 >= t2 for t1, t2 in zip(ticks, ticks[1:])):
+    if not all(map(lt, ticks, ticks[1:])):
         return False
-    if any(not 0 <= v < g.num_vertices for v in dirs):
+    if min(dirs) < 0 or max(dirs) >= g.num_vertices:
         return False
-    return all(a != b for a, b in zip(dirs, dirs[1:]))
+    return all(map(ne, dirs, dirs[1:]))
 
 
 def is_hat_path(g: PQBG, path: QLSPath) -> bool:
@@ -93,45 +101,60 @@ def is_tilde_path(g: PQBG, path: QLSPath) -> bool:
     return all(g.sigma_path(x, y, sigma).path is not None for x, y, sigma in path.turning_points())
 
 
-def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[int]]]:
-    # succ[i][x]: the directions y, ascending, that may follow x at time candidates[i]
+def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[tuple]]]:
+    # succ[i][x]: the pairs (y, energy), y ascending, for the directions y that
+    # may follow x at time candidates[i]; the energy is wt_Lambda(y => x) in
+    # the strong variant, read from the checked energy rows, and None in the
+    # weak one.  Admissibility depends on the denominator alone, so times
+    # with one denominator share a table.
     m = g.num_vertices
-    succ = []
+    tables: dict[int, list[list[tuple]]] = {}
     for sigma in candidates:
-        table: list[list[int]] = [[] for _ in range(m)]
+        if sigma.denominator in tables:
+            continue
+        table = tables[sigma.denominator] = [[] for _ in range(m)]
         for y in range(m):
-            sdist = g.sigma_distances_from(y, sigma)
-            full = g.distances_from(y)
-            for x in range(m):
-                if x != y and (sdist[x] == full[x] if strong else sdist[x] >= 0):
-                    table[x].append(y)
-        succ.append(table)
-    return succ
+            if strong:
+                for x, energy in enumerate(g.segment_energies(y, sigma)):
+                    if x != y and energy is not None:
+                        table[x].append((y, energy))
+            else:
+                for x, sdist in enumerate(g.sigma_distances_from(y, sigma)):
+                    if x != y and sdist >= 0:
+                        table[x].append((y, None))
+    return [tables[sigma.denominator] for sigma in candidates]
 
 
-def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
+def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
+    """The candidate times and every path as (len, dirs, candidate indices, energies), sorted.
+
+    Sorting on (len, dirs, indices) is the ``path_sort_key`` order, since the
+    candidates ascend; no two paths tie on it.  The energies are the
+    segments' wt_Lambda(x_{p+1} => x_p) in the strong variant.
+    """
     candidates = sigma_candidates(g)
     succ = _successors(g, candidates, strong)
-    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []  # (len, dirs, candidate indices)
+    found: list[tuple] = []
 
-    def extend(dirs: list[int], idx: list[int], last: int) -> None:
-        found.append((len(dirs), tuple(dirs), tuple(idx)))
+    def extend(dirs: tuple[int, ...], idx: tuple[int, ...], energies: tuple, last: int) -> None:
+        found.append((len(dirs), dirs, idx, energies))
         if len(found) > cap:
             raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
         cur = dirs[-1]
         for si in range(last + 1, len(candidates)):
-            for nxt in succ[si][cur]:
-                dirs.append(nxt)
-                idx.append(si)
-                extend(dirs, idx, si)
-                dirs.pop()
-                idx.pop()
+            for nxt, energy in succ[si][cur]:
+                extend((*dirs, nxt), (*idx, si), (*energies, energy), si)
 
     for start in range(g.num_vertices):
-        extend([start], [], -1)
+        extend((start,), (), (), -1)
     found.sort()
+    return candidates, found
+
+
+def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
+    candidates, found = _walk(g, strong, cap)
     zero, one = Fraction(0), Fraction(1)
-    return tuple(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)) for _, dirs, idx in found)
+    return tuple(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)) for _, dirs, idx, _ in found)
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 import qbruhat.cli as cli
 import qbruhat.qbg as qbg
 from qbruhat.cli import main
-from qbruhat.qls import enumerate_hat
+from qbruhat.qls import sigma_candidates
 
 
 def run(capsys, *argv):
@@ -146,25 +147,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--type", "C2", "--lambda", "1,1", "--window", "10")
         assert code == 0 and json.loads(out)["status"] == "pass"
 
-    def test_segments_computed_once(self, capsys, monkeypatch, a2_21):
-        # lift and degree read the energy rows the graph memoises per
-        # (source, denominator of sigma), so each row is computed at most once
+    def test_segments_computed_once(self, capsys, monkeypatch):
+        # enumeration, lift and degree read the energy rows the graph
+        # memoises per (source, denominator of sigma), so each row is built
+        # once; the strong enumeration reads every row of every candidate
         built = []
+        stored = Counter()
         real = cli.build_context
+
+        class Rows(dict):
+            def __setitem__(self, key, row):
+                stored[key] += 1
+                super().__setitem__(key, row)
 
         def recording(*args, **kwargs):
             built.append(real(*args, **kwargs))
+            built[-1].graph._energy_rows = Rows()
             return built[-1]
 
         monkeypatch.setattr(cli, "build_context", recording)
         code, _, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1")
-        distinct = {
-            (x_next, sigma.denominator)
-            for path in enumerate_hat(a2_21.graph)
-            for _, x_next, sigma in path.turning_points()
-        }
         (ctx,) = built
-        assert code == 0 and 0 < len(ctx.graph._energy_rows) <= len(distinct)
+        g = ctx.graph
+        denominators = {sigma.denominator for sigma in sigma_candidates(g)}
+        assert code == 0 and set(stored.values()) == {1}
+        assert len(g._energy_rows) == g.num_vertices * len(denominators)
 
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):
@@ -192,6 +199,7 @@ class TestFormats:
 
         monkeypatch.setattr(cli, "enumerate_hat", fail)
         monkeypatch.setattr(cli, "enumerate_tilde", fail)
+        monkeypatch.setattr(cli, "degree_rows", fail)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
 

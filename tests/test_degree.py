@@ -6,24 +6,30 @@ from fractions import Fraction as F
 
 import pytest
 
+import qbruhat.degree as degree_mod
 from conftest import cached_context, segment_chains, vertex_by_word
 from qbruhat import build_context
+from qbruhat.cli import main
 from qbruhat.degree import (
     InvalidQLSPath,
     NonIntegralDegree,
     _degree_of,
     degree,
+    degree_rows,
     degree_table,
     endpoint_delta,
     lift,
     segment_energy,
 )
+from qbruhat.qbg import PQBG
 from qbruhat.qls import (
+    EnumerationCap,
     QLSPath,
     _structure_ok,
     enumerate_hat,
     enumerate_tilde,
     path_sort_key,
+    sigma_candidates,
     time_ticks,
 )
 from test_qls import example_paths
@@ -79,6 +85,15 @@ class TestSegmentEnergy:
         g._search_cache[key] = (dist, parent, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
         with pytest.raises(RuntimeError, match="carry energies 2 and 3"):
             g.segment_energies(r2r1, F(1, 2))
+
+    @pytest.mark.parametrize("sigma", [F(3, 2), F(-1, 2), F(5, 2)])
+    def test_time_checked_on_a_warm_row(self, sigma):
+        # the row of (source, denominator 2) is memoised first; a time
+        # outside (0, 1) with the same denominator is still refused
+        g = build_context("A2", (2, 1)).graph
+        g.segment_energies(0, F(1, 2))
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            g.segment_energies(0, sigma)
 
 
 class TestLift:
@@ -293,3 +308,112 @@ class TestTickEquivalence:
         assert got == expected
         if expected is None:
             assert _degree_of([energy], *time_ticks(path.times)) == _reference_degree_of([(sigma, energy)])
+
+
+# degree_rows builds the table's rows inside the enumeration walk, whose
+# strong successors come from the energy rows.  The reference enumeration
+# reads the strong condition from the two distance rows instead.
+
+
+def _reference_enumerate(g, strong: bool) -> tuple[QLSPath, ...]:
+    candidates = sigma_candidates(g)
+
+    def may_follow(x: int, y: int, sigma: F) -> bool:
+        sdist = g.sigma_distances_from(y, sigma)[x]
+        return sdist == g.distances_from(y)[x] if strong else sdist >= 0
+
+    found = []
+
+    def extend(dirs: tuple[int, ...], times: tuple[F, ...], last: int) -> None:
+        found.append(QLSPath(dirs, (*times, F(1))))
+        for si in range(last + 1, len(candidates)):
+            for y in range(g.num_vertices):
+                if y != dirs[-1] and may_follow(dirs[-1], y, candidates[si]):
+                    extend((*dirs, y), (*times, candidates[si]), si)
+
+    for start in range(g.num_vertices):
+        extend((start,), (F(0),), -1)
+    return tuple(sorted(found, key=path_sort_key))
+
+
+ROW_SHAPES = pytest.mark.parametrize(
+    "name,mults",
+    [
+        ("A2", (2, 1)),
+        ("B2", (1, 1)),
+        ("C2", (1, 1)),
+        ("G2", (1, 1)),
+        ("G2", (2, 2)),
+        ("A3", (0, 1, 0)),
+        ("B3", (1, 1, 1)),
+        ("D4", (0, 1, 0, 0)),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "".join(map(str, v)),
+)
+
+
+class TestDegreeRows:
+    @ROW_SHAPES
+    def test_rows_equal_table(self, name, mults):
+        g = cached_context(name, mults).graph
+        paths = enumerate_hat(g)
+        assert degree_rows(g, len(paths)) == degree_table(g.shape, g, paths)
+
+    @ROW_SHAPES
+    def test_enumeration_unchanged(self, name, mults):
+        # the strong successors now come from the energy rows; both variants
+        # still list exactly the paths of the distance-row conditions
+        g = cached_context(name, mults).graph
+        hat, tilde = enumerate_hat(g), enumerate_tilde(g)
+        assert hat == tilde == _reference_enumerate(g, True) == _reference_enumerate(g, False)
+
+    def test_structure_check_runs_on_every_row(self, monkeypatch, a2_21):
+        monkeypatch.setattr(degree_mod, "_structure_ok", lambda *args: False)
+        with pytest.raises(InvalidQLSPath, match="structurally invalid"):
+            degree_rows(a2_21.graph)
+
+    def test_energy_check_runs_on_every_row_read(self, monkeypatch):
+        # a sigma-admissible tree that carries another energy than the
+        # unrestricted one is refused while the walk reads the energy rows
+        real = PQBG._search
+
+        def perturbed(self, y, allowed):
+            dist, parent, energy = real(self, y, allowed)
+            if allowed == self._all_labels:
+                return dist, parent, energy
+            return dist, parent, tuple(e + 1 for e in energy)
+
+        g = build_context("A2", (2, 1)).graph
+        monkeypatch.setattr(PQBG, "_search", perturbed)
+        with pytest.raises(RuntimeError, match="carry energies"):
+            degree_rows(g)
+
+    def test_exactness_check_runs_on_every_row(self, monkeypatch):
+        # one more unit of energy on a segment at a/b moves the sum by b - a,
+        # which L = b does not divide
+        real = PQBG.segment_energies
+
+        def shifted(self, y, sigma):
+            return tuple(None if e is None else e + 1 for e in real(self, y, sigma))
+
+        g = build_context("A2", (2, 1)).graph
+        monkeypatch.setattr(PQBG, "segment_energies", shifted)
+        with pytest.raises(NonIntegralDegree):
+            degree_rows(g)
+
+    @pytest.mark.parametrize("name,mults", [("A2", (2, 1)), ("B2", (1, 1))])
+    def test_cap_boundary(self, capsys, name, mults):
+        g = cached_context(name, mults).graph
+        count = len(enumerate_hat(g))
+        with pytest.raises(EnumerationCap):
+            enumerate_hat(g, count - 1)
+        with pytest.raises(EnumerationCap):
+            degree_rows(g, count - 1)
+        assert len(enumerate_hat(g, count)) == len(degree_rows(g, count)) == count
+        argv = ["degree", "--type", name, "--lambda", ",".join(map(str, mults)), "--cap"]
+        assert main([*argv, str(count - 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert main([*argv, str(count)]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("\n") == count + 1 and err == ""
