@@ -21,7 +21,11 @@ def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
+    try:
+        ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
+    except ValueError as exc:  # a bad type or shape
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = degree_rows(ctx.graph)
     for row in rows:
         dirs = ";".join(row["dirs"])

@@ -20,32 +20,30 @@ from .cartan import (
     pair,
 )
 from .qbg import PQBG, build_pqbg
-from .weyl import CosetSystem, WeylGroup, coset_system, enumerate_group
+from .weyl import check_group_cap, coset_system, enumerate_group  # noqa: F401  (perfbench/tracing.py wraps them)
 
 __version__ = "0.1.0"
 
 
 @dataclass(frozen=True)
 class Context:
-    """Everything needed to work with one (type, shape) instance."""
+    """Everything needed to work with one (type, shape) instance: the root system, the shape and its graph."""
 
     rs: RootSystem
-    group: WeylGroup
     shape: LevelZeroShape
-    cs: CosetSystem
     graph: PQBG
 
 
 def build_context(type_name: str, multiplicities: tuple[int, ...] | list[int]) -> Context:
-    """Build root system, Weyl group, coset system and graph for one shape.
+    """Build the root system, the shape and the shape's graph, from the orbit of the shape.
 
-    The graph is the shape's own: it lives on W^J with J = ``shape.parabolic``,
-    the labels where the shape vanishes, and carries the shape, so path
+    No Weyl group is enumerated; ``GroupCapExceeded`` refuses a type whose
+    |W|, read from its order formula, exceeds the cap.  The graph lives on
+    W^J with J = ``shape.parabolic`` and carries the shape, so path
     enumeration, the degree and the oracle take only the graph.
     """
-    rs = build_root_system(FiniteType.parse(type_name))
-    group = enumerate_group(rs)
+    ftype = FiniteType.parse(type_name)
+    check_group_cap(ftype)
+    rs = build_root_system(ftype)
     shape = compute_shape(rs, multiplicities)
-    cs = coset_system(group, shape.parabolic)
-    graph = build_pqbg(shape, cs)
-    return Context(rs, group, shape, cs, graph)
+    return Context(rs, shape, build_pqbg(shape))

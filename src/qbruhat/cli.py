@@ -22,6 +22,7 @@ from .qls import (
     QLSPath,
     enumerate_hat,
     enumerate_tilde,
+    path_listing,
     path_to_json,
 )
 
@@ -113,15 +114,14 @@ def cmd_qbg(config: CliConfig) -> int:
 
 def cmd_qls(config: CliConfig, variant: str, cap: int) -> int:
     ctx = _context(config)
-    enum = enumerate_hat if variant == "hat" else enumerate_tilde
-    paths = enum(ctx.graph, cap=cap)
+    _, records = path_listing(ctx.graph, variant == "hat", cap)
     if config.fmt == "csv":
         sys.stdout.write("dirs,times\n")
-        for p in paths:
-            rec = path_to_json(ctx.graph, p)
-            sys.stdout.write(";".join(rec["dirs"]) + "," + ";".join(rec["times"]) + "\n")
+        for *_, dirs, times in records:
+            sys.stdout.write(";".join(dirs) + "," + ";".join(times) + "\n")
         return 0
-    _write_doc(config, "qls", variant=variant, count=len(paths), paths=[path_to_json(ctx.graph, p) for p in paths])
+    paths = [{"dirs": dirs, "times": times} for *_, dirs, times in records]
+    _write_doc(config, "qls", variant=variant, count=len(paths), paths=paths)
     return 0
 
 

@@ -33,7 +33,7 @@ from operator import mul
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import QLSPath, _structure_ok, _walk, path_to_json, time_ticks
+from .qls import QLSPath, _structure_ok, path_listing, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -123,29 +123,19 @@ def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
     """The records of ``degree_table`` for every strong-variant path, from one enumeration walk.
 
     Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.  The walk
-    carries each segment's energy from the checked energy rows; each
-    candidate time is split into integers and formatted once.  Every row
-    still passes the structure check and the exactness check of its sum.
+    (``qls.path_listing``) carries each segment's energy and texts formatted
+    once; each candidate time is split into integers once.  Every row still
+    passes the structure check and the exactness check of its sum.
     """
-    candidates, found = _walk(g, True, cap)
+    candidates, records = path_listing(g, True, cap)
     nums = [t.numerator for t in candidates]
     dens = [t.denominator for t in candidates]
-    texts = [str(t) for t in candidates]
-    names = [g.vertex_name(v) for v in range(g.num_vertices)]
     rows = []
-    for _, dirs, idx, energies in found:
+    for dirs, idx, energies, names, times in records:
         L = lcm(*[dens[i] for i in idx])
         ticks = [0, *[nums[i] * (L // dens[i]) for i in idx], L]
-        times = ["0", *[texts[i] for i in idx], "1"]
         if not _structure_ok(g, dirs, L, ticks):
             raise InvalidQLSPath(f"structurally invalid path {dirs} at times {times}")
         energies = list(energies)
-        rows.append(
-            {
-                "dirs": [names[v] for v in dirs],
-                "times": times,
-                "energies": energies,
-                "deg": _degree_of(energies, L, ticks),
-            }
-        )
+        rows.append({"dirs": names, "times": times, "energies": energies, "deg": _degree_of(energies, L, ticks)})
     return rows

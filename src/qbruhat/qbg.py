@@ -4,12 +4,13 @@ A graph is built for one dominant shape Lambda, on W^J with J the labels
 where Lambda vanishes.  It carries the pairings <Lambda, beta^vee>, which
 decide sigma-admissibility, and the orbit x -> x Lambda.
 
-Vertices are the minimal coset representatives, stored under dense indices
-0..m-1 (ascending element id).  A vertex x is its reduced word
-(``words[x]``) and its orbit point x Lambda; the graph build is the one
-place that reads the Weyl group table and the coset projection.  For a
-vertex w and a positive root beta outside the parabolic subsystem there is
-an edge w -> proj(w r_beta) when one of the two length conditions holds:
+The vertices W^J are built as the orbit W Lambda, with no Weyl group: a BFS
+from Lambda applies r_i where <mu, alpha_i^vee> > 0, raising the length by
+one (Deodhar).  Vertex x is its orbit point and its lexicographically least
+reduced word ``words[x]`` (the least i with <mu, alpha_i^vee> < 0, then the
+word of r_i mu); indices follow (length, word).  For a vertex w and a positive
+root beta outside the parabolic subsystem there is an edge w -> w r_beta when
+one of the two length conditions holds:
 
 * Bruhat:   len(target) = len(w) + 1
 * quantum:  len(target) = len(w) - 2 <rho - rho_J, beta^vee> + 1
@@ -37,10 +38,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .cartan import Coroot, LevelZeroShape, Weight, pair
-from .weyl import CosetSystem
 
 
 @dataclass(frozen=True)
@@ -93,59 +92,70 @@ class PQBG:
     label) order: vertices ascending, and the labels of each vertex ascending.
     """
 
-    def __init__(self, shape: LevelZeroShape, cs: CosetSystem):
-        if cs.J != shape.parabolic:  # only there do the vertices stand for the orbit points x Lambda
-            raise ValueError(f"the graph of a shape lives on J = {sorted(shape.parabolic)}, not {sorted(cs.J)}")
+    def __init__(self, shape: LevelZeroShape):
         self.shape = shape
         self.rs = shape.rs
-        self.J = cs.J
-        self.num_vertices = len(cs.reps)
-        self._build(cs)
-        self._names = tuple(map(word_name, self.words))
+        self.J = shape.parabolic
         self.pairings = tuple(pair(shape.classical, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
+        self._build()
+        self._names = tuple(map(word_name, self.words))
         self._all_labels = frozenset(self.labels)
         self._admissible_cache: dict[int, frozenset[int]] = {}
         self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
         self._energy_rows: dict[tuple[int, int], tuple[int | None, ...]] = {}
         self._check_strongly_connected()
 
-    def _build(self, cs: CosetSystem) -> None:
-        rs, group = self.rs, cs.group
-        self.words = tuple(group.elements[rep].word for rep in cs.reps)
-        in_J = [False] * rs.num_positive
-        for idx, beta in enumerate(rs.positive_roots):
-            support = {i + 1 for i, c in enumerate(beta.coords) if c}
-            in_J[idx] = support <= self.J
-        self.labels = tuple(i for i in range(rs.num_positive) if not in_J[i])
+    def _build(self) -> None:
+        rs, lam = self.rs, self.shape.classical
+        outside = lambda beta: any(c and i + 1 not in self.J for i, c in enumerate(beta.coords))
+        self.labels = tuple(idx for idx, beta in enumerate(rs.positive_roots) if outside(beta))  # roots outside Phi_J
+        # the orbit by BFS from Lambda (points grows while it is walked), so by
+        # length; left[p][i] is the point r_{i+1} mu_p, mu_p itself when fixed
+        points, index, left = [lam.coords], {lam.coords: 0}, []
+        for mu in points:
+            images = [tuple(a - mu[i] * c for a, c in zip(mu, alpha)) for i, alpha in enumerate(rs.cartan)]
+            for nu in images:
+                if nu not in index:
+                    index[nu] = len(points)
+                    points.append(nu)
+            left.append([index[nu] for nu in images])
+        words = [()]
+        for p in range(1, len(points)):
+            i = next(i for i, c in enumerate(points[p]) if c < 0)
+            words.append((i + 1, *words[left[p][i]]))
+        # target[p][k]: the point x r_beta Lambda, beta = labels[k] and x the vertex
+        # of mu_p; r_beta Lambda at e, and r_i applied to the target of x' at s_i x'
+        target = [[index[rs.reflect_weight(lam, idx).coords] for idx in self.labels]]
+        for p in range(1, len(points)):
+            i = words[p][0] - 1
+            target.append([left[t][i] for t in target[left[p][i]]])
+        order = sorted(range(len(points)), key=lambda p: (len(words[p]), words[p]))
+        vertex = {p: v for v, p in enumerate(order)}
+        self.num_vertices = len(points)
+        self.words = tuple(words[p] for p in order)
+        self._orbit = tuple(Weight(points[p]) for p in order)
+        self._vertex_by_point = {points[p]: v for v, p in enumerate(order)}
 
         # 2(rho - rho_J) = sum of positive roots outside the parabolic subsystem
-        n = rs.rank
-        acc = [0] * n
-        for idx in self.labels:
-            for k, v in enumerate(rs.root_weight_coords[idx]):
-                acc[k] += v
-        two_rho_diff = Weight(tuple(acc))
-        # rho_J itself may be half-integral in fundamental-weight coordinates
-        self.rho_J = tuple(Fraction(2 - a, 2) for a in acc)
+        two_rho_diff = Weight(tuple(map(sum, zip(*(rs.root_weight_coords[idx] for idx in self.labels)))))
+        drops = [pair(two_rho_diff, rs.positive_coroots[idx]) for idx in self.labels]
+        if any(d < 2 for d in drops):
+            raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
 
         edges: list[QBGEdge] = []
         out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         incoming: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         self._edge_by_source_label: dict[tuple[int, int], QBGEdge] = {}
-        drops = {idx: pair(two_rho_diff, rs.positive_coroots[idx]) for idx in self.labels}
-        if any(d < 2 for d in drops.values()):
-            raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
-        for v, rep in enumerate(cs.reps):
-            lw = group.length(rep)
-            for idx, drop2 in drops.items():
-                t_rep = cs.projection[group.mul(rep, group.reflection(idx))]
-                lt = group.length(t_rep)
+        for v, p in enumerate(order):
+            lw = len(words[p])
+            for idx, drop2, t in zip(self.labels, drops, target[p]):
+                lt = len(words[t])
                 bruhat = lt == lw + 1
                 quantum = lt == lw - drop2 + 1
                 if bruhat and quantum:
                     raise RuntimeError("edge dichotomy violated")
                 if bruhat or quantum:
-                    e = QBGEdge(v, cs.rep_position[t_rep], idx, quantum)
+                    e = QBGEdge(v, vertex[t], idx, quantum)
                     edges.append(e)
                     out[v].append(e)
                     incoming[e.target].append(e)
@@ -194,22 +204,13 @@ class PQBG:
             raise ValueError(f"direction {text!r} is not a reduced word")
         raise ValueError(f"direction {text!r} is not a minimal coset representative")
 
-    @cached_property
-    def _orbit(self) -> tuple[Weight, ...]:
-        # built on first use: only path evaluation, word decoding and the oracle read it
-        return tuple(self.rs.apply_weight(word, self.shape.classical) for word in self.words)
-
-    @cached_property
-    def _vertex_by_weight(self) -> dict[Weight, int]:
-        return {w: v for v, w in enumerate(self._orbit)}
-
     def orbit_weight(self, v: int) -> Weight:
         """x Lambda for the representative x at vertex v."""
         return self._orbit[v]
 
     def vertex_at(self, weight: Weight) -> int:
         """The vertex x with x Lambda = weight; KeyError off the orbit."""
-        return self._vertex_by_weight[weight]
+        return self._vertex_by_point[weight.coords]
 
     def edge(self, source: int, label: int) -> QBGEdge | None:
         return self._edge_by_source_label.get((source, label))
@@ -382,5 +383,5 @@ class PQBG:
         return "\n".join(lines) + "\n"
 
 
-def build_pqbg(shape: LevelZeroShape, cs: CosetSystem) -> PQBG:
-    return PQBG(shape, cs)
+def build_pqbg(shape: LevelZeroShape) -> PQBG:
+    return PQBG(shape)

@@ -21,6 +21,7 @@ the table in the same pass.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -149,6 +150,21 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[t
         extend((start,), (), (), -1)
     found.sort()
     return candidates, found
+
+
+def path_listing(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], Iterator[tuple]]:
+    """The candidate times, and each path as (dirs, candidate indices, energies, direction names, time texts).
+
+    The walk (and any ``EnumerationCap``) runs before this returns; the records
+    follow lazily, in order, from names and time texts formatted once.
+    """
+    candidates, found = _walk(g, strong, cap)
+    names = [g.vertex_name(v) for v in range(g.num_vertices)]
+    texts = [str(t) for t in candidates]
+    return candidates, (
+        (dirs, idx, energies, [names[v] for v in dirs], ["0", *[texts[i] for i in idx], "1"])
+        for _, dirs, idx, energies in found
+    )
 
 
 def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:

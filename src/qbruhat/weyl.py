@@ -8,22 +8,30 @@ edge of the enumeration costs O(rank).  Elements store only their reduced
 word; reduced words follow the BFS discovery order and are reduced but not
 guaranteed ShortLex.
 
-Only the graph build (``PQBG._build``) and the tests read the group table
-and the coset projection.  Everything downstream works on the graph's
-vertex words and orbit points, and acts by words through ``RootSystem``.
+Nothing on the main path enumerates the group: the graph walks the orbit
+W Lambda, and ``build_context`` reads only ``check_group_cap``.  The group
+table and the coset projection are the tests' reference for that graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootSystem, weyl_order
+from .cartan import FiniteType, RootSystem, weyl_order
 
 DEFAULT_GROUP_CAP = 40320
 
 
 class GroupCapExceeded(RuntimeError):
     """The Weyl group is larger than the configured enumeration cap."""
+
+
+def check_group_cap(ftype: FiniteType, cap: int = DEFAULT_GROUP_CAP) -> int:
+    """|W| from the order formula, with no enumeration; GroupCapExceeded above the cap."""
+    order = weyl_order(ftype)
+    if order > cap:
+        raise GroupCapExceeded(f"|W| = {order} for {ftype} exceeds the cap {cap}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -40,9 +48,7 @@ class WeylGroup:
     """The finite Weyl group of a root system, fully enumerated."""
 
     def __init__(self, rs: RootSystem, cap: int = DEFAULT_GROUP_CAP):
-        order = weyl_order(rs.type)
-        if order > cap:
-            raise GroupCapExceeded(f"|W| = {order} for {rs.type} exceeds the cap {cap}")
+        order = check_group_cap(rs.type, cap)
         self.rs = rs
         self._enumerate()
         if len(self.elements) != order:

@@ -1,4 +1,4 @@
-"""Shared fixtures and helpers: cached contexts for the suite's shapes, exhaustive path walks, lift chains."""
+"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, lift chains."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import pytest
 
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
+from qbruhat.cartan import FiniteType, build_root_system
 from qbruhat.degree import lift
 from qbruhat.qbg import DirectedPath
+from qbruhat.weyl import coset_system, enumerate_group
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,6 +50,26 @@ def a3_010():
     return cached_context("A3", (0, 1, 0))
 
 
+# -- the reference: the enumerated Weyl group and its cosets W^J ---------------
+
+
+@functools.lru_cache(maxsize=None)
+def type_group(type_name: str):
+    """The enumerated Weyl group of a type, built once per type."""
+    return enumerate_group(build_root_system(FiniteType.parse(type_name)))
+
+
+@functools.lru_cache(maxsize=None)
+def _cosets(type_name: str, J: frozenset[int]):
+    return coset_system(type_group(type_name), J)
+
+
+def group_cosets(ctx):
+    """The reference group of the context's type and its coset system on J = ``ctx.shape.parabolic``."""
+    name = str(ctx.rs.type)
+    return type_group(name), _cosets(name, ctx.shape.parabolic)
+
+
 def element_of_word(group, word: str) -> int:
     """Group element id of a word of 's1', 'r1' or bare '1' tokens ('e' is the identity), by the right multiplication table."""
     a = 0
@@ -59,7 +81,8 @@ def element_of_word(group, word: str) -> int:
 
 def vertex_by_word(ctx, word: str) -> int:
     """The vertex of the coset of any word, through the group table and the coset projection."""
-    return ctx.cs.rep_position[ctx.cs.projection[element_of_word(ctx.group, word)]]
+    group, cs = group_cosets(ctx)
+    return cs.rep_position[cs.projection[element_of_word(group, word)]]
 
 
 # Shapes of A1-A5, B2-B4, C2-C4, D4-D5, F4 and G2 on which the graph and the

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import REFERENCE_SHAPES, cached_context, segment_chains, vertex_by_word
+from conftest import REFERENCE_SHAPES, cached_context, group_cosets, segment_chains, vertex_by_word
 from qbruhat.affine_oracle import (
     AffineOracle,
     AffineOrbitElement,
@@ -21,16 +21,6 @@ from test_qls import example_paths
 @pytest.fixture(scope="module")
 def oracle_a2(a2_21):
     return AffineOracle(a2_21.graph, window=10)
-
-
-def test_rejects_parabolic_override(a2_10):
-    # orbit elements are keyed by vertex; only the shape's own parabolic set
-    # makes that identification faithful, so no graph is built on another J
-    from qbruhat.qbg import build_pqbg
-    from qbruhat.weyl import coset_system
-
-    with pytest.raises(ValueError, match="lives on J"):
-        build_pqbg(a2_10.shape, coset_system(a2_10.group, frozenset()))
 
 
 class TestRaisingSteps:
@@ -106,7 +96,7 @@ class TestRaisingSteps:
 
 def reference_steps(ctx) -> list[tuple[tuple[int, int, int, int], ...]]:
     """The oracle's step table built from the group: the target of r_gamma at x is the vertex of proj(r_gamma x)."""
-    group, cs, rs = ctx.group, ctx.cs, ctx.rs
+    (group, cs), rs = group_cosets(ctx), ctx.rs
     table = []
     for rep in cs.reps:
         w = rs.apply_weight(group.elements[rep].word, ctx.shape.classical)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -200,6 +201,7 @@ class TestFormats:
         monkeypatch.setattr(cli, "enumerate_hat", fail)
         monkeypatch.setattr(cli, "enumerate_tilde", fail)
         monkeypatch.setattr(cli, "degree_rows", fail)
+        monkeypatch.setattr(cli, "path_listing", fail)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -215,6 +217,22 @@ class TestFormats:
         monkeypatch.setattr(qbg, "word_name", counting)
         code, out, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--format", "csv")
         assert code == 0 and out.count("\n") == 28 and 0 < len(calls) <= a2_21.graph.num_vertices
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("variant", ["hat", "tilde"])
+    def test_times_formatted_once(self, capsys, monkeypatch, a2_21, variant, fmt):
+        # a listing formats each candidate time once, not each time of each path
+        calls = []
+        real = Fraction.__str__
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(Fraction, "__str__", counting)
+        code, out, _ = run(capsys, "qls", "--type", "A2", "--lambda", "2,1", "--variant", variant, "--format", fmt)
+        assert code == 0 and "2/3" in out
+        assert 0 < len(calls) <= len(sigma_candidates(a2_21.graph))
 
 
 class TestExitCodes:

@@ -9,15 +9,18 @@ import pytest
 
 from itertools import product
 
+import qbruhat
 from conftest import (
     REFERENCE_SHAPES,
     PathEnumerationCap,
     all_paths_up_to,
     cached_context,
+    group_cosets,
     shortest_sigma_paths,
     validate_path,
     vertex_by_word,
 )
+from qbruhat import build_context
 from qbruhat.cartan import pair
 from qbruhat.qbg import PQBG, DirectedPath, word_name
 from qbruhat.qls import sigma_candidates
@@ -101,7 +104,7 @@ class TestBuild:
         labels = {g.rs.positive_roots[i].coords for i in g.labels}
         assert labels == {(1, 0), (1, 1)}
         # independent recomputation of the edge conditions over all candidate pairs
-        group, cs, rs = a2_10.group, a2_10.cs, g.rs
+        (group, cs), rs = group_cosets(a2_10), g.rs
         name = lambda a: word_name(group.elements[a].word)
         two_rho_diff = [0] * rs.rank
         for i in g.labels:
@@ -118,13 +121,6 @@ class TestBuild:
                     expected.add((name(rep), name(t), rs.positive_roots[i].coords, "quantum"))
         assert edge_set(g) == expected
         assert len(g.edges) == 3
-
-    def test_rho_j(self, a2_21, a2_10):
-        from fractions import Fraction
-
-        assert a2_21.graph.rho_J == (Fraction(0), Fraction(0))
-        # half the positive subsystem root: alpha_2 / 2 = (-1/2, 1)
-        assert a2_10.graph.rho_J == (Fraction(-1, 2), Fraction(1))
 
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_10", "c2_11", "a3_010", "a1_1"])
     def test_strong_connectivity_and_uniqueness(self, fixture, request):
@@ -148,8 +144,8 @@ class TestBuild:
         real_build = PQBG._build
         v = 0 if cut == "first" else a2_21.graph.num_vertices - 1
 
-        def build(g, cs):
-            real_build(g, cs)
+        def build(g):
+            real_build(g)
             keep = lambda e: getattr(e, side) != v
             g.edges = tuple(filter(keep, g.edges))
             g.out_edges = tuple(tuple(filter(keep, es)) for es in g.out_edges)
@@ -157,12 +153,12 @@ class TestBuild:
 
         monkeypatch.setattr(PQBG, "_build", build)
         with pytest.raises(RuntimeError, match="not strongly connected"):
-            PQBG(a2_21.shape, a2_21.cs)
+            PQBG(a2_21.shape)
 
 
 def reference_vertex_of_word(ctx, word: tuple[int, ...]) -> int | str:
     """The vertex a word names, or the error text: through the group table and the coset projection."""
-    group, cs = ctx.group, ctx.cs
+    group, cs = group_cosets(ctx)
     a = 0
     for j in word:
         a = group.right_gen(a, j)
@@ -178,9 +174,10 @@ class TestVertexWords:
     def test_words_are_the_group_words(self, name, mults):
         ctx = cached_context(name, mults)
         g = ctx.graph
+        group, cs = group_cosets(ctx)
         assert len(g.words) == g.num_vertices
         for v in range(g.num_vertices):
-            assert g.words[v] == ctx.group.elements[ctx.cs.reps[v]].word
+            assert g.words[v] == group.elements[cs.reps[v]].word
             assert g.vertex_at(g.orbit_weight(v)) == v
 
     def test_vertex_of_word_matches_group_reference(self, name, mults):
@@ -197,6 +194,72 @@ class TestVertexWords:
                     with pytest.raises(ValueError) as err:
                         g.vertex_of_word(text)
                     assert str(err.value) == f"direction {text!r} {expected}"
+
+
+def group_built_graph(ctx):
+    """Words, orbit points and edges as the group table gives them: vertices in element-id order, w -> proj(w r_beta).
+
+    Edges are (source, target, label, kind) tuples in (source, label) order;
+    ``out`` lists each vertex's edges by (target, label), ``incoming`` by
+    (source, label).
+    """
+    group, cs = group_cosets(ctx)
+    rs, J = ctx.rs, ctx.shape.parabolic
+    words = tuple(group.elements[rep].word for rep in cs.reps)
+    orbit = tuple(rs.apply_weight(word, ctx.shape.classical) for word in words)
+    labels = [i for i, beta in enumerate(rs.positive_roots) if {k + 1 for k, c in enumerate(beta.coords) if c} - J]
+    two_rho_diff = [sum(rs.root_weight_coords[i][k] for i in labels) for k in range(rs.rank)]
+    edges = []
+    for v, rep in enumerate(cs.reps):
+        for i in labels:
+            t = cs.projection[group.mul(rep, group.reflection(i))]
+            drop = sum(a * b for a, b in zip(two_rho_diff, rs.positive_coroots[i].coords))
+            if group.length(t) == group.length(rep) + 1:
+                edges.append((v, cs.rep_position[t], i, "bruhat"))
+            elif group.length(t) == group.length(rep) - drop + 1:
+                edges.append((v, cs.rep_position[t], i, "quantum"))
+    out = [[] for _ in words]
+    incoming = [[] for _ in words]
+    for e in edges:
+        out[e[0]].append(e)
+        incoming[e[1]].append(e)
+    return words, orbit, edges, [sorted(es, key=lambda e: (e[1], e[2])) for es in out], incoming
+
+
+# every nonzero 0/1 multiplicity pattern of the types whose group the suite enumerates
+_ZERO_ONE_SHAPES = [
+    (name, mults)
+    for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "F4", "G2"]
+    for mults in product((0, 1), repeat=int(name[1:]))
+    if any(mults)
+]
+
+
+class TestOrbitBuild:
+    """The graph built from the orbit W Lambda is the one the group table gives."""
+
+    @pytest.mark.parametrize(
+        "name,mults", _ZERO_ONE_SHAPES, ids=[f"{n}-{''.join(map(str, m))}" for n, m in _ZERO_ONE_SHAPES]
+    )
+    def test_matches_group_built_graph(self, name, mults):
+        ctx = build_context(name, mults)
+        g = ctx.graph
+        words, orbit, edges, out, incoming = group_built_graph(ctx)
+        as_tuple = lambda e: (e.source, e.target, e.label, e.kind)
+        assert g.words == words
+        assert tuple(map(g.orbit_weight, range(g.num_vertices))) == orbit
+        assert list(map(as_tuple, g.edges)) == edges
+        assert [list(map(as_tuple, es)) for es in g.out_edges] == out
+        assert [list(map(as_tuple, es)) for es in g.in_edges] == incoming
+
+    def test_no_group_enumerated(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_context enumerated the Weyl group")
+
+        monkeypatch.setattr(qbruhat, "enumerate_group", refuse)
+        monkeypatch.setattr(qbruhat, "coset_system", refuse)
+        g = build_context("D4", (1, 0, 1, 0)).graph
+        assert (g.num_vertices, len(g.edges)) == (32, 84)
 
 
 class TestDistances:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cached_context, vertex_by_word
+from conftest import cached_context, type_group, vertex_by_word
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
@@ -175,7 +175,7 @@ class TestEndpointCharacter:
         from qbruhat.cartan import Weight
 
         ctx = cached_context(name, mults)
-        g, group = ctx.graph, ctx.group
+        g, group = ctx.graph, type_group(name)
         rank = ctx.rs.rank
 
         def orbit(i: int) -> list[tuple[int, ...]]:

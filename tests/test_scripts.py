@@ -40,3 +40,17 @@ def test_run_verification_negative_window():
     assert proc.stdout == ""
     assert proc.stderr == "error: window must be non-negative, not -1\n"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("A2", "2,x"), ("A2", "0,0"), ("Q2", "1,1")])
+def test_degree_table_bad_input(args):
+    # a bad type or shape ends in one `error:` line and exit 2, not in a traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "degree_table.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

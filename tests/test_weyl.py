@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbruhat
 from conftest import cached_context, element_of_word
 from qbruhat import build_context
 from qbruhat.cartan import FiniteType, Weight, build_root_system, weyl_order
@@ -87,6 +88,17 @@ class TestEnumerate:
         monkeypatch.setattr(WeylGroup, "_enumerate", never_enumerate)
         with pytest.raises(GroupCapExceeded):
             build_context("E6", (1, 0, 0, 0, 0, 0))
+
+    def test_context_cap_reads_the_order_formula(self, monkeypatch):
+        # the cap is checked before the root system, the shape or the graph is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("built something for a type above the cap")
+
+        for name in ("build_root_system", "compute_shape", "build_pqbg", "enumerate_group", "coset_system"):
+            monkeypatch.setattr(qbruhat, name, refuse)
+        with pytest.raises(GroupCapExceeded) as err:
+            build_context("A8", (1,) * 8)
+        assert str(err.value) == "|W| = 362880 for A8 exceeds the cap 40320"
 
     def test_order_matches_formula(self):
         for name in ["A3", "B2", "C3", "D4", "G2"]:
