@@ -179,8 +179,8 @@ class AffineOracle:
 
     # -- path-level checks -------------------------------------------------------
 
-    def verify_ls_path(self, lifted) -> bool:
-        """Certify a lifted path: adjacent weights strictly ordered with sigma-chains.
+    def failure(self, lifted) -> str:
+        """The first adjacent pair of a lifted path that is not strictly ordered with a sigma-chain; "" when none is.
 
         ``lifted`` is any object with ``weights`` (orbit elements) and
         ``times`` attributes, as produced by the degree module.
@@ -191,10 +191,15 @@ class AffineOracle:
             v, w, gap = weights[k].vertex, weights[k + 1].vertex, weights[k + 1].delta - weights[k].delta
             d = self._dist(v, w, gap)
             if d is None or d < 1:
-                return False
-            if not self._sigma_chain(v, w, gap, lifted.times[k + 1].denominator):
-                return False
-        return True
+                return f"weights {k} > {k + 1}: not comparable"
+            sigma = lifted.times[k + 1]
+            if not self._sigma_chain(v, w, gap, sigma.denominator):
+                return f"weights {k} > {k + 1}: no sigma-chain at {sigma}"
+        return ""
+
+    def verify_ls_path(self, lifted) -> bool:
+        """Certify a lifted path: adjacent weights strictly ordered with sigma-chains (see ``failure``)."""
+        return not self.failure(lifted)
 
     # -- cover/edge correspondence --------------------------------------------------
 

@@ -309,16 +309,6 @@ class LevelZeroShape:
     classical: Weight
     parabolic: frozenset[int]
 
-    def delta_gcd(self) -> int:
-        """gcd of the multiplicities.
-
-        Every delta-shift reachable by the lifting machinery is a multiple
-        of this gcd.  The true translation-lattice step may be a proper
-        multiple of it; this value is only used as a coarse divisibility
-        check, never as an exact lattice claim.
-        """
-        return math.gcd(*self.multiplicities)
-
 
 def compute_shape(rs: RootSystem, multiplicities: tuple[int, ...] | list[int]) -> LevelZeroShape:
     """Validate multiplicities and derive the classical weight and parabolic set."""

@@ -158,29 +158,18 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
     return 0
 
 
-def _failing_pair(oracle, lifted) -> str:
-    for k in range(len(lifted.weights) - 1):
-        mu, nu = lifted.weights[k], lifted.weights[k + 1]
-        d = oracle.dist(mu, nu)
-        if d is None or d < 1:
-            return f"weights {k} > {k + 1}: not comparable"
-        if not oracle.verify_sigma_chain(mu, nu, lifted.times[k + 1]):
-            return f"weights {k} > {k + 1}: no sigma-chain at {lifted.times[k + 1]}"
-    return "endpoint mismatch"
-
-
-def _verify_one(oracle, graph, path) -> dict:
+def _verify_one(oracle, graph, path) -> tuple[str, str]:
+    """(status, detail) of one path's lift certification and endpoint identity."""
     try:
         lifted = lift(path, graph)
         deg = degree(path, graph)
         certified = oracle.verify_ls_path(lifted)
         agree = endpoint_delta(lifted) == -deg
-        status = "pass" if (certified and agree) else "fail"
-        detail = "" if status == "pass" else _failing_pair(oracle, lifted)
     except InconclusiveSearch as exc:
-        status, detail = "inconclusive", str(exc)
-    rec = path_to_json(graph, path)
-    return {"dirs": rec["dirs"], "times": rec["times"], "status": status, "detail": detail}
+        return "inconclusive", str(exc)
+    if certified and agree:
+        return "pass", ""
+    return "fail", oracle.failure(lifted) or "endpoint mismatch"
 
 
 def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], list[dict]]:
@@ -216,15 +205,15 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         }
     )
 
-    path_reports = [_verify_one(oracle, graph, p) for p in hat]
+    results = [_verify_one(oracle, graph, p) for p in hat]
 
-    n_fail = sum(1 for r in path_reports if r["status"] == "fail")
-    n_inc = sum(1 for r in path_reports if r["status"] == "inconclusive")
+    n_fail = sum(1 for status, _ in results if status == "fail")
+    n_inc = sum(1 for status, _ in results if status == "inconclusive")
     checks.append(
         {
             "check": "lift-certification",
             "status": "fail" if n_fail else ("inconclusive" if n_inc else "pass"),
-            "detail": f"paths={len(path_reports)} fail={n_fail} inconclusive={n_inc}",
+            "detail": f"paths={len(results)} fail={n_fail} inconclusive={n_inc}",
         }
     )
 
@@ -233,7 +222,13 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         overall = "fail"
     elif any(c["status"] == "inconclusive" for c in checks):
         overall = "inconclusive"
-    return overall, checks, [r for r in path_reports if r["status"] != "pass"]
+    # records are formatted only for the paths that are reported
+    reports = [
+        path_to_json(graph, p) | {"status": status, "detail": detail}
+        for p, (status, detail) in zip(hat, results)
+        if status != "pass"
+    ]
+    return overall, checks, reports
 
 
 def cmd_verify(config: CliConfig, window: int, cap: int) -> int:

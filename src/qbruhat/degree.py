@@ -96,12 +96,12 @@ def lift(path: QLSPath, g: PQBG) -> AffineLSPath:
 
 def endpoint_delta(lifted: AffineLSPath) -> int:
     """Delta-coefficient of the lift evaluated at time 1; a nonnegative integer."""
-    total = Fraction(0)
-    for k in range(1, len(lifted.times)):
-        total += (lifted.times[k] - lifted.times[k - 1]) * lifted.weights[k - 1].delta
-    if total.denominator != 1 or total < 0:
-        raise NonIntegralDegree(f"endpoint delta {total} is not a nonnegative integer")
-    return int(total)
+    # sum_k (t_{k+1} - t_k) * delta_k, on integer ticks over L
+    L, ticks = time_ticks(lifted.times)
+    total = sum((b - a) * mu.delta for a, b, mu in zip(ticks, ticks[1:], lifted.weights))
+    if total % L or total < 0:
+        raise NonIntegralDegree(f"endpoint delta {Fraction(total, L)} is not a nonnegative integer")
+    return total // L
 
 
 def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:

@@ -23,10 +23,11 @@ i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
 Every distance, shortest-path and energy query reads one memoised BFS per
-(source, admissible label set); the unrestricted graph is the set of all
-labels.  A path follows that BFS's first-discovery edges, so ties go to the
-first edge in ``out_edges``.  Along the same tree the BFS sums the pairings
-of the quantum steps: the energy wt_Lambda(y => x) of the paper.  It does
+source and denominator: an edge is sigma-admissible when the denominator q
+of sigma divides its pairing, and q = 1 is the unrestricted graph.  A path
+follows that BFS's first-discovery edges, so ties go to the first edge in
+``out_edges``.  Along the same tree the BFS sums the pairings of the
+quantum steps: the energy wt_Lambda(y => x) of the paper.  It does
 not depend on the shortest path chosen, since all of them agree modulo
 Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono, arXiv:1211.2042); every
 energy row the program reads re-checks this against the sigma-admissible
@@ -66,14 +67,6 @@ class DirectedPath:
     def length(self) -> int:
         return len(self.labels)
 
-    @property
-    def start(self) -> int:
-        return self.vertices[-1]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[0]
-
 
 @dataclass(frozen=True)
 class SigmaPathResult:
@@ -83,6 +76,13 @@ class SigmaPathResult:
 
 def word_name(word: tuple[int, ...]) -> str:
     return "e" if not word else " ".join(f"s{j}" for j in word)
+
+
+def _denominator(sigma: Fraction) -> int:
+    """The denominator of sigma, which alone decides admissibility; ValueError unless 0 < sigma < 1."""
+    if not 0 < sigma.numerator < sigma.denominator:
+        raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
+    return sigma.denominator
 
 
 class PQBG:
@@ -99,9 +99,7 @@ class PQBG:
         self.pairings = tuple(pair(shape.classical, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
         self._build()
         self._names = tuple(map(word_name, self.words))
-        self._all_labels = frozenset(self.labels)
-        self._admissible_cache: dict[int, frozenset[int]] = {}
-        self._search_cache: dict[tuple[int, frozenset[int]], tuple] = {}
+        self._search_cache: dict[tuple[int, int], tuple] = {}
         self._energy_rows: dict[tuple[int, int], tuple[int | None, ...]] = {}
         self._check_strongly_connected()
 
@@ -145,7 +143,6 @@ class PQBG:
         edges: list[QBGEdge] = []
         out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         incoming: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
-        self._edge_by_source_label: dict[tuple[int, int], QBGEdge] = {}
         for v, p in enumerate(order):
             lw = len(words[p])
             for idx, drop2, t in zip(self.labels, drops, target[p]):
@@ -159,7 +156,6 @@ class PQBG:
                     edges.append(e)
                     out[v].append(e)
                     incoming[e.target].append(e)
-                    self._edge_by_source_label[(v, idx)] = e
         key = lambda e: (e.target, e.label)
         self.edges = tuple(edges)
         self.out_edges = tuple(tuple(sorted(es, key=key)) for es in out)
@@ -168,7 +164,7 @@ class PQBG:
     def _check_strongly_connected(self) -> None:
         # every vertex is reached from vertex 0 and reaches it: two traversals
         # that together are equivalent to strong connectivity
-        if min(self.distances_from(0)) < 0 or min(self._distances_to(0, self._all_labels)) < 0:
+        if min(self.distances_from(0)) < 0 or min(self._distances_to(0, 1)) < 0:
             raise RuntimeError("parabolic quantum Bruhat graph is not strongly connected")
 
     # -- vertex helpers ----------------------------------------------------
@@ -213,20 +209,12 @@ class PQBG:
         return self._vertex_by_point[weight.coords]
 
     def edge(self, source: int, label: int) -> QBGEdge | None:
-        return self._edge_by_source_label.get((source, label))
+        return next((e for e in self.out_edges[source] if e.label == label), None)
 
     # -- distances and shortest paths --------------------------------------
 
-    def _admissible_labels(self, sigma: Fraction) -> frozenset[int]:
-        q = sigma.denominator
-        if q not in self._admissible_cache:
-            self._admissible_cache[q] = frozenset(idx for idx in self.labels if self.pairings[idx] % q == 0)
-        return self._admissible_cache[q]
-
-    def _search(
-        self, y: int, allowed: frozenset[int]
-    ) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...], tuple[int, ...]]:
-        """BFS from y over the edges labelled in ``allowed``, memoised per (y, allowed).
+    def _search(self, y: int, q: int) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...], tuple[int, ...]]:
+        """BFS from y over the edges whose pairing q divides, memoised per (y, q).
 
         Returns ``(dist, parent, energy)``: ``dist[x]`` is the length of a
         shortest such path from y to x (-1 when unreachable), ``parent[x]``
@@ -234,7 +222,7 @@ class PQBG:
         ``energy[x]`` the sum of the pairings of the quantum steps on the
         tree path from y to x.
         """
-        key = (y, allowed)
+        key = (y, q)
         found = self._search_cache.get(key)
         if found is None:
             dist = [-1] * self.num_vertices
@@ -246,7 +234,7 @@ class PQBG:
             while dq:
                 v = dq.popleft()
                 for e in self.out_edges[v]:
-                    if dist[e.target] < 0 and e.label in allowed:
+                    if dist[e.target] < 0 and pairings[e.label] % q == 0:
                         dist[e.target] = dist[v] + 1
                         parent[e.target] = e
                         energy[e.target] = energy[v] + pairings[e.label] if e.quantum else energy[v]
@@ -254,22 +242,22 @@ class PQBG:
             found = self._search_cache[key] = (tuple(dist), tuple(parent), tuple(energy))
         return found
 
-    def _distances_to(self, x: int, allowed: frozenset[int]) -> list[int]:
-        """Distance of every vertex to x over the edges labelled in ``allowed``; -1 if x is out of reach."""
+    def _distances_to(self, x: int, q: int) -> list[int]:
+        """Distance of every vertex to x over the edges whose pairing q divides; -1 if x is out of reach."""
         to_x = [-1] * self.num_vertices
         to_x[x] = 0
         dq = deque([x])
         while dq:
             v = dq.popleft()
             for e in self.in_edges[v]:
-                if to_x[e.source] < 0 and e.label in allowed:
+                if to_x[e.source] < 0 and self.pairings[e.label] % q == 0:
                     to_x[e.source] = to_x[v] + 1
                     dq.append(e.source)
         return to_x
 
-    def _path(self, x: int, y: int, allowed: frozenset[int]) -> DirectedPath | None:
-        """The path from y to x along the parent edges of ``_search(y, allowed)``."""
-        dist, parent, _ = self._search(y, allowed)
+    def _path(self, x: int, y: int, q: int) -> DirectedPath | None:
+        """The path from y to x along the parent edges of ``_search(y, q)``."""
+        dist, parent, _ = self._search(y, q)
         if dist[x] < 0:
             return None
         vertices = [x]
@@ -288,7 +276,7 @@ class PQBG:
 
         Read from the memoised BFS that ``shortest_path`` also follows.
         """
-        return self._search(y, self._all_labels)[0]
+        return self._search(y, 1)[0]
 
     def directed_distance(self, x: int, y: int) -> int:
         """Length of a shortest directed path from y to x."""
@@ -296,11 +284,11 @@ class PQBG:
 
     def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
         """Like ``distances_from``, inside the sigma-admissible subgraph."""
-        return self._search(y, self._admissible_labels(sigma))[0]
+        return self._search(y, _denominator(sigma))[0]
 
     def shortest_path(self, x: int, y: int) -> DirectedPath:
         """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
-        path = self._path(x, y, self._all_labels)
+        path = self._path(x, y, 1)
         if path is None:
             raise RuntimeError("graph is strongly connected; no path is a bug")
         return path
@@ -314,9 +302,7 @@ class PQBG:
         an unrestricted one, i.e. whether the pair satisfies the strong
         segment condition.
         """
-        if not 0 < sigma < 1:
-            raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-        path = self._path(x, y, self._admissible_labels(sigma))
+        path = self._path(x, y, _denominator(sigma))
         if path is None:
             return SigmaPathResult(None, False)
         return SigmaPathResult(path, path.length == self.directed_distance(x, y))
@@ -328,15 +314,13 @@ class PQBG:
         sigma-admissible distance equals the unrestricted one, the
         sigma-admissible tree path is a shortest path too, and its energy
         must agree: RuntimeError otherwise.  Memoised per (y, denominator
-        of sigma), which alone decides admissibility.
+        of sigma).
         """
-        if not 0 < sigma.numerator < sigma.denominator:  # 0 < sigma < 1, on a warm row too
-            raise ValueError(f"sigma must lie strictly between 0 and 1, got {sigma}")
-        key = (y, sigma.denominator)
+        key = (y, _denominator(sigma))  # checked on a warm row too
         row = self._energy_rows.get(key)
         if row is None:
-            dist, _, energy = self._search(y, self._all_labels)
-            sdist, _, senergy = self._search(y, self._admissible_labels(sigma))
+            dist, _, energy = self._search(y, 1)
+            sdist, _, senergy = self._search(*key)
             row = tuple(e if s == d else None for d, e, s in zip(dist, energy, sdist))
             checked = tuple(se if s == d else None for d, se, s in zip(dist, senergy, sdist))
             if row != checked:

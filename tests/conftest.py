@@ -122,6 +122,11 @@ def _reversed_path(vertices: list[int], labels: list[int], quantum: list[bool]) 
     return DirectedPath(tuple(reversed(vertices)), tuple(reversed(labels)), tuple(reversed(quantum)))
 
 
+def admissible_labels(g, sigma: Fraction) -> frozenset[int]:
+    """The labels whose pairing sigma times is an integer."""
+    return frozenset(idx for idx in g.labels if g.pairings[idx] * sigma % 1 == 0)
+
+
 def all_paths_up_to(
     g, x: int, y: int, max_len: int | None = None, cap: int = 200_000, sigma: Fraction | None = None
 ) -> list[DirectedPath]:
@@ -132,7 +137,7 @@ def all_paths_up_to(
     """
     if max_len is None:
         max_len = 2 * g.rs.num_positive
-    allowed = frozenset(g.labels) if sigma is None else g._admissible_labels(sigma)
+    allowed = frozenset(g.labels) if sigma is None else admissible_labels(g, sigma)
     found: list[DirectedPath] = []
     budget = [cap]
 
@@ -161,8 +166,8 @@ def all_paths_up_to(
 
 def shortest_sigma_paths(g, x: int, y: int, sigma: Fraction) -> list[DirectedPath]:
     """All sigma-admissible paths from y to x of minimal sigma-admissible length."""
-    allowed = g._admissible_labels(sigma)
-    to_x = g._distances_to(x, allowed)
+    allowed = admissible_labels(g, sigma)
+    to_x = g._distances_to(x, sigma.denominator)
     if to_x[y] < 0:
         return []
     found: list[DirectedPath] = []

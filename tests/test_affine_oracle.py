@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -219,12 +220,20 @@ class TestVerifyLsPath:
         from qbruhat.degree import AffineLSPath
 
         g = a2_21.graph
-        eta1, _, _ = example_paths(a2_21)
+        eta1, _, _ = example_paths(a2_21)  # s2;s2 s1;s1|0,1/2,2/3,1
         lifted = lift(eta1, g)
-        bad_weights = list(lifted.weights)
-        bad_weights[1] = AffineOrbitElement(bad_weights[1].vertex, bad_weights[1].delta - 1)
-        corrupted = AffineLSPath(tuple(bad_weights), lifted.times)
-        assert not oracle_a2.verify_ls_path(corrupted)
+        assert oracle_a2.failure(lifted) == ""
+
+        def shifted(k: int, by: int) -> AffineLSPath:
+            weights = list(lifted.weights)
+            weights[k] = AffineOrbitElement(weights[k].vertex, weights[k].delta + by)
+            return AffineLSPath(tuple(weights), lifted.times)
+
+        lowered, raised = shifted(1, -1), shifted(2, 1)
+        assert not oracle_a2.verify_ls_path(lowered)
+        assert oracle_a2.failure(lowered) == "weights 0 > 1: not comparable"
+        assert not oracle_a2.verify_ls_path(raised)
+        assert oracle_a2.failure(raised) == "weights 1 > 2: no sigma-chain at 2/3"
 
 
 class TestCoversToEdges:
@@ -261,5 +270,5 @@ class TestOracleAgreement:
             # first lifted weight has no delta-shift
             assert lifted.weights[0].delta == 0
             # every delta is a multiple of the coarse shape gcd
-            gcd = shape.delta_gcd()
+            gcd = math.gcd(*shape.multiplicities)
             assert all(m.delta % gcd == 0 for m in lifted.weights)

@@ -159,9 +159,3 @@ class TestShape:
             compute_shape(rs, (1, -1))
         with pytest.raises(ValueError):
             compute_shape(rs, (1,))
-
-    def test_delta_gcd(self):
-        rs = build_root_system(FiniteType.parse("A2"))
-        assert compute_shape(rs, (2, 1)).delta_gcd() == 1
-        assert compute_shape(rs, (2, 4)).delta_gcd() == 2
-        assert compute_shape(rs, (3, 0)).delta_gcd() == 3

@@ -174,6 +174,29 @@ class TestVerify:
         assert code == 0 and set(stored.values()) == {1}
         assert len(g._energy_rows) == g.num_vertices * len(denominators)
 
+    @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
+    def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
+        # a path's record is formatted only when it is reported, but the
+        # endpoint identity is checked on every path the window settles;
+        # every path of A2 (2,1) passes at window 10, and 12 of its 27 are
+        # inconclusive at window 1
+        calls = Counter()
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "path_to_json", counting(cli.path_to_json))
+        monkeypatch.setattr(cli, "endpoint_delta", counting(cli.endpoint_delta))
+        _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
+        doc = json.loads(out)
+        assert calls["path_to_json"] == len(doc["paths"]) == reported
+        assert calls["endpoint_delta"] == 27 - reported
+        assert doc["checks"][-1]["detail"].startswith("paths=27 ")
+
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):
         # verify certifies paths in one thread on one oracle, whose memos are

@@ -9,8 +9,10 @@ import pytest
 import qbruhat.degree as degree_mod
 from conftest import cached_context, segment_chains, vertex_by_word
 from qbruhat import build_context
+from qbruhat.affine_oracle import AffineOrbitElement
 from qbruhat.cli import main
 from qbruhat.degree import (
+    AffineLSPath,
     InvalidQLSPath,
     NonIntegralDegree,
     _degree_of,
@@ -79,21 +81,39 @@ class TestSegmentEnergy:
         ctx = build_context("A2", (2, 1))
         g = ctx.graph
         r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
-        key = (r2r1, g._admissible_labels(F(1, 2)))
+        key = (r2r1, 2)  # the BFS of denominator 2
         dist, parent, energy = g._search(*key)
         assert dist[r2] == g.directed_distance(r2, r2r1) and energy[r2] == 2
         g._search_cache[key] = (dist, parent, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
         with pytest.raises(RuntimeError, match="carry energies 2 and 3"):
             g.segment_energies(r2r1, F(1, 2))
 
-    @pytest.mark.parametrize("sigma", [F(3, 2), F(-1, 2), F(5, 2)])
-    def test_time_checked_on_a_warm_row(self, sigma):
+    @pytest.mark.parametrize(
+        "query,sigma",
+        [
+            # the segment_energies cases keep the ids they had before the other queries joined
+            pytest.param(query, sigma, id=f"{prefix}sigma{k}")
+            for query, prefix in [
+                ("segment_energies", ""),
+                ("sigma_path", "sigma_path-"),
+                ("sigma_distances_from", "sigma_distances_from-"),
+            ]
+            for k, sigma in enumerate([F(3, 2), F(-1, 2), F(5, 2)])
+        ],
+    )
+    def test_time_checked_on_a_warm_row(self, query, sigma):
         # the row of (source, denominator 2) is memoised first; a time
-        # outside (0, 1) with the same denominator is still refused
+        # outside (0, 1) with the same denominator is still refused by every
+        # sigma-taking query
         g = build_context("A2", (2, 1)).graph
-        g.segment_energies(0, F(1, 2))
+        ask = {
+            "segment_energies": lambda s: g.segment_energies(0, s),
+            "sigma_path": lambda s: g.sigma_path(1, 0, s),
+            "sigma_distances_from": lambda s: g.sigma_distances_from(0, s),
+        }[query]
+        ask(F(1, 2))
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
-            g.segment_energies(0, sigma)
+            ask(sigma)
 
 
 class TestLift:
@@ -129,6 +149,13 @@ class TestLift:
         assert endpoint_delta(lift(eta1, g)) == 1
         assert endpoint_delta(lift(eta3, g)) == 2
         assert endpoint_delta(lift(QLSPath((0,), (F(0), F(1))), g)) == 0
+
+    @pytest.mark.parametrize("deltas,total", [((0, 1), "1/2"), ((-2, 0), "-1")])
+    def test_endpoint_not_a_nonnegative_integer(self, deltas, total):
+        weights = tuple(AffineOrbitElement(v, d) for v, d in zip((0, 1), deltas))
+        lifted = AffineLSPath(weights, (F(0), F(1, 2), F(1)))
+        with pytest.raises(NonIntegralDegree, match=f"^endpoint delta {total} is not a nonnegative integer$"):
+            endpoint_delta(lifted)
 
 
 class TestInvariants:
@@ -377,9 +404,9 @@ class TestDegreeRows:
         # unrestricted one is refused while the walk reads the energy rows
         real = PQBG._search
 
-        def perturbed(self, y, allowed):
-            dist, parent, energy = real(self, y, allowed)
-            if allowed == self._all_labels:
+        def perturbed(self, y, q):
+            dist, parent, energy = real(self, y, q)
+            if q == 1:
                 return dist, parent, energy
             return dist, parent, tuple(e + 1 for e in energy)
 
