@@ -222,7 +222,6 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         overall = "fail"
     elif any(c["status"] == "inconclusive" for c in checks):
         overall = "inconclusive"
-    # records are formatted only for the paths that are reported
     reports = [
         path_to_json(graph, p) | {"status": status, "detail": detail}
         for p, (status, detail) in zip(hat, results)
