@@ -34,7 +34,6 @@ entry and is reported distinctly from "no chain".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cartan import pair
 from .qbg import PQBG
@@ -119,17 +118,8 @@ class AffineOracle:
 
     # -- order ---------------------------------------------------------------
 
-    def dist(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
-        """Maximal chain length from mu down to nu, or None when mu is not above nu.
-
-        Every traversed delta lies between mu.delta and nu.delta, so the
-        result is window-independent once both endpoints fit.
-        """
-        self._check_window(mu, nu)
-        return self._dist(mu.vertex, nu.vertex, nu.delta - mu.delta)
-
     def _dist(self, v: int, w: int, d: int) -> int | None:
-        # dist from (v, 0) down to (w, d)
+        # the maximal chain length from (v, 0) down to (w, d), None when (v, 0) is not above it
         if d < 0:
             return None
         if v == w and d == 0:
@@ -147,18 +137,10 @@ class AffineOracle:
         self._dist_memo[key] = best
         return best
 
-    def is_cover(self, mu: AffineOrbitElement, nu: AffineOrbitElement) -> bool:
-        return self.dist(mu, nu) == 1
-
     # -- chains ----------------------------------------------------------------
 
-    def verify_sigma_chain(self, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:
-        """Whether some saturated cover chain from mu to nu has all pairings sigma-integral."""
-        self._check_window(mu, nu)
-        return self._sigma_chain(mu.vertex, nu.vertex, nu.delta - mu.delta, sigma.denominator)
-
     def _sigma_chain(self, v: int, w: int, d: int, q: int) -> bool:
-        # a sigma-chain from (v, 0) down to (w, d), sigma of denominator q
+        # a saturated cover chain from (v, 0) down to (w, d) with sigma-integral pairings, q = sigma's denominator
         if d < 0:
             return False
         if v == w and d == 0:

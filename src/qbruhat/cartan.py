@@ -142,9 +142,6 @@ class Root:
 
     coords: tuple[int, ...]
 
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coords) and any(c > 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class Coroot:
@@ -232,8 +229,8 @@ class RootSystem:
             raise RuntimeError(f"no unique highest root for {self.type}")
         self.highest_root = top[0]
         theta = self.positive_roots[self.highest_root].coords
-        # theta dominates every positive root componentwise; the affine-orbit
-        # bookkeeping downstream relies on this.
+        # a sanity check on the closure: theta dominates every positive root
+        # componentwise (the tests read theta at ``highest_root``)
         for c in ordered:
             if any(x > t for x, t in zip(c, theta)):
                 raise RuntimeError("highest root fails componentwise domination")
@@ -246,23 +243,9 @@ class RootSystem:
 
     # -- lookups ---------------------------------------------------------
 
-    def simple_coroot(self, i: int) -> Coroot:
-        return self.positive_coroots[i - 1]
-
     def root_index(self, coords: tuple[int, ...]) -> int | None:
         """Index of a positive root by coordinates, or None."""
         return self._root_index.get(coords)
-
-    @property
-    def theta(self) -> Root:
-        return self.positive_roots[self.highest_root]
-
-    @property
-    def theta_coroot(self) -> Coroot:
-        return self.positive_coroots[self.highest_root]
-
-    def root_as_weight(self, index: int) -> Weight:
-        return Weight(self.root_weight_coords[index])
 
     # -- arithmetic ------------------------------------------------------
 

@@ -81,8 +81,13 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     if not words or any(not w for w in words):
         raise ValueError("empty direction in path literal")
     dirs = tuple(ctx.graph.vertex_of_word(w) for w in words)
-    times = tuple(Fraction(t.strip()) for t in times_part.split(","))
-    return QLSPath(dirs, times)
+    times = []
+    for text in times_part.split(","):
+        try:
+            times.append(Fraction(text.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"time {text.strip()!r} has a zero denominator") from None
+    return QLSPath(dirs, tuple(times))
 
 
 def cmd_qbg(config: CliConfig) -> int:
@@ -130,7 +135,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
     if literal is not None:
         try:
             path = parse_path_literal(ctx, literal)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
@@ -264,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _config(args)
+        if getattr(args, "cap", 0) < 0:
+            raise CliError(f"cap must be non-negative, not {args.cap}")
         if args.command == "qbg":
             return cmd_qbg(config)
         if args.command == "qls":

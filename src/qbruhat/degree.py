@@ -15,7 +15,7 @@ is an integer over L.
 ``degree_rows`` builds the table of every path in one pass: the enumeration
 walk carries the energies, and each row still passes the structure check
 and the exactness check of its sum.  ``degree`` and ``degree_table`` take
-given paths (``--path`` literals, JSON).
+given paths (``--path`` literals).
 
 The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies; the

@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import Coroot, LevelZeroShape, Weight, pair
+from .cartan import LevelZeroShape, Weight, pair
 
 
 @dataclass(frozen=True)
@@ -272,26 +272,12 @@ class PQBG:
         return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
 
     def distances_from(self, y: int) -> tuple[int, ...]:
-        """BFS distances from y along edge orientation; -1 marks unreachable.
-
-        Read from the memoised BFS that ``shortest_path`` also follows.
-        """
+        """BFS distances from y along edge orientation; -1 marks unreachable."""
         return self._search(y, 1)[0]
-
-    def directed_distance(self, x: int, y: int) -> int:
-        """Length of a shortest directed path from y to x."""
-        return self.distances_from(y)[x]
 
     def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
         """Like ``distances_from``, inside the sigma-admissible subgraph."""
         return self._search(y, _denominator(sigma))[0]
-
-    def shortest_path(self, x: int, y: int) -> DirectedPath:
-        """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
-        path = self._path(x, y, 1)
-        if path is None:
-            raise RuntimeError("graph is strongly connected; no path is a bug")
-        return path
 
     def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
         """A shortest path from y to x inside the sigma-admissible subgraph, if any.
@@ -305,7 +291,7 @@ class PQBG:
         path = self._path(x, y, _denominator(sigma))
         if path is None:
             return SigmaPathResult(None, False)
-        return SigmaPathResult(path, path.length == self.directed_distance(x, y))
+        return SigmaPathResult(path, path.length == self.distances_from(y)[x])
 
     def segment_energies(self, y: int, sigma: Fraction) -> tuple[int | None, ...]:
         """wt_Lambda(y => x) for every x; None where no shortest path from y to x is sigma-admissible.
@@ -330,17 +316,6 @@ class PQBG:
                 )
             self._energy_rows[key] = row
         return row
-
-    # -- weights -----------------------------------------------------------
-
-    def path_weight(self, path: DirectedPath) -> Coroot:
-        """Sum of beta^vee over the quantum-kind steps of the path."""
-        acc = [0] * self.rs.rank
-        for label, q in zip(path.labels, path.quantum):
-            if q:
-                for k, c in enumerate(self.rs.positive_coroots[label].coords):
-                    acc[k] += c
-        return Coroot(tuple(acc))
 
     # -- export --------------------------------------------------------------
 

@@ -8,8 +8,9 @@ unrestricted one; the weak ("tilde") variant only asks for reachability in
 the sigma_k-admissible subgraph.
 
 Times are ``Fraction`` only at the boundary (``QLSPath.times``, literals,
-JSON); inside they are candidate indices or integer ticks over L, the lcm
-of the denominators.  Enumeration returns a tuple in ``path_sort_key`` order.
+JSON); inside they are candidate indices or integer ticks over L, the lcm of
+the denominators.  Enumeration orders paths by number of directions, then
+directions, then times.
 
 One walk over candidate indices serves both variants and the degree table.
 Its successor lists hold, for the strong variant, each segment's energy
@@ -45,10 +46,6 @@ class QLSPath:
             (self.directions[k], self.directions[k + 1], self.times[k + 1])
             for k in range(len(self.directions) - 1)
         )
-
-
-def path_sort_key(path: QLSPath):
-    return (len(path.directions), path.directions, path.times)
 
 
 def sigma_candidates(g: PQBG) -> tuple[Fraction, ...]:
@@ -88,20 +85,6 @@ def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> b
     return all(map(ne, dirs, dirs[1:]))
 
 
-def is_hat_path(g: PQBG, path: QLSPath) -> bool:
-    """Independent validator for the strong variant (used to re-check enumerations)."""
-    if not _structure_ok(g, path.directions, *time_ticks(path.times)):
-        return False
-    return all(g.sigma_path(x, y, sigma).shortest for x, y, sigma in path.turning_points())
-
-
-def is_tilde_path(g: PQBG, path: QLSPath) -> bool:
-    """Independent validator for the weak variant."""
-    if not _structure_ok(g, path.directions, *time_ticks(path.times)):
-        return False
-    return all(g.sigma_path(x, y, sigma).path is not None for x, y, sigma in path.turning_points())
-
-
 def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[tuple]]]:
     # succ[i][x]: the pairs (y, energy), y ascending, for the directions y that
     # may follow x at time candidates[i]; the energy is wt_Lambda(y => x) in
@@ -129,8 +112,8 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
 def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
     """The candidate times and every path as (len, dirs, candidate indices, energies), sorted.
 
-    Sorting on (len, dirs, indices) is the ``path_sort_key`` order, since the
-    candidates ascend; no two paths tie on it.  The energies are the
+    Sorting on (len, dirs, indices) orders by number of directions, then
+    directions, then times, since the candidates ascend; no two paths tie on it.  The energies are the
     segments' wt_Lambda(x_{p+1} => x_p) in the strong variant.
     """
     candidates = sigma_candidates(g)
@@ -174,7 +157,7 @@ def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
-    """All paths of the strong variant, in the canonical ``path_sort_key`` order.
+    """All paths of the strong variant, in the canonical order.
 
     That is by number of directions, then directions, then times; the
     internal times are the ``sigma_candidates`` objects themselves.
@@ -187,34 +170,9 @@ def enumerate_tilde(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
     return _enumerate(g, False, cap)
 
 
-def evaluate(g: PQBG, path: QLSPath, t: Fraction) -> tuple[Fraction, ...]:
-    """The piecewise-linear map at time t, exactly.
-
-    On the segment t in [t_{k-1}, t_k] the value is
-    sum_{l<k} (t_l - t_{l-1}) x_l Lambda + (t - t_{k-1}) x_k Lambda.
-    """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"time {t} outside [0, 1]")
-    acc = [Fraction(0)] * g.rs.rank
-    times, dirs = path.times, path.directions
-    for k in range(1, len(times)):
-        lo, hi = times[k - 1], times[k]
-        for i, c in enumerate(g.orbit_weight(dirs[k - 1]).coords):
-            acc[i] += (min(t, hi) - lo) * c
-        if t <= hi:
-            break
-    return tuple(acc)
-
-
 def path_to_json(g: PQBG, path: QLSPath) -> dict:
     return {
         "dirs": [g.vertex_name(v) for v in path.directions],
         "times": [str(t) for t in path.times],
     }
 
-
-def path_from_json(g: PQBG, record: dict) -> QLSPath:
-    dirs = tuple(g.vertex_of_word(w) for w in record["dirs"])
-    times = tuple(Fraction(t) for t in record["times"])
-    return QLSPath(dirs, times)

@@ -1,4 +1,5 @@
-"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, lift chains."""
+"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, lift chains,
+and the graph, path and oracle queries that only the tests ask."""
 
 from __future__ import annotations
 
@@ -9,9 +10,10 @@ import pytest
 
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
-from qbruhat.cartan import FiniteType, build_root_system
+from qbruhat.cartan import Coroot, FiniteType, build_root_system
 from qbruhat.degree import lift
 from qbruhat.qbg import DirectedPath
+from qbruhat.qls import QLSPath, _structure_ok, time_ticks
 from qbruhat.weyl import coset_system, enumerate_group
 
 
@@ -223,3 +225,76 @@ def segment_chains(g, path) -> tuple[tuple[AffineOrbitElement, ...], ...]:
         assert chain[-1] == weights[p + 1], "segment chain does not land on the next lifted weight"
         chains.append(tuple(chain))
     return tuple(chains)
+
+
+# -- graph and path queries: shortest paths, validators, evaluation, JSON ----
+
+
+def shortest_path(g, x: int, y: int) -> DirectedPath:
+    """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
+    return g._path(x, y, 1)
+
+
+def path_weight(g, path: DirectedPath) -> Coroot:
+    """Sum of beta^vee over the quantum steps of the path."""
+    coroots = [g.rs.positive_coroots[label].coords for label, q in zip(path.labels, path.quantum) if q]
+    return Coroot(tuple(sum(c[k] for c in coroots) for k in range(g.rs.rank)))
+
+
+def path_sort_key(path: QLSPath):
+    """The canonical order of enumeration: number of directions, then directions, then times."""
+    return (len(path.directions), path.directions, path.times)
+
+
+def is_hat_path(g, path: QLSPath) -> bool:
+    """Independent validator for the strong variant."""
+    return _structure_ok(g, path.directions, *time_ticks(path.times)) and all(
+        g.sigma_path(x, y, sigma).shortest for x, y, sigma in path.turning_points()
+    )
+
+
+def is_tilde_path(g, path: QLSPath) -> bool:
+    """Independent validator for the weak variant."""
+    return _structure_ok(g, path.directions, *time_ticks(path.times)) and all(
+        g.sigma_path(x, y, sigma).path is not None for x, y, sigma in path.turning_points()
+    )
+
+
+def evaluate(g, path: QLSPath, t: Fraction) -> tuple[Fraction, ...]:
+    """The piecewise-linear map at time t, exactly.
+
+    On the segment t in [t_{k-1}, t_k] the value is
+    sum_{l<k} (t_l - t_{l-1}) x_l Lambda + (t - t_{k-1}) x_k Lambda.
+    """
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"time {t} outside [0, 1]")
+    acc = [Fraction(0)] * g.rs.rank
+    times, dirs = path.times, path.directions
+    for k in range(1, len(times)):
+        lo, hi = times[k - 1], times[k]
+        for i, c in enumerate(g.orbit_weight(dirs[k - 1]).coords):
+            acc[i] += (min(t, hi) - lo) * c
+        if t <= hi:
+            break
+    return tuple(acc)
+
+
+def path_from_json(g, record: dict) -> QLSPath:
+    """The path of a ``{"dirs": [words], "times": [fraction strings]}`` record."""
+    return QLSPath(tuple(g.vertex_of_word(w) for w in record["dirs"]), tuple(Fraction(t) for t in record["times"]))
+
+
+# -- oracle queries between two orbit elements, inside the oracle's window ----
+
+
+def dist(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
+    """Maximal chain length from mu down to nu, or None when mu is not above nu."""
+    oracle._check_window(mu, nu)
+    return oracle._dist(mu.vertex, nu.vertex, nu.delta - mu.delta)
+
+
+def verify_sigma_chain(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:
+    """Whether some saturated cover chain from mu to nu has all pairings sigma-integral."""
+    oracle._check_window(mu, nu)
+    return oracle._sigma_chain(mu.vertex, nu.vertex, nu.delta - mu.delta, sigma.denominator)

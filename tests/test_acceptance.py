@@ -13,11 +13,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import all_paths_up_to, cached_context, shortest_sigma_paths, vertex_by_word
+from conftest import all_paths_up_to, cached_context, path_sort_key, path_weight, shortest_sigma_paths, vertex_by_word
 from qbruhat.affine_oracle import AffineOracle
 from qbruhat.cartan import pair
 from qbruhat.degree import degree, degree_table, endpoint_delta, lift
-from qbruhat.qls import enumerate_hat, enumerate_tilde, path_sort_key, sigma_candidates
+from qbruhat.qls import enumerate_hat, enumerate_tilde, sigma_candidates
 from test_qbg import A2_EDGES, edge_set
 from test_qls import example_paths
 
@@ -61,7 +61,7 @@ def test_criterion_3_sigma_admissible_edges(a2_21):
             res = g.sigma_path(v(dst), v(src), sigma)
             assert res.shortest and res.path.length == 1
             assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 1)
-            assert (sigma * pair(lam, g.rs.theta_coroot)).denominator == 1
+            assert (sigma * pair(lam, g.rs.positive_coroots[g.rs.highest_root])).denominator == 1
             checked += 1
     for src, dst in alpha1_edges:
         res = g.sigma_path(v(dst), v(src), F(1, 2))
@@ -136,16 +136,16 @@ def test_criterion_8_well_definedness():
             x, y, sigma = rng.choice(valid)
             sampled += 1
             best = shortest_sigma_paths(g, x, y, sigma)
-            assert best and best[0].length == g.directed_distance(x, y)
-            energies = {pair(lam, g.path_weight(p)) for p in best}
+            assert best and best[0].length == g.distances_from(y)[x]
+            energies = {pair(lam, path_weight(g, p)) for p in best}
             assert len(energies) == 1
-            ref = g.path_weight(best[0]).coords
+            ref = path_weight(g, best[0]).coords
             for p in best:
-                diff = tuple(a - b for a, b in zip(g.path_weight(p).coords, ref))
+                diff = tuple(a - b for a, b in zip(path_weight(g, p).coords, ref))
                 assert {i + 1 for i, c in enumerate(diff) if c} <= J
             floor = energies.pop()
             for p in all_paths_up_to(g, x, y, sigma=sigma):
-                assert pair(lam, g.path_weight(p)) >= floor
+                assert pair(lam, path_weight(g, p)) >= floor
     assert sampled > 0
     report(8, f"{sampled} sampled triples: canonical energies, minimality holds")
 
@@ -163,7 +163,7 @@ def test_criterion_9_tie_break_invariance():
             for (x_cur, x_next, sigma), energy in zip(eta.turning_points(), row["energies"]):
                 best = shortest_sigma_paths(g, x_cur, x_next, sigma)
                 assert best, (name, mults, eta)
-                assert {pair(lam, g.path_weight(p)) for p in best} == {energy}, (name, mults, eta)
+                assert {pair(lam, path_weight(g, p)) for p in best} == {energy}, (name, mults, eta)
                 checked += len(best)
     assert checked > 0
     report(9, f"{checked} shortest admissible segment paths all carry the tabulated energy")

@@ -87,6 +87,10 @@ class TestDegree:
         code, _, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "no pipe here")
         assert code == 2
 
+    def test_zero_denominator_literal(self, capsys):
+        code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "e|0,1/0,1")
+        assert code == 2 and out == "" and err == "error: time '1/0' has a zero denominator\n"
+
     def test_invalid_path(self, capsys):
         code, _, _ = run(
             capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "e;s1 s2 s1|0,1/5,1"
@@ -272,6 +276,16 @@ class TestExitCodes:
         # an exceeded --cap or a negative --window is input error 2, not a traceback
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["qls", "degree", "verify"])
+    def test_negative_cap_refused(self, capsys, monkeypatch, command):
+        # refused like a negative --window, before the graph is built
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on a negative cap")
+
+        monkeypatch.setattr(cli, "build_context", fail)
+        code, out, err = run(capsys, command, "--type", "A2", "--lambda", "1,0", "--cap", "-5")
+        assert code == 2 and out == "" and err == "error: cap must be non-negative, not -5\n"
 
 
 class TestFlags:

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import qbruhat.degree as degree_mod
-from conftest import cached_context, segment_chains, vertex_by_word
+from conftest import cached_context, path_sort_key, segment_chains, vertex_by_word
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
 from qbruhat.cli import main
@@ -30,7 +30,6 @@ from qbruhat.qls import (
     _structure_ok,
     enumerate_hat,
     enumerate_tilde,
-    path_sort_key,
     sigma_candidates,
     time_ticks,
 )
@@ -83,7 +82,7 @@ class TestSegmentEnergy:
         r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
         key = (r2r1, 2)  # the BFS of denominator 2
         dist, parent, energy = g._search(*key)
-        assert dist[r2] == g.directed_distance(r2, r2r1) and energy[r2] == 2
+        assert dist[r2] == g.distances_from(r2r1)[r2] and energy[r2] == 2
         g._search_cache[key] = (dist, parent, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
         with pytest.raises(RuntimeError, match="carry energies 2 and 3"):
             g.segment_energies(r2r1, F(1, 2))

@@ -17,10 +17,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import cached_context
+from conftest import cached_context, evaluate
 from qbruhat.cartan import Weight
 from qbruhat.degree import degree
-from qbruhat.qls import enumerate_hat, evaluate
+from qbruhat.qls import enumerate_hat
 
 
 def graded_endpoints(type_name: str, mults: tuple[int, ...]) -> Counter:

@@ -8,17 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cached_context, type_group, vertex_by_word
+from conftest import cached_context, evaluate, is_hat_path, is_tilde_path, path_from_json, type_group, vertex_by_word
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
     QLSPath,
     enumerate_hat,
     enumerate_tilde,
-    evaluate,
-    is_hat_path,
-    is_tilde_path,
-    path_from_json,
     path_to_json,
     sigma_candidates,
 )
