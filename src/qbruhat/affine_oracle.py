@@ -25,10 +25,11 @@ Covers never need other reflections, so chain searches over these steps are
 exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
 so every order question depends only on the two vertices and the difference
 of their delta-coefficients: the memos are keyed that way, and the cover/edge
-correspondence is checked once, at delta 0, for every delta.  Delta never
-decreases along a step, which bounds every search between the two endpoint
-delta-coefficients; the oracle's window, fixed at construction, only guards
-entry and is reported distinctly from "no chain".
+correspondence is checked once, at delta 0, for every delta, as the equality
+of two key sets: the covers, each keyed as the graph edge it must be, and the
+graph edges.  Delta never decreases along a step, which bounds every search
+between the two endpoint delta-coefficients; the oracle's window, fixed at
+construction, only guards entry and is reported distinctly from "no chain".
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class AffineOrbitElement:
 class RaisingStep:
     kind: str  # "finite" | "affine"
     root: int  # index of gamma among the positive roots
-    source: AffineOrbitElement
     target: AffineOrbitElement
     pairing: int  # <source, xi^vee>, always negative
 
@@ -81,6 +81,7 @@ class AffineOracle:
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
     _dist_memo: dict = field(default_factory=dict, repr=False)
     _chain_memo: dict = field(default_factory=dict, repr=False)
+    _cover_memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -112,7 +113,7 @@ class AffineOracle:
     def raising_steps(self, mu: AffineOrbitElement) -> tuple[RaisingStep, ...]:
         """All order-lowering steps out of mu over the two admissible root kinds."""
         return tuple(
-            RaisingStep("affine" if gain else "finite", i, mu, AffineOrbitElement(t, mu.delta + gain), p)
+            RaisingStep("affine" if gain else "finite", i, AffineOrbitElement(t, mu.delta + gain), p)
             for i, t, gain, p in self._steps[mu.vertex]
         )
 
@@ -137,6 +138,13 @@ class AffineOracle:
         self._dist_memo[key] = best
         return best
 
+    def _covers(self, v: int) -> tuple[RaisingStep, ...]:
+        # the steps out of (v, 0) that are covers, i.e. have no element strictly between their ends
+        if v not in self._cover_memo:
+            steps = self.raising_steps(AffineOrbitElement(v, 0))
+            self._cover_memo[v] = tuple(s for s in steps if self._dist(v, s.target.vertex, s.target.delta) == 1)
+        return self._cover_memo[v]
+
     # -- chains ----------------------------------------------------------------
 
     def _sigma_chain(self, v: int, w: int, d: int, q: int) -> bool:
@@ -149,14 +157,9 @@ class AffineOracle:
         if key in self._chain_memo:
             return self._chain_memo[key]
         self._chain_memo[key] = False  # steps strictly descend, so re-entry cannot occur
-        ok = False
-        for _, t, gain, p in self._steps[v]:
-            if gain > d or p % q != 0:
-                continue
-            if self._dist(v, t, gain) == 1 and self._sigma_chain(t, w, d - gain, q):
-                ok = True
-                break
-        self._chain_memo[key] = ok
+        self._chain_memo[key] = ok = any(
+            s.pairing % q == 0 and self._sigma_chain(s.target.vertex, w, d - s.target.delta, q) for s in self._covers(v)
+        )
         return ok
 
     # -- path-level checks -------------------------------------------------------
@@ -186,66 +189,50 @@ class AffineOracle:
     # -- cover/edge correspondence --------------------------------------------------
 
     def _edge_root_from_cover(self, step: RaisingStep) -> tuple[int, ...]:
-        # beta = w^{-1} gamma (finite) or -w^{-1} gamma (affine), w the smaller
-        # element's representative, whose inverse has the reversed word;
-        # returned in simple-root coordinates.
+        # beta = w^{-1} gamma (finite) or -w^{-1} gamma (affine) in simple-root coordinates,
+        # w the smaller element's representative, whose inverse has the reversed word
         g = self.g
-        winv = g.words[step.target.vertex][::-1]
-        coords = g.rs.apply_root_coords(winv, g.rs.positive_roots[step.root].coords)
-        if step.kind == "affine":
-            coords = tuple(-c for c in coords)
-        return coords
+        coords = g.rs.apply_root_coords(g.words[step.target.vertex][::-1], g.rs.positive_roots[step.root].coords)
+        return tuple(-c for c in coords) if step.kind == "affine" else coords
 
     def covers_to_edges(self) -> CoverEdgeReport:
-        """Exhaustive two-way check between orbit covers and graph edges.
+        """Exhaustive two-way check between orbit covers and graph edges, as the equality of two key sets.
 
-        Every cover out of each (v, 0) must map to a graph edge of the
-        matching kind, and every graph edge must lift to a cover.  Since
-        (v, n) > (t, n + k) is a cover exactly when (v, 0) > (t, k) is, the
-        check holds for every delta and does not use the window.
+        Each cover (v, 0) > (t, k) is keyed as the edge it must be, (t, v,
+        label, k), with k = 0 on a Bruhat edge and the label's pairing on a
+        quantum one; each graph edge whose kind agrees with the sign of its
+        moved label is keyed the same way.  A key on one side only is a
+        mismatch.  Since (v, n) > (t, n + k) is a cover exactly when
+        (v, 0) > (t, k) is, the check holds for every delta and does not use
+        the window.
         """
         g = self.g
+        name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"
         mismatches: list[str] = []
-        covers = 0
-        edges_checked = 0
-
-        def name(mu: AffineOrbitElement) -> str:
-            return f"({g.vertex_name(mu.vertex)}, {mu.delta}d)"
-
-        for v in range(g.num_vertices):
-            mu = AffineOrbitElement(v, 0)
-            for step in self.raising_steps(mu):
-                if self._dist(v, step.target.vertex, step.target.delta) != 1:
-                    continue
-                covers += 1
-                beta = self._edge_root_from_cover(step)
-                idx = g.rs.root_index(beta)
-                if idx is None or idx not in g.labels:
-                    mismatches.append(f"cover {name(mu)} > {name(step.target)}: bad label {beta}")
-                    continue
-                e = g.edge(step.target.vertex, idx)
-                want_quantum = step.kind == "affine"
-                if e is None or e.target != mu.vertex or e.quantum != want_quantum:
-                    mismatches.append(
-                        f"cover {name(mu)} > {name(step.target)}: no matching {step.kind} edge"
-                    )
-
+        cover_steps = [(v, step) for v in range(g.num_vertices) for step in self._covers(v)]
+        covers = set()
+        for v, step in cover_steps:
+            t, gain = step.target.vertex, step.target.delta
+            beta = self._edge_root_from_cover(step)
+            idx = g.rs.root_index(beta)
+            if idx is None or idx not in g.labels:
+                mismatches.append(f"cover {name(v, 0)} > {name(t, gain)}: bad label {beta}")
+            else:
+                covers.add((t, v, idx, gain))
+        edges = set()
         for e in g.edges:
             wmoved = g.rs.apply_root_coords(g.words[e.source], g.rs.positive_roots[e.label].coords)
-            positive = all(c >= 0 for c in wmoved)
-            if positive == e.quantum:
+            if all(c >= 0 for c in wmoved) == e.quantum:
                 mismatches.append(
                     f"edge {g.vertex_name(e.source)} -> {g.vertex_name(e.target)}: "
                     f"sign of the moved label contradicts the edge kind"
                 )
-                continue
-            edges_checked += 1
-            # the smaller element sits at the edge source; its cover partner at
-            # the target has delta lowered by the pairing on quantum edges
-            gain = 0 if not e.quantum else g.pairings[e.label]
-            mu = AffineOrbitElement(e.target, 0)
-            nu = AffineOrbitElement(e.source, gain)
-            if self._dist(e.target, e.source, gain) != 1:
-                mismatches.append(f"edge lift {name(mu)} > {name(nu)} is not a cover")
+            else:
+                # the smaller element sits at the source, its delta raised by a quantum edge's pairing
+                edges.add((e.source, e.target, e.label, g.pairings[e.label] if e.quantum else 0))
 
-        return CoverEdgeReport(covers, edges_checked, tuple(mismatches))
+        for t, v, _, k in sorted(covers - edges):
+            mismatches.append(f"cover {name(v, 0)} > {name(t, k)}: no matching {'affine' if k else 'finite'} edge")
+        for s, t, _, k in sorted(edges - covers):
+            mismatches.append(f"edge lift {name(t, 0)} > {name(s, k)} is not a cover")
+        return CoverEdgeReport(len(cover_steps), len(edges), tuple(mismatches))

@@ -141,7 +141,7 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
         try:
             rows = degree_table(ctx.shape, ctx.graph, [path])
         except InvalidQLSPath as exc:
-            print(f"invalid path: {exc}", file=sys.stderr)
+            print(f"invalid path {literal!r}: {exc}", file=sys.stderr)
             return 1
     else:
         rows = degree_rows(ctx.graph, cap)
@@ -257,7 +257,13 @@ def _build_parser() -> argparse.ArgumentParser:
     deg_p = sub.add_parser("degree", parents=[common, capped], help="degree table")
     deg_p.add_argument("--path", default=None, help="path literal 'w;w|t,t,t'")
     ver_p = sub.add_parser("verify", parents=[common, capped], help="run the oracle suites")
-    ver_p.add_argument("--window", type=int, default=10, help="delta window for oracle searches")
+    ver_p.add_argument(
+        "--window",
+        type=int,
+        default=10,
+        help="largest |delta| a lifted path may reach before its check is inconclusive; "
+        "the searches run on delta differences and never read it",
+    )
     return parser
 
 

@@ -57,7 +57,7 @@ def segment_energy(g: PQBG, x_next: int, x_cur: int, sigma: Fraction) -> int:
     energy = g.segment_energies(x_next, sigma)[x_cur]
     if energy is None:
         raise InvalidQLSPath(
-            f"no admissible shortest path from vertex {x_next} to {x_cur} at sigma={sigma}"
+            f"no admissible shortest path from {g.vertex_name(x_next)} to {g.vertex_name(x_cur)} at sigma={sigma}"
         )
     return energy
 
@@ -66,7 +66,7 @@ def _segments(path: QLSPath, g: PQBG) -> tuple[list[int], int, list[int]]:
     """The path's segment energies, with its times as integer ticks over L."""
     L, ticks = time_ticks(path.times)
     if not _structure_ok(g, path.directions, L, ticks):
-        raise InvalidQLSPath(f"structurally invalid path {path}")
+        raise InvalidQLSPath("structurally invalid")
     energies = [segment_energy(g, x_next, x_cur, sigma) for x_cur, x_next, sigma in path.turning_points()]
     return energies, L, ticks
 
@@ -135,7 +135,7 @@ def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
         L = lcm(*[dens[i] for i in idx])
         ticks = [0, *[nums[i] * (L // dens[i]) for i in idx], L]
         if not _structure_ok(g, dirs, L, ticks):
-            raise InvalidQLSPath(f"structurally invalid path {dirs} at times {times}")
+            raise InvalidQLSPath(f"invalid path '{';'.join(names)}|{','.join(times)}': structurally invalid")
         energies = list(energies)
         rows.append({"dirs": names, "times": times, "energies": energies, "deg": _degree_of(energies, L, ticks)})
     return rows

@@ -208,9 +208,6 @@ class PQBG:
         """The vertex x with x Lambda = weight; KeyError off the orbit."""
         return self._vertex_by_point[weight.coords]
 
-    def edge(self, source: int, label: int) -> QBGEdge | None:
-        return next((e for e in self.out_edges[source] if e.label == label), None)
-
     # -- distances and shortest paths --------------------------------------
 
     def _search(self, y: int, q: int) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...], tuple[int, ...]]:

@@ -197,7 +197,7 @@ def validate_path(g, path: DirectedPath) -> None:
     if len(path.vertices) != len(path.labels) + 1 or len(path.labels) != len(path.quantum):
         raise ValueError("ill-formed path arrays")
     for k in range(len(path.labels)):
-        e = g.edge(path.vertices[k + 1], path.labels[k])
+        e = next((e for e in g.out_edges[path.vertices[k + 1]] if e.label == path.labels[k]), None)
         if e is None or e.target != path.vertices[k] or e.quantum != path.quantum[k]:
             raise ValueError(f"step {k} is not an edge of the graph")
 

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import (
-    REFERENCE_SHAPES, cached_context, dist, group_cosets, segment_chains, verify_sigma_chain, vertex_by_word
+    _REFERENCE_SHAPES,
+    REFERENCE_SHAPES,
+    cached_context,
+    dist,
+    group_cosets,
+    segment_chains,
+    verify_sigma_chain,
+    vertex_by_word,
 )
 from qbruhat.affine_oracle import (
     AffineOracle,
@@ -238,6 +247,45 @@ class TestVerifyLsPath:
         assert oracle_a2.failure(raised) == "weights 1 > 2: no sigma-chain at 2/3"
 
 
+def shape_param(name: str, mults: tuple[int, ...]):
+    return pytest.param((name, mults), id=f"{name}-{','.join(map(str, mults))}")
+
+
+# The reference shapes with at most 300 vertices.  The regular A5, B4, C4, D5
+# and F4 shapes have 384 to 1920, and on D5 and F4 covers_to_edges alone takes
+# longer than the rest of the suite.
+_LARGE_REGULAR = {("A5", (1,) * 5), ("B4", (1,) * 4), ("C4", (1,) * 4), ("D5", (1,) * 5), ("F4", (1,) * 4)}
+SMALL_REFERENCE_SHAPES = [shape_param(*shape) for shape in _REFERENCE_SHAPES if shape not in _LARGE_REGULAR]
+
+
+def with_edges(g, edges):
+    """A copy of the graph whose ``edges``, ``out_edges`` and ``in_edges`` all hold ``edges``."""
+    h = copy.copy(g)
+    h.edges = tuple(edges)
+    h.out_edges = tuple(
+        tuple(sorted((e for e in edges if e.source == v), key=lambda e: (e.target, e.label)))
+        for v in range(g.num_vertices)
+    )
+    h.in_edges = tuple(tuple(e for e in edges if e.target == v) for v in range(g.num_vertices))
+    return h
+
+
+def faulty_edges(g, fault: str):
+    """The graph's edges with one fault injected: an edge dropped, its kind flipped, relabelled or retargeted."""
+    bruhat = next(e for e in g.edges if not e.quantum)
+    quantum = next(e for e in g.edges if e.quantum)
+    other_label = next(idx for idx in g.labels if idx != bruhat.label)
+    other_target = next(v for v in range(g.num_vertices) if v not in (bruhat.source, bruhat.target))
+    old, new = {
+        "drop-bruhat": (bruhat, None),
+        "drop-quantum": (quantum, None),
+        "quantum-to-bruhat": (quantum, replace(quantum, quantum=False)),
+        "relabel": (bruhat, replace(bruhat, label=other_label)),
+        "retarget": (bruhat, replace(bruhat, target=other_target)),
+    }[fault]
+    return [new if e == old else e for e in g.edges if e != old or new is not None]
+
+
 class TestCoversToEdges:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
     def test_no_mismatches(self, fixture, request):
@@ -246,15 +294,26 @@ class TestCoversToEdges:
         assert report.ok
         assert report.covers_checked > 0
 
-    @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010"])
+    @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010", *SMALL_REFERENCE_SHAPES])
     def test_cover_edge_bijection(self, fixture, request):
         # one cover per graph edge and one lift per graph edge, whatever the window
-        ctx = request.getfixturevalue(fixture)
+        ctx = request.getfixturevalue(fixture) if isinstance(fixture, str) else cached_context(*fixture)
         reports = [AffineOracle(ctx.graph, window=w).covers_to_edges() for w in (0, 3, 10)]
         assert reports[0] == reports[1] == reports[2]
         report = reports[0]
         assert report.covers_checked == report.edges_checked == len(ctx.graph.edges)
         assert report.ok and report.inconclusive == ()
+
+    @pytest.mark.parametrize("fault", ["drop-bruhat", "drop-quantum", "quantum-to-bruhat", "relabel", "retarget"])
+    @pytest.mark.parametrize(
+        "shape",
+        [shape_param("A2", (2, 1)), shape_param("C2", (1, 1)), shape_param("A3", (0, 1, 0)), shape_param("G2", (1, 1))],
+    )
+    def test_wrong_graph_caught(self, shape, fault):
+        # the check is not vacuous: one injected fault gives at least one mismatch
+        g = cached_context(*shape).graph
+        report = AffineOracle(with_edges(g, faulty_edges(g, fault))).covers_to_edges()
+        assert not report.ok and len(report.mismatches) >= 1
 
 
 class TestOracleAgreement:

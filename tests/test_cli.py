@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -96,6 +97,24 @@ class TestDegree:
             capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "e;s1 s2 s1|0,1/5,1"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "literal,reason",
+        [
+            ("e;s1 s2 s1|0,1/5,1", "no admissible shortest path from s1 s2 s1 to e at sigma=1/5"),
+            ("e;s1|0,1/2,1/2,1", "structurally invalid"),
+            ("e|0,1e400", "structurally invalid"),
+            ("e;s2|0,1/3,1", "no admissible shortest path from s2 to e at sigma=1/3"),
+        ],
+    )
+    def test_invalid_path_message(self, capsys, literal, reason):
+        # one line that quotes the literal, names directions by their words
+        # and prints no number the literal does not contain
+        code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", literal)
+        assert code == 1 and out == ""
+        assert err == f"invalid path {literal!r}: {reason}\n"
+        assert "QLSPath(" not in err and "Fraction(" not in err
+        assert set(re.findall(r"\d+", err)) <= set(re.findall(r"\d+", literal))
 
     def test_non_rep_direction(self, capsys):
         code, _, _ = run(

@@ -247,7 +247,7 @@ def _reference_degree_of(segments) -> int:
 def _reference_segments(path: QLSPath, g) -> list[tuple[F, int]]:
     """(sigma, energy) per turning point."""
     if not _reference_structure_ok(g, path):
-        raise InvalidQLSPath(f"structurally invalid path {path}")
+        raise InvalidQLSPath("structurally invalid")
     return [(sigma, segment_energy(g, x_next, x_cur, sigma)) for x_cur, x_next, sigma in path.turning_points()]
 
 
@@ -397,6 +397,14 @@ class TestDegreeRows:
         monkeypatch.setattr(degree_mod, "_structure_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath, match="structurally invalid"):
             degree_rows(a2_21.graph)
+
+    def test_structure_message_names_words_and_times(self, monkeypatch, a2_21):
+        # the row is named as a path literal, by words and time texts, not by
+        # vertex indices and a list repr
+        monkeypatch.setattr(degree_mod, "_structure_ok", lambda *args: False)
+        with pytest.raises(InvalidQLSPath) as info:
+            degree_rows(a2_21.graph)
+        assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
 
     def test_energy_check_runs_on_every_row_read(self, monkeypatch):
         # a sigma-admissible tree that carries another energy than the
