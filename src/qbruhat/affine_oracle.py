@@ -24,17 +24,24 @@ and it reads a cover's edge label by acting with the vertex words on roots.
 Covers never need other reflections, so chain searches over these steps are
 exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
 so every order question depends only on the two vertices and the difference
-of their delta-coefficients: the memos are keyed that way, and the cover/edge
-correspondence is checked once, at delta 0, for every delta, as the equality
-of two key sets: the covers, each keyed as the graph edge it must be, and the
-graph edges.  Delta never decreases along a step, which bounds every search
-between the two endpoint delta-coefficients; the oracle's window, fixed at
-construction, only guards entry and is reported distinctly from "no chain".
+of their delta-coefficients.  Finite steps shorten the vertex and affine
+steps raise delta, so the down-set of (v, 0) cut at delta <= k is one
+integer bitset, built level by level in k; a step out of (v, 0) is a cover
+exactly when its target is not strictly below another step's target.  The
+one chain search walks covers whose pairings sigma's denominator q divides;
+at q = 1 it decides comparability, since any chain in a finite interval
+refines to a cover chain.  The cover/edge correspondence is checked once,
+at delta 0, for every delta, as the equality of two key sets: the covers,
+each keyed as the graph edge it must be, and the graph edges.  Delta never
+decreases along a step, which bounds every search between the two endpoint
+delta-coefficients; the oracle's window, fixed at construction, only guards
+entry and is reported distinctly from "no chain".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cartan import pair
 from .qbg import PQBG
@@ -79,9 +86,7 @@ class AffineOracle:
     window: int = 10
     # per vertex v, (root, target vertex, delta gain, pairing) of each step out of (v, 0)
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
-    _dist_memo: dict = field(default_factory=dict, repr=False)
     _chain_memo: dict = field(default_factory=dict, repr=False)
-    _cover_memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -119,31 +124,39 @@ class AffineOracle:
 
     # -- order ---------------------------------------------------------------
 
-    def _dist(self, v: int, w: int, d: int) -> int | None:
-        # the maximal chain length from (v, 0) down to (w, d), None when (v, 0) is not above it
-        if d < 0:
-            return None
-        if v == w and d == 0:
-            return 0
-        key = (v, w, d)
-        if key in self._dist_memo:
-            return self._dist_memo[key]
-        best = None
-        for _, t, gain, _ in self._steps[v]:
-            if gain > d:
-                continue
-            sub = self._dist(t, w, d - gain)
-            if sub is not None and (best is None or sub + 1 > best):
-                best = sub + 1
-        self._dist_memo[key] = best
-        return best
-
-    def _covers(self, v: int) -> tuple[RaisingStep, ...]:
-        # the steps out of (v, 0) that are covers, i.e. have no element strictly between their ends
-        if v not in self._cover_memo:
-            steps = self.raising_steps(AffineOrbitElement(v, 0))
-            self._cover_memo[v] = tuple(s for s in steps if self._dist(v, s.target.vertex, s.target.delta) == 1)
-        return self._cover_memo[v]
+    @cached_property
+    def _covers(self) -> tuple[tuple[RaisingStep, ...], ...]:
+        # per vertex v, the steps out of (v, 0) that are covers, i.e. have no element strictly between their ends
+        g, n, steps = self.g, self.g.num_vertices, self._steps
+        top = max((gain for row in steps for _, _, gain, _ in row), default=0)
+        # down[k][v]: bit a*n + u for each (u, a) with a <= k at or below (v, 0); vertices come
+        # by ascending length, so a finite step's target is already built on the current level
+        down: list[list[int]] = []
+        for k in range(top + 1):
+            level: list[int] = []
+            for v, row in enumerate(steps):
+                bits = 1 << v
+                for _, t, gain, _ in row:
+                    if not gain:
+                        if len(g.words[t]) >= len(g.words[v]):
+                            raise RuntimeError(
+                                f"finite step from {g.vertex_name(v)} to {g.vertex_name(t)} does not shorten it"
+                            )
+                        bits |= level[t]
+                    elif gain <= k:
+                        bits |= down[k - gain][t] << gain * n
+                level.append(bits)
+            down.append(level)
+        covers = []
+        for v in range(n):
+            out = self.raising_steps(AffineOrbitElement(v, 0))
+            # everything strictly below some step's target; no target is strictly below itself
+            below = 0
+            for s in out:
+                t, a = s.target.vertex, s.target.delta
+                below |= (down[top - a][t] ^ 1 << t) << a * n
+            covers.append(tuple(s for s in out if not below >> s.target.delta * n + s.target.vertex & 1))
+        return tuple(covers)
 
     # -- chains ----------------------------------------------------------------
 
@@ -158,7 +171,7 @@ class AffineOracle:
             return self._chain_memo[key]
         self._chain_memo[key] = False  # steps strictly descend, so re-entry cannot occur
         self._chain_memo[key] = ok = any(
-            s.pairing % q == 0 and self._sigma_chain(s.target.vertex, w, d - s.target.delta, q) for s in self._covers(v)
+            s.pairing % q == 0 and self._sigma_chain(s.target.vertex, w, d - s.target.delta, q) for s in self._covers[v]
         )
         return ok
 
@@ -174,12 +187,14 @@ class AffineOracle:
         self._check_window(*weights)
         for k in range(len(weights) - 1):
             v, w, gap = weights[k].vertex, weights[k + 1].vertex, weights[k + 1].delta - weights[k].delta
-            d = self._dist(v, w, gap)
-            if d is None or d < 1:
-                return f"weights {k} > {k + 1}: not comparable"
             sigma = lifted.times[k + 1]
-            if not self._sigma_chain(v, w, gap, sigma.denominator):
-                return f"weights {k} > {k + 1}: no sigma-chain at {sigma}"
+            equal = v == w and gap == 0
+            if not equal and self._sigma_chain(v, w, gap, sigma.denominator):
+                continue
+            # any chain in a finite interval refines to a cover chain, so q = 1 decides comparability
+            if equal or not self._sigma_chain(v, w, gap, 1):
+                return f"weights {k} > {k + 1}: not comparable"
+            return f"weights {k} > {k + 1}: no sigma-chain at {sigma}"
         return ""
 
     def verify_ls_path(self, lifted) -> bool:
@@ -209,7 +224,7 @@ class AffineOracle:
         g = self.g
         name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"
         mismatches: list[str] = []
-        cover_steps = [(v, step) for v in range(g.num_vertices) for step in self._covers(v)]
+        cover_steps = [(v, step) for v in range(g.num_vertices) for step in self._covers[v]]
         covers = set()
         for v, step in cover_steps:
             t, gain = step.target.vertex, step.target.delta

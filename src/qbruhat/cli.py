@@ -141,7 +141,12 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
         try:
             rows = degree_table(ctx.shape, ctx.graph, [path])
         except InvalidQLSPath as exc:
-            print(f"invalid path {literal!r}: {exc}", file=sys.stderr)
+            reason = str(exc)
+            if exc.time_index is not None:
+                # quote the failing time as typed: its Fraction may print digits the literal lacks
+                token = literal.split("|", 1)[1].split(",")[exc.time_index].strip()
+                reason = f"{exc.reason} at time {token!r}"
+            print(f"invalid path {literal!r}: {reason}", file=sys.stderr)
             return 1
     else:
         rows = degree_rows(ctx.graph, cap)

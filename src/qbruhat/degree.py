@@ -37,7 +37,18 @@ from .qls import QLSPath, _structure_ok, path_listing, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
-    """The input is not a valid strong-variant quantum LS path."""
+    """The input is not a valid strong-variant quantum LS path.
+
+    ``reason`` is the message without the internal time at fault, if any;
+    ``time_index``, set when the path is known, is that time's position
+    among the path's times.
+    """
+
+    time_index: int | None = None
+
+    def __init__(self, reason: str, sigma: Fraction | None = None):
+        super().__init__(reason if sigma is None else f"{reason} at sigma={sigma}")
+        self.reason = reason
 
 
 class NonIntegralDegree(RuntimeError):
@@ -56,9 +67,8 @@ def segment_energy(g: PQBG, x_next: int, x_cur: int, sigma: Fraction) -> int:
     """wt_Lambda(x_next => x_cur) for the pair (x_cur <- x_next) at time sigma."""
     energy = g.segment_energies(x_next, sigma)[x_cur]
     if energy is None:
-        raise InvalidQLSPath(
-            f"no admissible shortest path from {g.vertex_name(x_next)} to {g.vertex_name(x_cur)} at sigma={sigma}"
-        )
+        reason = f"no admissible shortest path from {g.vertex_name(x_next)} to {g.vertex_name(x_cur)}"
+        raise InvalidQLSPath(reason, sigma)
     return energy
 
 
@@ -67,7 +77,13 @@ def _segments(path: QLSPath, g: PQBG) -> tuple[list[int], int, list[int]]:
     L, ticks = time_ticks(path.times)
     if not _structure_ok(g, path.directions, L, ticks):
         raise InvalidQLSPath("structurally invalid")
-    energies = [segment_energy(g, x_next, x_cur, sigma) for x_cur, x_next, sigma in path.turning_points()]
+    energies = []
+    for k, (x_cur, x_next, sigma) in enumerate(path.turning_points(), 1):
+        try:
+            energies.append(segment_energy(g, x_next, x_cur, sigma))
+        except InvalidQLSPath as exc:
+            exc.time_index = k
+            raise
     return energies, L, ticks
 
 

@@ -289,9 +289,27 @@ def path_from_json(g, record: dict) -> QLSPath:
 
 
 def dist(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
-    """Maximal chain length from mu down to nu, or None when mu is not above nu."""
+    """Maximal chain length from mu down to nu over the oracle's steps, or None when mu is not above nu.
+
+    The reference for the oracle's covers: the steps whose longest chain has
+    length 1.  The memo, keyed by (vertex, vertex, delta difference), lives
+    on the oracle and goes with it.
+    """
     oracle._check_window(mu, nu)
-    return oracle._dist(mu.vertex, nu.vertex, nu.delta - mu.delta)
+    steps, memo = oracle._steps, vars(oracle).setdefault("_reference_dist_memo", {})
+
+    def longest(v: int, w: int, d: int) -> int | None:
+        if d < 0:
+            return None
+        if v == w and d == 0:
+            return 0
+        key = (v, w, d)
+        if key not in memo:
+            subs = [longest(t, w, d - gain) for _, t, gain, _ in steps[v]]
+            memo[key] = max((sub + 1 for sub in subs if sub is not None), default=None)
+        return memo[key]
+
+    return longest(mu.vertex, nu.vertex, nu.delta - mu.delta)
 
 
 def verify_sigma_chain(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:

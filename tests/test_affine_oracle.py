@@ -24,7 +24,7 @@ from qbruhat.affine_oracle import (
     AffineOrbitElement,
     InconclusiveSearch,
 )
-from qbruhat.cartan import pair
+from qbruhat.cartan import FiniteType, pair, weyl_order
 from qbruhat.degree import lift
 from qbruhat.qls import QLSPath, enumerate_hat
 from test_qls import example_paths
@@ -241,6 +241,10 @@ class TestVerifyLsPath:
             return AffineLSPath(tuple(weights), lifted.times)
 
         lowered, raised = shifted(1, -1), shifted(2, 1)
+        # a repeated weight: the sigma-chain search alone accepts it, as the empty chain
+        repeated = AffineLSPath((lifted.weights[0], *lifted.weights[:-1]), lifted.times)
+        assert not oracle_a2.verify_ls_path(repeated)
+        assert oracle_a2.failure(repeated) == "weights 0 > 1: not comparable"
         assert not oracle_a2.verify_ls_path(lowered)
         assert oracle_a2.failure(lowered) == "weights 0 > 1: not comparable"
         assert not oracle_a2.verify_ls_path(raised)
@@ -251,11 +255,15 @@ def shape_param(name: str, mults: tuple[int, ...]):
     return pytest.param((name, mults), id=f"{name}-{','.join(map(str, mults))}")
 
 
-# The reference shapes with at most 300 vertices.  The regular A5, B4, C4, D5
-# and F4 shapes have 384 to 1920, and on D5 and F4 covers_to_edges alone takes
-# longer than the rest of the suite.
-_LARGE_REGULAR = {("A5", (1,) * 5), ("B4", (1,) * 4), ("C4", (1,) * 4), ("D5", (1,) * 5), ("F4", (1,) * 4)}
-SMALL_REFERENCE_SHAPES = [shape_param(*shape) for shape in _REFERENCE_SHAPES if shape not in _LARGE_REGULAR]
+ALL_REFERENCE_SHAPES = [shape_param(*shape) for shape in _REFERENCE_SHAPES]
+# The reference shapes with at most 300 vertices, on which the longest-chain
+# reference stays fast: every shape with a zero multiplicity here, and the
+# regular shapes, whose vertices are all of W, up to |W| = 300.
+SMALL_REFERENCE_SHAPES = [
+    shape_param(name, mults)
+    for name, mults in _REFERENCE_SHAPES
+    if 0 in mults or weyl_order(FiniteType.parse(name)) <= 300
+]
 
 
 def with_edges(g, edges):
@@ -294,7 +302,7 @@ class TestCoversToEdges:
         assert report.ok
         assert report.covers_checked > 0
 
-    @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010", *SMALL_REFERENCE_SHAPES])
+    @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010", *ALL_REFERENCE_SHAPES])
     def test_cover_edge_bijection(self, fixture, request):
         # one cover per graph edge and one lift per graph edge, whatever the window
         ctx = request.getfixturevalue(fixture) if isinstance(fixture, str) else cached_context(*fixture)
@@ -303,6 +311,22 @@ class TestCoversToEdges:
         report = reports[0]
         assert report.covers_checked == report.edges_checked == len(ctx.graph.edges)
         assert report.ok and report.inconclusive == ()
+
+    @pytest.mark.parametrize("shape", SMALL_REFERENCE_SHAPES)
+    def test_covers_are_longest_chains_of_one(self, shape):
+        # the down-set covers are exactly the steps whose longest chain is the step itself
+        oracle = AffineOracle(cached_context(*shape).graph, window=100)
+        for v in range(oracle.g.num_vertices):
+            mu = AffineOrbitElement(v, 0)
+            steps = oracle.raising_steps(mu)
+            assert oracle._covers[v] == tuple(s for s in steps if dist(oracle, mu, s.target) == 1)
+
+    def test_finite_step_must_shorten(self, a2_21):
+        # the down-sets are built in vertex order, which is by length
+        oracle = AffineOracle(a2_21.graph)
+        oracle._steps[0] = ((0, 1, 0, -1),)
+        with pytest.raises(RuntimeError, match="does not shorten"):
+            oracle._covers
 
     @pytest.mark.parametrize("fault", ["drop-bruhat", "drop-quantum", "quantum-to-bruhat", "relabel", "retarget"])
     @pytest.mark.parametrize(

@@ -101,10 +101,12 @@ class TestDegree:
     @pytest.mark.parametrize(
         "literal,reason",
         [
-            ("e;s1 s2 s1|0,1/5,1", "no admissible shortest path from s1 s2 s1 to e at sigma=1/5"),
+            ("e;s1 s2 s1|0,1/5,1", "no admissible shortest path from s1 s2 s1 to e at time '1/5'"),
             ("e;s1|0,1/2,1/2,1", "structurally invalid"),
             ("e|0,1e400", "structurally invalid"),
-            ("e;s2|0,1/3,1", "no admissible shortest path from s2 to e at sigma=1/3"),
+            ("e;s2|0,1/3,1", "no admissible shortest path from s2 to e at time '1/3'"),
+            ("e;s2|0,1e-400,1", "no admissible shortest path from s2 to e at time '1e-400'"),
+            ("e;s2|0,2/6,1", "no admissible shortest path from s2 to e at time '2/6'"),
         ],
     )
     def test_invalid_path_message(self, capsys, literal, reason):
