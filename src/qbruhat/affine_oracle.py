@@ -18,8 +18,11 @@ reduce to integer bookkeeping on (vertex, delta):
   by that pairing.
 
 The target of a step is the vertex of the orbit point r_gamma(x Lambda),
-found by reflecting the weight; the oracle never reads the Weyl group table,
-and it reads a cover's edge label by acting with the vertex words on roots.
+found by reflecting the weight; the oracle never reads the Weyl group table.
+A graph edge x -> y labelled beta must be the cover of (x, 0) by (y, 0)
+along x beta when x beta > 0 (Bruhat), and the cover of
+(x, <Lambda, beta^vee>) by (y, 0) along -x beta when x beta < 0 (quantum);
+so one action of x's word on beta keys the edge as the cover it must be.
 
 Covers never need other reflections, so chain searches over these steps are
 exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
@@ -32,14 +35,15 @@ one chain search walks covers whose pairings sigma's denominator q divides;
 at q = 1 it decides comparability, since any chain in a finite interval
 refines to a cover chain.  The cover/edge correspondence is checked once,
 at delta 0, for every delta, as the equality of two key sets: the covers,
-each keyed as the graph edge it must be, and the graph edges.  Delta never
-decreases along a step, which bounds every search between the two endpoint
-delta-coefficients; the oracle's window, fixed at construction, only guards
-entry and is reported distinctly from "no chain".
+keyed as they are, and the graph edges, each keyed as the cover it must be.
+Delta never decreases along a step, which bounds every search between the
+two endpoint delta-coefficients; the oracle's window, fixed at
+construction, only guards entry and is reported distinctly from "no chain".
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -203,51 +207,43 @@ class AffineOracle:
 
     # -- cover/edge correspondence --------------------------------------------------
 
-    def _edge_root_from_cover(self, step: RaisingStep) -> tuple[int, ...]:
-        # beta = w^{-1} gamma (finite) or -w^{-1} gamma (affine) in simple-root coordinates,
-        # w the smaller element's representative, whose inverse has the reversed word
-        g = self.g
-        coords = g.rs.apply_root_coords(g.words[step.target.vertex][::-1], g.rs.positive_roots[step.root].coords)
-        return tuple(-c for c in coords) if step.kind == "affine" else coords
-
     def covers_to_edges(self) -> CoverEdgeReport:
         """Exhaustive two-way check between orbit covers and graph edges, as the equality of two key sets.
 
-        Each cover (v, 0) > (t, k) is keyed as the edge it must be, (t, v,
-        label, k), with k = 0 on a Bruhat edge and the label's pairing on a
-        quantum one; each graph edge whose kind agrees with the sign of its
-        moved label is keyed the same way.  A key on one side only is a
-        mismatch.  Since (v, n) > (t, n + k) is a cover exactly when
-        (v, 0) > (t, k) is, the check holds for every delta and does not use
-        the window.
+        Each cover (v, 0) > (t, k) by the positive root gamma is keyed as it
+        is, (v, t, gamma, k).  Each graph edge s -> t labelled beta is keyed
+        as the cover it must be: t Lambda = r_{s beta}(s Lambda), so the step
+        out of (t, 0) by |s beta| lands on s, with gain 0 when s beta > 0 (a
+        Bruhat edge, key (t, s, s beta, 0)) and gain <Lambda, beta^vee> when
+        s beta < 0 (a quantum edge, key (t, s, -s beta, <Lambda, beta^vee>)).
+        An edge of the wrong kind puts a negative root in its key and a wrong
+        label or target gives a key no cover has, so a key on one side only,
+        or an edge key seen twice, is a mismatch.  Since (v, n) > (t, n + k)
+        is a cover exactly when (v, 0) > (t, k) is, the check holds for every
+        delta and does not use the window.
         """
-        g = self.g
+        g, rs = self.g, self.g.rs
         name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"
-        mismatches: list[str] = []
-        cover_steps = [(v, step) for v in range(g.num_vertices) for step in self._covers[v]]
-        covers = set()
-        for v, step in cover_steps:
-            t, gain = step.target.vertex, step.target.delta
-            beta = self._edge_root_from_cover(step)
-            idx = g.rs.root_index(beta)
-            if idx is None or idx not in g.labels:
-                mismatches.append(f"cover {name(v, 0)} > {name(t, gain)}: bad label {beta}")
-            else:
-                covers.add((t, v, idx, gain))
-        edges = set()
+        covers = {
+            (v, step.target.vertex, rs.positive_roots[step.root].coords, step.target.delta)
+            for v in range(g.num_vertices)
+            for step in self._covers[v]
+        }
+        edges = Counter()
         for e in g.edges:
-            wmoved = g.rs.apply_root_coords(g.words[e.source], g.rs.positive_roots[e.label].coords)
-            if all(c >= 0 for c in wmoved) == e.quantum:
-                mismatches.append(
-                    f"edge {g.vertex_name(e.source)} -> {g.vertex_name(e.target)}: "
-                    f"sign of the moved label contradicts the edge kind"
-                )
+            moved = rs.apply_root_coords(g.words[e.source], rs.positive_roots[e.label].coords)
+            if e.quantum:
+                edges[e.target, e.source, tuple(-c for c in moved), g.pairings[e.label]] += 1
             else:
-                # the smaller element sits at the source, its delta raised by a quantum edge's pairing
-                edges.add((e.source, e.target, e.label, g.pairings[e.label] if e.quantum else 0))
+                edges[e.target, e.source, moved, 0] += 1
 
-        for t, v, _, k in sorted(covers - edges):
+        mismatches = [
+            f"edge lift {name(t, 0)} > {name(s, k)} is listed {count} times"
+            for (t, s, _, k), count in sorted(edges.items())
+            if count > 1
+        ]
+        for v, t, _, k in sorted(covers - edges.keys()):
             mismatches.append(f"cover {name(v, 0)} > {name(t, k)}: no matching {'affine' if k else 'finite'} edge")
-        for s, t, _, k in sorted(edges - covers):
+        for t, s, _, k in sorted(edges.keys() - covers):
             mismatches.append(f"edge lift {name(t, 0)} > {name(s, k)} is not a cover")
-        return CoverEdgeReport(len(cover_steps), len(edges), tuple(mismatches))
+        return CoverEdgeReport(len(covers), len(g.edges), tuple(mismatches))

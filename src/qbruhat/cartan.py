@@ -219,7 +219,6 @@ class RootSystem:
 
         self.positive_roots = tuple(Root(c) for c in ordered)
         self.positive_coroots = tuple(Coroot(seen[c]) for c in ordered)
-        self._root_index = {c: i for i, c in enumerate(ordered)}
         self.num_positive = len(ordered)
 
         heights = [sum(c) for c in ordered]
@@ -240,12 +239,6 @@ class RootSystem:
         self.root_weight_coords = tuple(
             tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n)) for c in ordered
         )
-
-    # -- lookups ---------------------------------------------------------
-
-    def root_index(self, coords: tuple[int, ...]) -> int | None:
-        """Index of a positive root by coordinates, or None."""
-        return self._root_index.get(coords)
 
     # -- arithmetic ------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Command-line front end: graph export, path enumeration, degree tables, verification.
 
-Exit codes: 0 success, 1 failed check or invalid path literal, 2 bad input
-or an exceeded ``--cap``.
+Exit codes: 0 success, 1 a failed or inconclusive check or an invalid path
+literal, 2 bad input or an exceeded ``--cap``.
 All numeric output uses exact fraction strings; identical invocations
 produce byte-identical output.
 """
@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import Context, build_context
+from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle, InconclusiveSearch
 from .degree import InvalidQLSPath, degree, degree_rows, degree_table, endpoint_delta, lift
 from .qls import (
@@ -51,11 +51,19 @@ def _parse_multiplicities(text: str) -> tuple[int, ...]:
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
+    """The validated invocation, its type in canonical form (``' a2'`` becomes ``A2``)."""
     formats = _FORMATS[args.command]
     fmt = formats[0] if args.format is None else args.format
     if fmt not in formats:
         raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
-    return CliConfig(type=args.type, multiplicities=_parse_multiplicities(args.lam), fmt=fmt)
+    multiplicities = _parse_multiplicities(args.lam)
+    if getattr(args, "cap", 0) < 0:
+        raise CliError(f"cap must be non-negative, not {args.cap}")
+    try:
+        ftype = FiniteType.parse(args.type)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return CliConfig(type=str(ftype), multiplicities=multiplicities, fmt=fmt)
 
 
 def _context(config: CliConfig) -> Context:
@@ -280,8 +288,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = _config(args)
-        if getattr(args, "cap", 0) < 0:
-            raise CliError(f"cap must be non-negative, not {args.cap}")
         if args.command == "qbg":
             return cmd_qbg(config)
         if args.command == "qls":

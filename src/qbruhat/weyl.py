@@ -106,16 +106,16 @@ class WeylGroup:
             out = self._right[out][j - 1]
         return out
 
-    def reflection(self, root_index: int) -> int:
-        """Group element id of the reflection in the positive root at ``root_index``."""
-        cached = self._reflection_cache.get(root_index)
+    def reflection(self, index: int) -> int:
+        """Group element id of the reflection in the positive root at ``index``."""
+        cached = self._reflection_cache.get(index)
         if cached is not None:
             return cached
         # r_beta is an involution, so its key is r_beta rho = rho - <rho, beta^vee> beta.
-        rid = self._by_key.get(self.rs.reflect_weight(self.rs.rho, root_index).coords)
+        rid = self._by_key.get(self.rs.reflect_weight(self.rs.rho, index).coords)
         if rid is None:
             raise RuntimeError("reflection not found in group table")
-        self._reflection_cache[root_index] = rid
+        self._reflection_cache[index] = rid
         return rid
 
 

@@ -266,6 +266,11 @@ SMALL_REFERENCE_SHAPES = [
 ]
 
 
+FAULT_SHAPES = [
+    shape_param("A2", (2, 1)), shape_param("C2", (1, 1)), shape_param("A3", (0, 1, 0)), shape_param("G2", (1, 1))
+]
+
+
 def with_edges(g, edges):
     """A copy of the graph whose ``edges``, ``out_edges`` and ``in_edges`` all hold ``edges``."""
     h = copy.copy(g)
@@ -279,9 +284,11 @@ def with_edges(g, edges):
 
 
 def faulty_edges(g, fault: str):
-    """The graph's edges with one fault injected: an edge dropped, its kind flipped, relabelled or retargeted."""
+    """The graph's edges with one fault injected: an edge dropped, its kind flipped, relabelled, retargeted or listed twice."""
     bruhat = next(e for e in g.edges if not e.quantum)
     quantum = next(e for e in g.edges if e.quantum)
+    if fault == "duplicate":
+        return [*g.edges, quantum]
     other_label = next(idx for idx in g.labels if idx != bruhat.label)
     other_target = next(v for v in range(g.num_vertices) if v not in (bruhat.source, bruhat.target))
     old, new = {
@@ -292,6 +299,18 @@ def faulty_edges(g, fault: str):
         "retarget": (bruhat, replace(bruhat, target=other_target)),
     }[fault]
     return [new if e == old else e for e in g.edges if e != old or new is not None]
+
+
+def single_edge_faults(g):
+    """Every graph with one edge dropped, its kind flipped, relabelled, retargeted or listed twice."""
+    edges = list(g.edges)
+    for i, e in enumerate(edges):
+        rest = edges[:i] + edges[i + 1 :]
+        yield rest
+        yield rest + [replace(e, quantum=not e.quantum)]
+        yield from (rest + [replace(e, label=label)] for label in g.labels if label != e.label)
+        yield from (rest + [replace(e, target=v)] for v in range(g.num_vertices) if v != e.target)
+        yield edges + [e]
 
 
 class TestCoversToEdges:
@@ -328,16 +347,36 @@ class TestCoversToEdges:
         with pytest.raises(RuntimeError, match="does not shorten"):
             oracle._covers
 
-    @pytest.mark.parametrize("fault", ["drop-bruhat", "drop-quantum", "quantum-to-bruhat", "relabel", "retarget"])
     @pytest.mark.parametrize(
-        "shape",
-        [shape_param("A2", (2, 1)), shape_param("C2", (1, 1)), shape_param("A3", (0, 1, 0)), shape_param("G2", (1, 1))],
+        "fault", ["drop-bruhat", "drop-quantum", "quantum-to-bruhat", "relabel", "retarget", "duplicate"]
     )
+    @pytest.mark.parametrize("shape", FAULT_SHAPES)
     def test_wrong_graph_caught(self, shape, fault):
         # the check is not vacuous: one injected fault gives at least one mismatch
         g = cached_context(*shape).graph
         report = AffineOracle(with_edges(g, faulty_edges(g, fault))).covers_to_edges()
         assert not report.ok and len(report.mismatches) >= 1
+
+    def test_duplicate_edge_named(self, a2_21):
+        g = a2_21.graph
+        e = g.edges[0]
+        report = AffineOracle(with_edges(g, [*g.edges, e])).covers_to_edges()
+        assert report.edges_checked == len(g.edges) + 1
+        assert report.mismatches == (
+            f"edge lift ({g.vertex_name(e.target)}, 0d) > ({g.vertex_name(e.source)}, 0d) is listed 2 times",
+        )
+
+    @pytest.mark.parametrize("shape", FAULT_SHAPES)
+    def test_every_single_edge_fault_caught(self, shape):
+        # each edge dropped, flipped, relabelled to every other label, retargeted
+        # to every other vertex and duplicated: the key alone catches all of them
+        g = cached_context(*shape).graph
+        oracle = AffineOracle(g)
+        oracle._covers  # the covers read only the orbit, and the check reads only ``edges`` of the graph
+        for edges in single_edge_faults(g):
+            oracle.g = copy.copy(g)
+            oracle.g.edges = tuple(edges)
+            assert not oracle.covers_to_edges().ok, edges
 
 
 class TestOracleAgreement:

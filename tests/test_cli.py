@@ -47,8 +47,16 @@ class TestQbg:
         assert code == 0 and out.startswith("digraph") and 'style="dashed"' in out
 
     def test_bad_type(self, capsys):
-        code, _, err = run(capsys, "qbg", "--type", "Z9", "--lambda", "1")
-        assert code == 2 and err
+        for type_name in ("Z9", " a", "A 2", "a9"):
+            code, out, err = run(capsys, "qbg", "--type", type_name, "--lambda", "1")
+            assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["qbg", "qls", "degree", "verify"])
+    def test_header_type_canonical(self, capsys, command):
+        # the header names the parsed type, so lowercase, padded input prints what "A2" prints
+        code, out, err = run(capsys, command, "--type", " a2 ", "--lambda", "1,0", "--format", "json")
+        assert (code, out, err) == run(capsys, command, "--type", "A2", "--lambda", "1,0", "--format", "json")
+        assert code == 0 and json.loads(out)["type"] == "A2"
 
     def test_bad_lambda(self, capsys):
         code, _, _ = run(capsys, "qbg", "--type", "A2", "--lambda", "1,x")
