@@ -30,15 +30,18 @@ so every order question depends only on the two vertices and the difference
 of their delta-coefficients.  Finite steps shorten the vertex and affine
 steps raise delta, so the down-set of (v, 0) cut at delta <= k is one
 integer bitset, built level by level in k; a step out of (v, 0) is a cover
-exactly when its target is not strictly below another step's target.  The
-one chain search walks covers whose pairings sigma's denominator q divides;
-at q = 1 it decides comparability, since any chain in a finite interval
-refines to a cover chain.  The cover/edge correspondence is checked once,
-at delta 0, for every delta, as the equality of two key sets: the covers,
-keyed as they are, and the graph edges, each keyed as the cover it must be.
-Delta never decreases along a step, which bounds every search between the
-two endpoint delta-coefficients; the oracle's window, fixed at
-construction, only guards entry and is reported distinctly from "no chain".
+exactly when its target is not strictly below another step's target.
+Sigma-chains are bits of the same recursion, restricted to the covers whose
+pairing sigma's denominator q divides and grown to the largest gap asked:
+one table per q, about N^2 d^2 / 16 bytes at gap d on N vertices.  At q = 1
+they decide comparability, since any chain in a finite interval refines to
+a cover chain.  The cover/edge
+correspondence is checked once, at delta 0, for every delta, as the
+equality of two key sets: the covers, keyed as they are, and the graph
+edges, each keyed as the cover it must be.  Delta never decreases along a
+step, which bounds every search between the two endpoint delta-coefficients;
+the oracle's window, fixed at construction, only guards entry and is
+reported distinctly from "no chain".
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class AffineOracle:
     window: int = 10
     # per vertex v, (root, target vertex, delta gain, pairing) of each step out of (v, 0)
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
-    _chain_memo: dict = field(default_factory=dict, repr=False)
+    # per denominator q, the (target, gain) rows of its covers and their down-set levels
+    _tables: dict[int, tuple[list, list[list[int]]]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -113,9 +117,7 @@ class AffineOracle:
     def _check_window(self, *elements: AffineOrbitElement) -> None:
         need = max(abs(mu.delta) for mu in elements)
         if need > self.window:
-            raise InconclusiveSearch(
-                f"|delta| reaches {need}, outside window {self.window}; needs window {need}"
-            )
+            raise InconclusiveSearch(f"|delta| reaches {need}, outside window {self.window}; needs window {need}")
 
     # -- steps ---------------------------------------------------------------
 
@@ -128,29 +130,32 @@ class AffineOracle:
 
     # -- order ---------------------------------------------------------------
 
+    def _grow(self, rows: list[tuple[tuple[int, int], ...]], levels: list[list[int]], d: int) -> list[list[int]]:
+        # extend levels in place through gap d along the rows' (target, gain) steps: bit a*n + u of D[k][v] marks
+        # (u, a) at or below (v, 0) with a <= k, and vertices come by ascending length, so a finite step's target
+        # is already built on the current level in D[k][v] = 1<<v | OR_finite D[k][t] | OR_affine D[k-g][t] << g*n
+        words, name, n = self.g.words, self.g.vertex_name, self.g.num_vertices
+        while len(levels) <= d:
+            k, level = len(levels), []
+            for v, row in enumerate(rows):
+                bits = 1 << v
+                for t, gain in row:
+                    if not gain:
+                        if len(words[t]) >= len(words[v]):
+                            raise RuntimeError(f"finite step from {name(v)} to {name(t)} does not shorten it")
+                        bits |= level[t]
+                    elif gain <= k:
+                        bits |= levels[k - gain][t] << gain * n
+                level.append(bits)
+            levels.append(level)
+        return levels
+
     @cached_property
     def _covers(self) -> tuple[tuple[RaisingStep, ...], ...]:
         # per vertex v, the steps out of (v, 0) that are covers, i.e. have no element strictly between their ends
-        g, n, steps = self.g, self.g.num_vertices, self._steps
+        n, steps = self.g.num_vertices, self._steps
         top = max((gain for row in steps for _, _, gain, _ in row), default=0)
-        # down[k][v]: bit a*n + u for each (u, a) with a <= k at or below (v, 0); vertices come
-        # by ascending length, so a finite step's target is already built on the current level
-        down: list[list[int]] = []
-        for k in range(top + 1):
-            level: list[int] = []
-            for v, row in enumerate(steps):
-                bits = 1 << v
-                for _, t, gain, _ in row:
-                    if not gain:
-                        if len(g.words[t]) >= len(g.words[v]):
-                            raise RuntimeError(
-                                f"finite step from {g.vertex_name(v)} to {g.vertex_name(t)} does not shorten it"
-                            )
-                        bits |= level[t]
-                    elif gain <= k:
-                        bits |= down[k - gain][t] << gain * n
-                level.append(bits)
-            down.append(level)
+        down = self._grow([tuple((t, gain) for _, t, gain, _ in row) for row in steps], [], top)
         covers = []
         for v in range(n):
             out = self.raising_steps(AffineOrbitElement(v, 0))
@@ -164,20 +169,17 @@ class AffineOracle:
 
     # -- chains ----------------------------------------------------------------
 
+    def _levels(self, q: int, d: int) -> list[list[int]]:
+        # the down-sets over the covers whose pairing q divides, grown through gap d
+        if q not in self._tables:
+            rows = [tuple((s.target.vertex, s.target.delta) for s in row if s.pairing % q == 0) for row in self._covers]
+            self._tables[q] = rows, []
+        rows, levels = self._tables[q]
+        return self._grow(rows, levels, d)
+
     def _sigma_chain(self, v: int, w: int, d: int, q: int) -> bool:
         # a saturated cover chain from (v, 0) down to (w, d) with sigma-integral pairings, q = sigma's denominator
-        if d < 0:
-            return False
-        if v == w and d == 0:
-            return True
-        key = (v, w, d, q)
-        if key in self._chain_memo:
-            return self._chain_memo[key]
-        self._chain_memo[key] = False  # steps strictly descend, so re-entry cannot occur
-        self._chain_memo[key] = ok = any(
-            s.pairing % q == 0 and self._sigma_chain(s.target.vertex, w, d - s.target.delta, q) for s in self._covers[v]
-        )
-        return ok
+        return d >= 0 and bool(self._levels(q, d)[d][v] >> d * self.g.num_vertices + w & 1)
 
     # -- path-level checks -------------------------------------------------------
 

@@ -55,16 +55,10 @@ def sigma_candidates(g: PQBG) -> tuple[Fraction, ...]:
     internal time sigma has at least one admissible edge (the directions are
     distinct, so the connecting path is nonempty), and sigma * <Lambda,
     beta^vee> integral with sigma = a/b in lowest terms forces b to divide
-    the pairing value of that edge's label.
+    the pairing value v of that edge's label, so sigma = (a v/b)/v.
     """
-    out: set[Fraction] = set()
-    for label in sorted({e.label for e in g.edges}):
-        v = g.pairings[label]
-        for b in range(2, v + 1):
-            if v % b == 0:
-                for a in range(1, b):
-                    out.add(Fraction(a, b))
-    return tuple(sorted(out))
+    pairings = {g.pairings[e.label] for e in g.edges}
+    return tuple(sorted({Fraction(k, v) for v in pairings for k in range(1, v)}))
 
 
 def time_ticks(times) -> tuple[int, list[int]]:
@@ -114,23 +108,26 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[t
 
     Sorting on (len, dirs, indices) orders by number of directions, then
     directions, then times, since the candidates ascend; no two paths tie on it.  The energies are the
-    segments' wt_Lambda(x_{p+1} => x_p) in the strong variant.
+    segments' wt_Lambda(x_{p+1} => x_p) in the strong variant.  Each vertex x gives the path (x; 0, 1) and an
+    edge s -> t whose label pairs to v the v - 1 paths (t, s; 0, k/v, 1), so the walk refuses a cap below
+    their count before building any time.
     """
+    if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
+        raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
     candidates = sigma_candidates(g)
     succ = _successors(g, candidates, strong)
     found: list[tuple] = []
-
-    def extend(dirs: tuple[int, ...], idx: tuple[int, ...], energies: tuple, last: int) -> None:
+    # a stack, not recursion: a path may have more directions than Python's recursion limit allows frames
+    stack: list[tuple] = [((start,), (), (), -1) for start in range(g.num_vertices)]
+    while stack:
+        dirs, idx, energies, last = stack.pop()
         found.append((len(dirs), dirs, idx, energies))
         if len(found) > cap:
             raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
         cur = dirs[-1]
         for si in range(last + 1, len(candidates)):
             for nxt, energy in succ[si][cur]:
-                extend((*dirs, nxt), (*idx, si), (*energies, energy), si)
-
-    for start in range(g.num_vertices):
-        extend((start,), (), (), -1)
+                stack.append(((*dirs, nxt), (*idx, si), (*energies, energy), si))
     found.sort()
     return candidates, found
 

@@ -285,7 +285,7 @@ def path_from_json(g, record: dict) -> QLSPath:
     return QLSPath(tuple(g.vertex_of_word(w) for w in record["dirs"]), tuple(Fraction(t) for t in record["times"]))
 
 
-# -- oracle queries between two orbit elements, inside the oracle's window ----
+# -- oracle queries: longest chains and sigma-chains, references for the down-sets ----
 
 
 def dist(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
@@ -310,6 +310,28 @@ def dist(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
         return memo[key]
 
     return longest(mu.vertex, nu.vertex, nu.delta - mu.delta)
+
+
+def sigma_chain_reference(oracle, v: int, w: int, d: int, q: int) -> bool:
+    """Whether a saturated cover chain runs from (v, 0) down to (w, d) with every pairing divisible by q.
+
+    The reference for the oracle's chain bits: a memoised search down the
+    oracle's covers.  The memo, keyed by (vertex, vertex, delta difference,
+    q), lives on the oracle and goes with it.
+    """
+    covers, memo = oracle._covers, vars(oracle).setdefault("_reference_chain_memo", {})
+
+    def chain(u: int, gap: int) -> bool:
+        if gap < 0:
+            return False
+        if u == w and gap == 0:
+            return True
+        key = (u, w, gap, q)
+        if key not in memo:
+            memo[key] = any(s.pairing % q == 0 and chain(s.target.vertex, gap - s.target.delta) for s in covers[u])
+        return memo[key]
+
+    return chain(v, d)
 
 
 def verify_sigma_chain(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 
 import qbruhat.cli as cli
 import qbruhat.qbg as qbg
+import qbruhat.qls as qls
 from qbruhat.cli import main
 from qbruhat.qls import sigma_candidates
 
@@ -305,6 +307,26 @@ class TestExitCodes:
         # an exceeded --cap or a negative --window is input error 2, not a traceback
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["qls", "degree", "verify"])
+    def test_cap_refused_before_times_are_built(self, capsys, monkeypatch, command):
+        # the one edge label of A1 at lambda = 10^6 pairs to 10^6, so the 999,999 times k/10^6 each give a
+        # two-direction path, and the cap of 10 is refused before any of them is built
+        def fail(*args, **kwargs):
+            raise AssertionError("built the candidate times")
+
+        monkeypatch.setattr(qls, "sigma_candidates", fail)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--type", "A1", "--lambda", "1000000", "--cap", "10")
+        assert (code, out, err) == (2, "", "error: more than 10 paths; raise the cap to continue\n")
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("command", ["qls", "degree", "verify"])
+    def test_cap_refused_past_the_recursion_limit(self, capsys, command):
+        # A1 at lambda = 1000 has 999 candidate times and paths of up to 1000 directions; a cap of 1001 passes
+        # the early count (2 straight paths + 999) and is reached by the walk itself, deeper than 1000 frames
+        code, out, err = run(capsys, command, "--type", "A1", "--lambda", "1000", "--cap", "1001")
+        assert (code, out, err) == (2, "", "error: more than 1001 paths; raise the cap to continue\n")
 
     @pytest.mark.parametrize("command", ["qls", "degree", "verify"])
     def test_negative_cap_refused(self, capsys, monkeypatch, command):

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cached_context, evaluate, is_hat_path, is_tilde_path, path_from_json, type_group, vertex_by_word
+from conftest import (
+    REFERENCE_SHAPES,
+    cached_context,
+    evaluate,
+    is_hat_path,
+    is_tilde_path,
+    path_from_json,
+    type_group,
+    vertex_by_word,
+)
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
@@ -38,6 +48,17 @@ class TestSigmaCandidates:
     def test_rectangular_shape(self):
         ctx = cached_context("A2", (3, 0))
         assert sigma_candidates(ctx.graph) == (F(1, 3), F(2, 3))
+
+    @REFERENCE_SHAPES
+    def test_lowest_terms(self, name, mults):
+        # the times a/b in lowest terms with b dividing an edge label's pairing
+        g = cached_context(name, mults).graph
+        pairings = {g.pairings[e.label] for e in g.edges}
+        expected = {
+            F(a, b) for b in range(2, max(pairings) + 1) if any(v % b == 0 for v in pairings)
+            for a in range(1, b) if gcd(a, b) == 1
+        }
+        assert sigma_candidates(g) == tuple(sorted(expected))
 
 
 class TestEnumerate:
