@@ -6,10 +6,11 @@ Usage:
 
 This is the batch form of ``qbruhat verify`` and runs the same code
 (``qbruhat.cli.verify_shape``): strong/weak enumeration agreement,
-cover/edge correspondence (exact for every delta, independent of the
-window), and per-path lift certification with the endpoint identity inside
-the window.  A shape is verified when every check passes; an inconclusive
-check counts as not verified.
+cover/edge correspondence (exact for every delta), and per-path lift
+certification with the endpoint identity.  The window is verify's reporting
+rule: a path whose lift reaches ``|delta| > N`` is inconclusive.  A shape is
+verified when every check passes; an inconclusive check counts as not
+verified.
 """
 
 from __future__ import annotations

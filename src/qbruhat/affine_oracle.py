@@ -39,9 +39,7 @@ a cover chain.  The cover/edge
 correspondence is checked once, at delta 0, for every delta, as the
 equality of two key sets: the covers, keyed as they are, and the graph
 edges, each keyed as the cover it must be.  Delta never decreases along a
-step, which bounds every search between the two endpoint delta-coefficients;
-the oracle's window, fixed at construction, only guards entry and is
-reported distinctly from "no chain".
+step, which bounds every search between the two endpoint delta-coefficients.
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ from functools import cached_property
 
 from .cartan import pair
 from .qbg import PQBG
-
-
-class InconclusiveSearch(RuntimeError):
-    """The requested check does not fit inside the delta window."""
 
 
 @dataclass(frozen=True)
@@ -90,15 +84,12 @@ class AffineOracle:
     """Chain searches and cover/edge correspondence on the affine orbit of the graph's shape."""
 
     g: PQBG
-    window: int = 10
     # per vertex v, (root, target vertex, delta gain, pairing) of each step out of (v, 0)
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
     # per denominator q, the (target, gain) rows of its covers and their down-set levels
     _tables: dict[int, tuple[list, list[list[int]]]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.window < 0:
-            raise ValueError(f"window must be non-negative, not {self.window}")
         g, rs = self.g, self.g.rs
         # p = <x Lambda, gamma^vee> and the vertex of the orbit point
         # r_gamma(x Lambda): a finite step when p < 0, an affine one gaining p
@@ -113,11 +104,6 @@ class AffineOracle:
                     target = g.vertex_at(rs.reflect_weight(w, i))
                     steps.append((i, target, 0, p) if p < 0 else (i, target, p, -p))
             self._steps.append(tuple(steps))
-
-    def _check_window(self, *elements: AffineOrbitElement) -> None:
-        need = max(abs(mu.delta) for mu in elements)
-        if need > self.window:
-            raise InconclusiveSearch(f"|delta| reaches {need}, outside window {self.window}; needs window {need}")
 
     # -- steps ---------------------------------------------------------------
 
@@ -190,7 +176,6 @@ class AffineOracle:
         ``times`` attributes, as produced by the degree module.
         """
         weights = tuple(lifted.weights)
-        self._check_window(*weights)
         for k in range(len(weights) - 1):
             v, w, gap = weights[k].vertex, weights[k + 1].vertex, weights[k + 1].delta - weights[k].delta
             sigma = lifted.times[k + 1]
@@ -222,7 +207,7 @@ class AffineOracle:
         label or target gives a key no cover has, so a key on one side only,
         or an edge key seen twice, is a mismatch.  Since (v, n) > (t, n + k)
         is a cover exactly when (v, 0) > (t, k) is, the check holds for every
-        delta and does not use the window.
+        delta.
         """
         g, rs = self.g, self.g.rs
         name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"

@@ -1,7 +1,8 @@
 """Command-line front end: graph export, path enumeration, degree tables, verification.
 
 Exit codes: 0 success, 1 a failed or inconclusive check or an invalid path
-literal, 2 bad input or an exceeded ``--cap``.
+literal, 2 bad input or an exceeded ``--cap``, 141 stdout closed by its
+reader (as after SIGPIPE, with nothing on stderr).
 All numeric output uses exact fraction strings; identical invocations
 produce byte-identical output.
 """
@@ -10,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import Context, FiniteType, build_context
-from .affine_oracle import AffineOracle, InconclusiveSearch
+from .affine_oracle import AffineOracle
 from .degree import InvalidQLSPath, degree, degree_rows, degree_table, endpoint_delta, lift
 from .qls import (
     EnumerationCap,
@@ -95,6 +97,8 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
             times.append(Fraction(text.strip()))
         except ZeroDivisionError:
             raise ValueError(f"time {text.strip()!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"time {text.strip()!r} is not a fraction") from None
     return QLSPath(dirs, tuple(times))
 
 
@@ -176,16 +180,14 @@ def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
     return 0
 
 
-def _verify_one(oracle, graph, path) -> tuple[str, str]:
-    """(status, detail) of one path's lift certification and endpoint identity."""
-    try:
-        lifted = lift(path, graph)
-        deg = degree(path, graph)
-        certified = oracle.verify_ls_path(lifted)
-        agree = endpoint_delta(lifted) == -deg
-    except InconclusiveSearch as exc:
-        return "inconclusive", str(exc)
-    if certified and agree:
+def _verify_one(oracle, graph, path, window: int) -> tuple[str, str]:
+    """(status, detail) of one path: inconclusive when its lift leaves the window, else its certification."""
+    lifted = lift(path, graph)
+    deg = degree(path, graph)
+    need = max(abs(mu.delta) for mu in lifted.weights)
+    if need > window:
+        return "inconclusive", f"|delta| reaches {need}, outside window {window}; needs window {need}"
+    if oracle.verify_ls_path(lifted) and endpoint_delta(lifted) == -deg:
         return "pass", ""
     return "fail", oracle.failure(lifted) or "endpoint mismatch"
 
@@ -195,13 +197,14 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
-    with the endpoint identity inside ``window``.
+    with the endpoint identity.  ``window`` is a reporting rule, not a search
+    bound: a path whose lift reaches ``|delta| > window`` is not certified but
+    reported ``inconclusive``, with the window that settles it.
     """
+    if window < 0:
+        raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
-    try:
-        oracle = AffineOracle(graph, window=window)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    oracle = AffineOracle(graph)
     checks: list[dict] = []
 
     hat = enumerate_hat(graph, cap=cap)
@@ -223,7 +226,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         }
     )
 
-    results = [_verify_one(oracle, graph, p) for p in hat]
+    results = [_verify_one(oracle, graph, p, window) for p in hat]
 
     n_fail = sum(1 for status, _ in results if status == "fail")
     n_inc = sum(1 for status, _ in results if status == "inconclusive")
@@ -289,15 +292,23 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config(args)
         if args.command == "qbg":
-            return cmd_qbg(config)
-        if args.command == "qls":
-            return cmd_qls(config, args.variant, args.cap)
-        if args.command == "degree":
-            return cmd_degree(config, args.path, args.cap)
-        return cmd_verify(config, args.window, args.cap)
+            code = cmd_qbg(config)
+        elif args.command == "qls":
+            code = cmd_qls(config, args.variant, args.cap)
+        elif args.command == "degree":
+            code = cmd_degree(config, args.path, args.cap)
+        else:
+            code = cmd_verify(config, args.window, args.cap)
+        sys.stdout.flush()
     except (CliError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send the unflushed rest to devnull so the exit flush cannot
+        # fail again, and exit as a process killed by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -295,7 +295,6 @@ def dist(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement) -> int | None:
     length 1.  The memo, keyed by (vertex, vertex, delta difference), lives
     on the oracle and goes with it.
     """
-    oracle._check_window(mu, nu)
     steps, memo = oracle._steps, vars(oracle).setdefault("_reference_dist_memo", {})
 
     def longest(v: int, w: int, d: int) -> int | None:
@@ -336,5 +335,4 @@ def sigma_chain_reference(oracle, v: int, w: int, d: int, q: int) -> bool:
 
 def verify_sigma_chain(oracle, mu: AffineOrbitElement, nu: AffineOrbitElement, sigma: Fraction) -> bool:
     """Whether some saturated cover chain from mu to nu has all pairings sigma-integral."""
-    oracle._check_window(mu, nu)
     return oracle._sigma_chain(mu.vertex, nu.vertex, nu.delta - mu.delta, sigma.denominator)

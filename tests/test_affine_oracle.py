@@ -20,11 +20,7 @@ from conftest import (
     verify_sigma_chain,
     vertex_by_word,
 )
-from qbruhat.affine_oracle import (
-    AffineOracle,
-    AffineOrbitElement,
-    InconclusiveSearch,
-)
+from qbruhat.affine_oracle import AffineOracle, AffineOrbitElement
 from qbruhat.cartan import FiniteType, pair, weyl_order
 from qbruhat.degree import lift
 from qbruhat.qls import QLSPath, enumerate_hat
@@ -57,7 +53,7 @@ CHAIN_SHAPES = [
 
 @pytest.fixture(scope="module")
 def oracle_a2(a2_21):
-    return AffineOracle(a2_21.graph, window=10)
+    return AffineOracle(a2_21.graph)
 
 
 class TestRaisingSteps:
@@ -179,25 +175,6 @@ class TestDist:
         # delta can never decrease along a chain
         assert dist(oracle_a2, AffineOrbitElement(0, 2), AffineOrbitElement(0, 0)) is None
 
-    def test_window_guard(self, oracle_a2):
-        with pytest.raises(InconclusiveSearch):
-            dist(oracle_a2, AffineOrbitElement(0, 0), AffineOrbitElement(0, 40))
-
-    def test_negative_window_rejected(self, a2_21):
-        with pytest.raises(ValueError):
-            AffineOracle(a2_21.graph, window=-1)
-
-    def test_window_monotone(self, a2_21):
-        g = a2_21.graph
-        small = AffineOracle(g, window=6)
-        large = AffineOracle(g, window=30)
-        for v in range(g.num_vertices):
-            for w in range(g.num_vertices):
-                for dn in range(0, 4):
-                    mu = AffineOrbitElement(v, 0)
-                    nu = AffineOrbitElement(w, dn)
-                    assert dist(small, mu, nu) == dist(large, mu, nu)
-
 
 class TestSigmaChains:
     def test_first_lift_pair(self, a2_21, oracle_a2):
@@ -254,20 +231,6 @@ class TestVerifyLsPath:
         g = a2_21.graph
         for eta in example_paths(a2_21):
             assert oracle_a2.verify_ls_path(lift(eta, g))
-
-    def test_inconclusive_names_settling_window(self):
-        # the lift has delta-coefficients 0, 3, 5: the message names 5, the
-        # largest, and that window settles the check
-        from qbruhat import build_context
-        from qbruhat.cli import parse_path_literal
-
-        ctx = build_context("A2", (3, 2))
-        g = ctx.graph
-        lifted = lift(parse_path_literal(ctx, "e;s1;s1 s2|0,1/3,1/2,1"), g)
-        assert [m.delta for m in lifted.weights] == [0, 3, 5]
-        with pytest.raises(InconclusiveSearch, match=r"needs window 5$"):
-            AffineOracle(g, window=0).verify_ls_path(lifted)
-        assert AffineOracle(g, window=5).verify_ls_path(lifted)
 
     def test_corrupted_lift_fails(self, a2_21, oracle_a2):
         from qbruhat.degree import AffineLSPath
@@ -344,26 +307,22 @@ class TestCoversToEdges:
     @pytest.mark.parametrize("fixture", ["a2_21", "a2_11", "c2_11", "a3_010"])
     def test_no_mismatches(self, fixture, request):
         ctx = request.getfixturevalue(fixture)
-        report = AffineOracle(ctx.graph, window=5).covers_to_edges()
+        report = AffineOracle(ctx.graph).covers_to_edges()
         assert report.ok
         assert report.covers_checked > 0
 
     @pytest.mark.parametrize("fixture", ["a1_1", "a2_21", "a2_11", "c2_11", "a3_010", *ALL_REFERENCE_SHAPES])
     def test_cover_edge_bijection(self, fixture, request):
-        # one cover per graph edge and one lift per graph edge; the report never reads the window, which
-        # the fixture shapes vary
+        # one cover per graph edge and one lift per graph edge
         ctx = request.getfixturevalue(fixture) if isinstance(fixture, str) else cached_context(*fixture)
-        windows = (0, 3, 10) if isinstance(fixture, str) else (10,)
-        reports = {AffineOracle(ctx.graph, window=w).covers_to_edges() for w in windows}
-        assert len(reports) == 1
-        (report,) = reports
+        report = AffineOracle(ctx.graph).covers_to_edges()
         assert report.covers_checked == report.edges_checked == len(ctx.graph.edges)
         assert report.ok and report.inconclusive == ()
 
     @pytest.mark.parametrize("shape", SMALL_REFERENCE_SHAPES)
     def test_covers_are_longest_chains_of_one(self, shape):
         # the down-set covers are exactly the steps whose longest chain is the step itself
-        oracle = AffineOracle(cached_context(*shape).graph, window=100)
+        oracle = AffineOracle(cached_context(*shape).graph)
         for v in range(oracle.g.num_vertices):
             mu = AffineOrbitElement(v, 0)
             steps = oracle.raising_steps(mu)
@@ -415,7 +374,7 @@ class TestOracleAgreement:
 
         ctx = request.getfixturevalue(fixture)
         shape, g = ctx.shape, ctx.graph
-        oracle = AffineOracle(g, window=10)
+        oracle = AffineOracle(g)
         for eta in enumerate_hat(g):
             lifted = lift(eta, g)
             assert oracle.verify_ls_path(lifted)

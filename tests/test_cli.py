@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ import qbruhat.qbg as qbg
 import qbruhat.qls as qls
 from qbruhat.cli import main
 from qbruhat.qls import sigma_candidates
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -101,6 +107,13 @@ class TestDegree:
     def test_zero_denominator_literal(self, capsys):
         code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "e|0,1/0,1")
         assert code == 2 and out == "" and err == "error: time '1/0' has a zero denominator\n"
+
+    @pytest.mark.parametrize("time_text", ["x", "nan", ""])
+    def test_unparsable_time_literal(self, capsys, time_text):
+        # worded like the zero denominator, with no message of the Fraction parser
+        literal = f"e;s1|0,1/2,{time_text}"
+        code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", literal)
+        assert code == 2 and out == "" and err == f"error: time {time_text!r} is not a fraction\n"
 
     def test_invalid_path(self, capsys):
         code, _, _ = run(
@@ -232,6 +245,72 @@ class TestVerify:
         assert calls["endpoint_delta"] == 27 - reported
         assert doc["checks"][-1]["detail"].startswith("paths=27 ")
 
+    def test_window_guard(self, capsys, monkeypatch):
+        # a lift that leaves the window is reported inconclusive with the window that settles it, and is
+        # never handed to the oracle: 12 of the 27 paths of A2 (2,1) leave window 1
+        certified = []
+        real = cli.AffineOracle.verify_ls_path
+
+        def recording(oracle, lifted):
+            certified.append(max(abs(mu.delta) for mu in lifted.weights))
+            return real(oracle, lifted)
+
+        monkeypatch.setattr(cli.AffineOracle, "verify_ls_path", recording)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "inconclusive"
+        assert len(doc["paths"]) == 12 and len(certified) == 15 and max(certified) <= 1
+        for record in doc["paths"]:
+            match = re.fullmatch(r"\|delta\| reaches (\d+), outside window 1; needs window \1", record["detail"])
+            assert record["status"] == "inconclusive" and match and int(match[1]) > 1
+
+    def test_negative_window_rejected(self, capsys, monkeypatch, a2_21):
+        # refused by verify_shape itself, which scripts call directly, before any enumeration
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated under a negative window")
+
+        monkeypatch.setattr(cli, "enumerate_hat", fail)
+        with pytest.raises(cli.CliError, match="^window must be non-negative, not -1$"):
+            cli.verify_shape(a2_21, -1, cap=10**6)
+        code, out, err = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "-1")
+        assert (code, out, err) == (2, "", "error: window must be non-negative, not -1\n")
+
+    def test_window_monotone(self, a2_21):
+        # a larger window only settles more paths: each inconclusive path at the larger window is
+        # inconclusive at the smaller one, and each path that passes at the smaller one passes at the larger
+        def reported(window):
+            _, _, reports = cli.verify_shape(a2_21, window, cap=10**6)
+            return {(tuple(r["dirs"]), tuple(r["times"])): r["status"] for r in reports}
+
+        runs = [reported(window) for window in (0, 1, 2, 3, 4, 10)]
+        assert [len(r) for r in runs][:2] == [12, 12] and runs[-1] == {}
+        for small, large in zip(runs, runs[1:]):
+            assert set(large.values()) <= {"inconclusive"} and large.keys() <= small.keys()
+
+    def test_inconclusive_names_settling_window(self, capsys):
+        # the lift of e;s1;s1 s2|0,1/3,1/2,1 on A2 (3,2) has delta-coefficients 0, 3, 5: its record names 5,
+        # the largest, and that window settles it
+        def detail(window):
+            _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "3,2", "--window", str(window))
+            path = {"dirs": ["e", "s1", "s1 s2"], "times": ["0", "1/3", "1/2", "1"]}
+            return {r["detail"] for r in json.loads(out)["paths"] if r.items() >= path.items()}
+
+        (at_zero,) = detail(0)
+        assert at_zero.endswith("needs window 5")
+        assert detail(5) == set()
+
+    @pytest.mark.parametrize("window,code,status,inconclusive", [("3", 1, "inconclusive", 422), ("100", 0, "pass", 0)])
+    def test_readme_window_figures(self, capsys, window, code, status, inconclusive):
+        # the figures the README quotes for A4 (1,1,1,1): window 3 leaves 422 of 2,500 paths inconclusive,
+        # window 100 none
+        result = run(capsys, "verify", "--type", "A4", "--lambda", "1,1,1,1", "--window", window)
+        assert result[0] == code
+        assert json.loads(result[1])["checks"][-1] == {
+            "check": "lift-certification",
+            "status": status,
+            "detail": f"paths=2500 fail=0 inconclusive={inconclusive}",
+        }
+
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):
         # verify certifies paths in one thread on one oracle, whose memos are
@@ -337,6 +416,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_context", fail)
         code, out, err = run(capsys, command, "--type", "A2", "--lambda", "1,0", "--cap", "-5")
         assert code == 2 and out == "" and err == "error: cap must be non-negative, not -5\n"
+
+
+    def test_closed_pipe(self):
+        # the reader takes one line of an output several pipe buffers long and closes the pipe: exit 141
+        # as after SIGPIPE, with no traceback
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qbruhat.cli", "qbg", "--type", "D4", "--lambda", "1,1,1,1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""
 
 
 class TestFlags:
