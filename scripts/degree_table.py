@@ -15,6 +15,8 @@ from collections import Counter
 
 from qbruhat import build_context
 from qbruhat.degree import degree_rows
+from qbruhat.qls import EnumerationCap
+from qbruhat.weyl import GroupCapExceeded
 
 
 def main() -> int:
@@ -23,10 +25,10 @@ def main() -> int:
         return 2
     try:
         ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
-    except ValueError as exc:  # a bad type or shape
+        rows = degree_rows(ctx.graph)
+    except (ValueError, GroupCapExceeded, EnumerationCap) as exc:  # a bad type or shape, or an exceeded cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = degree_rows(ctx.graph)
     for row in rows:
         dirs = ";".join(row["dirs"])
         times = ",".join(row["times"])

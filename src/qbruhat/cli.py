@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 
 from . import Context, FiniteType, build_context
@@ -38,48 +38,48 @@ class CliError(Exception):
     """Bad input; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    type: str
-    multiplicities: tuple[int, ...]
-    fmt: str
+def _validate(args: argparse.Namespace) -> None:
+    """Refuse bad input before any work: the format, then ``--lambda``, then ``--cap``, then the type.
 
-
-def _parse_multiplicities(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise CliError(f"bad --lambda value {text!r}: {exc}") from exc
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    """The validated invocation, its type in canonical form (``' a2'`` becomes ``A2``)."""
+    Writes the defaulted format, the multiplicity tuple and the canonical type
+    (``' a2'`` becomes ``A2``) back onto ``args``.
+    """
     formats = _FORMATS[args.command]
-    fmt = formats[0] if args.format is None else args.format
-    if fmt not in formats:
-        raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {fmt!r}")
-    multiplicities = _parse_multiplicities(args.lam)
+    if args.format is None:
+        args.format = formats[0]
+    if args.format not in formats:
+        raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {args.format!r}")
+    try:
+        args.lam = tuple(int(x) for x in args.lam.split(","))
+    except ValueError as exc:
+        raise CliError(f"bad --lambda value {args.lam!r}: {exc}") from exc
     if getattr(args, "cap", 0) < 0:
         raise CliError(f"cap must be non-negative, not {args.cap}")
     try:
-        ftype = FiniteType.parse(args.type)
+        args.type = str(FiniteType.parse(args.type))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    return CliConfig(type=str(ftype), multiplicities=multiplicities, fmt=fmt)
 
 
-def _context(config: CliConfig) -> Context:
+def _context(args: argparse.Namespace) -> Context:
     try:
-        return build_context(config.type, config.multiplicities)
+        return build_context(args.type, args.lam)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
 
-def _write_doc(config: CliConfig, command: str, **fields) -> None:
+def _write_doc(args: argparse.Namespace, **fields) -> None:
     """Write one JSON document: the schema, type and lambda header, then ``fields`` in order."""
-    doc = {"schema": f"{SCHEMA_PREFIX}/{command}/1", "type": config.type, "lambda": list(config.multiplicities)}
+    doc = {"schema": f"{SCHEMA_PREFIX}/{args.command}/1", "type": args.type, "lambda": list(args.lam)}
     json.dump(doc | fields, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _write_csv(header: str, rows) -> None:
+    """Write ``header``, then one line per row: its fields joined by ``,``, each field's strings by ``;``."""
+    sys.stdout.write(header + "\n")
+    for row in rows:
+        sys.stdout.write(",".join(map(";".join, row)) + "\n")
 
 
 def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
@@ -102,15 +102,14 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     return QLSPath(dirs, tuple(times))
 
 
-def cmd_qbg(config: CliConfig) -> int:
-    ctx = _context(config)
+def cmd_qbg(args: argparse.Namespace) -> int:
+    ctx = _context(args)
     g = ctx.graph
-    if config.fmt == "dot":
+    if args.format == "dot":
         sys.stdout.write(g.to_dot())
         return 0
     _write_doc(
-        config,
-        "qbg",
+        args,
         parabolic=sorted(g.J),
         vertices=[
             {"index": v, "word": g.vertex_name(v), "length": len(g.words[v])} for v in range(g.num_vertices)
@@ -129,54 +128,41 @@ def cmd_qbg(config: CliConfig) -> int:
     return 0
 
 
-def cmd_qls(config: CliConfig, variant: str, cap: int) -> int:
-    ctx = _context(config)
-    _, records = path_listing(ctx.graph, variant == "hat", cap)
-    if config.fmt == "csv":
-        sys.stdout.write("dirs,times\n")
-        for *_, dirs, times in records:
-            sys.stdout.write(";".join(dirs) + "," + ";".join(times) + "\n")
+def cmd_qls(args: argparse.Namespace) -> int:
+    ctx = _context(args)
+    _, records = path_listing(ctx.graph, args.variant == "hat", args.cap)
+    if args.format == "csv":
+        _write_csv("dirs,times", (record[-2:] for record in records))
         return 0
     paths = [{"dirs": dirs, "times": times} for *_, dirs, times in records]
-    _write_doc(config, "qls", variant=variant, count=len(paths), paths=paths)
+    _write_doc(args, variant=args.variant, count=len(paths), paths=paths)
     return 0
 
 
-def cmd_degree(config: CliConfig, literal: str | None, cap: int) -> int:
-    ctx = _context(config)
-    if literal is not None:
+def cmd_degree(args: argparse.Namespace) -> int:
+    ctx = _context(args)
+    if args.path is not None:
         try:
-            path = parse_path_literal(ctx, literal)
+            path = parse_path_literal(ctx, args.path)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise CliError(str(exc)) from exc
         try:
             rows = degree_table(ctx.shape, ctx.graph, [path])
         except InvalidQLSPath as exc:
             reason = str(exc)
             if exc.time_index is not None:
                 # quote the failing time as typed: its Fraction may print digits the literal lacks
-                token = literal.split("|", 1)[1].split(",")[exc.time_index].strip()
+                token = args.path.split("|", 1)[1].split(",")[exc.time_index].strip()
                 reason = f"{exc.reason} at time {token!r}"
-            print(f"invalid path {literal!r}: {reason}", file=sys.stderr)
+            print(f"invalid path {args.path!r}: {reason}", file=sys.stderr)
             return 1
     else:
-        rows = degree_rows(ctx.graph, cap)
-    if config.fmt == "json":
-        _write_doc(config, "degree", rows=rows)
+        rows = degree_rows(ctx.graph, args.cap)
+    if args.format == "json":
+        _write_doc(args, rows=rows)
         return 0
-    sys.stdout.write("dirs,times,energies,deg\n")
-    for row in rows:
-        sys.stdout.write(
-            ";".join(row["dirs"])
-            + ","
-            + ";".join(row["times"])
-            + ","
-            + ";".join(map(str, row["energies"]))
-            + ","
-            + str(row["deg"])
-            + "\n"
-        )
+    fields = ((r["dirs"], r["times"], map(str, r["energies"]), [str(r["deg"])]) for r in rows)
+    _write_csv("dirs,times,energies,deg", fields)
     return 0
 
 
@@ -192,6 +178,11 @@ def _verify_one(oracle, graph, path, window: int) -> tuple[str, str]:
     return "fail", oracle.failure(lifted) or "endpoint mismatch"
 
 
+def _worst(statuses) -> str:
+    """The status a set of statuses reduces to: fail over inconclusive over pass."""
+    return min(statuses, key=("fail", "inconclusive", "pass").index, default="pass")
+
+
 def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], list[dict]]:
     """Run the oracle suites on one shape: (overall status, checks, reports of the paths that did not pass).
 
@@ -205,59 +196,49 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
     oracle = AffineOracle(graph)
-    checks: list[dict] = []
-
     hat = enumerate_hat(graph, cap=cap)
     tilde = enumerate_tilde(graph, cap=cap)
-    checks.append(
-        {
-            "check": "strong-equals-weak",
-            "status": "pass" if hat == tilde else "fail",
-            "detail": f"strong={len(hat)} weak={len(tilde)}",
-        }
-    )
-
     report = oracle.covers_to_edges()
-    checks.append(
-        {
-            "check": "covers-match-edges",
-            "status": "pass" if report.ok else "fail",
-            "detail": f"covers={report.covers_checked} mismatches={len(report.mismatches)}",
-        }
-    )
-
     results = [_verify_one(oracle, graph, p, window) for p in hat]
-
-    n_fail = sum(1 for status, _ in results if status == "fail")
-    n_inc = sum(1 for status, _ in results if status == "inconclusive")
-    checks.append(
-        {
-            "check": "lift-certification",
-            "status": "fail" if n_fail else ("inconclusive" if n_inc else "pass"),
-            "detail": f"paths={len(results)} fail={n_fail} inconclusive={n_inc}",
-        }
-    )
-
-    overall = "pass"
-    if any(c["status"] == "fail" for c in checks):
-        overall = "fail"
-    elif any(c["status"] == "inconclusive" for c in checks):
-        overall = "inconclusive"
+    counts = Counter(status for status, _ in results)
+    checks = [
+        {"check": check, "status": status, "detail": detail}
+        for check, status, detail in (
+            ("strong-equals-weak", "pass" if hat == tilde else "fail", f"strong={len(hat)} weak={len(tilde)}"),
+            (
+                "covers-match-edges",
+                "pass" if report.ok else "fail",
+                f"covers={report.covers_checked} mismatches={len(report.mismatches)}",
+            ),
+            (
+                "lift-certification",
+                _worst(counts),
+                f"paths={len(results)} fail={counts['fail']} inconclusive={counts['inconclusive']}",
+            ),
+        )
+    ]
     reports = [
         path_to_json(graph, p) | {"status": status, "detail": detail}
         for p, (status, detail) in zip(hat, results)
         if status != "pass"
     ]
-    return overall, checks, reports
+    return _worst(c["status"] for c in checks), checks, reports
 
 
-def cmd_verify(config: CliConfig, window: int, cap: int) -> int:
-    overall, checks, failing = verify_shape(_context(config), window, cap)
-    _write_doc(config, "verify", window=window, status=overall, checks=checks, paths=failing)
+def cmd_verify(args: argparse.Namespace) -> int:
+    overall, checks, failing = verify_shape(_context(args), args.window, args.cap)
+    _write_doc(args, window=args.window, status=overall, checks=checks, paths=failing)
     return 0 if overall == "pass" else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``qbruhat`` parser; each subparser names the ``cmd_*`` that runs it as ``run``.
+
+    To add a subcommand, write one ``cmd_*`` that takes only the parsed
+    arguments, add one subparser with ``set_defaults(run=cmd_...)`` and one
+    ``_FORMATS`` entry with its default format first.  ``main`` refuses bad
+    input (format, ``--lambda``, ``--cap``, type) before any work.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", required=True, help="simple type, e.g. A2")
     common.add_argument("--lambda", dest="lam", required=True, help="comma-separated multiplicities")
@@ -267,11 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="qbruhat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("qbg", parents=[common], help="export the graph")
+    sub.add_parser("qbg", parents=[common], help="export the graph").set_defaults(run=cmd_qbg)
     qls_p = sub.add_parser("qls", parents=[common, capped], help="enumerate paths")
     qls_p.add_argument("--variant", choices=("hat", "tilde"), default="hat")
+    qls_p.set_defaults(run=cmd_qls)
     deg_p = sub.add_parser("degree", parents=[common, capped], help="degree table")
     deg_p.add_argument("--path", default=None, help="path literal 'w;w|t,t,t'")
+    deg_p.set_defaults(run=cmd_degree)
     ver_p = sub.add_parser("verify", parents=[common, capped], help="run the oracle suites")
     ver_p.add_argument(
         "--window",
@@ -280,25 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest |delta| a lifted path may reach before its check is inconclusive; "
         "the searches run on delta differences and never read it",
     )
+    ver_p.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config(args)
-        if args.command == "qbg":
-            code = cmd_qbg(config)
-        elif args.command == "qls":
-            code = cmd_qls(config, args.variant, args.cap)
-        elif args.command == "degree":
-            code = cmd_degree(config, args.path, args.cap)
-        else:
-            code = cmd_verify(config, args.window, args.cap)
+        _validate(args)
+        code = args.run(args)
         sys.stdout.flush()
     except (CliError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)

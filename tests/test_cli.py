@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from qbruhat.cli import main
 from qbruhat.qls import sigma_candidates
 
 ROOT = Path(__file__).resolve().parent.parent
+PINS = json.loads((ROOT / "perfbench" / "pins.json").read_text())
 
 
 def run(capsys, *argv):
@@ -311,6 +313,46 @@ class TestVerify:
             "detail": f"paths=2500 fail=0 inconclusive={inconclusive}",
         }
 
+    def test_fail_over_inconclusive_in_a_check(self, capsys, monkeypatch):
+        # one wrong endpoint among the 15 paths window 1 settles fails lift-certification over its 12
+        # inconclusive paths, and the failed check fails the run
+        real = cli.endpoint_delta
+        seen = []
+
+        def wrong_first(lifted):
+            seen.append(lifted)
+            return real(lifted) + (len(seen) == 1)
+
+        monkeypatch.setattr(cli, "endpoint_delta", wrong_first)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
+        doc = json.loads(out)
+        assert code == 1 and doc["status"] == "fail"
+        assert doc["checks"][-1] == {
+            "check": "lift-certification",
+            "status": "fail",
+            "detail": "paths=27 fail=1 inconclusive=12",
+        }
+        assert [r["detail"] for r in doc["paths"] if r["status"] == "fail"] == ["endpoint mismatch"]
+
+    def test_fail_over_inconclusive_across_checks(self, capsys, monkeypatch):
+        # a graph with one edge dropped fails covers-match-edges, which outranks inconclusive lift-certification
+        real = cli.build_context
+
+        def dropping(*args):
+            ctx = real(*args)
+            ctx.graph.edges = ctx.graph.edges[1:]
+            return ctx
+
+        monkeypatch.setattr(cli, "build_context", dropping)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
+        doc = json.loads(out)
+        assert {c["check"]: c["status"] for c in doc["checks"]} == {
+            "strong-equals-weak": "pass",
+            "covers-match-edges": "fail",
+            "lift-certification": "inconclusive",
+        }
+        assert code == 1 and doc["status"] == "fail"
+
     @pytest.mark.parametrize("threads", ["8", "abc"])
     def test_threads_env_ignored(self, capsys, monkeypatch, threads):
         # verify certifies paths in one thread on one oracle, whose memos are
@@ -478,3 +520,39 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in cli._FORMATS)])
+    def test_help(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: qbruhat") and err == ""
+
+    def test_no_subcommand(self, capsys):
+        code, out, err = run(capsys)
+        assert code == 2 and out == "" and err.startswith("usage: qbruhat")
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(PINS))
+def test_pinned_output(capsys, label):
+    # the fingerprints the benchmark holds each pinned invocation to: the exact stdout of qbg and degree, the
+    # row count and degree histogram of degree, and for verify equal strong and weak counts and no failed check
+    pin = PINS[label]
+    command = label.split()[0]
+    code, out, err = run(capsys, *label.split())
+    if command == "verify":
+        checks = {c["check"]: c for c in json.loads(out)["checks"]}
+        strong, weak = (int(x.split("=")[1]) for x in checks["strong-equals-weak"]["detail"].split())
+        assert strong == weak == pin["paths"]
+        assert [c for c in checks.values() if c["status"] == "fail"] == []
+        return
+    assert code == 0 and err == "" and sha256(out) == pin["stdout_sha256"]
+    if command == "degree":
+        rows = out.splitlines()[1:]
+        hist = Counter(int(row.rsplit(",", 1)[1]) for row in rows)
+        assert len(rows) == pin["paths"]
+        assert sha256("".join(f"{d}:{n}\n" for d, n in sorted(hist.items()))) == pin["hist_sha256"]

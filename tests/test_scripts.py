@@ -42,9 +42,12 @@ def test_run_verification_negative_window():
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("args", [("A2", "2,x"), ("A2", "0,0"), ("Q2", "1,1")])
+@pytest.mark.parametrize(
+    "args", [("A2", "2,x"), ("A2", "0,0"), ("Q2", "1,1"), ("A1", "2000000"), ("E6", "1,0,0,0,0,0")]
+)
 def test_degree_table_bad_input(args):
-    # a bad type or shape ends in one `error:` line and exit 2, not in a traceback
+    # a bad type or shape, more paths than the enumeration cap (A1 at lambda = 2 * 10^6) or a type above the
+    # group cap ends in one `error:` line and exit 2, not in a traceback
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "degree_table.py"), *args],
