@@ -277,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.run(args)
         sys.stdout.flush()
     except (CliError, EnumerationCap) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        advice = "; raise the cap to continue" if isinstance(exc, EnumerationCap) else ""  # the CLI has --cap
+        print(f"error: {exc}{advice}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout (``| head``): send the unflushed rest to devnull so the exit flush cannot

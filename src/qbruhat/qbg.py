@@ -23,15 +23,16 @@ i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
 Every distance, shortest-path and energy query reads one memoised BFS per
-source and denominator: an edge is sigma-admissible when the denominator q
-of sigma divides its pairing, and q = 1 is the unrestricted graph.  A path
-follows that BFS's first-discovery edges, so ties go to the first edge in
-``out_edges``.  Along the same tree the BFS sums the pairings of the
-quantum steps: the energy wt_Lambda(y => x) of the paper.  It does
-not depend on the shortest path chosen, since all of them agree modulo
-Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono, arXiv:1211.2042); every
-energy row the program reads re-checks this against the sigma-admissible
-tree.  Strong connectivity is checked when the graph is built.
+source y and denominator q: an edge is sigma-admissible when q divides its
+pairing, and q = 1 is the unrestricted graph.  For q = 1 the BFS sums the
+pairings of the quantum steps along its tree: the energy wt_Lambda(y => x)
+of the paper, which does not depend on the shortest path chosen, since all
+of them agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
+arXiv:1211.2042).  For q > 1 it keeps that energy where a q-admissible path
+is shortest, after re-checking it against the q-admissible tree.  A path is
+read back from x, each step over the first q-admissible edge of ``in_edges``
+one step nearer y, so ties go to the least (source, label).  Strong
+connectivity is checked when the graph is built.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ class PQBG:
         self._build()
         self._names = tuple(map(word_name, self.words))
         self._search_cache: dict[tuple[int, int], tuple] = {}
-        self._energy_rows: dict[tuple[int, int], tuple[int | None, ...]] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
@@ -210,21 +210,21 @@ class PQBG:
 
     # -- distances and shortest paths --------------------------------------
 
-    def _search(self, y: int, q: int) -> tuple[tuple[int, ...], tuple[QBGEdge | None, ...], tuple[int, ...]]:
+    def _search(self, y: int, q: int) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
         """BFS from y over the edges whose pairing q divides, memoised per (y, q).
 
-        Returns ``(dist, parent, energy)``: ``dist[x]`` is the length of a
-        shortest such path from y to x (-1 when unreachable), ``parent[x]``
-        the edge that first reached x, scanning ``out_edges`` in order, and
-        ``energy[x]`` the sum of the pairings of the quantum steps on the
-        tree path from y to x.
+        Returns ``(dist, energy)``: ``dist[x]`` is the length of a shortest
+        such path from y to x (-1 when unreachable).  For q = 1, ``energy[x]``
+        sums the pairings of the quantum steps on the tree path from y to x;
+        for q > 1 it is that unrestricted energy where the two distances
+        agree, and None elsewhere.  There the q-admissible tree path is a
+        shortest path too and must carry the same energy: RuntimeError otherwise.
         """
         key = (y, q)
         found = self._search_cache.get(key)
         if found is None:
             dist = [-1] * self.num_vertices
-            parent: list[QBGEdge | None] = [None] * self.num_vertices
-            energy = [0] * self.num_vertices
+            energy: list[int | None] = [0] * self.num_vertices
             pairings = self.pairings
             dist[y] = 0
             dq = deque([y])
@@ -233,10 +233,16 @@ class PQBG:
                 for e in self.out_edges[v]:
                     if dist[e.target] < 0 and pairings[e.label] % q == 0:
                         dist[e.target] = dist[v] + 1
-                        parent[e.target] = e
                         energy[e.target] = energy[v] + pairings[e.label] if e.quantum else energy[v]
                         dq.append(e.target)
-            found = self._search_cache[key] = (tuple(dist), tuple(parent), tuple(energy))
+            if q > 1:
+                full, tree = self._search(y, 1)
+                qrow = [se if s == d else None for d, s, se in zip(full, dist, energy)]
+                energy = [e if s == d else None for d, s, e in zip(full, dist, tree)]
+                if energy != qrow:
+                    x, e = next((x, e) for x, e in enumerate(energy) if e != qrow[x])
+                    raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {qrow[x]}")
+            found = self._search_cache[key] = (tuple(dist), tuple(energy))
         return found
 
     def _distances_to(self, x: int, q: int) -> list[int]:
@@ -253,15 +259,15 @@ class PQBG:
         return to_x
 
     def _path(self, x: int, y: int, q: int) -> DirectedPath | None:
-        """The path from y to x along the parent edges of ``_search(y, q)``."""
-        dist, parent, _ = self._search(y, q)
+        """A shortest q-admissible path from y to x, read back from x along the first nearer in-edges."""
+        dist = self._search(y, q)[0]
         if dist[x] < 0:
             return None
         vertices = [x]
         labels = []
         quantum = []
         while x != y:
-            e = parent[x]
+            e = next(e for e in self.in_edges[x] if dist[e.source] == dist[x] - 1 and self.pairings[e.label] % q == 0)
             labels.append(e.label)
             quantum.append(e.quantum)
             x = e.source
@@ -279,10 +285,10 @@ class PQBG:
     def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
         """A shortest path from y to x inside the sigma-admissible subgraph, if any.
 
-        The path is rebuilt from the same memoised BFS that
-        ``sigma_distances_from`` reads, so ties go to the first edge in
-        ``out_edges``.  ``shortest`` reports whether that path is as short as
-        an unrestricted one, i.e. whether the pair satisfies the strong
+        The path is read back from x over the distances that
+        ``sigma_distances_from`` reads, so ties go to the least (source,
+        label).  ``shortest`` reports whether that path is as short as an
+        unrestricted one, i.e. whether the pair satisfies the strong
         segment condition.
         """
         path = self._path(x, y, _denominator(sigma))
@@ -293,26 +299,10 @@ class PQBG:
     def segment_energies(self, y: int, sigma: Fraction) -> tuple[int | None, ...]:
         """wt_Lambda(y => x) for every x; None where no shortest path from y to x is sigma-admissible.
 
-        The energy is read off the unrestricted BFS tree.  Where the
-        sigma-admissible distance equals the unrestricted one, the
-        sigma-admissible tree path is a shortest path too, and its energy
-        must agree: RuntimeError otherwise.  Memoised per (y, denominator
-        of sigma).
+        The energy row of ``_search(y, denominator of sigma)``, which is
+        checked against the sigma-admissible tree when it is built.
         """
-        key = (y, _denominator(sigma))  # checked on a warm row too
-        row = self._energy_rows.get(key)
-        if row is None:
-            dist, _, energy = self._search(y, 1)
-            sdist, _, senergy = self._search(*key)
-            row = tuple(e if s == d else None for d, e, s in zip(dist, energy, sdist))
-            checked = tuple(se if s == d else None for d, se, s in zip(dist, senergy, sdist))
-            if row != checked:
-                x = next(x for x, (e, se) in enumerate(zip(row, checked)) if e != se)
-                raise RuntimeError(
-                    f"shortest paths from vertex {y} to {x} carry energies {row[x]} and {checked[x]}"
-                )
-            self._energy_rows[key] = row
-        return row
+        return self._search(y, _denominator(sigma))[1]  # sigma is range-checked on a warm entry too
 
     # -- export --------------------------------------------------------------
 

@@ -15,9 +15,9 @@ directions, then times.
 One walk over candidate indices serves both variants and the degree table.
 Its successor lists hold, for the strong variant, each segment's energy
 wt_Lambda(x_{k+1} => x_k), read from the graph's energy rows: a segment is
-strong exactly where that energy is defined, and every row read is checked
-for well-definedness.  ``degree.degree_rows`` turns the walk's energies into
-the table in the same pass.
+strong exactly where that energy is defined, and every row is checked for
+well-definedness when the graph builds it.  ``degree.degree_rows`` turns the
+walk's energies into the table in the same pass.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[t
     their count before building any time.
     """
     if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
-        raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
+        raise EnumerationCap(f"more than {cap} paths")
     candidates = sigma_candidates(g)
     succ = _successors(g, candidates, strong)
     found: list[tuple] = []
@@ -123,7 +123,7 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[t
         dirs, idx, energies, last = stack.pop()
         found.append((len(dirs), dirs, idx, energies))
         if len(found) > cap:
-            raise EnumerationCap(f"more than {cap} paths; raise the cap to continue")
+            raise EnumerationCap(f"more than {cap} paths")
         cur = dirs[-1]
         for si in range(last + 1, len(candidates)):
             for nxt, energy in succ[si][cur]:

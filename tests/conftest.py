@@ -52,6 +52,11 @@ def a3_010():
     return cached_context("A3", (0, 1, 0))
 
 
+@pytest.fixture(scope="session")
+def d4_0100():
+    return cached_context("D4", (0, 1, 0, 0))
+
+
 # -- the reference: the enumerated Weyl group and its cosets W^J ---------------
 
 
@@ -231,7 +236,7 @@ def segment_chains(g, path) -> tuple[tuple[AffineOrbitElement, ...], ...]:
 
 
 def shortest_path(g, x: int, y: int) -> DirectedPath:
-    """A shortest directed path from y to x; ties go to the first edge in ``out_edges``."""
+    """A shortest directed path from y to x, read back from x; ties go to the least (predecessor, label)."""
     return g._path(x, y, 1)
 
 

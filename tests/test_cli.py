@@ -199,21 +199,22 @@ class TestVerify:
         assert code == 0 and json.loads(out)["status"] == "pass"
 
     def test_segments_computed_once(self, capsys, monkeypatch):
-        # enumeration, lift and degree read the energy rows the graph
-        # memoises per (source, denominator of sigma), so each row is built
-        # once; the strong enumeration reads every row of every candidate
+        # enumeration, lift and degree read the searches the graph memoises
+        # per (source, denominator of sigma), so each entry is written once;
+        # the strong enumeration reads every source at every candidate's
+        # denominator, and each of those entries reads the unrestricted one
         built = []
         stored = Counter()
         real = cli.build_context
 
-        class Rows(dict):
-            def __setitem__(self, key, row):
+        class Entries(dict):
+            def __setitem__(self, key, entry):
                 stored[key] += 1
-                super().__setitem__(key, row)
+                super().__setitem__(key, entry)
 
         def recording(*args, **kwargs):
             built.append(real(*args, **kwargs))
-            built[-1].graph._energy_rows = Rows()
+            built[-1].graph._search_cache = Entries(built[-1].graph._search_cache)
             return built[-1]
 
         monkeypatch.setattr(cli, "build_context", recording)
@@ -222,7 +223,7 @@ class TestVerify:
         g = ctx.graph
         denominators = {sigma.denominator for sigma in sigma_candidates(g)}
         assert code == 0 and set(stored.values()) == {1}
-        assert len(g._energy_rows) == g.num_vertices * len(denominators)
+        assert len(g._search_cache) == g.num_vertices * (len(denominators) + 1)
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):

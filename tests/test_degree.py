@@ -76,15 +76,15 @@ class TestSegmentEnergy:
     def test_perturbed_energy_raises(self):
         # the energy of the sigma-admissible tree must equal the unrestricted
         # one wherever both trees reach x by a shortest path; a fresh graph,
-        # so that no row is memoised yet
+        # so that no search of denominator 2 is memoised yet
         ctx = build_context("A2", (2, 1))
         g = ctx.graph
         r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
-        key = (r2r1, 2)  # the BFS of denominator 2
-        dist, parent, energy = g._search(*key)
-        assert dist[r2] == g.distances_from(r2r1)[r2] and energy[r2] == 2
-        g._search_cache[key] = (dist, parent, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
-        with pytest.raises(RuntimeError, match="carry energies 2 and 3"):
+        key = (r2r1, 1)  # the unrestricted BFS, which the entry of denominator 2 reads
+        dist, energy = g._search(*key)
+        assert g._distances_to(r2, 2)[r2r1] == dist[r2] and energy[r2] == 2
+        g._search_cache[key] = (dist, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
+        with pytest.raises(RuntimeError, match="carry energies 3 and 2"):
             g.segment_energies(r2r1, F(1, 2))
 
     @pytest.mark.parametrize(
@@ -406,21 +406,27 @@ class TestDegreeRows:
             degree_rows(a2_21.graph)
         assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
 
-    def test_energy_check_runs_on_every_row_read(self, monkeypatch):
+    @staticmethod
+    def _perturbed_graph():
+        # a fresh graph whose unrestricted searches carry one more unit of
+        # energy everywhere, so that no sigma-admissible tree agrees with them
+        g = build_context("A2", (2, 1)).graph
+        for y in range(g.num_vertices):
+            dist, energy = g._search(y, 1)
+            g._search_cache[y, 1] = (dist, tuple(e + 1 for e in energy))
+        return g
+
+    def test_energy_check_runs_on_every_row_read(self):
         # a sigma-admissible tree that carries another energy than the
         # unrestricted one is refused while the walk reads the energy rows
-        real = PQBG._search
-
-        def perturbed(self, y, q):
-            dist, parent, energy = real(self, y, q)
-            if q == 1:
-                return dist, parent, energy
-            return dist, parent, tuple(e + 1 for e in energy)
-
-        g = build_context("A2", (2, 1)).graph
-        monkeypatch.setattr(PQBG, "_search", perturbed)
         with pytest.raises(RuntimeError, match="carry energies"):
-            degree_rows(g)
+            degree_rows(self._perturbed_graph())
+
+    def test_weak_listing_refuses_a_perturbed_energy(self):
+        # the weak walk reads only distances, but they come from the same
+        # memo entries, whose energies are checked when they are built
+        with pytest.raises(RuntimeError, match="carry energies"):
+            enumerate_tilde(self._perturbed_graph())
 
     def test_exactness_check_runs_on_every_row(self, monkeypatch):
         # one more unit of energy on a segment at a/b moves the sum by b - a,

@@ -42,18 +42,28 @@ def test_run_verification_negative_window():
     assert "Traceback" not in proc.stderr
 
 
+def run_degree_table(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / "degree_table.py"), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "args", [("A2", "2,x"), ("A2", "0,0"), ("Q2", "1,1"), ("A1", "2000000"), ("E6", "1,0,0,0,0,0")]
 )
 def test_degree_table_bad_input(args):
     # a bad type or shape, more paths than the enumeration cap (A1 at lambda = 2 * 10^6) or a type above the
     # group cap ends in one `error:` line and exit 2, not in a traceback
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "degree_table.py"), *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_degree_table(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_degree_table_cap_gives_no_advice():
+    # the script has no cap to raise, so its refusal states the fact only; `qbruhat` adds the advice (test_cli.py)
+    proc = run_degree_table("A1", "2000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: more than 1000000 paths\n")
