@@ -18,15 +18,10 @@ from fractions import Fraction
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle
-from .degree import InvalidQLSPath, degree, degree_rows, degree_table, endpoint_delta, lift
-from .qls import (
-    EnumerationCap,
-    QLSPath,
-    enumerate_hat,
-    enumerate_tilde,
-    path_listing,
-    path_to_json,
-)
+from .degree import InvalidQLSPath, _lift, _walk_rows, degree_rows, degree_table, endpoint_delta
+from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
+from .qls import EnumerationCap, QLSPath, enumerate_tilde, path_listing, path_to_json
+from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
 
@@ -166,10 +161,8 @@ def cmd_degree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(oracle, graph, path, window: int) -> tuple[str, str]:
-    """(status, detail) of one path: inconclusive when its lift leaves the window, else its certification."""
-    lifted = lift(path, graph)
-    deg = degree(path, graph)
+def _verify_one(oracle, lifted, deg: int, window: int) -> tuple[str, str]:
+    """(status, detail) of a lift of degree ``deg``: inconclusive when it leaves the window, else its certification."""
     need = max(abs(mu.delta) for mu in lifted.weights)
     if need > window:
         return "inconclusive", f"|delta| reaches {need}, outside window {window}; needs window {need}"
@@ -188,7 +181,9 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
-    with the endpoint identity.  ``window`` is a reporting rule, not a search
+    with the endpoint identity.  Each strong path is lifted from the energies
+    and degree its walk carries (``degree._walk_rows``); the weak variant is
+    enumerated after them.  ``window`` is a reporting rule, not a search
     bound: a path whose lift reaches ``|delta| > window`` is not certified but
     reported ``inconclusive``, with the window that settles it.
     """
@@ -196,15 +191,19 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
     oracle = AffineOracle(graph)
-    hat = enumerate_hat(graph, cap=cap)
-    tilde = enumerate_tilde(graph, cap=cap)
+    candidates, records = path_listing(graph, True, cap)
     report = oracle.covers_to_edges()
-    results = [_verify_one(oracle, graph, p, window) for p in hat]
+    zero, one = Fraction(0), Fraction(1)
+    hat, results = [], []
+    for dirs, idx, energies, deg, _, _ in _walk_rows(graph, candidates, records):
+        hat.append(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)))
+        results.append(_verify_one(oracle, _lift(dirs, energies, hat[-1].times), deg, window))
+    tilde = enumerate_tilde(graph, cap=cap)
     counts = Counter(status for status, _ in results)
     checks = [
         {"check": check, "status": status, "detail": detail}
         for check, status, detail in (
-            ("strong-equals-weak", "pass" if hat == tilde else "fail", f"strong={len(hat)} weak={len(tilde)}"),
+            ("strong-equals-weak", "pass" if tuple(hat) == tilde else "fail", f"strong={len(hat)} weak={len(tilde)}"),
             (
                 "covers-match-edges",
                 "pass" if report.ok else "fail",

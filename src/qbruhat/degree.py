@@ -12,21 +12,24 @@ BFS and checks their well-definedness on every row it builds
 are read as integer ticks over L, the lcm of their denominators, so the sum
 is an integer over L.
 
-``degree_rows`` builds the table of every path in one pass: the enumeration
-walk carries the energies, and each row still passes the structure check
-and the exactness check of its sum.  ``degree`` and ``degree_table`` take
-given paths (``--path`` literals).
+Every path of the shape takes one route to its row: the enumeration walk
+carries the energies, and ``_walk_rows`` checks each path's structure and
+the exactness of its sum, for ``degree_rows`` and ``cli.verify_shape``
+alike.  ``degree``, ``lift`` and ``degree_table`` take given paths
+(``--path`` literals) and derive their segments with ``_segments``.
 
 The lift raises each direction x_p to the affine orbit element with
-delta-coefficient equal to the sum of the earlier segment energies; the
-oracle certifies it from first principles.  The formula is the product
-here; the lift is retained purely as verification machinery.
+delta-coefficient equal to the sum of the earlier segment energies, the
+prefix sums of the energies in the degree formula; ``verify`` lifts the
+walk's energies, and the oracle certifies each lift from first principles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
@@ -100,14 +103,14 @@ def degree(path: QLSPath, g: PQBG) -> int:
     return _degree_of(*_segments(path, g))
 
 
+def _lift(directions, energies, times) -> AffineLSPath:
+    """The lift whose p-th weight is (x_p, sum of the energies of segments before p)."""
+    return AffineLSPath(tuple(map(AffineOrbitElement, directions, accumulate(energies, initial=0))), times)
+
+
 def lift(path: QLSPath, g: PQBG) -> AffineLSPath:
-    """Raise the path into the affine orbit: the p-th weight is (x_p, sum of the energies of segments before p)."""
-    weights = [AffineOrbitElement(path.directions[0], 0)]
-    cumulative = 0
-    for x, energy in zip(path.directions[1:], _segments(path, g)[0]):
-        cumulative += energy
-        weights.append(AffineOrbitElement(x, cumulative))
-    return AffineLSPath(tuple(weights), path.times)
+    """Raise the path into the affine orbit, with the energies of its segments."""
+    return _lift(path.directions, _segments(path, g)[0], path.times)
 
 
 def endpoint_delta(lifted: AffineLSPath) -> int:
@@ -135,23 +138,29 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     return rows
 
 
-def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
-    """The records of ``degree_table`` for every strong-variant path, from one enumeration walk.
+def _walk_rows(g: PQBG, candidates: tuple[Fraction, ...], records) -> Iterator[tuple]:
+    """Each record of a strong ``qls.path_listing`` as (dirs, candidate indices, energies, deg, names, time texts).
 
-    Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.  The walk
-    (``qls.path_listing``) carries each segment's energy and texts formatted
-    once; each candidate time is split into integers once.  Every row still
-    passes the structure check and the exactness check of its sum.
+    The walk carries each segment's energy; each candidate time is split
+    into integers once.  Every row passes the structure check and the
+    exactness check of its sum.
     """
-    candidates, records = path_listing(g, True, cap)
     nums = [t.numerator for t in candidates]
     dens = [t.denominator for t in candidates]
-    rows = []
     for dirs, idx, energies, names, times in records:
         L = lcm(*[dens[i] for i in idx])
         ticks = [0, *[nums[i] * (L // dens[i]) for i in idx], L]
         if not _structure_ok(g, dirs, L, ticks):
             raise InvalidQLSPath(f"invalid path '{';'.join(names)}|{','.join(times)}': structurally invalid")
-        energies = list(energies)
-        rows.append({"dirs": names, "times": times, "energies": energies, "deg": _degree_of(energies, L, ticks)})
-    return rows
+        yield dirs, idx, energies, _degree_of(energies, L, ticks), names, times
+
+
+def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
+    """The records of ``degree_table`` for every strong-variant path, from one enumeration walk.
+
+    Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.
+    """
+    return [
+        {"dirs": names, "times": times, "energies": list(energies), "deg": deg}
+        for _, _, energies, deg, names, times in _walk_rows(g, *path_listing(g, True, cap))
+    ]

@@ -12,12 +12,12 @@ JSON); inside they are candidate indices or integer ticks over L, the lcm of
 the denominators.  Enumeration orders paths by number of directions, then
 directions, then times.
 
-One walk over candidate indices serves both variants and the degree table.
-Its successor lists hold, for the strong variant, each segment's energy
+One walk over candidate indices serves both variants, the degree table and
+``verify``.  Its strong successor lists hold each segment's energy
 wt_Lambda(x_{k+1} => x_k), read from the graph's energy rows: a segment is
-strong exactly where that energy is defined, and every row is checked for
-well-definedness when the graph builds it.  ``degree.degree_rows`` turns the
-walk's energies into the table in the same pass.
+strong exactly where that energy is defined, and every row is checked when
+the graph builds it.  ``degree._walk_rows`` turns the energies into checked
+rows with their degree; the table writes them, and ``verify`` lifts them.
 """
 
 from __future__ import annotations

@@ -14,15 +14,28 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import cached_context
 
 import qbruhat.cli as cli
+import qbruhat.degree as degree_mod
 import qbruhat.qbg as qbg
 import qbruhat.qls as qls
 from qbruhat.cli import main
-from qbruhat.qls import sigma_candidates
+from qbruhat.degree import lift
+from qbruhat.qls import enumerate_hat, sigma_candidates
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+
+# (exit code, sha256 of the exact stdout) of verify runs, keyed by (type, lambda, window): passing runs, and
+# runs that report inconclusive paths (12 records on A2 (2,1) at window 1)
+VERIFY_STDOUT = {
+    ("A2", "2,1", "1"): (1, "01f170206e35aa7151eca89ccb59c108efa9590d61292e0daebac29e2c0414d6"),
+    ("A2", "2,1", "10"): (0, "514de7bac833a3214291037c48c6faf8b2002931fe3f3ff57ccdb17705519595"),
+    ("A2", "3,2", "0"): (1, "7c67ab8aaea73e22aea734a4ba300960442bc19304c7e5d01f5ecc07f044beec"),
+    ("B3", "1,1,1", "4"): (1, "5ef102836973c58af615a45056ff2b09419c0b2e5f6dc5bcec2c63cdd8e7c71e"),
+    ("C2", "1,1", "10"): (0, "5691cc50f64f40ce5c8210e0e24e43b2a4af28439a4494544711cac9eaadfe9d"),
+}
 
 
 def run(capsys, *argv):
@@ -199,8 +212,8 @@ class TestVerify:
         assert code == 0 and json.loads(out)["status"] == "pass"
 
     def test_segments_computed_once(self, capsys, monkeypatch):
-        # enumeration, lift and degree read the searches the graph memoises
-        # per (source, denominator of sigma), so each entry is written once;
+        # the strong and weak walks read the searches the graph memoises per
+        # (source, denominator of sigma), so each entry is written once;
         # the strong enumeration reads every source at every candidate's
         # denominator, and each of those entries reads the unrestricted one
         built = []
@@ -272,11 +285,42 @@ class TestVerify:
         def fail(*args, **kwargs):
             raise AssertionError("enumerated under a negative window")
 
-        monkeypatch.setattr(cli, "enumerate_hat", fail)
+        for name in ("enumerate_hat", "enumerate_tilde", "path_listing", "_walk_rows"):
+            monkeypatch.setattr(cli, name, fail)
         with pytest.raises(cli.CliError, match="^window must be non-negative, not -1$"):
             cli.verify_shape(a2_21, -1, cap=10**6)
         code, out, err = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "-1")
         assert (code, out, err) == (2, "", "error: window must be non-negative, not -1\n")
+
+    @pytest.mark.parametrize("shape", sorted(VERIFY_STDOUT))
+    def test_stdout_pinned(self, capsys, shape):
+        type_name, lam, window = shape
+        code, out, err = run(capsys, "verify", "--type", type_name, "--lambda", lam, "--window", window)
+        assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
+
+    @pytest.mark.parametrize("shape", [("A2", "2,1", "1"), ("A2", "2,1", "10"), ("C2", "1,1", "10")])
+    def test_lifts_the_walks_energies(self, capsys, monkeypatch, shape):
+        # verify lifts the energies the enumeration walk carries and derives no segments per path: its
+        # output stays pinned, and the oracle is handed the lift of each strong path inside the window
+        type_name, lam, window = shape
+        g = cached_context(type_name, tuple(map(int, lam.split(",")))).graph
+        lifts = [lift(p, g) for p in enumerate_hat(g)]
+        inside = [lifted for lifted in lifts if max(abs(mu.delta) for mu in lifted.weights) <= int(window)]
+        certified = []
+        real = cli.AffineOracle.verify_ls_path
+
+        def recording(oracle, lifted):
+            certified.append(lifted)
+            return real(oracle, lifted)
+
+        def refuse(*args):
+            raise AssertionError("segments derived for one path")
+
+        monkeypatch.setattr(cli.AffineOracle, "verify_ls_path", recording)
+        monkeypatch.setattr(degree_mod, "_segments", refuse)
+        code, out, err = run(capsys, "verify", "--type", type_name, "--lambda", lam, "--window", window)
+        assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
+        assert certified == inside
 
     def test_window_monotone(self, a2_21):
         # a larger window only settles more paths: each inconclusive path at the larger window is
