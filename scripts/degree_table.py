@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 
 from qbruhat import build_context
+from qbruhat.cartan import parse_multiplicities
 from qbruhat.degree import degree_rows
 from qbruhat.qls import EnumerationCap
 from qbruhat.weyl import GroupCapExceeded
@@ -24,7 +25,7 @@ def main() -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     try:
-        ctx = build_context(sys.argv[1], tuple(int(x) for x in sys.argv[2].split(",")))
+        ctx = build_context(sys.argv[1], parse_multiplicities(sys.argv[2]))
         rows = degree_rows(ctx.graph)
     except (ValueError, GroupCapExceeded, EnumerationCap) as exc:  # a bad type or shape, or an exceeded cap
         print(f"error: {exc}", file=sys.stderr)

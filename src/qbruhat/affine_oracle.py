@@ -212,13 +212,13 @@ class AffineOracle:
         g, rs = self.g, self.g.rs
         name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"
         covers = {
-            (v, step.target.vertex, rs.positive_roots[step.root].coords, step.target.delta)
+            (v, step.target.vertex, rs.positive_roots[step.root], step.target.delta)
             for v in range(g.num_vertices)
             for step in self._covers[v]
         }
         edges = Counter()
         for e in g.edges:
-            moved = rs.apply_root_coords(g.words[e.source], rs.positive_roots[e.label].coords)
+            moved = rs.apply_root_coords(g.words[e.source], rs.positive_roots[e.label])
             if e.quantum:
                 edges[e.target, e.source, tuple(-c for c in moved), g.pairings[e.label]] += 1
             else:

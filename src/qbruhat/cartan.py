@@ -1,6 +1,8 @@
 """Exact arithmetic for finite root systems of the simple Lie types.
 
-Coordinate conventions, fixed once for the whole package:
+Coordinate conventions, fixed once for the whole package.  Roots, coroots
+and weights (orbit points ``x Lambda`` among them) are plain int tuples; the
+aliases ``Root``, ``Coroot`` and ``Weight`` name their bases in signatures:
 
 * roots carry integer coordinates in the simple-root basis,
 * coroots carry integer coordinates in the simple-coroot basis,
@@ -20,6 +22,7 @@ happen silently.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,7 +57,7 @@ class FiniteType:
     @classmethod
     def parse(cls, text: str) -> "FiniteType":
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        if len(text) < 2 or not (text[1:].isascii() and text[1:].isdigit()):
             raise ValueError(f"cannot parse type {text!r}; expected e.g. 'A2' or 'C2'")
         return cls(text[0].upper(), int(text[1:]))
 
@@ -136,30 +139,14 @@ def cartan_matrix(ftype: FiniteType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root in simple-root coordinates; coords all >= 0 or all <= 0."""
-
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Coroot:
-    """A coroot in simple-coroot coordinates."""
-
-    coords: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A weight in fundamental-weight coordinates."""
-
-    coords: tuple[int, ...]
+Root = tuple[int, ...]
+Coroot = tuple[int, ...]
+Weight = tuple[int, ...]
 
 
 def pair(w: Weight, c: Coroot) -> int:
     """Duality pairing <w, c>.  Exact because the two bases are dual."""
-    return sum(a * b for a, b in zip(w.coords, c.coords))
+    return sum(a * b for a, b in zip(w, c))
 
 
 class RootSystem:
@@ -217,8 +204,8 @@ class RootSystem:
         if len(ordered) != len(positives) or len(positives) != positive_root_count(self.type):
             raise RuntimeError(f"closure produced {len(positives)} positive roots for {self.type}")
 
-        self.positive_roots = tuple(Root(c) for c in ordered)
-        self.positive_coroots = tuple(Coroot(seen[c]) for c in ordered)
+        self.positive_roots = tuple(ordered)
+        self.positive_coroots = tuple(seen[c] for c in ordered)
         self.num_positive = len(ordered)
 
         heights = [sum(c) for c in ordered]
@@ -227,14 +214,14 @@ class RootSystem:
         if len(top) != 1:
             raise RuntimeError(f"no unique highest root for {self.type}")
         self.highest_root = top[0]
-        theta = self.positive_roots[self.highest_root].coords
+        theta = self.positive_roots[self.highest_root]
         # a sanity check on the closure: theta dominates every positive root
         # componentwise (the tests read theta at ``highest_root``)
         for c in ordered:
             if any(x > t for x, t in zip(c, theta)):
                 raise RuntimeError("highest root fails componentwise domination")
 
-        self.rho = Weight((1,) * n)
+        self.rho = (1,) * n
         # weight-basis coordinates of each positive root: w = C^T c
         self.root_weight_coords = tuple(
             tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n)) for c in ordered
@@ -246,20 +233,19 @@ class RootSystem:
         """r_beta(w) = w - <w, beta^vee> beta for the positive root at ``index``."""
         k = pair(w, self.positive_coroots[index])
         beta_w = self.root_weight_coords[index]
-        return Weight(tuple(a - k * b for a, b in zip(w.coords, beta_w)))
+        return tuple(a - k * b for a, b in zip(w, beta_w))
 
     def apply_weight(self, word: Sequence[int], w: Weight) -> Weight:
         """w moved by the element a word names: its simple reflections (1-based labels) applied right to left."""
         # r_j(v) = v - v_j alpha_j, alpha_j being row j-1 of the Cartan matrix
         C = self.cartan
-        v = w.coords
         for j in reversed(word):
-            vj = v[j - 1]
-            v = tuple(x - vj * c for x, c in zip(v, C[j - 1]))
-        return Weight(v)
+            wj = w[j - 1]
+            w = tuple(x - wj * c for x, c in zip(w, C[j - 1]))
+        return w
 
-    def apply_root_coords(self, word: Sequence[int], coords: tuple[int, ...]) -> tuple[int, ...]:
-        """Like ``apply_weight``, on simple-root coordinates."""
+    def apply_root_coords(self, word: Sequence[int], coords: Root) -> Root:
+        """Like ``apply_weight``, on a root."""
         # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j
         C = self.cartan
         out = list(coords)
@@ -274,20 +260,27 @@ def build_root_system(ftype: FiniteType) -> RootSystem:
 
 @dataclass(frozen=True)
 class LevelZeroShape:
-    """A dominant shape: multiplicities m_i, its classical weight and parabolic set.
+    """A dominant shape: its multiplicities m_i, which are Lambda as a weight, and its parabolic set.
 
     ``parabolic`` is exactly the set of 1-based labels j with m_j = 0; the
     downstream path model is stated relative to this set.
     """
 
     rs: RootSystem
-    multiplicities: tuple[int, ...]
-    classical: Weight
+    multiplicities: Weight
     parabolic: frozenset[int]
 
 
+def parse_multiplicities(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each ASCII digits with an optional sign and surrounding whitespace."""
+    for part in text.split(","):
+        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", part):
+            raise ValueError(f"{part!r} is not an integer")
+    return tuple(map(int, text.split(",")))
+
+
 def compute_shape(rs: RootSystem, multiplicities: tuple[int, ...] | list[int]) -> LevelZeroShape:
-    """Validate multiplicities and derive the classical weight and parabolic set."""
+    """Validate multiplicities and derive the parabolic set."""
     mults = tuple(int(m) for m in multiplicities)
     if len(mults) != rs.rank:
         raise ValueError(f"expected {rs.rank} multiplicities, got {len(mults)}")
@@ -295,6 +288,5 @@ def compute_shape(rs: RootSystem, multiplicities: tuple[int, ...] | list[int]) -
         raise ValueError("multiplicities must be nonnegative")
     if all(m == 0 for m in mults):
         raise ValueError("the zero shape is degenerate and rejected")
-    classical = Weight(mults)
     parabolic = frozenset(j for j in range(1, rs.rank + 1) if mults[j - 1] == 0)
-    return LevelZeroShape(rs, mults, classical, parabolic)
+    return LevelZeroShape(rs, mults, parabolic)

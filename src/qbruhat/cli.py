@@ -18,9 +18,10 @@ from fractions import Fraction
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle
+from .cartan import parse_multiplicities
 from .degree import InvalidQLSPath, _lift, _walk_rows, degree_rows, degree_table, endpoint_delta
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import EnumerationCap, QLSPath, enumerate_tilde, path_listing, path_to_json
+from .qls import EnumerationCap, QLSPath, candidate_path, enumerate_tilde, path_listing
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
@@ -45,7 +46,7 @@ def _validate(args: argparse.Namespace) -> None:
     if args.format not in formats:
         raise CliError(f"{args.command} supports formats {'|'.join(formats)}, not {args.format!r}")
     try:
-        args.lam = tuple(int(x) for x in args.lam.split(","))
+        args.lam = parse_multiplicities(args.lam)
     except ValueError as exc:
         raise CliError(f"bad --lambda value {args.lam!r}: {exc}") from exc
     if getattr(args, "cap", 0) < 0:
@@ -193,13 +194,14 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
     oracle = AffineOracle(graph)
     candidates, records = path_listing(graph, True, cap)
     report = oracle.covers_to_edges()
-    zero, one = Fraction(0), Fraction(1)
-    hat, results = [], []
-    for dirs, idx, energies, deg, _, _ in _walk_rows(graph, candidates, records):
-        hat.append(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)))
-        results.append(_verify_one(oracle, _lift(dirs, energies, hat[-1].times), deg, window))
+    hat, counts, reports = [], Counter(), []
+    for dirs, idx, energies, deg, names, times in _walk_rows(graph, candidates, records):
+        hat.append(candidate_path(candidates, dirs, idx))
+        status, detail = _verify_one(oracle, _lift(dirs, energies, hat[-1].times), deg, window)
+        counts[status] += 1
+        if status != "pass":
+            reports.append({"dirs": names, "times": times, "status": status, "detail": detail})
     tilde = enumerate_tilde(graph, cap=cap)
-    counts = Counter(status for status, _ in results)
     checks = [
         {"check": check, "status": status, "detail": detail}
         for check, status, detail in (
@@ -212,14 +214,9 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
             (
                 "lift-certification",
                 _worst(counts),
-                f"paths={len(results)} fail={counts['fail']} inconclusive={counts['inconclusive']}",
+                f"paths={len(hat)} fail={counts['fail']} inconclusive={counts['inconclusive']}",
             ),
         )
-    ]
-    reports = [
-        path_to_json(graph, p) | {"status": status, "detail": detail}
-        for p, (status, detail) in zip(hat, results)
-        if status != "pass"
     ]
     return _worst(c["status"] for c in checks), checks, reports
 

@@ -22,17 +22,18 @@ Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
-Every distance, shortest-path and energy query reads one memoised BFS per
-source y and denominator q: an edge is sigma-admissible when q divides its
-pairing, and q = 1 is the unrestricted graph.  For q = 1 the BFS sums the
+Every public distance, shortest-path and energy query reads one memoised BFS
+per source y and denominator q: an edge is sigma-admissible when q divides
+its pairing, and q = 1 is the unrestricted graph.  For q = 1 the BFS sums the
 pairings of the quantum steps along its tree: the energy wt_Lambda(y => x)
 of the paper, which does not depend on the shortest path chosen, since all
 of them agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
 arXiv:1211.2042).  For q > 1 it keeps that energy where a q-admissible path
 is shortest, after re-checking it against the q-admissible tree.  A path is
 read back from x, each step over the first q-admissible edge of ``in_edges``
-one step nearer y, so ties go to the least (source, label).  Strong
-connectivity is checked when the graph is built.
+one step nearer y, so ties go to the least (source, label).  The build checks
+strong connectivity: the BFS from vertex 0 reaches every vertex, and every
+vertex reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
 """
 
 from __future__ import annotations
@@ -97,19 +98,19 @@ class PQBG:
         self.shape = shape
         self.rs = shape.rs
         self.J = shape.parabolic
-        self.pairings = tuple(pair(shape.classical, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
+        self.pairings = tuple(pair(shape.multiplicities, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
         self._build()
         self._names = tuple(map(word_name, self.words))
         self._search_cache: dict[tuple[int, int], tuple] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
-        rs, lam = self.rs, self.shape.classical
-        outside = lambda beta: any(c and i + 1 not in self.J for i, c in enumerate(beta.coords))
+        rs, lam = self.rs, self.shape.multiplicities
+        outside = lambda beta: any(c and i + 1 not in self.J for i, c in enumerate(beta))
         self.labels = tuple(idx for idx, beta in enumerate(rs.positive_roots) if outside(beta))  # roots outside Phi_J
         # the orbit by BFS from Lambda (points grows while it is walked), so by
         # length; left[p][i] is the point r_{i+1} mu_p, mu_p itself when fixed
-        points, index, left = [lam.coords], {lam.coords: 0}, []
+        points, index, left = [lam], {lam: 0}, []
         for mu in points:
             images = [tuple(a - mu[i] * c for a, c in zip(mu, alpha)) for i, alpha in enumerate(rs.cartan)]
             for nu in images:
@@ -123,7 +124,7 @@ class PQBG:
             words.append((i + 1, *words[left[p][i]]))
         # target[p][k]: the point x r_beta Lambda, beta = labels[k] and x the vertex
         # of mu_p; r_beta Lambda at e, and r_i applied to the target of x' at s_i x'
-        target = [[index[rs.reflect_weight(lam, idx).coords] for idx in self.labels]]
+        target = [[index[rs.reflect_weight(lam, idx)] for idx in self.labels]]
         for p in range(1, len(points)):
             i = words[p][0] - 1
             target.append([left[t][i] for t in target[left[p][i]]])
@@ -131,11 +132,11 @@ class PQBG:
         vertex = {p: v for v, p in enumerate(order)}
         self.num_vertices = len(points)
         self.words = tuple(words[p] for p in order)
-        self._orbit = tuple(Weight(points[p]) for p in order)
-        self._vertex_by_point = {points[p]: v for v, p in enumerate(order)}
+        self._orbit = tuple(points[p] for p in order)
+        self._vertex_by_point = {point: v for v, point in enumerate(self._orbit)}
 
         # 2(rho - rho_J) = sum of positive roots outside the parabolic subsystem
-        two_rho_diff = Weight(tuple(map(sum, zip(*(rs.root_weight_coords[idx] for idx in self.labels)))))
+        two_rho_diff = tuple(map(sum, zip(*(rs.root_weight_coords[idx] for idx in self.labels))))
         drops = [pair(two_rho_diff, rs.positive_coroots[idx]) for idx in self.labels]
         if any(d < 2 for d in drops):
             raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
@@ -185,13 +186,13 @@ class PQBG:
             if tok == "e":
                 continue
             body = tok[1:] if tok[0] in ("s", "r") else tok
-            if not body.isdigit():
+            if not (body.isascii() and body.isdigit()):
                 raise ValueError(f"bad generator token {tok!r}")
             j = int(body)
             if not 1 <= j <= self.rs.rank:
                 raise ValueError(f"generator index {j} out of range 1..{self.rs.rank}")
             word.append(j)
-        v = self.vertex_at(self.rs.apply_weight(word, self.shape.classical))
+        v = self.vertex_at(self.rs.apply_weight(word, self.shape.multiplicities))
         if len(word) == len(self.words[v]):
             return v
         # len(u) counted as #{gamma > 0 : <u rho, gamma^vee> < 0}
@@ -204,9 +205,9 @@ class PQBG:
         """x Lambda for the representative x at vertex v."""
         return self._orbit[v]
 
-    def vertex_at(self, weight: Weight) -> int:
-        """The vertex x with x Lambda = weight; KeyError off the orbit."""
-        return self._vertex_by_point[weight.coords]
+    def vertex_at(self, point: Weight) -> int:
+        """The vertex x with x Lambda = point; KeyError off the orbit."""
+        return self._vertex_by_point[point]
 
     # -- distances and shortest paths --------------------------------------
 
@@ -307,9 +308,8 @@ class PQBG:
     # -- export --------------------------------------------------------------
 
     def root_name(self, label: int) -> str:
-        coords = self.rs.positive_roots[label].coords
         terms = []
-        for i, c in enumerate(coords):
+        for i, c in enumerate(self.rs.positive_roots[label]):
             if c == 0:
                 continue
             terms.append(f"a{i + 1}" if c == 1 else f"{c}a{i + 1}")
@@ -321,7 +321,7 @@ class PQBG:
         for v in range(self.num_vertices):
             lines.append(f'  n{v} [label="{self.vertex_name(v)}"];')
         for e in self.edges:
-            coords = ",".join(map(str, self.rs.positive_roots[e.label].coords))
+            coords = ",".join(map(str, self.rs.positive_roots[e.label]))
             label = f"{self.root_name(e.label)} ({coords}) [{self.pairings[e.label]}]"
             style = ' style="dashed"' if e.quantum else ""
             lines.append(f'  n{e.source} -> n{e.target} [label="{label}"{style}];')

@@ -147,10 +147,17 @@ def path_listing(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...],
     )
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def candidate_path(candidates: tuple[Fraction, ...], dirs: tuple[int, ...], idx: tuple[int, ...]) -> QLSPath:
+    """The path with directions ``dirs`` whose internal times are the candidates at ``idx``."""
+    return QLSPath(dirs, (_ZERO, *[candidates[i] for i in idx], _ONE))
+
+
 def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
     candidates, found = _walk(g, strong, cap)
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(QLSPath(dirs, (zero, *[candidates[i] for i in idx], one)) for _, dirs, idx, _ in found)
+    return tuple(candidate_path(candidates, dirs, idx) for _, dirs, idx, _ in found)
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:

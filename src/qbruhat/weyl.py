@@ -59,7 +59,7 @@ class WeylGroup:
         # alpha_{j+1} in fundamental-weight coordinates is row j of the Cartan
         # matrix; r_{j+1} changes only coordinate j and its Dynkin neighbours.
         alpha = [[(k, c) for k, c in enumerate(row) if c] for row in self.rs.cartan]
-        rho = self.rs.rho.coords
+        rho = self.rs.rho
         self.elements: list[WeylElement] = [WeylElement(0, ())]
         self._by_key: dict[tuple[int, ...], int] = {rho: 0}
         keys = [rho]
@@ -112,7 +112,7 @@ class WeylGroup:
         if cached is not None:
             return cached
         # r_beta is an involution, so its key is r_beta rho = rho - <rho, beta^vee> beta.
-        rid = self._by_key.get(self.rs.reflect_weight(self.rs.rho, index).coords)
+        rid = self._by_key.get(self.rs.reflect_weight(self.rs.rho, index))
         if rid is None:
             raise RuntimeError("reflection not found in group table")
         self._reflection_cache[index] = rid

@@ -242,8 +242,8 @@ def shortest_path(g, x: int, y: int) -> DirectedPath:
 
 def path_weight(g, path: DirectedPath) -> Coroot:
     """Sum of beta^vee over the quantum steps of the path."""
-    coroots = [g.rs.positive_coroots[label].coords for label, q in zip(path.labels, path.quantum) if q]
-    return Coroot(tuple(sum(c[k] for c in coroots) for k in range(g.rs.rank)))
+    coroots = [g.rs.positive_coroots[label] for label, q in zip(path.labels, path.quantum) if q]
+    return tuple(sum(c[k] for c in coroots) for k in range(g.rs.rank))
 
 
 def path_sort_key(path: QLSPath):
@@ -278,7 +278,7 @@ def evaluate(g, path: QLSPath, t: Fraction) -> tuple[Fraction, ...]:
     times, dirs = path.times, path.directions
     for k in range(1, len(times)):
         lo, hi = times[k - 1], times[k]
-        for i, c in enumerate(g.orbit_weight(dirs[k - 1]).coords):
+        for i, c in enumerate(g.orbit_weight(dirs[k - 1])):
             acc[i] += (min(t, hi) - lo) * c
         if t <= hi:
             break

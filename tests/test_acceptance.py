@@ -51,7 +51,7 @@ def test_criterion_2_graph_edges(a2_21):
 
 
 def test_criterion_3_sigma_admissible_edges(a2_21):
-    g, lam = a2_21.graph, a2_21.shape.classical
+    g, lam = a2_21.graph, a2_21.shape.multiplicities
     v = lambda w: vertex_by_word(a2_21, w)
     theta_edges = [("s1", "s2 s1"), ("s1 s2 s1", "e"), ("s2", "s1 s2")]
     alpha1_edges = [("e", "s1"), ("s1 s2", "s1 s2 s1"), ("s2 s1", "s2")]
@@ -60,13 +60,13 @@ def test_criterion_3_sigma_admissible_edges(a2_21):
         for sigma in (F(1, 3), F(2, 3)):
             res = g.sigma_path(v(dst), v(src), sigma)
             assert res.shortest and res.path.length == 1
-            assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 1)
+            assert g.rs.positive_roots[res.path.labels[0]] == (1, 1)
             assert (sigma * pair(lam, g.rs.positive_coroots[g.rs.highest_root])).denominator == 1
             checked += 1
     for src, dst in alpha1_edges:
         res = g.sigma_path(v(dst), v(src), F(1, 2))
         assert res.shortest and res.path.length == 1
-        assert g.rs.positive_roots[res.path.labels[0]].coords == (1, 0)
+        assert g.rs.positive_roots[res.path.labels[0]] == (1, 0)
         checked += 1
     report(3, f"{checked} single-edge admissibility facts hold exactly")
 
@@ -121,7 +121,7 @@ def test_criterion_8_well_definedness():
     sampled = 0
     for name, mults in SHAPES:
         ctx = cached_context(name, mults)
-        g, lam = ctx.graph, ctx.shape.classical
+        g, lam = ctx.graph, ctx.shape.multiplicities
         J = set(g.J)
         candidates = sigma_candidates(g)
         valid = [
@@ -140,9 +140,9 @@ def test_criterion_8_well_definedness():
             assert best and best[0].length == g.distances_from(y)[x]
             energies = {pair(lam, path_weight(g, p)) for p in best}
             assert len(energies) == 1
-            ref = path_weight(g, best[0]).coords
+            ref = path_weight(g, best[0])
             for p in best:
-                diff = tuple(a - b for a, b in zip(path_weight(g, p).coords, ref))
+                diff = tuple(a - b for a, b in zip(path_weight(g, p), ref))
                 assert {i + 1 for i, c in enumerate(diff) if c} <= J
             floor = energies.pop()
             for p in all_paths_up_to(g, x, y, sigma=sigma):
@@ -158,7 +158,7 @@ def test_criterion_9_tie_break_invariance():
     for name, mults in SHAPES:
         ctx = cached_context(name, mults)
         shape, g = ctx.shape, ctx.graph
-        lam = shape.classical
+        lam = shape.multiplicities
         paths = sorted(enumerate_hat(g), key=path_sort_key)
         for eta, row in zip(paths, degree_table(shape, g, paths)):
             for (x_cur, x_next, sigma), energy in zip(eta.turning_points(), row["energies"]):

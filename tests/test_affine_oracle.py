@@ -90,7 +90,7 @@ class TestRaisingSteps:
         ctx = request.getfixturevalue(fixture)
         oracle = AffineOracle(ctx.graph)
         g = ctx.graph
-        theta = g.rs.positive_roots[g.rs.highest_root].coords
+        theta = g.rs.positive_roots[g.rs.highest_root]
         for v in range(g.num_vertices):
             for n in (-2, 0, 3):
                 mu = AffineOrbitElement(v, n)
@@ -98,8 +98,8 @@ class TestRaisingSteps:
                     assert s.pairing < 0
                     assert s.target.delta >= mu.delta
                     gamma = g.rs.positive_roots[s.root]
-                    src_w = g.orbit_weight(mu.vertex).coords
-                    dst_w = g.orbit_weight(s.target.vertex).coords
+                    src_w = g.orbit_weight(mu.vertex)
+                    dst_w = g.orbit_weight(s.target.vertex)
                     mult = -s.pairing
                     beta_w = g.rs.root_weight_coords[s.root]
                     if s.kind == "finite":
@@ -109,7 +109,7 @@ class TestRaisingSteps:
                         assert s.target.delta - mu.delta == mult
                         # delta - gamma is a nonnegative span of the simple
                         # roots extended by the lowest one: theta >= gamma
-                        assert all(t >= c for t, c in zip(theta, gamma.coords))
+                        assert all(t >= c for t, c in zip(theta, gamma))
 
 
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
@@ -132,7 +132,7 @@ def reference_steps(ctx) -> list[tuple[tuple[int, int, int, int], ...]]:
     (group, cs), rs = group_cosets(ctx), ctx.rs
     table = []
     for rep in cs.reps:
-        w = rs.apply_weight(group.elements[rep].word, ctx.shape.classical)
+        w = rs.apply_weight(group.elements[rep].word, ctx.shape.multiplicities)
         steps = []
         for i, c in enumerate(rs.positive_coroots):
             p = pair(w, c)

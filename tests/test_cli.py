@@ -85,6 +85,31 @@ class TestQbg:
         code, _, _ = run(capsys, "qbg", "--type", "A2", "--lambda", "1,x")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "lam,err",
+        [
+            # int() reads "1_0" as 10 and the Arabic-Indic digit as 3: only ASCII digits name a multiplicity
+            ("1_0,1", "error: bad --lambda value '1_0,1': '1_0' is not an integer\n"),
+            ("\u0663,1", "error: bad --lambda value '\u0663,1': '\u0663' is not an integer\n"),
+            ("1,\u00b2", "error: bad --lambda value '1,\u00b2': '\u00b2' is not an integer\n"),
+            ("1,,1", "error: bad --lambda value '1,,1': '' is not an integer\n"),
+            # a sign is still read, so a negative multiplicity gets its own message (``--lambda=``: argparse
+            # would take a bare -1,1 for an option)
+            ("-1,1", "error: multiplicities must be nonnegative\n"),
+        ],
+    )
+    def test_lambda_in_ascii_digits(self, capsys, lam, err):
+        assert run(capsys, "qbg", "--type", "A2", f"--lambda={lam}") == (2, "", err)
+
+    def test_lambda_sign_and_whitespace(self, capsys):
+        padded = run(capsys, "qbg", "--type", "A2", "--lambda", " +2 ,\t1 ")
+        assert padded == run(capsys, "qbg", "--type", "A2", "--lambda", "2,1") and padded[0] == 0
+
+    @pytest.mark.parametrize("type_name", ["A\u00b2", "A\u0663", "A\u00b9\u00b2", "A+2"])
+    def test_type_rank_in_ascii_digits(self, capsys, type_name):
+        err = f"error: cannot parse type {type_name!r}; expected e.g. 'A2' or 'C2'\n"
+        assert run(capsys, "qbg", "--type", type_name, "--lambda", "1,1") == (2, "", err)
+
     def test_bad_parabolic_override(self, capsys):
         # the graph always lives on the shape's own parabolic set; there is no override
         code, out, err = run(capsys, "qbg", "--type", "A2", "--lambda", "1,1", "--parabolic", "2")
@@ -155,6 +180,11 @@ class TestDegree:
         assert err == f"invalid path {literal!r}: {reason}\n"
         assert "QLSPath(" not in err and "Fraction(" not in err
         assert set(re.findall(r"\d+", err)) <= set(re.findall(r"\d+", literal))
+
+    @pytest.mark.parametrize("token", ["s\u00b2", "r\u0661", "\u00b9", "s1_0"])
+    def test_generator_in_ascii_digits(self, capsys, token):
+        code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", f"{token}|0,1")
+        assert (code, out, err) == (2, "", f"error: bad generator token {token!r}\n")
 
     def test_non_rep_direction(self, capsys):
         code, _, _ = run(
@@ -240,10 +270,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
-        # a path's record is formatted only when it is reported, but the
-        # endpoint identity is checked on every path the window settles;
-        # every path of A2 (2,1) passes at window 10, and 12 of its 27 are
-        # inconclusive at window 1
+        # a reported path's record is the listing's own direction names and
+        # time texts, so no path is formatted a second time, but the endpoint
+        # identity is checked on every path the window settles; every path of
+        # A2 (2,1) passes at window 10, and 12 of its 27 are inconclusive at
+        # window 1
         calls = Counter()
 
         def counting(fn):
@@ -253,11 +284,12 @@ class TestVerify:
 
             return wrapper
 
-        monkeypatch.setattr(cli, "path_to_json", counting(cli.path_to_json))
+        for module in (qls, degree_mod):
+            monkeypatch.setattr(module, "path_to_json", counting(module.path_to_json))
         monkeypatch.setattr(cli, "endpoint_delta", counting(cli.endpoint_delta))
         _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
         doc = json.loads(out)
-        assert calls["path_to_json"] == len(doc["paths"]) == reported
+        assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
         assert calls["endpoint_delta"] == 27 - reported
         assert doc["checks"][-1]["detail"].startswith("paths=27 ")
 
@@ -509,14 +541,14 @@ class TestExitCodes:
         # the reader takes one line of an output several pipe buffers long and closes the pipe: exit 141
         # as after SIGPIPE, with no traceback
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "qbruhat.cli", "qbg", "--type", "D4", "--lambda", "1,1,1,1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 141 and err == b""
+        ) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141 and err == b""
 
 
 class TestFlags:

@@ -189,15 +189,13 @@ class TestEndpointCharacter:
         from collections import Counter
         from itertools import product
 
-        from qbruhat.cartan import Weight
-
         ctx = cached_context(name, mults)
         g, group = ctx.graph, type_group(name)
         rank = ctx.rs.rank
 
         def orbit(i: int) -> list[tuple[int, ...]]:
-            w = Weight(tuple(1 if k == i - 1 else 0 for k in range(rank)))
-            return sorted({ctx.rs.apply_weight(e.word, w).coords for e in group.elements})
+            w = tuple(1 if k == i - 1 else 0 for k in range(rank))
+            return sorted({ctx.rs.apply_weight(e.word, w) for e in group.elements})
 
         factors = []
         for i, m in enumerate(mults, start=1):

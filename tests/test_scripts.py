@@ -63,6 +63,21 @@ def test_degree_table_bad_input(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args,err",
+    [
+        (("A2", "1_0,1"), "error: '1_0' is not an integer\n"),
+        (("A2", "\u0663,1"), "error: '\u0663' is not an integer\n"),
+        (("A\u00b2", "1,1"), "error: cannot parse type 'A\u00b2'; expected e.g. 'A2' or 'C2'\n"),
+        (("A2", "-1,1"), "error: multiplicities must be nonnegative\n"),
+    ],
+)
+def test_degree_table_integers_in_ascii_digits(args, err):
+    # as in `qbruhat --lambda`: ASCII digits with an optional sign, nothing else that int() would read
+    proc = run_degree_table(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 def test_degree_table_cap_gives_no_advice():
     # the script has no cap to raise, so its refusal states the fact only; `qbruhat` adds the advice (test_cli.py)
     proc = run_degree_table("A1", "2000000")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qbruhat
 from conftest import cached_context, element_of_word
 from qbruhat import build_context
-from qbruhat.cartan import FiniteType, Weight, build_root_system, weyl_order
+from qbruhat.cartan import FiniteType, build_root_system, weyl_order
 from qbruhat.qbg import word_name
 from qbruhat.weyl import GroupCapExceeded, WeylGroup, coset_system, enumerate_group
 
@@ -34,7 +34,7 @@ def inversion_count(group: WeylGroup, a: int) -> int:
     rs = group.rs
     neg = 0
     for r in rs.positive_roots:
-        image = rs.apply_root_coords(group.elements[a].word, r.coords)
+        image = rs.apply_root_coords(group.elements[a].word, r)
         if all(c <= 0 for c in image):
             neg += 1
     return neg
@@ -212,7 +212,7 @@ class TestCosets:
         g = group_of(name)
         shape = compute_shape(g.rs, mults)
         cs = coset_system(g, shape.parabolic)
-        images = {g.rs.apply_weight(g.elements[r].word, shape.classical).coords for r in cs.reps}
+        images = {g.rs.apply_weight(g.elements[r].word, shape.multiplicities) for r in cs.reps}
         assert len(images) == len(cs.reps)
 
 
@@ -274,7 +274,7 @@ def reference_group(name: str):
 def reference_reflection(rs, by_wmat, root_index: int) -> int:
     n = rs.rank
     beta_w = rs.root_weight_coords[root_index]
-    cov = rs.positive_coroots[root_index].coords
+    cov = rs.positive_coroots[root_index]
     wmat = tuple(tuple(int(k == l) - cov[l] * beta_w[k] for l in range(n)) for k in range(n))
     return by_wmat[wmat]
 
@@ -312,11 +312,11 @@ class TestReferenceEquivalence:
         _, _, wmats, rmats, _ = reference_group(name)
         fundamentals = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
         weights = fundamentals + list(rs.root_weight_coords)
-        roots = [r.coords for r in rs.positive_roots]
+        roots = [r for r in rs.positive_roots]
         for a in range(len(g)):
             word = g.elements[a].word
             for v in weights:
-                assert rs.apply_weight(word, Weight(v)).coords == _mat_vec(wmats[a], v)
+                assert rs.apply_weight(word, v) == _mat_vec(wmats[a], v)
             for c in roots:
                 assert rs.apply_root_coords(word, c) == _mat_vec(rmats[a], c)
 
