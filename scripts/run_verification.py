@@ -20,6 +20,7 @@ import sys
 import time
 
 from qbruhat import build_context
+from qbruhat.cartan import parse_integer
 from qbruhat.cli import CliError, verify_shape
 
 SHAPES = [
@@ -54,10 +55,15 @@ def run_shape(name: str, mults: tuple[int, ...], window: int) -> bool:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--window", type=int, default=10)
+    parser.add_argument("--window", default="10")
     args = parser.parse_args()
     try:
-        results = [run_shape(name, mults, args.window) for name, mults in SHAPES]
+        window = parse_integer(args.window)
+    except ValueError as exc:  # as `qbruhat verify` refuses it
+        print(f"error: bad --window value {args.window!r}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        results = [run_shape(name, mults, window) for name, mults in SHAPES]
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -271,17 +271,24 @@ class LevelZeroShape:
     parabolic: frozenset[int]
 
 
+def parse_integer(text: str) -> int:
+    """One integer: ASCII digits with an optional sign and surrounding whitespace, nothing else ``int`` reads."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def parse_multiplicities(text: str) -> tuple[int, ...]:
-    """Comma-separated integers, each ASCII digits with an optional sign and surrounding whitespace."""
-    for part in text.split(","):
-        if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", part):
-            raise ValueError(f"{part!r} is not an integer")
-    return tuple(map(int, text.split(",")))
+    """Comma-separated integers, each read by ``parse_integer``."""
+    return tuple(map(parse_integer, text.split(",")))
 
 
 def compute_shape(rs: RootSystem, multiplicities: tuple[int, ...] | list[int]) -> LevelZeroShape:
-    """Validate multiplicities and derive the parabolic set."""
-    mults = tuple(int(m) for m in multiplicities)
+    """Validate multiplicities and derive the parabolic set; each must be an ``int`` (not a ``bool`` or a string)."""
+    for m in multiplicities:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"multiplicity {m!r} is not an int")
+    mults = tuple(map(int, multiplicities))
     if len(mults) != rs.rank:
         raise ValueError(f"expected {rs.rank} multiplicities, got {len(mults)}")
     if any(m < 0 for m in mults):

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle
-from .cartan import parse_multiplicities
+from .cartan import parse_integer, parse_multiplicities
 from .degree import InvalidQLSPath, _lift, _walk_rows, degree_rows, degree_table, endpoint_delta
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import EnumerationCap, QLSPath, candidate_path, enumerate_tilde, path_listing
+from .qls import EnumerationCap, QLSPath, candidate_times, enumerate_tilde, path_listing
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
@@ -35,10 +35,10 @@ class CliError(Exception):
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Refuse bad input before any work: the format, then ``--lambda``, then ``--cap``, then the type.
+    """Refuse bad input before any work: the format, then ``--lambda``, then ``--cap`` and ``--window``, then the type.
 
-    Writes the defaulted format, the multiplicity tuple and the canonical type
-    (``' a2'`` becomes ``A2``) back onto ``args``.
+    Writes the defaulted format, the multiplicity tuple, the integer flags
+    and the canonical type (``' a2'`` becomes ``A2``) back onto ``args``.
     """
     formats = _FORMATS[args.command]
     if args.format is None:
@@ -49,6 +49,12 @@ def _validate(args: argparse.Namespace) -> None:
         args.lam = parse_multiplicities(args.lam)
     except ValueError as exc:
         raise CliError(f"bad --lambda value {args.lam!r}: {exc}") from exc
+    for flag in ("cap", "window"):
+        if flag in args:
+            try:
+                setattr(args, flag, parse_integer(getattr(args, flag)))
+            except ValueError as exc:
+                raise CliError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}") from exc
     if getattr(args, "cap", 0) < 0:
         raise CliError(f"cap must be non-negative, not {args.cap}")
     try:
@@ -71,11 +77,21 @@ def _write_doc(args: argparse.Namespace, **fields) -> None:
     sys.stdout.write("\n")
 
 
-def _write_csv(header: str, rows) -> None:
-    """Write ``header``, then one line per row: its fields joined by ``,``, each field's strings by ``;``."""
-    sys.stdout.write(header + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(map(";".join, row)) + "\n")
+def _csv_line(fields) -> str:
+    """One CSV line's text: the fields joined by ``,``, each field's strings by ``;``."""
+    return ",".join(map(";".join, fields))
+
+
+def _write_csv(header: str, lines) -> None:
+    """Write ``header``, then each line; every line is built before the first write.
+
+    The lines go out in blocks, so that a reader that closes the pipe early
+    is seen by the next block's write even on an unbuffered stdout, where a
+    write the closed pipe cuts short returns without an error.
+    """
+    lines = [header, *lines]
+    for start in range(0, len(lines), 1024):
+        sys.stdout.write("\n".join(lines[start : start + 1024]) + "\n")
 
 
 def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
@@ -126,18 +142,47 @@ def cmd_qbg(args: argparse.Namespace) -> int:
 
 def cmd_qls(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    _, records = path_listing(ctx.graph, args.variant == "hat", args.cap)
+    listing = path_listing(ctx.graph, args.variant == "hat", args.cap)
+    texts = ((listing.dir_names(dirs), listing.time_texts(idx)) for _, dirs, idx, _ in listing.paths)
     if args.format == "csv":
-        _write_csv("dirs,times", (record[-2:] for record in records))
+        _write_csv("dirs,times", map(_csv_line, texts))
         return 0
-    paths = [{"dirs": dirs, "times": times} for *_, dirs, times in records]
+    paths = [{"dirs": dirs, "times": times} for dirs, times in texts]
     _write_doc(args, variant=args.variant, count=len(paths), paths=paths)
     return 0
 
 
+_DEGREE_HEADER = "dirs,times,energies,deg"
+
+
+def _table_line(row: dict) -> str:
+    """The CSV line of a ``degree_table`` record."""
+    return _csv_line((row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),)))
+
+
+def _walk_lines(g, cap: int):
+    """The CSV lines of every strong path's row, as ``_table_line`` writes them, from one walk.
+
+    A row's times, energies and degree depend on its schedule alone, so each
+    distinct schedule's text is made once; the rows add their direction names.
+    """
+    listing = path_listing(g, True, cap)
+
+    def tail(idx, energies, deg):
+        return _csv_line((listing.time_texts(idx), map(str, energies), (str(deg),)))
+
+    name = listing.names.__getitem__
+    return (f"{';'.join(map(name, dirs))},{text}" for dirs, text in _walk_rows(g, listing, tail))
+
+
 def cmd_degree(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    if args.path is not None:
+    if args.path is None and args.format == "csv":
+        _write_csv(_DEGREE_HEADER, _walk_lines(ctx.graph, args.cap))
+        return 0
+    if args.path is None:
+        rows = degree_rows(ctx.graph, args.cap)
+    else:
         try:
             path = parse_path_literal(ctx, args.path)
         except ValueError as exc:
@@ -152,13 +197,10 @@ def cmd_degree(args: argparse.Namespace) -> int:
                 reason = f"{exc.reason} at time {token!r}"
             print(f"invalid path {args.path!r}: {reason}", file=sys.stderr)
             return 1
-    else:
-        rows = degree_rows(ctx.graph, args.cap)
     if args.format == "json":
         _write_doc(args, rows=rows)
-        return 0
-    fields = ((r["dirs"], r["times"], map(str, r["energies"]), [str(r["deg"])]) for r in rows)
-    _write_csv("dirs,times,energies,deg", fields)
+    else:
+        _write_csv(_DEGREE_HEADER, map(_table_line, rows))
     return 0
 
 
@@ -177,14 +219,37 @@ def _worst(statuses) -> str:
     return min(statuses, key=("fail", "inconclusive", "pass").index, default="pass")
 
 
+def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], Counter, list[dict]]:
+    """The strong paths from one walk, the statuses of their lifts and the reports of the paths that did not pass.
+
+    Each path is lifted from the energies and degree its walk carries
+    (``degree._walk_rows``); its direction names and time texts are looked
+    up only if it is reported.  The walk's records go when this returns.
+    """
+    listing = path_listing(graph, True, cap)
+
+    def schedule(idx, energies, deg):
+        return idx, candidate_times(listing.candidates, idx), energies, deg
+
+    hat, counts, reports = [], Counter(), []
+    for dirs, (idx, times, energies, deg) in _walk_rows(graph, listing, schedule):
+        hat.append(QLSPath(dirs, times))
+        status, detail = _verify_one(oracle, _lift(dirs, energies, times), deg, window)
+        counts[status] += 1
+        if status != "pass":
+            texts = {"dirs": listing.dir_names(dirs), "times": listing.time_texts(idx)}
+            reports.append({**texts, "status": status, "detail": detail})
+    return hat, counts, reports
+
+
 def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], list[dict]]:
     """Run the oracle suites on one shape: (overall status, checks, reports of the paths that did not pass).
 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
-    with the endpoint identity.  Each strong path is lifted from the energies
-    and degree its walk carries (``degree._walk_rows``); the weak variant is
-    enumerated after them.  ``window`` is a reporting rule, not a search
+    with the endpoint identity.  The strong paths are certified first
+    (``_certify_walk``), then the covers, and the weak variant is
+    enumerated last.  ``window`` is a reporting rule, not a search
     bound: a path whose lift reaches ``|delta| > window`` is not certified but
     reported ``inconclusive``, with the window that settles it.
     """
@@ -192,15 +257,8 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
     oracle = AffineOracle(graph)
-    candidates, records = path_listing(graph, True, cap)
+    hat, counts, reports = _certify_walk(oracle, graph, window, cap)
     report = oracle.covers_to_edges()
-    hat, counts, reports = [], Counter(), []
-    for dirs, idx, energies, deg, names, times in _walk_rows(graph, candidates, records):
-        hat.append(candidate_path(candidates, dirs, idx))
-        status, detail = _verify_one(oracle, _lift(dirs, energies, hat[-1].times), deg, window)
-        counts[status] += 1
-        if status != "pass":
-            reports.append({"dirs": names, "times": times, "status": status, "detail": detail})
     tilde = enumerate_tilde(graph, cap=cap)
     checks = [
         {"check": check, "status": status, "detail": detail}
@@ -233,14 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     To add a subcommand, write one ``cmd_*`` that takes only the parsed
     arguments, add one subparser with ``set_defaults(run=cmd_...)`` and one
     ``_FORMATS`` entry with its default format first.  ``main`` refuses bad
-    input (format, ``--lambda``, ``--cap``, type) before any work.
+    input (format, ``--lambda``, ``--cap``, ``--window``, type) before any work.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--type", required=True, help="simple type, e.g. A2")
     common.add_argument("--lambda", dest="lam", required=True, help="comma-separated multiplicities")
     common.add_argument("--format", default=None, help="output format")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=int, default=10**6, help="enumeration cap")
+    capped.add_argument("--cap", default=str(10**6), help="enumeration cap")
 
     parser = argparse.ArgumentParser(prog="qbruhat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", parents=[common, capped], help="run the oracle suites")
     ver_p.add_argument(
         "--window",
-        type=int,
-        default=10,
+        default="10",
         help="largest |delta| a lifted path may reach before its check is inconclusive; "
         "the searches run on delta differences and never read it",
     )

@@ -13,9 +13,13 @@ are read as integer ticks over L, the lcm of their denominators, so the sum
 is an integer over L.
 
 Every path of the shape takes one route to its row: the enumeration walk
-carries the energies, and ``_walk_rows`` checks each path's structure and
-the exactness of its sum, for ``degree_rows`` and ``cli.verify_shape``
-alike.  ``degree``, ``lift`` and ``degree_table`` take given paths
+carries the energies, and ``_walk_rows`` reads every time as a tick over
+one L, the lcm of all candidate denominators.  It checks each path's
+structure.  The sum and its exactness check read only the path's schedule,
+its (candidate indices, energies), so they run once per distinct schedule,
+and so does the caller's formatting of the schedule's texts.
+``degree_rows``, ``cli.cmd_degree`` and ``cli.verify_shape`` all take this
+route.  ``degree``, ``lift`` and ``degree_table`` take given paths
 (``--path`` literals) and derive their segments with ``_segments``.
 
 The lift raises each direction x_p to the affine orbit element with
@@ -36,7 +40,7 @@ from operator import mul
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import QLSPath, _structure_ok, path_listing, path_to_json, time_ticks
+from .qls import Listing, QLSPath, _structure_ok, path_listing, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -138,21 +142,31 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     return rows
 
 
-def _walk_rows(g: PQBG, candidates: tuple[Fraction, ...], records) -> Iterator[tuple]:
-    """Each record of a strong ``qls.path_listing`` as (dirs, candidate indices, energies, deg, names, time texts).
+def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple]:
+    """Each path of a strong ``qls.path_listing`` as (dirs, ``schedule_row(idx, energies, deg)``).
 
-    The walk carries each segment's energy; each candidate time is split
-    into integers once.  Every row passes the structure check and the
-    exactness check of its sum.
+    A path's schedule is its (candidate indices, energies); its degree reads
+    nothing else.  The candidates are read once as ticks over L, the lcm of
+    all their denominators: a path's sum over L is its sum over the lcm of
+    its own denominators times a positive integer, so the exactness check
+    and its sign mean what they mean on ``degree``.  Every row passes the
+    structure check, on a tick list built once per index tuple; the degree
+    and ``schedule_row`` run once per distinct schedule.
     """
-    nums = [t.numerator for t in candidates]
-    dens = [t.denominator for t in candidates]
-    for dirs, idx, energies, names, times in records:
-        L = lcm(*[dens[i] for i in idx])
-        ticks = [0, *[nums[i] * (L // dens[i]) for i in idx], L]
+    candidates = listing.candidates
+    L = lcm(*[t.denominator for t in candidates])
+    tick = [t.numerator * (L // t.denominator) for t in candidates]
+    by_idx: dict[tuple, tuple[list[int], dict]] = {}  # idx -> (its ticks, its schedules' rows by energies)
+    for _, dirs, idx, energies in listing.paths:
+        if idx not in by_idx:
+            by_idx[idx] = [0, *[tick[i] for i in idx], L], {}
+        ticks, made = by_idx[idx]
         if not _structure_ok(g, dirs, L, ticks):
-            raise InvalidQLSPath(f"invalid path '{';'.join(names)}|{','.join(times)}': structurally invalid")
-        yield dirs, idx, energies, _degree_of(energies, L, ticks), names, times
+            literal = f"{';'.join(listing.dir_names(dirs))}|{','.join(listing.time_texts(idx))}"
+            raise InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
+        if energies not in made:
+            made[energies] = schedule_row(idx, energies, _degree_of(energies, L, ticks))
+        yield dirs, made[energies]
 
 
 def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
@@ -160,7 +174,9 @@ def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
 
     Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.
     """
+    listing = path_listing(g, True, cap)
+    rows = _walk_rows(g, listing, lambda idx, energies, deg: (listing.time_texts(idx), energies, deg))
     return [
-        {"dirs": names, "times": times, "energies": list(energies), "deg": deg}
-        for _, _, energies, deg, names, times in _walk_rows(g, *path_listing(g, True, cap))
+        {"dirs": listing.dir_names(dirs), "times": list(times), "energies": list(energies), "deg": deg}
+        for dirs, (times, energies, deg) in rows
     ]

@@ -8,25 +8,29 @@ unrestricted one; the weak ("tilde") variant only asks for reachability in
 the sigma_k-admissible subgraph.
 
 Times are ``Fraction`` only at the boundary (``QLSPath.times``, literals,
-JSON); inside they are candidate indices or integer ticks over L, the lcm of
-the denominators.  Enumeration orders paths by number of directions, then
-directions, then times.
+JSON); inside they are candidate indices, or integer ticks over L, the lcm
+of the candidates' denominators (of a literal's own, for a literal).
+Enumeration orders paths by number of directions, then directions, then
+times.
 
 One walk over candidate indices serves both variants, the degree table and
 ``verify``.  Its strong successor lists hold each segment's energy
 wt_Lambda(x_{k+1} => x_k), read from the graph's energy rows: a segment is
 strong exactly where that energy is defined, and every row is checked when
-the graph builds it.  ``degree._walk_rows`` turns the energies into checked
-rows with their degree; the table writes them, and ``verify`` lifts them.
+the graph builds it.  ``path_listing`` keeps the walk's records as indices,
+with each vertex name and candidate time text formatted once.
+``degree._walk_rows`` checks every row's structure, and sums, checks and
+formats each distinct schedule, a path's (candidate indices, energies),
+once; the table writes the rows, and ``verify`` lifts them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import lt, ne
+from typing import NamedTuple
 
 from .qbg import PQBG
 
@@ -132,32 +136,43 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[t
     return candidates, found
 
 
-def path_listing(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], Iterator[tuple]]:
-    """The candidate times, and each path as (dirs, candidate indices, energies, direction names, time texts).
+class Listing(NamedTuple):
+    """A walk's paths in order, each as (number of directions, dirs, candidate indices, energies).
 
-    The walk (and any ``EnumerationCap``) runs before this returns; the records
-    follow lazily, in order, from names and time texts formatted once.
+    The records carry indices only: ``names[v]`` is the name of vertex v and
+    ``texts[i]`` the text of candidate time i, each formatted once, and a
+    path's texts are looked up from them only where it is written.
     """
+
+    candidates: tuple[Fraction, ...]
+    paths: list[tuple]
+    names: list[str]
+    texts: list[str]
+
+    def dir_names(self, dirs: tuple[int, ...]) -> list[str]:
+        return [self.names[v] for v in dirs]
+
+    def time_texts(self, idx: tuple[int, ...]) -> list[str]:
+        return ["0", *[self.texts[i] for i in idx], "1"]
+
+
+def path_listing(g: PQBG, strong: bool, cap: int) -> Listing:
+    """Every path of a variant from one walk (any ``EnumerationCap`` is raised here), with its texts."""
     candidates, found = _walk(g, strong, cap)
-    names = [g.vertex_name(v) for v in range(g.num_vertices)]
-    texts = [str(t) for t in candidates]
-    return candidates, (
-        (dirs, idx, energies, [names[v] for v in dirs], ["0", *[texts[i] for i in idx], "1"])
-        for _, dirs, idx, energies in found
-    )
+    return Listing(candidates, found, [g.vertex_name(v) for v in range(g.num_vertices)], [str(t) for t in candidates])
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def candidate_path(candidates: tuple[Fraction, ...], dirs: tuple[int, ...], idx: tuple[int, ...]) -> QLSPath:
-    """The path with directions ``dirs`` whose internal times are the candidates at ``idx``."""
-    return QLSPath(dirs, (_ZERO, *[candidates[i] for i in idx], _ONE))
+def candidate_times(candidates: tuple[Fraction, ...], idx: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The times of a path whose internal times are the candidates at ``idx``."""
+    return (_ZERO, *[candidates[i] for i in idx], _ONE)
 
 
 def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
     candidates, found = _walk(g, strong, cap)
-    return tuple(candidate_path(candidates, dirs, idx) for _, dirs, idx, _ in found)
+    return tuple(QLSPath(dirs, candidate_times(candidates, idx)) for _, dirs, idx, _ in found)
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:

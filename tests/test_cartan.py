@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qbruhat import build_context
 from qbruhat.cartan import (
     FiniteType,
     build_root_system,
@@ -157,3 +160,19 @@ class TestShape:
             compute_shape(rs, (1, -1))
         with pytest.raises(ValueError):
             compute_shape(rs, (1,))
+
+    @pytest.mark.parametrize(
+        "mults,bad",
+        [(["1_0", " \u0663"], "'1_0'"), ((2, "1"), "'1'"), ((True, 1), "True"), ((1.0, 1), "1.0"), ((2, None), "None")],
+    )
+    def test_multiplicities_are_ints(self, mults, bad):
+        # the library reads no text: the strict parser is the CLI's, and int() would take "1_0" and " \u0663"
+        rs = build_root_system(FiniteType.parse("A2"))
+        with pytest.raises(ValueError, match=f"^multiplicity {re.escape(bad)} is not an int$"):
+            compute_shape(rs, mults)
+        with pytest.raises(ValueError, match=f"^multiplicity {re.escape(bad)} is not an int$"):
+            build_context("A2", mults)
+
+    def test_multiplicities_as_list_or_tuple(self):
+        rs = build_root_system(FiniteType.parse("A2"))
+        assert compute_shape(rs, [2, 1]).multiplicities == compute_shape(rs, (2, 1)).multiplicities == (2, 1)

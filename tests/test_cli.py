@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -21,8 +22,9 @@ import qbruhat.degree as degree_mod
 import qbruhat.qbg as qbg
 import qbruhat.qls as qls
 from qbruhat.cli import main
-from qbruhat.degree import lift
+from qbruhat.degree import degree_table, lift
 from qbruhat.qls import enumerate_hat, sigma_candidates
+from test_degree import ROW_SHAPES
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "perfbench" / "pins.json").read_text())
@@ -186,6 +188,21 @@ class TestDegree:
         code, out, err = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", f"{token}|0,1")
         assert (code, out, err) == (2, "", f"error: bad generator token {token!r}\n")
 
+    @ROW_SHAPES
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_written_as_degree_table(self, capsys, name, mults, fmt):
+        # the walk's rows, each schedule's texts made once, print what the same writer prints when fed
+        # degree_table's records of the enumerated paths
+        g = cached_context(name, mults).graph
+        table = degree_table(g.shape, g, enumerate_hat(g))
+        if fmt == "csv":
+            cli._write_csv("dirs,times,energies,deg", map(cli._table_line, table))
+        else:
+            cli._write_doc(argparse.Namespace(command="degree", type=name, lam=mults), rows=table)
+        expected = capsys.readouterr().out
+        lam = ",".join(map(str, mults))
+        assert run(capsys, "degree", "--type", name, "--lambda", lam, "--format", fmt) == (0, expected, "")
+
     def test_non_rep_direction(self, capsys):
         code, _, _ = run(
             capsys, "degree", "--type", "A2", "--lambda", "1,0", "--path", "s2|0,1"
@@ -292,6 +309,27 @@ class TestVerify:
         assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
         assert calls["endpoint_delta"] == 27 - reported
         assert doc["checks"][-1]["detail"].startswith("paths=27 ")
+
+    @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
+    def test_texts_built_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
+        # the walk's records carry indices; a path's direction names and time texts are looked up only
+        # when it is reported
+        calls = Counter()
+
+        def counting(method):
+            real = getattr(qls.Listing, method)
+
+            def wrapper(*args):
+                calls[method] += 1
+                return real(*args)
+
+            monkeypatch.setattr(qls.Listing, method, wrapper)
+
+        counting("dir_names")
+        counting("time_texts")
+        _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
+        assert len(json.loads(out)["paths"]) == reported
+        assert [calls["dir_names"], calls["time_texts"]] == [reported, reported]
 
     def test_window_guard(self, capsys, monkeypatch):
         # a lift that leaves the window is reported inconclusive with the window that settles it, and is
@@ -536,6 +574,52 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--type", "A2", "--lambda", "1,0", "--cap", "-5")
         assert code == 2 and out == "" and err == "error: cap must be non-negative, not -5\n"
 
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("qls", "cap", "1_0"),
+            ("degree", "cap", "\u0663"),
+            ("verify", "cap", "1e3"),
+            ("qls", "cap", "0x10"),
+            ("verify", "window", "\u0663"),
+            ("verify", "window", "1_0"),
+            ("verify", "window", "3.0"),
+            ("verify", "window", ""),
+        ],
+    )
+    def test_integer_flags_in_ascii_digits(self, capsys, monkeypatch, command, flag, value):
+        # as --lambda: ASCII digits with an optional sign and surrounding whitespace, nothing else int()
+        # reads, refused before the graph is built
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on a bad integer flag")
+
+        monkeypatch.setattr(cli, "build_context", fail)
+        code, out, err = run(capsys, command, "--type", "A2", "--lambda", "1,0", f"--{flag}={value}")
+        assert (code, out, err) == (2, "", f"error: bad --{flag} value {value!r}: {value!r} is not an integer\n")
+
+    def test_integer_flags_sign_and_whitespace(self, capsys):
+        argv = ("verify", "--type", "A2", "--lambda", "2,1")
+        padded = run(capsys, *argv, "--cap= +27 ", "--window=\t+10 ")
+        assert padded == run(capsys, *argv, "--cap", "27", "--window", "10") and padded[0] == 0
+        assert run(capsys, *argv, "--cap= -5 ") == (2, "", "error: cap must be non-negative, not -5\n")
+        assert run(capsys, *argv, "--window= -1 ") == (2, "", "error: window must be non-negative, not -1\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_mid_table(self, unbuffered):
+        # the table goes out in blocks of lines; a reader that takes one line of it and closes the pipe is
+        # seen by the next block's write, also where an unbuffered stdout drops the rest of a cut write
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(
+            [sys.executable, "-m", "qbruhat.cli", "degree", "--type", "D4", "--lambda", "1,1,1,1", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"dirs,times,energies,deg\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141 and err == b""
 
     def test_closed_pipe(self):
         # the reader takes one line of an output several pipe buffers long and closes the pipe: exit 141

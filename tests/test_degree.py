@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -440,6 +441,69 @@ class TestDegreeRows:
         monkeypatch.setattr(PQBG, "segment_energies", shifted)
         with pytest.raises(NonIntegralDegree):
             degree_rows(g)
+
+    @ROW_SHAPES
+    def test_structure_check_once_per_row(self, monkeypatch, name, mults):
+        # the tick lists are shared per index tuple, but each row is still checked, in order
+        g = cached_context(name, mults).graph
+        checked = []
+        real = degree_mod._structure_ok
+
+        def recording(graph, dirs, L, ticks):
+            checked.append(dirs)
+            return real(graph, dirs, L, ticks)
+
+        monkeypatch.setattr(degree_mod, "_structure_ok", recording)
+        degree_rows(g)
+        assert checked == [path.directions for path in enumerate_hat(g)]
+
+    @ROW_SHAPES
+    @pytest.mark.parametrize("route", ["degree_rows", "csv"])
+    def test_degree_sum_once_per_schedule(self, capsys, monkeypatch, name, mults, route):
+        # the sum reads a row's times and energies only, so it runs once for each distinct pair of them
+        g = cached_context(name, mults).graph
+        table = degree_table(g.shape, g, enumerate_hat(g))
+        schedules = {(tuple(row["times"]), tuple(row["energies"])) for row in table}
+        summed = Counter()
+        real = degree_mod._degree_of
+
+        def counting(energies, L, ticks):
+            summed[tuple(ticks), tuple(energies)] += 1
+            return real(energies, L, ticks)
+
+        monkeypatch.setattr(degree_mod, "_degree_of", counting)
+        if route == "degree_rows":
+            degree_rows(g)
+        else:
+            assert main(["degree", "--type", name, "--lambda", ",".join(map(str, mults)), "--format", "csv"]) == 0
+            capsys.readouterr()
+        assert len(table) > len(schedules) and len(summed) == len(schedules) and set(summed.values()) == {1}
+
+    @pytest.mark.parametrize("check", ["_structure_ok", "_degree_of"])
+    def test_failure_on_the_last_row_prints_nothing(self, capsys, monkeypatch, a2_21, check):
+        # every row of the table is built before the first write, so a check that fails on the last row
+        # leaves stdout empty
+        real = getattr(degree_mod, check)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(degree_mod, check, counting)
+        degree_rows(a2_21.graph)
+        last = len(calls)
+
+        def failing_last(*args):
+            calls.append(args)
+            if len(calls) == 2 * last:
+                raise NonIntegralDegree("failed") if check == "_degree_of" else InvalidQLSPath("failed")
+            return real(*args)
+
+        monkeypatch.setattr(degree_mod, check, failing_last)
+        with pytest.raises((InvalidQLSPath, NonIntegralDegree)):
+            main(["degree", "--type", "A2", "--lambda", "2,1", "--format", "csv"])
+        assert len(calls) == 2 * last and capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("name,mults", [("A2", (2, 1)), ("B2", (1, 1))])
     def test_cap_boundary(self, capsys, name, mults):

@@ -42,6 +42,18 @@ def test_run_verification_negative_window():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("window", ["\u0663", "1_0", "3.0", ""])
+def test_run_verification_window_in_ascii_digits(window):
+    # as `qbruhat verify --window`: ASCII digits with an optional sign and surrounding whitespace only
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_verification.py"), f"--window={window}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    err = f"error: bad --window value {window!r}: {window!r} is not an integer\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
 def run_degree_table(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
