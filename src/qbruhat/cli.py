@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a failed or inconclusive check or an invalid path
 literal, 2 bad input or an exceeded ``--cap``, 141 stdout closed by its
 reader (as after SIGPIPE, with nothing on stderr).
+The ``qbg`` JSON document and DOT graph and the ``qls`` and ``degree`` CSV
+tables are rendered as lines and written in blocks by ``_write_lines``, so
+that 141 holds on an unbuffered stdout too; the other JSON documents
+(``qls``, ``degree``, ``verify``) are dumped by ``_write_doc``.
 All numeric output uses exact fraction strings; identical invocations
 produce byte-identical output.
 """
@@ -70,10 +74,14 @@ def _context(args: argparse.Namespace) -> Context:
         raise CliError(str(exc)) from exc
 
 
+def _header(args: argparse.Namespace) -> dict:
+    """The schema, type and lambda that open every JSON document."""
+    return {"schema": f"{SCHEMA_PREFIX}/{args.command}/1", "type": args.type, "lambda": list(args.lam)}
+
+
 def _write_doc(args: argparse.Namespace, **fields) -> None:
-    """Write one JSON document: the schema, type and lambda header, then ``fields`` in order."""
-    doc = {"schema": f"{SCHEMA_PREFIX}/{args.command}/1", "type": args.type, "lambda": list(args.lam)}
-    json.dump(doc | fields, sys.stdout, indent=2)
+    """Write one small JSON document (``qls``, ``degree`` and ``verify``): the header, then ``fields`` in order."""
+    json.dump(_header(args) | fields, sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
@@ -82,16 +90,30 @@ def _csv_line(fields) -> str:
     return ",".join(map(";".join, fields))
 
 
-def _write_csv(header: str, lines) -> None:
-    """Write ``header``, then each line; every line is built before the first write.
+# physical lines per write: a few kB, well inside a 64 KiB pipe buffer (a block of DOT lines, about 3 kB, is
+# within the 4 KiB that a pipe takes whole or not at all)
+_BLOCK_LINES = 64
 
-    The lines go out in blocks, so that a reader that closes the pipe early
-    is seen by the next block's write even on an unbuffered stdout, where a
-    write the closed pipe cuts short returns without an error.
+
+def _write_lines(lines: list[str]) -> None:
+    """Write each text as a line; the caller renders every text before the first write.
+
+    The ``qls`` and ``degree`` CSV tables, the ``qbg`` JSON document (a text
+    per record, so a text may hold several lines) and the ``qbg`` DOT graph
+    go out here, in blocks of about ``_BLOCK_LINES`` physical lines, so that
+    a reader that closes the pipe early is seen by the next block's write
+    even on an unbuffered stdout, where a write the closed pipe cuts short
+    returns without an error.  The first block takes ``_BLOCK_LINES``
+    texts, and each next one as many as make ``_BLOCK_LINES`` lines at the
+    lines per text of the block before: one scan of each block's text, not
+    one call per text.
     """
-    lines = [header, *lines]
-    for start in range(0, len(lines), 1024):
-        sys.stdout.write("\n".join(lines[start : start + 1024]) + "\n")
+    start, step = 0, _BLOCK_LINES
+    while start < len(lines):
+        block = "\n".join(lines[start : start + step])
+        sys.stdout.write(block + "\n")
+        start += step
+        step = max(1, step * _BLOCK_LINES // (block.count("\n") + 1))
 
 
 def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
@@ -114,29 +136,33 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     return QLSPath(dirs, tuple(times))
 
 
+def _qbg_lines(args: argparse.Namespace, g) -> list[str]:
+    """The ``qbg`` JSON document as ``json.dump(..., indent=2)`` lays it out: its head, then one text per record.
+
+    Each vertex name and each label's root name and pairing is encoded
+    once, and each record is one f-string over those texts.  Neither list
+    is empty: the zero shape is refused, so the graph has an edge.
+    """
+    head = json.dumps(_header(args) | {"parabolic": sorted(g.J)}, indent=2)[: -len("\n}")]
+    names = [json.dumps(g.vertex_name(v)) for v in range(g.num_vertices)]
+    labels = {idx: f'"label": {json.dumps(g.root_name(idx))},\n      "pairing": {g.pairings[idx]}' for idx in g.labels}
+    vertices = [
+        f'    {{\n      "index": {v},\n      "word": {name},\n      "length": {len(word)}\n    }},'
+        for v, (name, word) in enumerate(zip(names, g.words))
+    ]
+    edges = [
+        f'    {{\n      "source": {names[e.source]},\n      "target": {names[e.target]},\n'
+        f'      {labels[e.label]},\n      "kind": "{e.kind}"\n    }},'
+        for e in g.edges
+    ]
+    vertices[-1] = vertices[-1][:-1]  # no comma after an array's last record
+    edges[-1] = edges[-1][:-1]
+    return [f"{head},", '  "vertices": [', *vertices, "  ],", '  "edges": [', *edges, "  ]", "}"]
+
+
 def cmd_qbg(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    g = ctx.graph
-    if args.format == "dot":
-        sys.stdout.write(g.to_dot())
-        return 0
-    _write_doc(
-        args,
-        parabolic=sorted(g.J),
-        vertices=[
-            {"index": v, "word": g.vertex_name(v), "length": len(g.words[v])} for v in range(g.num_vertices)
-        ],
-        edges=[
-            {
-                "source": g.vertex_name(e.source),
-                "target": g.vertex_name(e.target),
-                "label": g.root_name(e.label),
-                "pairing": g.pairings[e.label],
-                "kind": e.kind,
-            }
-            for e in g.edges
-        ],
-    )
+    g = _context(args).graph
+    _write_lines(g.to_dot() if args.format == "dot" else _qbg_lines(args, g))
     return 0
 
 
@@ -145,7 +171,7 @@ def cmd_qls(args: argparse.Namespace) -> int:
     listing = path_listing(ctx.graph, args.variant == "hat", args.cap)
     texts = ((listing.dir_names(dirs), listing.time_texts(idx)) for _, dirs, idx, _ in listing.paths)
     if args.format == "csv":
-        _write_csv("dirs,times", map(_csv_line, texts))
+        _write_lines(["dirs,times", *map(_csv_line, texts)])
         return 0
     paths = [{"dirs": dirs, "times": times} for dirs, times in texts]
     _write_doc(args, variant=args.variant, count=len(paths), paths=paths)
@@ -178,7 +204,7 @@ def _walk_lines(g, cap: int):
 def cmd_degree(args: argparse.Namespace) -> int:
     ctx = _context(args)
     if args.path is None and args.format == "csv":
-        _write_csv(_DEGREE_HEADER, _walk_lines(ctx.graph, args.cap))
+        _write_lines([_DEGREE_HEADER, *_walk_lines(ctx.graph, args.cap)])
         return 0
     if args.path is None:
         rows = degree_rows(ctx.graph, args.cap)
@@ -200,7 +226,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_doc(args, rows=rows)
     else:
-        _write_csv(_DEGREE_HEADER, map(_table_line, rows))
+        _write_lines([_DEGREE_HEADER, *map(_table_line, rows)])
     return 0
 
 

@@ -315,18 +315,21 @@ class PQBG:
             terms.append(f"a{i + 1}" if c == 1 else f"{c}a{i + 1}")
         return "+".join(terms)
 
-    def to_dot(self) -> str:
-        """Deterministic DOT rendering: solid Bruhat arrows, dashed quantum ones, pairings in brackets."""
-        lines = ["digraph pqbg {"]
-        for v in range(self.num_vertices):
-            lines.append(f'  n{v} [label="{self.vertex_name(v)}"];')
-        for e in self.edges:
-            coords = ",".join(map(str, self.rs.positive_roots[e.label]))
-            label = f"{self.root_name(e.label)} ({coords}) [{self.pairings[e.label]}]"
-            style = ' style="dashed"' if e.quantum else ""
-            lines.append(f'  n{e.source} -> n{e.target} [label="{label}"{style}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def to_dot(self) -> list[str]:
+        """Deterministic DOT rendering, one text per line: solid Bruhat arrows, dashed quantum ones.
+
+        An edge's label is its root's name and coordinates, then its pairing in
+        brackets; each label's text is rendered once.
+        """
+        roots = self.rs.positive_roots
+        text = {i: f"{self.root_name(i)} ({','.join(map(str, roots[i]))}) [{self.pairings[i]}]" for i in self.labels}
+        style = ("", ' style="dashed"')
+        return [
+            "digraph pqbg {",
+            *(f'  n{v} [label="{name}"];' for v, name in enumerate(self._names)),
+            *(f'  n{e.source} -> n{e.target} [label="{text[e.label]}"{style[e.quantum]}];' for e in self.edges),
+            "}",
+        ]
 
 
 def build_pqbg(shape: LevelZeroShape) -> PQBG:

@@ -1,9 +1,10 @@
 """Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, lift chains,
-and the graph, path and oracle queries that only the tests ask."""
+the graph, path and oracle queries that only the tests ask, and the ``qbg`` JSON document built as dicts."""
 
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,32 @@ def evaluate(g, path: QLSPath, t: Fraction) -> tuple[Fraction, ...]:
 def path_from_json(g, record: dict) -> QLSPath:
     """The path of a ``{"dirs": [words], "times": [fraction strings]}`` record."""
     return QLSPath(tuple(g.vertex_of_word(w) for w in record["dirs"]), tuple(Fraction(t) for t in record["times"]))
+
+
+def qbg_document(type_name: str, mults: tuple[int, ...]) -> str:
+    """The ``qbg`` JSON document built as dicts and dumped by ``json.dumps(doc, indent=2)``: the reference
+    for the CLI, which writes it from per-vertex and per-label texts."""
+    g = cached_context(type_name, mults).graph
+    doc = {
+        "schema": "qbruhat/qbg/1",
+        "type": type_name,
+        "lambda": list(mults),
+        "parabolic": sorted(g.J),
+        "vertices": [
+            {"index": v, "word": g.vertex_name(v), "length": len(g.words[v])} for v in range(g.num_vertices)
+        ],
+        "edges": [
+            {
+                "source": g.vertex_name(e.source),
+                "target": g.vertex_name(e.target),
+                "label": g.root_name(e.label),
+                "pairing": g.pairings[e.label],
+                "kind": e.kind,
+            }
+            for e in g.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- oracle queries: longest chains and sigma-chains, references for the down-sets ----

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import cached_context
+from conftest import REFERENCE_SHAPES, cached_context, qbg_document
 
 import qbruhat.cli as cli
 import qbruhat.degree as degree_mod
@@ -37,6 +37,14 @@ VERIFY_STDOUT = {
     ("A2", "3,2", "0"): (1, "7c67ab8aaea73e22aea734a4ba300960442bc19304c7e5d01f5ecc07f044beec"),
     ("B3", "1,1,1", "4"): (1, "5ef102836973c58af615a45056ff2b09419c0b2e5f6dc5bcec2c63cdd8e7c71e"),
     ("C2", "1,1", "10"): (0, "5691cc50f64f40ce5c8210e0e24e43b2a4af28439a4494544711cac9eaadfe9d"),
+}
+
+# sha256 of the exact ``qbg --format dot`` stdout, keyed by (type, lambda), recorded when the graph was written
+# as one text
+DOT_STDOUT = {
+    ("A2", "2,1"): "f570df66e052c9a4273252a748fd8bc3a905968cfcf9b6433097181dd750ab62",
+    ("G2", "2,2"): "79fb3ec30759c4e2571a9ec7bee1a45110ebdc46aee8d424bcc14409b76e07d3",
+    ("D4", "1,1,1,1"): "95359abd59531e17de8296191d0c9ef2f5efd39375c191c6b11ac2995e43897a",
 }
 
 
@@ -70,6 +78,17 @@ class TestQbg:
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "qbg", "--type", "A2", "--lambda", "2,1", "--format", "dot")
         assert code == 0 and out.startswith("digraph") and 'style="dashed"' in out
+
+    @pytest.mark.parametrize("type_name,lam", list(DOT_STDOUT))
+    def test_dot_pinned(self, capsys, type_name, lam):
+        code, out, err = run(capsys, "qbg", "--type", type_name, "--lambda", lam, "--format", "dot")
+        assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == DOT_STDOUT[type_name, lam]
+
+    @REFERENCE_SHAPES
+    def test_json_is_the_reference_document(self, capsys, name, mults):
+        # the records written as texts print what dumping the document's dicts prints
+        lam = ",".join(map(str, mults))
+        assert run(capsys, "qbg", "--type", name, "--lambda", lam) == (0, qbg_document(name, mults), "")
 
     def test_bad_type(self, capsys):
         for type_name in ("Z9", " a", "A 2", "a9"):
@@ -196,7 +215,7 @@ class TestDegree:
         g = cached_context(name, mults).graph
         table = degree_table(g.shape, g, enumerate_hat(g))
         if fmt == "csv":
-            cli._write_csv("dirs,times,energies,deg", map(cli._table_line, table))
+            cli._write_lines(["dirs,times,energies,deg", *map(cli._table_line, table)])
         else:
             cli._write_doc(argparse.Namespace(command="degree", type=name, lam=mults), rows=table)
         expected = capsys.readouterr().out
@@ -604,32 +623,30 @@ class TestExitCodes:
         assert run(capsys, *argv, "--cap= -5 ") == (2, "", "error: cap must be non-negative, not -5\n")
         assert run(capsys, *argv, "--window= -1 ") == (2, "", "error: window must be non-negative, not -1\n")
 
-    @pytest.mark.parametrize("unbuffered", [False, True])
-    def test_closed_pipe_mid_table(self, unbuffered):
-        # the table goes out in blocks of lines; a reader that takes one line of it and closes the pipe is
-        # seen by the next block's write, also where an unbuffered stdout drops the rest of a cut write
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv,first",
+        [
+            (("qbg",), b"{\n"),
+            (("qbg", "--format", "dot"), b"digraph pqbg {\n"),
+            (("degree", "--format", "csv"), b"dirs,times,energies,deg\n"),
+        ],
+        ids=["qbg-json", "qbg-dot", "degree-csv"],
+    )
+    def test_closed_pipe(self, argv, first, unbuffered):
+        # the reader takes the first line of an output longer than a pipe buffer (on D4 (1,1,1,1) the graph is
+        # 222 kB as JSON and 74 kB as DOT, the table 1.5 MB) and closes the pipe: exit 141 as after SIGPIPE,
+        # with no traceback.  The output goes out in blocks of lines, so the next block's write sees the close,
+        # also where an unbuffered stdout drops the rest of a cut write
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with subprocess.Popen(
-            [sys.executable, "-m", "qbruhat.cli", "degree", "--type", "D4", "--lambda", "1,1,1,1", "--format", "csv"],
+            [sys.executable, "-m", "qbruhat.cli", *argv, "--type", "D4", "--lambda", "1,1,1,1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         ) as proc:
-            assert proc.stdout.readline() == b"dirs,times,energies,deg\n"
-            proc.stdout.close()
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == 141 and err == b""
-
-    def test_closed_pipe(self):
-        # the reader takes one line of an output several pipe buffers long and closes the pipe: exit 141
-        # as after SIGPIPE, with no traceback
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        with subprocess.Popen(
-            [sys.executable, "-m", "qbruhat.cli", "qbg", "--type", "D4", "--lambda", "1,1,1,1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        ) as proc:
-            assert proc.stdout.readline() == b"{\n"
+            assert proc.stdout.readline() == first
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141 and err == b""
