@@ -6,11 +6,11 @@ The degree is the paper's closed formula
 
 where wt_Lambda(y => x) is the pairing of Lambda with the weight of any
 shortest directed path from y to x; the p-th segment is valid when some such
-path is sigma_p-admissible.  The graph reads the energies off its memoised
-BFS and checks their well-definedness on every row it builds
-(``PQBG.segment_energies``).  Times stay ``Fraction`` in a ``QLSPath`` and
-are read as integer ticks over L, the lcm of their denominators, so the sum
-is an integer over L.
+path is sigma_p-admissible.  The graph reads the energies off its sparse
+search of each denominator and checks their well-definedness on every pair
+that search holds (``PQBG.segment_energies``).  Times stay ``Fraction`` in a
+``QLSPath`` and are read as integer ticks over L, the lcm of their
+denominators, so the sum is an integer over L.
 
 Every path of the shape takes one route to its row: the enumeration walk
 carries the energies, and ``_walk_rows`` reads every time as a tick over
@@ -72,7 +72,7 @@ class AffineLSPath:
 
 def segment_energy(g: PQBG, x_next: int, x_cur: int, sigma: Fraction) -> int:
     """wt_Lambda(x_next => x_cur) for the pair (x_cur <- x_next) at time sigma."""
-    energy = g.segment_energies(x_next, sigma)[x_cur]
+    energy = g.segment_energies(x_next, sigma).get(x_cur)
     if energy is None:
         reason = f"no admissible shortest path from {g.vertex_name(x_next)} to {g.vertex_name(x_cur)}"
         raise InvalidQLSPath(reason, sigma)

@@ -22,18 +22,28 @@ Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
-Every public distance, shortest-path and energy query reads one memoised BFS
-per source y and denominator q: an edge is sigma-admissible when q divides
-its pairing, and q = 1 is the unrestricted graph.  For q = 1 the BFS sums the
-pairings of the quantum steps along its tree: the energy wt_Lambda(y => x)
-of the paper, which does not depend on the shortest path chosen, since all
-of them agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
-arXiv:1211.2042).  For q > 1 it keeps that energy where a q-admissible path
-is shortest, after re-checking it against the q-admissible tree.  A path is
-read back from x, each step over the first q-admissible edge of ``in_edges``
-one step nearer y, so ties go to the least (source, label).  The build checks
-strong connectivity: the BFS from vertex 0 reaches every vertex, and every
-vertex reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
+Whole-graph distances come from one BFS per source, memoised per source.
+Segment queries read two structures built on the first such query, never by
+the constructor, so the graph alone costs nothing more:
+
+* the reach layers R[k][x], the bitset of the sources y with dist(y, x) <= k,
+  grown by or-ing R[k][s] over the in-edges s -> x until stable;
+* per denominator q, one sparse BFS from each source y inside the subgraph of
+  the edges whose pairing q divides (the sigma-admissible edges for every
+  sigma of denominator q), carrying the q-distance and the tree's energy.
+
+A reached x is strong, some q-admissible path to it being shortest in the
+whole graph, exactly when y is outside R[d - 1][x], d its q-distance.  At
+every strong x the q-tree energy must equal wt_Lambda(y => x) read back along
+one shortest path of the whole graph (memoised per pair): all shortest paths
+agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
+arXiv:1211.2042), so a mismatch raises RuntimeError.  Paths are read back from
+x, each step over the first admissible edge of ``in_edges`` one step nearer y,
+so ties go to the least (source, label).  A layer costs about N^2/8 bytes;
+above ``REACH_LAYER_BYTES`` (4 MiB, so N <= 5,792) none is built and the
+layer lookup reads the per-source BFS instead.  The build checks strong
+connectivity: the BFS from vertex 0 reaches every vertex, and every vertex
+reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
 """
 
 from __future__ import annotations
@@ -80,6 +90,9 @@ def word_name(word: tuple[int, ...]) -> str:
     return "e" if not word else " ".join(f"s{j}" for j in word)
 
 
+REACH_LAYER_BYTES = 1 << 22  # 4 MiB: reach layers are built up to N = 5,792 vertices (A6 regular has 5,040)
+
+
 def _denominator(sigma: Fraction) -> int:
     """The denominator of sigma, which alone decides admissibility; ValueError unless 0 < sigma < 1."""
     if not 0 < sigma.numerator < sigma.denominator:
@@ -101,7 +114,10 @@ class PQBG:
         self.pairings = tuple(pair(shape.multiplicities, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
         self._build()
         self._names = tuple(map(word_name, self.words))
-        self._search_cache: dict[tuple[int, int], tuple] = {}
+        self._search_cache: dict[int, tuple[int, ...]] = {}
+        self._layers: list[list[int]] | None = None
+        self._energies: dict[tuple[int, int], int] = {}
+        self._segment_cache: dict[int, tuple] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
@@ -211,39 +227,20 @@ class PQBG:
 
     # -- distances and shortest paths --------------------------------------
 
-    def _search(self, y: int, q: int) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-        """BFS from y over the edges whose pairing q divides, memoised per (y, q).
-
-        Returns ``(dist, energy)``: ``dist[x]`` is the length of a shortest
-        such path from y to x (-1 when unreachable).  For q = 1, ``energy[x]``
-        sums the pairings of the quantum steps on the tree path from y to x;
-        for q > 1 it is that unrestricted energy where the two distances
-        agree, and None elsewhere.  There the q-admissible tree path is a
-        shortest path too and must carry the same energy: RuntimeError otherwise.
-        """
-        key = (y, q)
-        found = self._search_cache.get(key)
+    def _search(self, y: int) -> tuple[int, ...]:
+        """Distances from y over the whole graph (-1 when unreachable), by a BFS memoised per y."""
+        found = self._search_cache.get(y)
         if found is None:
             dist = [-1] * self.num_vertices
-            energy: list[int | None] = [0] * self.num_vertices
-            pairings = self.pairings
             dist[y] = 0
             dq = deque([y])
             while dq:
                 v = dq.popleft()
                 for e in self.out_edges[v]:
-                    if dist[e.target] < 0 and pairings[e.label] % q == 0:
+                    if dist[e.target] < 0:
                         dist[e.target] = dist[v] + 1
-                        energy[e.target] = energy[v] + pairings[e.label] if e.quantum else energy[v]
                         dq.append(e.target)
-            if q > 1:
-                full, tree = self._search(y, 1)
-                qrow = [se if s == d else None for d, s, se in zip(full, dist, energy)]
-                energy = [e if s == d else None for d, s, e in zip(full, dist, tree)]
-                if energy != qrow:
-                    x, e = next((x, e) for x, e in enumerate(energy) if e != qrow[x])
-                    raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {qrow[x]}")
-            found = self._search_cache[key] = (tuple(dist), tuple(energy))
+            found = self._search_cache[y] = tuple(dist)
         return found
 
     def _distances_to(self, x: int, q: int) -> list[int]:
@@ -259,16 +256,111 @@ class PQBG:
                     dq.append(e.source)
         return to_x
 
+    def _reach_layers(self) -> list[list[int]]:
+        """R[k][x], the bitset of the sources y with dist(y, x) <= k, for k up to the diameter; [] above the guard.
+
+        R[0][x] holds x alone and R[k + 1][x] is R[k][x] or'ed with R[k][s]
+        over the in-edges s -> x, grown until stable, so the last layer holds
+        every source.  Built on the first segment query, never by the
+        constructor.  A layer costs about N^2/8 bytes; above
+        ``REACH_LAYER_BYTES`` no layer is built and ``_within`` reads the
+        distance BFS instead.
+        """
+        if self._layers is None:
+            n = self.num_vertices
+            self._layers = []
+            if n * n // 8 <= REACH_LAYER_BYTES:
+                layer = [1 << x for x in range(n)]
+                sources = [[e.source for e in es] for es in self.in_edges]
+                while True:
+                    self._layers.append(layer)
+                    grown = []
+                    for x, ss in enumerate(sources):
+                        bits = layer[x]
+                        for s in ss:
+                            bits |= layer[s]
+                        grown.append(bits)
+                    if grown == layer:
+                        break
+                    layer = grown
+        return self._layers
+
+    def _within(self, y: int, x: int, k: int) -> bool:
+        """Whether dist(y, x) <= k, for k >= 0: bit y of R[k][x], or the distance BFS from y above the guard."""
+        layers = self._layers or self._reach_layers()
+        if not layers:
+            return self._search(y)[x] <= k
+        return k >= len(layers) or layers[k][x] >> y & 1 == 1  # the last layer holds every source
+
+    def _step_back(self, y: int, x: int, d: int) -> QBGEdge:
+        """The first in-edge of x, d = dist(y, x) >= 1, whose source is one step nearer y."""
+        return next(e for e in self.in_edges[x] if self._within(y, e.source, d - 1))
+
+    def _energy(self, y: int, x: int, d: int) -> int:
+        """wt_Lambda(y => x), d = dist(y, x), along one shortest path of the whole graph, memoised per pair.
+
+        The path is read back from x by ``_step_back``, so ties go to the
+        least (source, label); the recursion is d deep, at most the diameter.
+        """
+        if x == y:
+            return 0
+        if (y, x) not in self._energies:
+            e = self._step_back(y, x, d)
+            gain = self.pairings[e.label] if e.quantum else 0
+            self._energies[y, x] = self._energy(y, e.source, d - 1) + gain
+        return self._energies[y, x]
+
+    def _segment_search(self, q: int) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
+        """Per source y, the BFS from y inside the subgraph of the edges whose pairing q divides, memoised per q.
+
+        Entry y is ``(dist, energy)``: ``dist[x]`` is the q-distance of every
+        reached x, and ``energy[x]`` is wt_Lambda(y => x) for the strong x,
+        those whose q-distance is dist(y, x): exactly the x with y outside
+        R[dist[x] - 1][x].  There the q-admissible tree path is a shortest
+        path too and must carry the energy ``_energy`` reads along a shortest
+        path of the whole graph: RuntimeError otherwise.
+        """
+        found = self._segment_cache.get(q)
+        if found is None:
+            pairings = self.pairings
+            adjacent = [
+                [(e.target, pairings[e.label] if e.quantum else 0) for e in es if pairings[e.label] % q == 0]
+                for es in self.out_edges
+            ]
+            found = []
+            for y in range(self.num_vertices):
+                dist, tree, reached = {y: 0}, {y: 0}, [y]
+                for v in reached:  # grows while it is walked
+                    d, here = dist[v] + 1, tree[v]
+                    for t, gain in adjacent[v]:
+                        if t not in dist:
+                            dist[t] = d
+                            tree[t] = here + gain
+                            reached.append(t)
+                energy = {y: 0}
+                for x in reached[1:]:
+                    d = dist[x]
+                    if not self._within(y, x, d - 1):
+                        e = self._energy(y, x, d)
+                        if e != tree[x]:
+                            message = f"shortest paths from vertex {y} to {x} carry energies {e} and {tree[x]}"
+                            raise RuntimeError(message)
+                        energy[x] = e
+                found.append((dist, energy))
+            found = self._segment_cache[q] = tuple(found)
+        return found
+
     def _path(self, x: int, y: int, q: int) -> DirectedPath | None:
         """A shortest q-admissible path from y to x, read back from x along the first nearer in-edges."""
-        dist = self._search(y, q)[0]
-        if dist[x] < 0:
+        dist = self._segment_search(q)[y][0]
+        if x not in dist:
             return None
         vertices = [x]
         labels = []
         quantum = []
         while x != y:
-            e = next(e for e in self.in_edges[x] if dist[e.source] == dist[x] - 1 and self.pairings[e.label] % q == 0)
+            nearer = dist[x] - 1
+            e = next(e for e in self.in_edges[x] if dist.get(e.source) == nearer and self.pairings[e.label] % q == 0)
             labels.append(e.label)
             quantum.append(e.quantum)
             x = e.source
@@ -277,11 +369,14 @@ class PQBG:
 
     def distances_from(self, y: int) -> tuple[int, ...]:
         """BFS distances from y along edge orientation; -1 marks unreachable."""
-        return self._search(y, 1)[0]
+        return self._search(y)
 
     def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
         """Like ``distances_from``, inside the sigma-admissible subgraph."""
-        return self._search(y, _denominator(sigma))[0]
+        row = [-1] * self.num_vertices
+        for x, d in self._segment_search(_denominator(sigma))[y][0].items():
+            row[x] = d
+        return tuple(row)
 
     def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
         """A shortest path from y to x inside the sigma-admissible subgraph, if any.
@@ -292,18 +387,17 @@ class PQBG:
         unrestricted one, i.e. whether the pair satisfies the strong
         segment condition.
         """
-        path = self._path(x, y, _denominator(sigma))
-        if path is None:
-            return SigmaPathResult(None, False)
-        return SigmaPathResult(path, path.length == self.distances_from(y)[x])
+        q = _denominator(sigma)
+        path = self._path(x, y, q)
+        return SigmaPathResult(path, x in self._segment_search(q)[y][1])
 
-    def segment_energies(self, y: int, sigma: Fraction) -> tuple[int | None, ...]:
-        """wt_Lambda(y => x) for every x; None where no shortest path from y to x is sigma-admissible.
+    def segment_energies(self, y: int, sigma: Fraction) -> dict[int, int]:
+        """wt_Lambda(y => x) for the x some sigma-admissible shortest path from y reaches, y itself included.
 
-        The energy row of ``_search(y, denominator of sigma)``, which is
-        checked against the sigma-admissible tree when it is built.
+        The memoised, checked energies of ``_segment_search`` at the
+        denominator of sigma; the caller must not change them.
         """
-        return self._search(y, _denominator(sigma))[1]  # sigma is range-checked on a warm entry too
+        return self._segment_search(_denominator(sigma))[y][1]  # sigma is range-checked on a warm entry too
 
     # -- export --------------------------------------------------------------
 

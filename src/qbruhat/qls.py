@@ -14,14 +14,18 @@ Enumeration orders paths by number of directions, then directions, then
 times.
 
 One walk over candidate indices serves both variants, the degree table and
-``verify``.  Its strong successor lists hold each segment's energy
-wt_Lambda(x_{k+1} => x_k), read from the graph's energy rows: a segment is
-strong exactly where that energy is defined, and every row is checked when
-the graph builds it.  ``path_listing`` keeps the walk's records as indices,
-with each vertex name and candidate time text formatted once.
-``degree._walk_rows`` checks every row's structure, and sums, checks and
-formats each distinct schedule, a path's (candidate indices, energies),
-once; the table writes the rows, and ``verify`` lifts them.
+``verify``.  Its successor lists are built per denominator from the graph's
+sparse segment search.  The strong lists read the search's energies
+(``PQBG.segment_energies``), with no row of length N, and hold each
+segment's energy wt_Lambda(x_{k+1} => x_k): a segment is strong exactly
+where that energy is held, and every energy is checked when the search is
+built.  The weak lists read the search's distances as rows of length N
+(``PQBG.sigma_distances_from``), so the weak walk runs the same checks.
+``path_listing`` keeps the walk's records as indices, with each vertex name
+and candidate time text formatted once.  ``degree._walk_rows`` checks every
+row's structure, and sums, checks and formats each distinct schedule, a
+path's (candidate indices, energies), once; the table writes the rows, and
+``verify`` lifts them.
 """
 
 from __future__ import annotations
@@ -86,9 +90,9 @@ def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> b
 def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[tuple]]]:
     # succ[i][x]: the pairs (y, energy), y ascending, for the directions y that
     # may follow x at time candidates[i]; the energy is wt_Lambda(y => x) in
-    # the strong variant, read from the checked energy rows, and None in the
-    # weak one.  Admissibility depends on the denominator alone, so times
-    # with one denominator share a table.
+    # the strong variant, read from the graph's sparse, checked segment
+    # energies, and None in the weak one.  Admissibility depends on the
+    # denominator alone, so times with one denominator share a table.
     m = g.num_vertices
     tables: dict[int, list[list[tuple]]] = {}
     for sigma in candidates:
@@ -97,8 +101,8 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
         table = tables[sigma.denominator] = [[] for _ in range(m)]
         for y in range(m):
             if strong:
-                for x, energy in enumerate(g.segment_energies(y, sigma)):
-                    if x != y and energy is not None:
+                for x, energy in g.segment_energies(y, sigma).items():
+                    if x != y:
                         table[x].append((y, energy))
             else:
                 for x, sdist in enumerate(g.sigma_distances_from(y, sigma)):

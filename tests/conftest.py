@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,68 @@ def validate_path(g, path: DirectedPath) -> None:
             raise ValueError(f"step {k} is not an edge of the graph")
 
 
+# -- the segment-table reference: one full BFS row per source and denominator ---
+
+
+def reference_search(g, y: int, q: int, unrestricted=None) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """BFS from y over the edges whose pairing q divides, in the order of ``out_edges``.
+
+    Returns ``(dist, energy)``: ``dist[x]`` is the length of a shortest such
+    path from y to x (-1 when unreachable).  For q = 1, ``energy[x]`` sums the
+    pairings of the quantum steps on the tree path from y to x; for q > 1 it
+    is that unrestricted energy where the two distances agree, and None
+    elsewhere.  There the q-admissible tree path is a shortest path too and
+    must carry the same energy: RuntimeError otherwise.  ``unrestricted`` is
+    the q = 1 result from y, computed when not given.
+    """
+    dist = [-1] * g.num_vertices
+    energy: list[int | None] = [0] * g.num_vertices
+    dist[y] = 0
+    dq = deque([y])
+    while dq:
+        v = dq.popleft()
+        for e in g.out_edges[v]:
+            if dist[e.target] < 0 and g.pairings[e.label] % q == 0:
+                dist[e.target] = dist[v] + 1
+                energy[e.target] = energy[v] + g.pairings[e.label] if e.quantum else energy[v]
+                dq.append(e.target)
+    if q > 1:
+        full, tree = unrestricted or reference_search(g, y, 1)
+        qrow = [se if s == d else None for d, s, se in zip(full, dist, energy)]
+        energy = [e if s == d else None for d, s, e in zip(full, dist, tree)]
+        if energy != qrow:
+            x, e = next((x, e) for x, e in enumerate(energy) if e != qrow[x])
+            raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {qrow[x]}")
+    return tuple(dist), tuple(energy)
+
+
+def reference_successors(g, candidates) -> tuple[list, list]:
+    """The strong and the weak tables of ``qls._successors``, from the N-long rows of ``reference_search``.
+
+    Every source's q = 1 row is kept while the tables are built, and each
+    q > 1 row only while it is read.
+    """
+    n = g.num_vertices
+    unrestricted: dict[int, tuple] = {}
+    strong: dict[int, list] = {}
+    weak: dict[int, list] = {}
+    for sigma in candidates:
+        q = sigma.denominator
+        if q in strong:
+            continue
+        strong[q], weak[q] = [[] for _ in range(n)], [[] for _ in range(n)]
+        for y in range(n):
+            if y not in unrestricted:
+                unrestricted[y] = reference_search(g, y, 1)
+            dist, energy = reference_search(g, y, q, unrestricted[y])
+            for x in range(n):
+                if x != y and energy[x] is not None:
+                    strong[q][x].append((y, energy[x]))
+                if x != y and dist[x] >= 0:
+                    weak[q][x].append((y, None))
+    return [strong[s.denominator] for s in candidates], [weak[s.denominator] for s in candidates]
+
+
 # -- lift chains: the cover chains between adjacent lifted weights ------------
 
 
@@ -237,8 +300,17 @@ def segment_chains(g, path) -> tuple[tuple[AffineOrbitElement, ...], ...]:
 
 
 def shortest_path(g, x: int, y: int) -> DirectedPath:
-    """A shortest directed path from y to x, read back from x; ties go to the least (predecessor, label)."""
-    return g._path(x, y, 1)
+    """A shortest directed path from y to x, read back from x by ``PQBG._step_back``; ties go to the least
+    (predecessor, label).  It is the path along which the graph reads the energy wt_Lambda(y => x)."""
+    vertices, labels, quantum = [x], [], []
+    d = g.distances_from(y)[x]
+    while x != y:
+        e = g._step_back(y, x, d)
+        labels.append(e.label)
+        quantum.append(e.quantum)
+        x, d = e.source, d - 1
+        vertices.append(x)
+    return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
 
 
 def path_weight(g, path: DirectedPath) -> Coroot:

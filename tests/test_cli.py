@@ -90,6 +90,18 @@ class TestQbg:
         lam = ",".join(map(str, mults))
         assert run(capsys, "qbg", "--type", name, "--lambda", lam) == (0, qbg_document(name, mults), "")
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_no_segment_search(self, capsys, monkeypatch, fmt):
+        # the reach layers, the whole-graph energies and the per-denominator
+        # searches are built on the first segment query, which qbg never makes
+        built = []
+        real = cli.build_context
+        monkeypatch.setattr(cli, "build_context", lambda *args: built.append(real(*args)) or built[-1])
+        code, _, _ = run(capsys, "qbg", "--type", "D4", "--lambda", "1,1,1,1", "--format", fmt)
+        (ctx,) = built
+        g = ctx.graph
+        assert code == 0 and g._layers is None and g._energies == {} and g._segment_cache == {}
+
     def test_bad_type(self, capsys):
         for type_name in ("Z9", " a", "A 2", "a9"):
             code, out, err = run(capsys, "qbg", "--type", type_name, "--lambda", "1")
@@ -279,9 +291,8 @@ class TestVerify:
 
     def test_segments_computed_once(self, capsys, monkeypatch):
         # the strong and weak walks read the searches the graph memoises per
-        # (source, denominator of sigma), so each entry is written once;
-        # the strong enumeration reads every source at every candidate's
-        # denominator, and each of those entries reads the unrestricted one
+        # denominator of sigma, so each is built once, and one is built for
+        # every candidate's denominator
         built = []
         stored = Counter()
         real = cli.build_context
@@ -293,7 +304,7 @@ class TestVerify:
 
         def recording(*args, **kwargs):
             built.append(real(*args, **kwargs))
-            built[-1].graph._search_cache = Entries(built[-1].graph._search_cache)
+            built[-1].graph._segment_cache = Entries(built[-1].graph._segment_cache)
             return built[-1]
 
         monkeypatch.setattr(cli, "build_context", recording)
@@ -302,7 +313,7 @@ class TestVerify:
         g = ctx.graph
         denominators = {sigma.denominator for sigma in sigma_candidates(g)}
         assert code == 0 and set(stored.values()) == {1}
-        assert len(g._search_cache) == g.num_vertices * (len(denominators) + 1)
+        assert set(g._segment_cache) == denominators
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import qbruhat.degree as degree_mod
-from conftest import cached_context, path_sort_key, segment_chains, vertex_by_word
+from conftest import cached_context, path_sort_key, reference_search, segment_chains, vertex_by_word
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
 from qbruhat.cli import main
@@ -75,16 +75,15 @@ class TestSegmentEnergy:
             segment_energy(g, e, r2, F(1, 2))
 
     def test_perturbed_energy_raises(self):
-        # the energy of the sigma-admissible tree must equal the unrestricted
-        # one wherever both trees reach x by a shortest path; a fresh graph,
-        # so that no search of denominator 2 is memoised yet
+        # the energy of the sigma-admissible tree must equal the one read back
+        # along a shortest path of the whole graph wherever the tree path is
+        # shortest too; a fresh graph, so that no search of denominator 2 has
+        # run yet
         ctx = build_context("A2", (2, 1))
         g = ctx.graph
         r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
-        key = (r2r1, 1)  # the unrestricted BFS, which the entry of denominator 2 reads
-        dist, energy = g._search(*key)
-        assert g._distances_to(r2, 2)[r2r1] == dist[r2] and energy[r2] == 2
-        g._search_cache[key] = (dist, energy[:r2] + (energy[r2] + 1,) + energy[r2 + 1 :])
+        assert g._distances_to(r2, 2)[r2r1] == g.distances_from(r2r1)[r2] == 1 and g._energy(r2r1, r2, 1) == 2
+        g._energies[r2r1, r2] = 3
         with pytest.raises(RuntimeError, match="carry energies 3 and 2"):
             g.segment_energies(r2r1, F(1, 2))
 
@@ -409,33 +408,36 @@ class TestDegreeRows:
 
     @staticmethod
     def _perturbed_graph():
-        # a fresh graph whose unrestricted searches carry one more unit of
-        # energy everywhere, so that no sigma-admissible tree agrees with them
+        # a fresh graph whose whole-graph energies, read back along shortest
+        # paths, carry one more unit everywhere off the diagonal, so that no
+        # sigma-admissible tree agrees with them
         g = build_context("A2", (2, 1)).graph
         for y in range(g.num_vertices):
-            dist, energy = g._search(y, 1)
-            g._search_cache[y, 1] = (dist, tuple(e + 1 for e in energy))
+            for x, energy in enumerate(reference_search(g, y, 1)[1]):
+                if x != y:
+                    g._energies[y, x] = energy + 1
         return g
 
     def test_energy_check_runs_on_every_row_read(self):
-        # a sigma-admissible tree that carries another energy than the
-        # unrestricted one is refused while the walk reads the energy rows
+        # a sigma-admissible tree that carries another energy than a shortest
+        # path of the whole graph is refused while the walk reads the searches
         with pytest.raises(RuntimeError, match="carry energies"):
             degree_rows(self._perturbed_graph())
 
     def test_weak_listing_refuses_a_perturbed_energy(self):
         # the weak walk reads only distances, but they come from the same
-        # memo entries, whose energies are checked when they are built
+        # per-denominator searches, whose energies are checked when they are built
         with pytest.raises(RuntimeError, match="carry energies"):
             enumerate_tilde(self._perturbed_graph())
 
     def test_exactness_check_runs_on_every_row(self, monkeypatch):
         # one more unit of energy on a segment at a/b moves the sum by b - a,
-        # which L = b does not divide
+        # which L = b does not divide; the strong walk reads the sparse
+        # energies of segment_energies
         real = PQBG.segment_energies
 
         def shifted(self, y, sigma):
-            return tuple(None if e is None else e + 1 for e in real(self, y, sigma))
+            return {x: e + 1 for x, e in real(self, y, sigma).items()}
 
         g = build_context("A2", (2, 1)).graph
         monkeypatch.setattr(PQBG, "segment_energies", shifted)

@@ -6,7 +6,10 @@ facts hold in every type and are checked on small shapes:
 * every degree slice of the endpoint multiset is invariant under W;
 * at q = 1 the character is multiplicative over the fundamental weights;
 * on A_{N-1} with lambda = m varpi_1, (deg, endpoint) is distributed like
-  (-maj, content) over words in [N]^m.
+  (-maj, content) over words in [N]^m;
+* the paths of degree 0 number dim V(lambda): every segment energy is then 0,
+  so every segment is a Bruhat path and the path is a classical LS path,
+  which Littelmann's character formula counts.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import cached_context, evaluate
-from qbruhat.degree import degree
+from qbruhat.cartan import pair
+from qbruhat.degree import degree, degree_rows
 from qbruhat.qls import enumerate_hat
 
 
@@ -108,3 +112,31 @@ def test_type_a_energy_is_minus_maj(n, m):
         (-maj(w), content(w, n)) for w in itertools.product(range(1, n + 1), repeat=m)
     )
     assert graded_endpoints(f"A{n - 1}", mults) == words
+
+
+def weyl_dimension(type_name: str, mults: tuple[int, ...]) -> int:
+    """dim V(lambda) = prod over beta > 0 of <lambda + rho, beta^vee> / <rho, beta^vee>."""
+    rs = cached_context(type_name, mults).rs
+    shifted = tuple(m + r for m, r in zip(mults, rs.rho))
+    dim = F(1)
+    for c in rs.positive_coroots:
+        dim *= F(pair(shifted, c), pair(rs.rho, c))
+    assert dim.denominator == 1
+    return int(dim)
+
+
+@pytest.mark.parametrize(
+    "type_name,mults,dim",
+    [
+        ("G2", (2, 2), 729),
+        ("B3", (1, 0, 2), 189),
+        ("D4", (1, 1, 1, 1), 4096),
+        ("A3", (2, 2, 2), 729),
+        ("B3", (2, 1, 1), 1512),
+        ("C3", (0, 2, 1), 616),
+    ],
+)
+def test_degree_zero_rows_number_the_dimension(type_name, mults, dim):
+    # degree 0 forces every segment energy to 0, so this counts the zero-energy entries of the segment tables
+    rows = degree_rows(cached_context(type_name, mults).graph)
+    assert sum(row["deg"] == 0 for row in rows) == weyl_dimension(type_name, mults) == dim

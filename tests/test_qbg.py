@@ -310,6 +310,17 @@ class TestTieBreak:
                     assert res.shortest == (ref is not None and ref.length == g.distances_from(y)[x])
 
 
+    @pytest.mark.parametrize("fixture", ["a2_21", "c2_11", "a3_010", "d4_0100"])
+    def test_energy_reads_the_least_shortest_path(self, fixture, request):
+        # the energy the segment searches are checked against is the pairing of
+        # Lambda with the weight of the least shortest path
+        ctx = request.getfixturevalue(fixture)
+        g, lam = ctx.graph, ctx.shape.multiplicities
+        for y in range(g.num_vertices):
+            for x, d in enumerate(g.distances_from(y)):
+                assert g._energy(y, x, d) == pair(lam, path_weight(g, least_shortest_path(g, x, y, F(1))))
+
+
 class TestWeights:
     def test_bruhat_path_weight_zero(self, a2_21):
         g = a2_21.graph

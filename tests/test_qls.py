@@ -16,13 +16,17 @@ from conftest import (
     is_hat_path,
     is_tilde_path,
     path_from_json,
+    reference_successors,
     type_group,
     vertex_by_word,
 )
+import qbruhat.qbg as qbg
+from qbruhat import build_context
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
     QLSPath,
+    _successors,
     enumerate_hat,
     enumerate_tilde,
     path_to_json,
@@ -59,6 +63,41 @@ class TestSigmaCandidates:
             for a in range(1, b) if gcd(a, b) == 1
         }
         assert sigma_candidates(g) == tuple(sorted(expected))
+
+
+_DEGREE_SHAPES = [("D4", (1, 1, 1, 1)), ("G2", (2, 2)), ("B3", (2, 1, 1)), ("A3", (2, 2, 2))]
+DEGREE_SHAPES = pytest.mark.parametrize(
+    "name,mults", _DEGREE_SHAPES, ids=[f"{n}-{','.join(map(str, m))}" for n, m in _DEGREE_SHAPES]
+)
+
+
+class TestSuccessorTables:
+    """The strong and weak successor tables, from the sparse per-denominator searches, equal the tables of
+    one full BFS row per source and denominator, list for list."""
+
+    @staticmethod
+    def assert_tables_match(g):
+        candidates = sigma_candidates(g)
+        strong, weak = reference_successors(g, candidates)
+        assert _successors(g, candidates, True) == strong
+        assert _successors(g, candidates, False) == weak
+
+    @REFERENCE_SHAPES
+    def test_reference_shapes(self, name, mults):
+        self.assert_tables_match(cached_context(name, mults).graph)
+
+    @DEGREE_SHAPES  # the shapes of the benchmark's degree tables
+    def test_degree_shapes(self, name, mults):
+        self.assert_tables_match(cached_context(name, mults).graph)
+
+    @DEGREE_SHAPES
+    def test_above_the_layer_guard(self, monkeypatch, name, mults):
+        # with the guard below one layer no reach layer is built, and the
+        # distances come from the whole-graph BFS: the tables do not change
+        monkeypatch.setattr(qbg, "REACH_LAYER_BYTES", 0)
+        g = build_context(name, mults).graph
+        self.assert_tables_match(g)
+        assert g._layers == []
 
 
 class TestEnumerate:
