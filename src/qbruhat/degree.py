@@ -7,10 +7,10 @@ The degree is the paper's closed formula
 where wt_Lambda(y => x) is the pairing of Lambda with the weight of any
 shortest directed path from y to x; the p-th segment is valid when some such
 path is sigma_p-admissible.  The graph reads the energies off its sparse
-search of each denominator and checks their well-definedness on every pair
-that search holds (``PQBG.segment_energies``).  Times stay ``Fraction`` in a
-``QLSPath`` and are read as integer ticks over L, the lcm of their
-denominators, so the sum is an integer over L.
+search of each source and denominator and checks their well-definedness on
+every pair that search holds (``PQBG.segment_energies``).  Times stay
+``Fraction`` in a ``QLSPath`` and are read as integer ticks over L, the lcm
+of their denominators, so the sum is an integer over L.
 
 Every path of the shape takes one route to its row: the enumeration walk
 carries the energies, and ``_walk_rows`` reads every time as a tick over

@@ -23,25 +23,26 @@ i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
 Whole-graph distances come from one BFS per source, memoised per source.
-Segment queries read two structures built on the first such query, never by
-the constructor, so the graph alone costs nothing more:
+A segment query of source y and denominator q runs one sparse BFS from y
+inside the subgraph of the edges whose pairing q divides (the
+sigma-admissible edges for every sigma of denominator q), carrying the
+q-distance and the tree's energy; it is memoised per (y, q), and the
+subgraph's adjacency per q.  A reached x is strong, some q-admissible path to
+it being shortest in the whole graph, exactly when its q-distance d is
+dist(y, x), i.e. when dist(y, x) > d - 1.  A single query reads that from the
+BFS from y.  The successor tables, which query every source, first build the
+reach layers (``build_reach_layers``): R[k][x], the bitset of the sources y
+with dist(y, x) <= k, grown by or-ing R[k][s] over the in-edges s -> x until
+stable, about N^2/8 bytes per layer.  Once built, every distance the segment
+searches need is one bit of them.  Neither structure is built by the
+constructor, so the graph alone costs nothing more.
 
-* the reach layers R[k][x], the bitset of the sources y with dist(y, x) <= k,
-  grown by or-ing R[k][s] over the in-edges s -> x until stable;
-* per denominator q, one sparse BFS from each source y inside the subgraph of
-  the edges whose pairing q divides (the sigma-admissible edges for every
-  sigma of denominator q), carrying the q-distance and the tree's energy.
-
-A reached x is strong, some q-admissible path to it being shortest in the
-whole graph, exactly when y is outside R[d - 1][x], d its q-distance.  At
-every strong x the q-tree energy must equal wt_Lambda(y => x) read back along
-one shortest path of the whole graph (memoised per pair): all shortest paths
-agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
+At every strong x the q-tree energy must equal wt_Lambda(y => x) read back
+along one shortest path of the whole graph (memoised per pair): all shortest
+paths agree modulo Q_J^vee (Lenart-Naito-Sagaki-Schilling-Shimozono,
 arXiv:1211.2042), so a mismatch raises RuntimeError.  Paths are read back from
 x, each step over the first admissible edge of ``in_edges`` one step nearer y,
-so ties go to the least (source, label).  A layer costs about N^2/8 bytes;
-above ``REACH_LAYER_BYTES`` (4 MiB, so N <= 5,792) none is built and the
-layer lookup reads the per-source BFS instead.  The build checks strong
+so ties go to the least (source, label).  The build checks strong
 connectivity: the BFS from vertex 0 reaches every vertex, and every vertex
 reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
 """
@@ -49,8 +50,10 @@ reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cartan import LevelZeroShape, Weight, pair
 
@@ -90,9 +93,6 @@ def word_name(word: tuple[int, ...]) -> str:
     return "e" if not word else " ".join(f"s{j}" for j in word)
 
 
-REACH_LAYER_BYTES = 1 << 22  # 4 MiB: reach layers are built up to N = 5,792 vertices (A6 regular has 5,040)
-
-
 def _denominator(sigma: Fraction) -> int:
     """The denominator of sigma, which alone decides admissibility; ValueError unless 0 < sigma < 1."""
     if not 0 < sigma.numerator < sigma.denominator:
@@ -117,7 +117,8 @@ class PQBG:
         self._search_cache: dict[int, tuple[int, ...]] = {}
         self._layers: list[list[int]] | None = None
         self._energies: dict[tuple[int, int], int] = {}
-        self._segment_cache: dict[int, tuple] = {}
+        self._adjacent: dict[int, list[list[tuple[int, int]]]] = {}
+        self._segment_cache: dict[tuple[int, int], tuple[dict[int, int], dict[int, int]]] = {}
         self._check_strongly_connected()
 
     def _build(self) -> None:
@@ -256,39 +257,36 @@ class PQBG:
                     dq.append(e.source)
         return to_x
 
-    def _reach_layers(self) -> list[list[int]]:
-        """R[k][x], the bitset of the sources y with dist(y, x) <= k, for k up to the diameter; [] above the guard.
+    def build_reach_layers(self) -> None:
+        """Build R[k][x], the bitset of the sources y with dist(y, x) <= k, for k up to the diameter, once.
 
         R[0][x] holds x alone and R[k + 1][x] is R[k][x] or'ed with R[k][s]
         over the in-edges s -> x, grown until stable, so the last layer holds
-        every source.  Built on the first segment query, never by the
-        constructor.  A layer costs about N^2/8 bytes; above
-        ``REACH_LAYER_BYTES`` no layer is built and ``_within`` reads the
-        distance BFS instead.
+        every source (21 layers on D5 regular).  A layer costs about N^2/8
+        bytes.  From then on ``_within`` reads one bit instead of the BFS from
+        the source, so a caller about to query the segments of every source
+        builds them first; a single query does not need them.
         """
         if self._layers is None:
-            n = self.num_vertices
-            self._layers = []
-            if n * n // 8 <= REACH_LAYER_BYTES:
-                layer = [1 << x for x in range(n)]
-                sources = [[e.source for e in es] for es in self.in_edges]
-                while True:
-                    self._layers.append(layer)
-                    grown = []
-                    for x, ss in enumerate(sources):
-                        bits = layer[x]
-                        for s in ss:
-                            bits |= layer[s]
-                        grown.append(bits)
-                    if grown == layer:
-                        break
-                    layer = grown
-        return self._layers
+            layers = [[1 << x for x in range(self.num_vertices)]]
+            sources = [[e.source for e in es] for es in self.in_edges]
+            while True:
+                layer = layers[-1]
+                grown = []
+                for x, ss in enumerate(sources):
+                    bits = layer[x]
+                    for s in ss:
+                        bits |= layer[s]
+                    grown.append(bits)
+                if grown == layer:
+                    break
+                layers.append(grown)
+            self._layers = layers
 
     def _within(self, y: int, x: int, k: int) -> bool:
-        """Whether dist(y, x) <= k, for k >= 0: bit y of R[k][x], or the distance BFS from y above the guard."""
-        layers = self._layers or self._reach_layers()
-        if not layers:
+        """Whether dist(y, x) <= k, for k >= 0: bit y of R[k][x] once the layers are built, else the BFS from y."""
+        layers = self._layers
+        if layers is None:
             return self._search(y)[x] <= k
         return k >= len(layers) or layers[k][x] >> y & 1 == 1  # the last layer holds every source
 
@@ -310,49 +308,47 @@ class PQBG:
             self._energies[y, x] = self._energy(y, e.source, d - 1) + gain
         return self._energies[y, x]
 
-    def _segment_search(self, q: int) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
-        """Per source y, the BFS from y inside the subgraph of the edges whose pairing q divides, memoised per q.
+    def _segment(self, y: int, q: int) -> tuple[dict[int, int], dict[int, int]]:
+        """The BFS from y inside the subgraph of the edges whose pairing q divides, memoised per (y, q).
 
-        Entry y is ``(dist, energy)``: ``dist[x]`` is the q-distance of every
+        Returns ``(dist, energy)``: ``dist[x]`` is the q-distance of every
         reached x, and ``energy[x]`` is wt_Lambda(y => x) for the strong x,
-        those whose q-distance is dist(y, x): exactly the x with y outside
-        R[dist[x] - 1][x].  There the q-admissible tree path is a shortest
-        path too and must carry the energy ``_energy`` reads along a shortest
-        path of the whole graph: RuntimeError otherwise.
+        those whose q-distance d is dist(y, x): exactly the x with
+        dist(y, x) > d - 1, by ``_within``.  There the q-admissible tree path
+        is a shortest path too and must carry the energy ``_energy`` reads
+        along a shortest path of the whole graph: RuntimeError otherwise.
         """
-        found = self._segment_cache.get(q)
+        found = self._segment_cache.get((y, q))
         if found is None:
-            pairings = self.pairings
-            adjacent = [
-                [(e.target, pairings[e.label] if e.quantum else 0) for e in es if pairings[e.label] % q == 0]
-                for es in self.out_edges
-            ]
-            found = []
-            for y in range(self.num_vertices):
-                dist, tree, reached = {y: 0}, {y: 0}, [y]
-                for v in reached:  # grows while it is walked
-                    d, here = dist[v] + 1, tree[v]
-                    for t, gain in adjacent[v]:
-                        if t not in dist:
-                            dist[t] = d
-                            tree[t] = here + gain
-                            reached.append(t)
-                energy = {y: 0}
-                for x in reached[1:]:
-                    d = dist[x]
-                    if not self._within(y, x, d - 1):
-                        e = self._energy(y, x, d)
-                        if e != tree[x]:
-                            message = f"shortest paths from vertex {y} to {x} carry energies {e} and {tree[x]}"
-                            raise RuntimeError(message)
-                        energy[x] = e
-                found.append((dist, energy))
-            found = self._segment_cache[q] = tuple(found)
+            adjacent = self._adjacent.get(q)
+            if adjacent is None:
+                pairings = self.pairings
+                adjacent = self._adjacent[q] = [
+                    [(e.target, pairings[e.label] if e.quantum else 0) for e in es if pairings[e.label] % q == 0]
+                    for es in self.out_edges
+                ]
+            dist, tree, reached = {y: 0}, {y: 0}, [y]
+            for v in reached:  # grows while it is walked
+                d, here = dist[v] + 1, tree[v]
+                for t, gain in adjacent[v]:
+                    if t not in dist:
+                        dist[t] = d
+                        tree[t] = here + gain
+                        reached.append(t)
+            energy = {y: 0}
+            for x in reached[1:]:
+                d = dist[x]
+                if not self._within(y, x, d - 1):
+                    e = self._energy(y, x, d)
+                    if e != tree[x]:
+                        raise RuntimeError(f"shortest paths from vertex {y} to {x} carry energies {e} and {tree[x]}")
+                    energy[x] = e
+            found = self._segment_cache[y, q] = (dist, energy)
         return found
 
     def _path(self, x: int, y: int, q: int) -> DirectedPath | None:
         """A shortest q-admissible path from y to x, read back from x along the first nearer in-edges."""
-        dist = self._segment_search(q)[y][0]
+        dist = self._segment(y, q)[0]
         if x not in dist:
             return None
         vertices = [x]
@@ -374,7 +370,7 @@ class PQBG:
     def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
         """Like ``distances_from``, inside the sigma-admissible subgraph."""
         row = [-1] * self.num_vertices
-        for x, d in self._segment_search(_denominator(sigma))[y][0].items():
+        for x, d in self._segment(y, _denominator(sigma))[0].items():
             row[x] = d
         return tuple(row)
 
@@ -389,15 +385,15 @@ class PQBG:
         """
         q = _denominator(sigma)
         path = self._path(x, y, q)
-        return SigmaPathResult(path, x in self._segment_search(q)[y][1])
+        return SigmaPathResult(path, x in self._segment(y, q)[1])
 
-    def segment_energies(self, y: int, sigma: Fraction) -> dict[int, int]:
+    def segment_energies(self, y: int, sigma: Fraction) -> Mapping[int, int]:
         """wt_Lambda(y => x) for the x some sigma-admissible shortest path from y reaches, y itself included.
 
-        The memoised, checked energies of ``_segment_search`` at the
-        denominator of sigma; the caller must not change them.
+        A read-only view of the memoised, checked energies of ``_segment`` at
+        the denominator of sigma.
         """
-        return self._segment_search(_denominator(sigma))[y][1]  # sigma is range-checked on a warm entry too
+        return MappingProxyType(self._segment(y, _denominator(sigma))[1])  # sigma is range-checked on a warm entry too
 
     # -- export --------------------------------------------------------------
 

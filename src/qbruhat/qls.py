@@ -15,11 +15,13 @@ times.
 
 One walk over candidate indices serves both variants, the degree table and
 ``verify``.  Its successor lists are built per denominator from the graph's
-sparse segment search.  The strong lists read the search's energies
-(``PQBG.segment_energies``), with no row of length N, and hold each
-segment's energy wt_Lambda(x_{k+1} => x_k): a segment is strong exactly
-where that energy is held, and every energy is checked when the search is
-built.  The weak lists read the search's distances as rows of length N
+sparse segment searches, one per source, after the graph's reach layers
+(``PQBG.build_reach_layers``), so that each strongness test is one bit.
+The strong lists read the searches' energies (``PQBG.segment_energies``),
+with no row of length N, and hold each segment's energy
+wt_Lambda(x_{k+1} => x_k): a segment is strong exactly where that energy is
+held, and every energy is checked when the search is built.  The weak lists
+read the searches' distances as rows of length N
 (``PQBG.sigma_distances_from``), so the weak walk runs the same checks.
 ``path_listing`` keeps the walk's records as indices, with each vertex name
 and candidate time text formatted once.  ``degree._walk_rows`` checks every
@@ -92,7 +94,9 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
     # may follow x at time candidates[i]; the energy is wt_Lambda(y => x) in
     # the strong variant, read from the graph's sparse, checked segment
     # energies, and None in the weak one.  Admissibility depends on the
-    # denominator alone, so times with one denominator share a table.
+    # denominator alone, so times with one denominator share a table.  The
+    # tables query every source, so the reach layers are built first.
+    g.build_reach_layers()
     m = g.num_vertices
     tables: dict[int, list[list[tuple]]] = {}
     for sigma in candidates:

@@ -92,15 +92,16 @@ class TestQbg:
 
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     def test_no_segment_search(self, capsys, monkeypatch, fmt):
-        # the reach layers, the whole-graph energies and the per-denominator
-        # searches are built on the first segment query, which qbg never makes
+        # the reach layers, the whole-graph energies, the per-denominator
+        # adjacencies and the segment searches are built by segment queries
+        # and successor tables, which qbg never makes
         built = []
         real = cli.build_context
         monkeypatch.setattr(cli, "build_context", lambda *args: built.append(real(*args)) or built[-1])
         code, _, _ = run(capsys, "qbg", "--type", "D4", "--lambda", "1,1,1,1", "--format", fmt)
         (ctx,) = built
         g = ctx.graph
-        assert code == 0 and g._layers is None and g._energies == {} and g._segment_cache == {}
+        assert code == 0 and g._layers is None and g._energies == {} and g._adjacent == {} and g._segment_cache == {}
 
     def test_bad_type(self, capsys):
         for type_name in ("Z9", " a", "A 2", "a9"):
@@ -158,6 +159,21 @@ class TestDegree:
         )
         assert code == 0
         assert out.splitlines()[1].endswith(",-1")
+
+    def test_path_literal_builds_only_its_segments(self, capsys, monkeypatch):
+        # one literal reads the segment search of each of its segments, and
+        # the whole-graph BFS of those segments' sources, not the reach
+        # layers or the search of every source that the tables build
+        built = []
+        real = cli.build_context
+        monkeypatch.setattr(cli, "build_context", lambda *args: built.append(real(*args)) or built[-1])
+        literal = "e;s1 s2 s1;s1 s2 s1 s3 s2 s4 s2 s3;s1 s2 s3 s2 s4 s2 s3|0,1/2,2/3,3/4,1"
+        code, out, _ = run(capsys, "degree", "--type", "D4", "--lambda", "1,1,1,1", "--path", literal)
+        (ctx,) = built
+        g = ctx.graph
+        assert code == 0 and out.splitlines()[1].endswith(",2;3;0,-2")
+        assert g._layers is None and set(g._adjacent) == {2, 3, 4} and len(g._segment_cache) == 3
+        assert len(g._search_cache) == 4  # vertex 0, by the connectivity check, and the three sources
 
     def test_path_literal_straight(self, capsys):
         code, out, _ = run(capsys, "degree", "--type", "A2", "--lambda", "2,1", "--path", "e|0,1")
@@ -291,8 +307,8 @@ class TestVerify:
 
     def test_segments_computed_once(self, capsys, monkeypatch):
         # the strong and weak walks read the searches the graph memoises per
-        # denominator of sigma, so each is built once, and one is built for
-        # every candidate's denominator
+        # source and denominator of sigma, so each is built once, and one is
+        # built for every source and every candidate's denominator
         built = []
         stored = Counter()
         real = cli.build_context
@@ -313,7 +329,7 @@ class TestVerify:
         g = ctx.graph
         denominators = {sigma.denominator for sigma in sigma_candidates(g)}
         assert code == 0 and set(stored.values()) == {1}
-        assert set(g._segment_cache) == denominators
+        assert set(g._segment_cache) == {(y, q) for y in range(g.num_vertices) for q in denominators}
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):

@@ -20,7 +20,6 @@ from conftest import (
     type_group,
     vertex_by_word,
 )
-import qbruhat.qbg as qbg
 from qbruhat import build_context
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
@@ -91,13 +90,30 @@ class TestSuccessorTables:
         self.assert_tables_match(cached_context(name, mults).graph)
 
     @DEGREE_SHAPES
-    def test_above_the_layer_guard(self, monkeypatch, name, mults):
-        # with the guard below one layer no reach layer is built, and the
-        # distances come from the whole-graph BFS: the tables do not change
-        monkeypatch.setattr(qbg, "REACH_LAYER_BYTES", 0)
+    def test_single_queries_without_layers(self, name, mults):
+        # asked one source at a time, with no reach layer built, the searches
+        # decide strongness from the whole-graph BFS of each source: the
+        # tables do not change
         g = build_context(name, mults).graph
-        self.assert_tables_match(g)
-        assert g._layers == []
+        candidates = sigma_candidates(g)
+        n = g.num_vertices
+        strong = [[[] for _ in range(n)] for _ in candidates]
+        weak = [[[] for _ in range(n)] for _ in candidates]
+        for sigma, strong_table, weak_table in zip(candidates, strong, weak):
+            for y in range(n):
+                for x, energy in g.segment_energies(y, sigma).items():
+                    if x != y:
+                        strong_table[x].append((y, energy))
+                for x, sdist in enumerate(g.sigma_distances_from(y, sigma)):
+                    if x != y and sdist >= 0:
+                        weak_table[x].append((y, None))
+        assert (strong, weak) == reference_successors(g, candidates) and g._layers is None
+
+    def test_energies_are_read_only(self, a2_21):
+        # the memoised energies every later table reads cannot be changed through the public query
+        energies = a2_21.graph.segment_energies(0, F(1, 2))
+        with pytest.raises(TypeError):
+            energies[0] = 1
 
 
 class TestEnumerate:
