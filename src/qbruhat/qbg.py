@@ -15,8 +15,13 @@ one of the two length conditions holds:
 * Bruhat:   len(target) = len(w) + 1
 * quantum:  len(target) = len(w) - 2 <rho - rho_J, beta^vee> + 1
 
-The two conditions exclude each other because <rho - rho_J, beta^vee> >= 1
-on the allowed labels; this is asserted during the build.
+The two conditions coincide only where <rho - rho_J, beta^vee> = 0, and it
+is >= 1 on the allowed labels; this is asserted once per label, before any
+edge is built, so each (vertex, label) pair is decided by one ``if``/``elif``
+on the target's length.  ``in_edges[x]`` is filled in (source, label)
+order; the out-lists are then filled by walking it in ascending target
+order, so ``out_edges[w]`` comes out in (target, label) order by
+construction.
 
 Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
@@ -54,12 +59,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .cartan import LevelZeroShape, Weight, pair
 
 
-@dataclass(frozen=True)
-class QBGEdge:
+class QBGEdge(NamedTuple):
     source: int  # vertex index
     target: int  # vertex index
     label: int  # index into rs.positive_roots
@@ -104,7 +109,9 @@ class PQBG:
     """The graph of one shape on W^J, J = ``shape.parabolic``; all queries are pure.
 
     ``words[v]`` is the reduced word of vertex v.  ``edges`` is in (source,
-    label) order: vertices ascending, and the labels of each vertex ascending.
+    label) order: vertices ascending, and the labels of each vertex ascending;
+    ``in_edges[x]`` is in (source, label) order and ``out_edges[w]`` in
+    (target, label) order.
     """
 
     def __init__(self, shape: LevelZeroShape):
@@ -126,27 +133,42 @@ class PQBG:
         outside = lambda beta: any(c and i + 1 not in self.J for i, c in enumerate(beta))
         self.labels = tuple(idx for idx, beta in enumerate(rs.positive_roots) if outside(beta))  # roots outside Phi_J
         # the orbit by BFS from Lambda (points grows while it is walked), so by
-        # length; left[p][i] is the point r_{i+1} mu_p, mu_p itself when fixed
+        # length; left[p][i] is the point r_{i+1} mu_p, mu_p itself when fixed.
+        # r_i mu = mu - <mu, alpha_i^vee> alpha_i moves only the coordinates j
+        # where row i of the Cartan matrix is nonzero: moves[i] lists (j, c)
+        moves = [[(j, c) for j, c in enumerate(alpha) if c] for alpha in rs.cartan]
         points, index, left = [lam], {lam: 0}, []
-        for mu in points:
-            images = [tuple(a - mu[i] * c for a, c in zip(mu, alpha)) for i, alpha in enumerate(rs.cartan)]
-            for nu in images:
-                if nu not in index:
-                    index[nu] = len(points)
+        for p, mu in enumerate(points):
+            row = []
+            for m, move in zip(mu, moves):
+                if m == 0:
+                    row.append(p)
+                    continue
+                nu = list(mu)
+                for j, c in move:
+                    nu[j] -= m * c
+                nu = tuple(nu)
+                found = index.get(nu)
+                if found is None:
+                    found = index[nu] = len(points)
                     points.append(nu)
-            left.append([index[nu] for nu in images])
-        words = [()]
+                row.append(found)
+            left.append(row)
+        words, length = [()], [0]
         for p in range(1, len(points)):
             i = next(i for i, c in enumerate(points[p]) if c < 0)
             words.append((i + 1, *words[left[p][i]]))
+            length.append(length[left[p][i]] + 1)
         # target[p][k]: the point x r_beta Lambda, beta = labels[k] and x the vertex
         # of mu_p; r_beta Lambda at e, and r_i applied to the target of x' at s_i x'
         target = [[index[rs.reflect_weight(lam, idx)] for idx in self.labels]]
         for p in range(1, len(points)):
             i = words[p][0] - 1
             target.append([left[t][i] for t in target[left[p][i]]])
-        order = sorted(range(len(points)), key=lambda p: (len(words[p]), words[p]))
-        vertex = {p: v for v, p in enumerate(order)}
+        order = sorted(range(len(points)), key=lambda p: (length[p], words[p]))
+        vertex = [0] * len(points)
+        for v, p in enumerate(order):
+            vertex[p] = v
         self.num_vertices = len(points)
         self.words = tuple(words[p] for p in order)
         self._orbit = tuple(points[p] for p in order)
@@ -159,24 +181,26 @@ class PQBG:
             raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
 
         edges: list[QBGEdge] = []
-        out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         incoming: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
         for v, p in enumerate(order):
-            lw = len(words[p])
+            up = length[p] + 1
             for idx, drop2, t in zip(self.labels, drops, target[p]):
-                lt = len(words[t])
-                bruhat = lt == lw + 1
-                quantum = lt == lw - drop2 + 1
-                if bruhat and quantum:
-                    raise RuntimeError("edge dichotomy violated")
-                if bruhat or quantum:
-                    e = QBGEdge(v, vertex[t], idx, quantum)
-                    edges.append(e)
-                    out[v].append(e)
-                    incoming[e.target].append(e)
-        key = lambda e: (e.target, e.label)
+                # both conditions hold only when drop2 == 0, which the check above refuses
+                lt = length[t]
+                if lt == up:
+                    e = QBGEdge(v, vertex[t], idx, False)
+                elif lt == up - drop2:
+                    e = QBGEdge(v, vertex[t], idx, True)
+                else:
+                    continue
+                edges.append(e)
+                incoming[e.target].append(e)
+        out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
+        for es in incoming:  # targets ascending, so each out-list comes out in (target, label) order
+            for e in es:
+                out[e.source].append(e)
         self.edges = tuple(edges)
-        self.out_edges = tuple(tuple(sorted(es, key=key)) for es in out)
+        self.out_edges = tuple(map(tuple, out))
         self.in_edges = tuple(map(tuple, incoming))  # appended in (source, label) order
 
     def _check_strongly_connected(self) -> None:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -284,9 +283,9 @@ def faulty_edges(g, fault: str):
     old, new = {
         "drop-bruhat": (bruhat, None),
         "drop-quantum": (quantum, None),
-        "quantum-to-bruhat": (quantum, replace(quantum, quantum=False)),
-        "relabel": (bruhat, replace(bruhat, label=other_label)),
-        "retarget": (bruhat, replace(bruhat, target=other_target)),
+        "quantum-to-bruhat": (quantum, quantum._replace(quantum=False)),
+        "relabel": (bruhat, bruhat._replace(label=other_label)),
+        "retarget": (bruhat, bruhat._replace(target=other_target)),
     }[fault]
     return [new if e == old else e for e in g.edges if e != old or new is not None]
 
@@ -297,9 +296,9 @@ def single_edge_faults(g):
     for i, e in enumerate(edges):
         rest = edges[:i] + edges[i + 1 :]
         yield rest
-        yield rest + [replace(e, quantum=not e.quantum)]
-        yield from (rest + [replace(e, label=label)] for label in g.labels if label != e.label)
-        yield from (rest + [replace(e, target=v)] for v in range(g.num_vertices) if v != e.target)
+        yield rest + [e._replace(quantum=not e.quantum)]
+        yield from (rest + [e._replace(label=label)] for label in g.labels if label != e.label)
+        yield from (rest + [e._replace(target=v)] for v in range(g.num_vertices) if v != e.target)
         yield edges + [e]
 
 

@@ -132,6 +132,20 @@ class TestBuild:
         with pytest.raises(RuntimeError, match="not strongly connected"):
             PQBG(a2_21.shape)
 
+    def test_dichotomy_guard_raises(self, a2_21, monkeypatch):
+        # with <rho - rho_J, beta^vee> = 0 both length conditions would coincide; the per-label check refuses it
+        monkeypatch.setattr(qbruhat.qbg, "pair", lambda *args: 0)
+        with pytest.raises(RuntimeError, match=r"<rho - rho_J, beta\^vee> < 1 on an allowed label"):
+            PQBG(a2_21.shape)
+
+    def test_edges_are_immutable_and_hashable(self, c2_11):
+        g = c2_11.graph
+        e = g.edges[0]
+        with pytest.raises(AttributeError):
+            e.target = e.source
+        assert len(set(g.edges)) == len(g.edges)
+        assert {e.kind for e in g.edges} == {"bruhat", "quantum"}
+
 
 def reference_vertex_of_word(ctx, word: tuple[int, ...]) -> int | str:
     """The vertex a word names, or the error text: through the group table and the coset projection."""
@@ -210,13 +224,16 @@ _ZERO_ONE_SHAPES = [
     for mults in product((0, 1), repeat=int(name[1:]))
     if any(mults)
 ]
+# multiplicities above 1: the orbit update scales alpha_i by mu_i and skips the fixed points
+_HIGHER_SHAPES = [("G2", (2, 2)), ("B3", (2, 1, 1)), ("A3", (2, 0, 3)), ("C3", (0, 2, 1)), ("F4", (0, 0, 2, 1))]
+_ORBIT_SHAPES = _ZERO_ONE_SHAPES + _HIGHER_SHAPES
 
 
 class TestOrbitBuild:
     """The graph built from the orbit W Lambda is the one the group table gives."""
 
     @pytest.mark.parametrize(
-        "name,mults", _ZERO_ONE_SHAPES, ids=[f"{n}-{''.join(map(str, m))}" for n, m in _ZERO_ONE_SHAPES]
+        "name,mults", _ORBIT_SHAPES, ids=[f"{n}-{''.join(map(str, m))}" for n, m in _ORBIT_SHAPES]
     )
     def test_matches_group_built_graph(self, name, mults):
         ctx = build_context(name, mults)
