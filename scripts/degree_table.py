@@ -2,7 +2,9 @@
 """Print the degree table of a shape and its degree histogram.
 
 The rows come from ``degree_rows``: one enumeration walk that carries each
-segment's energy, in the canonical path order.
+segment's energy, in the canonical path order.  A reader that closes the
+output early (``| head``) ends the script with exit 141 and nothing on
+stderr, as it ends ``qbruhat``.
 
 Usage:
     python3 scripts/degree_table.py A2 2,1
@@ -15,6 +17,7 @@ from collections import Counter
 
 from qbruhat import build_context
 from qbruhat.cartan import parse_multiplicities
+from qbruhat.cli import run_to_stdout
 from qbruhat.degree import degree_rows
 from qbruhat.qls import EnumerationCap
 from qbruhat.weyl import GroupCapExceeded
@@ -41,4 +44,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_to_stdout(main))

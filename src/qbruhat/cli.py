@@ -169,7 +169,7 @@ def cmd_qbg(args: argparse.Namespace) -> int:
 def cmd_qls(args: argparse.Namespace) -> int:
     ctx = _context(args)
     listing = path_listing(ctx.graph, args.variant == "hat", args.cap)
-    texts = ((listing.dir_names(dirs), listing.time_texts(idx)) for _, dirs, idx, _ in listing.paths)
+    texts = ((listing.dir_names(dirs), listing.time_texts(idx)) for dirs, idx, _ in listing.paths)
     if args.format == "csv":
         _write_lines(["dirs,times", *map(_csv_line, texts)])
         return 0
@@ -346,25 +346,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_to_stdout(run) -> int:
+    """The exit code of ``run()``, with stdout flushed; 141, as after SIGPIPE, if the reader closed stdout.
+
+    ``main`` and ``scripts/degree_table.py`` end here, so that ``| head``
+    leaves nothing on stderr.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the unflushed rest to devnull so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _validate(args)
-        code = args.run(args)
-        sys.stdout.flush()
-    except (CliError, EnumerationCap) as exc:
-        advice = "; raise the cap to continue" if isinstance(exc, EnumerationCap) else ""  # the CLI has --cap
-        print(f"error: {exc}{advice}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # the reader closed stdout (``| head``): send the unflushed rest to devnull so the exit flush cannot
-        # fail again, and exit as a process killed by SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    return code
+
+    def run() -> int:
+        try:
+            _validate(args)
+            return args.run(args)
+        except (CliError, EnumerationCap) as exc:
+            advice = "; raise the cap to continue" if isinstance(exc, EnumerationCap) else ""  # the CLI has --cap
+            print(f"error: {exc}{advice}", file=sys.stderr)
+            return 2
+
+    return run_to_stdout(run)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ of their denominators, so the sum is an integer over L.
 Every path of the shape takes one route to its row: the enumeration walk
 carries the energies, and ``_walk_rows`` reads every time as a tick over
 one L, the lcm of all candidate denominators.  It checks each path's
-structure.  The sum and its exactness check read only the path's schedule,
-its (candidate indices, energies), so they run once per distinct schedule,
+structure: the times once per index tuple, the directions on every row.
+The sum and its exactness check read only the path's schedule, its
+(candidate indices, energies), so they run once per distinct schedule,
 and so does the caller's formatting of the schedule's texts.
 ``degree_rows``, ``cli.cmd_degree`` and ``cli.verify_shape`` all take this
 route.  ``degree``, ``lift`` and ``degree_table`` take given paths
@@ -40,7 +41,7 @@ from operator import mul
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import Listing, QLSPath, _structure_ok, path_listing, path_to_json, time_ticks
+from .qls import Listing, QLSPath, _dirs_ok, _structure_ok, _ticks_ok, path_listing, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -142,6 +143,12 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     return rows
 
 
+def _invalid_row(listing: Listing, dirs: tuple[int, ...], idx: tuple[int, ...]) -> InvalidQLSPath:
+    """The error of a row that fails the structure check, naming it as a path literal."""
+    literal = f"{';'.join(listing.dir_names(dirs))}|{','.join(listing.time_texts(idx))}"
+    return InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
+
+
 def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple]:
     """Each path of a strong ``qls.path_listing`` as (dirs, ``schedule_row(idx, energies, deg)``).
 
@@ -149,24 +156,31 @@ def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple]:
     nothing else.  The candidates are read once as ticks over L, the lcm of
     all their denominators: a path's sum over L is its sum over the lcm of
     its own denominators times a positive integer, so the exactness check
-    and its sign mean what they mean on ``degree``.  Every row passes the
-    structure check, on a tick list built once per index tuple; the degree
-    and ``schedule_row`` run once per distinct schedule.
+    and its sign mean what they mean on ``degree``.  Every row passes both
+    halves of the structure check, ``qls._structure_ok``: the tick half
+    reads the index tuple alone and runs once per tuple, where its tick list
+    is built, and the direction half runs on every row, in order.  A row
+    that fails either half is named as a path literal.  The degree and
+    ``schedule_row`` run once per distinct schedule.
     """
     candidates = listing.candidates
     L = lcm(*[t.denominator for t in candidates])
     tick = [t.numerator * (L // t.denominator) for t in candidates]
     by_idx: dict[tuple, tuple[list[int], dict]] = {}  # idx -> (its ticks, its schedules' rows by energies)
-    for _, dirs, idx, energies in listing.paths:
-        if idx not in by_idx:
-            by_idx[idx] = [0, *[tick[i] for i in idx], L], {}
-        ticks, made = by_idx[idx]
-        if not _structure_ok(g, dirs, L, ticks):
-            literal = f"{';'.join(listing.dir_names(dirs))}|{','.join(listing.time_texts(idx))}"
-            raise InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
-        if energies not in made:
-            made[energies] = schedule_row(idx, energies, _degree_of(energies, L, ticks))
-        yield dirs, made[energies]
+    for dirs, idx, energies in listing.paths:
+        entry = by_idx.get(idx)
+        if entry is None:
+            ticks = [0, *[tick[i] for i in idx], L]
+            if not _ticks_ok(L, ticks):
+                raise _invalid_row(listing, dirs, idx)
+            entry = by_idx[idx] = ticks, {}
+        ticks, made = entry
+        if not _dirs_ok(g, dirs, ticks):
+            raise _invalid_row(listing, dirs, idx)
+        row = made.get(energies)
+        if row is None:
+            row = made[energies] = schedule_row(idx, energies, _degree_of(energies, L, ticks))
+        yield dirs, row
 
 
 def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:

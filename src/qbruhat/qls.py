@@ -14,7 +14,12 @@ Enumeration orders paths by number of directions, then directions, then
 times.
 
 One walk over candidate indices serves both variants, the degree table and
-``verify``.  Its successor lists are built per denominator from the graph's
+``verify``.  It runs level by level, one level per number of directions:
+each path is extended from a suffix of its last direction's successor
+list, ordered by candidate index, so no empty list is visited; each level
+is sorted on (directions, indices), and the levels, concatenated, are in
+the canonical order with no global sort.  The cap is checked while a level
+grows.  Its successor lists are built per denominator from the graph's
 sparse segment searches, one per source, after the graph's reach layers
 (``PQBG.build_reach_layers``), so that each strongness test is one bit.
 The strong lists read the searches' energies (``PQBG.segment_energies``),
@@ -24,10 +29,11 @@ held, and every energy is checked when the search is built.  The weak lists
 read the searches' distances as rows of length N
 (``PQBG.sigma_distances_from``), so the weak walk runs the same checks.
 ``path_listing`` keeps the walk's records as indices, with each vertex name
-and candidate time text formatted once.  ``degree._walk_rows`` checks every
-row's structure, and sums, checks and formats each distinct schedule, a
-path's (candidate indices, energies), once; the table writes the rows, and
-``verify`` lifts them.
+and candidate time text formatted once.  ``degree._walk_rows`` checks the
+structure of every row, its times once per index tuple (``_ticks_ok``)
+and its directions on every row (``_dirs_ok``); it sums, checks and formats
+each distinct schedule, a path's (candidate indices, energies), once; the
+table writes the rows, and ``verify`` lifts them.
 """
 
 from __future__ import annotations
@@ -77,16 +83,23 @@ def time_ticks(times) -> tuple[int, list[int]]:
     return L, [t.numerator * (L // t.denominator) for t in times]
 
 
-def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:
+def _ticks_ok(L: int, ticks: list[int]) -> bool:
+    """The half of the structure check that reads the times only: 0 = ticks[0] < ... < ticks[-1] = L."""
+    return bool(ticks) and ticks[0] == 0 and ticks[-1] == L and all(map(lt, ticks, ticks[1:]))
+
+
+def _dirs_ok(g: PQBG, dirs: tuple[int, ...], ticks: list[int]) -> bool:
+    """The half that reads the directions: one more time than directions, vertices in range, neighbours distinct."""
     if len(ticks) != len(dirs) + 1 or not dirs:
-        return False
-    if ticks[0] != 0 or ticks[-1] != L:
-        return False
-    if not all(map(lt, ticks, ticks[1:])):
         return False
     if min(dirs) < 0 or max(dirs) >= g.num_vertices:
         return False
     return all(map(ne, dirs, dirs[1:]))
+
+
+def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:
+    """The structure check of a path given as directions and ticks over L: both halves."""
+    return _dirs_ok(g, dirs, ticks) and _ticks_ok(L, ticks)
 
 
 def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[tuple]]]:
@@ -115,37 +128,65 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
     return [tables[sigma.denominator] for sigma in candidates]
 
 
-def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
-    """The candidate times and every path as (len, dirs, candidate indices, energies), sorted.
+def _suffix_lists(succ: list[list[list[tuple]]], m: int) -> tuple[list[list[tuple]], list[list[int]]]:
+    # flat[x]: the successors of x at every candidate, as singleton tuples ((y,), (i,), (energy,)) in
+    # candidate order, then y ascending; flat[x][start[x][i]:] are those at candidates i and later.  The
+    # singletons are shared, so a walk step concatenates tuples and builds no new one.
+    ys = [(y,) for y in range(m)]
+    ones: dict = {}
+    flat: list[list[tuple]] = [[] for _ in range(m)]
+    start: list[list[int]] = [[] for _ in range(m)]
+    for i, table in enumerate(succ):
+        si = (i,)
+        for x, pairs in enumerate(table):
+            start[x].append(len(flat[x]))
+            flat[x] += [(ys[y], si, ones.setdefault(energy, (energy,))) for y, energy in pairs]
+    for x in range(m):
+        start[x].append(len(flat[x]))
+    return flat, start
 
-    Sorting on (len, dirs, indices) orders by number of directions, then
-    directions, then times, since the candidates ascend; no two paths tie on it.  The energies are the
-    segments' wt_Lambda(x_{p+1} => x_p) in the strong variant.  Each vertex x gives the path (x; 0, 1) and an
-    edge s -> t whose label pairs to v the v - 1 paths (t, s; 0, k/v, 1), so the walk refuses a cap below
-    their count before building any time.
+
+def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
+    """The candidate times and every path as (dirs, candidate indices, energies), in the canonical order.
+
+    The walk goes level by level, one level per number of directions.  A
+    path whose last candidate index is i is extended by the successors of
+    its last direction at the candidates after i, read from one suffix of
+    that direction's flat successor list.  Each level is sorted on
+    (dirs, indices), which orders by directions, then times, since the
+    candidates ascend and no two paths tie; the levels are concatenated in
+    order, so no global sort runs.  The energies are the segments'
+    wt_Lambda(x_{p+1} => x_p) in the strong variant.  Each vertex x gives
+    the path (x; 0, 1) and an edge s -> t whose label pairs to v the v - 1
+    paths (t, s; 0, k/v, 1), so the walk refuses a cap below their count
+    before building any time; after that the count is checked after each
+    path is extended, so no level grows past the cap by more than one
+    path's successors.
     """
     if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
         raise EnumerationCap(f"more than {cap} paths")
     candidates = sigma_candidates(g)
-    succ = _successors(g, candidates, strong)
+    flat, start = _suffix_lists(_successors(g, candidates, strong), g.num_vertices)
     found: list[tuple] = []
-    # a stack, not recursion: a path may have more directions than Python's recursion limit allows frames
-    stack: list[tuple] = [((start,), (), (), -1) for start in range(g.num_vertices)]
-    while stack:
-        dirs, idx, energies, last = stack.pop()
-        found.append((len(dirs), dirs, idx, energies))
-        if len(found) > cap:
-            raise EnumerationCap(f"more than {cap} paths")
-        cur = dirs[-1]
-        for si in range(last + 1, len(candidates)):
-            for nxt, energy in succ[si][cur]:
-                stack.append(((*dirs, nxt), (*idx, si), (*energies, energy), si))
-    found.sort()
+    level: list[tuple] = [((x,), (), ()) for x in range(g.num_vertices)]
+    while level:
+        found += level
+        room = cap - len(found)
+        grown: list[tuple] = []
+        for dirs, idx, energies in level:
+            cur = dirs[-1]
+            tail = flat[cur][start[cur][idx[-1] + 1] if idx else 0 :]
+            if tail:
+                grown += [(dirs + y, idx + i, energies + e) for y, i, e in tail]
+                if len(grown) > room:
+                    raise EnumerationCap(f"more than {cap} paths")
+        grown.sort()
+        level = grown
     return candidates, found
 
 
 class Listing(NamedTuple):
-    """A walk's paths in order, each as (number of directions, dirs, candidate indices, energies).
+    """A walk's paths in order, each as (dirs, candidate indices, energies).
 
     The records carry indices only: ``names[v]`` is the name of vertex v and
     ``texts[i]`` the text of candidate time i, each formatted once, and a
@@ -180,7 +221,7 @@ def candidate_times(candidates: tuple[Fraction, ...], idx: tuple[int, ...]) -> t
 
 def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
     candidates, found = _walk(g, strong, cap)
-    return tuple(QLSPath(dirs, candidate_times(candidates, idx)) for _, dirs, idx, _ in found)
+    return tuple(QLSPath(dirs, candidate_times(candidates, idx)) for dirs, idx, _ in found)
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:

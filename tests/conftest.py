@@ -1,5 +1,6 @@
-"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, lift chains,
-the graph, path and oracle queries that only the tests ask, and the ``qbg`` JSON document built as dicts."""
+"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, the reference
+enumeration walk, lift chains, the graph, path and oracle queries that only the tests ask, and the ``qbg`` JSON
+document built as dicts."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from qbruhat.affine_oracle import AffineOrbitElement
 from qbruhat.cartan import Coroot, FiniteType, build_root_system
 from qbruhat.degree import lift
 from qbruhat.qbg import DirectedPath
-from qbruhat.qls import QLSPath, _structure_ok, time_ticks
+from qbruhat.qls import EnumerationCap, QLSPath, _structure_ok, _successors, sigma_candidates, time_ticks
 from qbruhat.weyl import coset_system, enumerate_group
 
 
@@ -269,6 +270,36 @@ def reference_successors(g, candidates) -> tuple[list, list]:
                 if x != y and dist[x] >= 0:
                     weak[q][x].append((y, None))
     return [strong[s.denominator] for s in candidates], [weak[s.denominator] for s in candidates]
+
+
+# -- the walk reference: a depth-first walk and one global sort ----------------
+
+
+def reference_walk(g, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
+    """The records of ``qls._walk``, (dirs, candidate indices, energies), from a depth-first walk.
+
+    Every path is extended by every later candidate index, empty successor
+    lists included, and the records are sorted once, on (number of
+    directions, dirs, indices), at the end.  The cap is refused as the walk
+    refuses it: before any time is built when the straight and two-direction
+    paths alone exceed it, else as soon as the count does.
+    """
+    if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
+        raise EnumerationCap(f"more than {cap} paths")
+    candidates = sigma_candidates(g)
+    succ = _successors(g, candidates, strong)
+    found: list[tuple] = []
+    stack: list[tuple] = [((start,), (), (), -1) for start in range(g.num_vertices)]
+    while stack:
+        dirs, idx, energies, last = stack.pop()
+        found.append((len(dirs), dirs, idx, energies))
+        if len(found) > cap:
+            raise EnumerationCap(f"more than {cap} paths")
+        for si in range(last + 1, len(candidates)):
+            for nxt, energy in succ[si][dirs[-1]]:
+                stack.append(((*dirs, nxt), (*idx, si), (*energies, energy), si))
+    found.sort()
+    return candidates, [record[1:] for record in found]
 
 
 # -- lift chains: the cover chains between adjacent lifted weights ------------

@@ -34,7 +34,7 @@ from qbruhat.qls import (
     sigma_candidates,
     time_ticks,
 )
-from test_qls import example_paths
+from test_qls import assert_walk_matches_reference, example_paths
 
 
 class TestGolden:
@@ -393,15 +393,29 @@ class TestDegreeRows:
         hat, tilde = enumerate_hat(g), enumerate_tilde(g)
         assert hat == tilde == _reference_enumerate(g, True) == _reference_enumerate(g, False)
 
+    @ROW_SHAPES
+    def test_walk_equals_reference(self, name, mults):
+        # level by level over suffix successor lists, record for record the depth-first walk and its sort
+        assert_walk_matches_reference(cached_context(name, mults).graph)
+
     def test_structure_check_runs_on_every_row(self, monkeypatch, a2_21):
-        monkeypatch.setattr(degree_mod, "_structure_ok", lambda *args: False)
+        # the direction half is the part of the check that reads each row
+        monkeypatch.setattr(degree_mod, "_dirs_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath, match="structurally invalid"):
             degree_rows(a2_21.graph)
 
     def test_structure_message_names_words_and_times(self, monkeypatch, a2_21):
         # the row is named as a path literal, by words and time texts, not by
         # vertex indices and a list repr
-        monkeypatch.setattr(degree_mod, "_structure_ok", lambda *args: False)
+        monkeypatch.setattr(degree_mod, "_dirs_ok", lambda *args: False)
+        with pytest.raises(InvalidQLSPath) as info:
+            degree_rows(a2_21.graph)
+        assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
+
+    def test_tick_half_names_the_row_as_a_literal(self, monkeypatch, a2_21):
+        # the tick half runs where a new index tuple's ticks are built; failing, it names the first row with
+        # that tuple, with the same literal as the direction half
+        monkeypatch.setattr(degree_mod, "_ticks_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath) as info:
             degree_rows(a2_21.graph)
         assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
@@ -446,18 +460,36 @@ class TestDegreeRows:
 
     @ROW_SHAPES
     def test_structure_check_once_per_row(self, monkeypatch, name, mults):
-        # the tick lists are shared per index tuple, but each row is still checked, in order
+        # the tick lists are shared per index tuple, but the direction half checks each row, in order
         g = cached_context(name, mults).graph
         checked = []
-        real = degree_mod._structure_ok
+        real = degree_mod._dirs_ok
 
-        def recording(graph, dirs, L, ticks):
+        def recording(graph, dirs, ticks):
             checked.append(dirs)
-            return real(graph, dirs, L, ticks)
+            return real(graph, dirs, ticks)
 
-        monkeypatch.setattr(degree_mod, "_structure_ok", recording)
+        monkeypatch.setattr(degree_mod, "_dirs_ok", recording)
         degree_rows(g)
         assert checked == [path.directions for path in enumerate_hat(g)]
+
+    @ROW_SHAPES
+    def test_tick_check_once_per_index_tuple(self, monkeypatch, name, mults):
+        # the tick half reads the times alone, so it runs once for each distinct time tuple, where its tick
+        # list is built, in the order of the tuples' first rows
+        g = cached_context(name, mults).graph
+        checked = []
+        real = degree_mod._ticks_ok
+
+        def recording(L, ticks):
+            checked.append((L, tuple(ticks)))
+            return real(L, ticks)
+
+        monkeypatch.setattr(degree_mod, "_ticks_ok", recording)
+        degree_rows(g)
+        firsts = list(dict.fromkeys(path.times for path in enumerate_hat(g)))
+        L = checked[0][0]
+        assert checked == [(L, tuple(t * L for t in times)) for times in firsts]
 
     @ROW_SHAPES
     @pytest.mark.parametrize("route", ["degree_rows", "csv"])
@@ -481,7 +513,7 @@ class TestDegreeRows:
             capsys.readouterr()
         assert len(table) > len(schedules) and len(summed) == len(schedules) and set(summed.values()) == {1}
 
-    @pytest.mark.parametrize("check", ["_structure_ok", "_degree_of"])
+    @pytest.mark.parametrize("check", ["_dirs_ok", "_ticks_ok", "_degree_of"])
     def test_failure_on_the_last_row_prints_nothing(self, capsys, monkeypatch, a2_21, check):
         # every row of the table is built before the first write, so a check that fails on the last row
         # leaves stdout empty

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qbruhat.qls as qls_mod
 from conftest import (
     REFERENCE_SHAPES,
     cached_context,
@@ -17,6 +18,7 @@ from conftest import (
     is_tilde_path,
     path_from_json,
     reference_successors,
+    reference_walk,
     type_group,
     vertex_by_word,
 )
@@ -26,6 +28,7 @@ from qbruhat.qls import (
     EnumerationCap,
     QLSPath,
     _successors,
+    _walk,
     enumerate_hat,
     enumerate_tilde,
     path_to_json,
@@ -114,6 +117,72 @@ class TestSuccessorTables:
         energies = a2_21.graph.segment_energies(0, F(1, 2))
         with pytest.raises(TypeError):
             energies[0] = 1
+
+
+# above this many paths (A5, B4, C4, D5 and F4 regular) the walks are compared by their refusal of the cap
+WALK_CAP = 20_000
+
+
+def assert_walk_matches_reference(g):
+    """``qls._walk`` equals the depth-first reference record for record, for both variants, and every
+    level of it is sorted on (dirs, indices); a shape with more than ``WALK_CAP`` paths is refused alike."""
+    for strong in (True, False):
+        try:
+            expected = reference_walk(g, strong, WALK_CAP)
+        except EnumerationCap as exc:
+            with pytest.raises(EnumerationCap) as info:
+                _walk(g, strong, WALK_CAP)
+            assert str(info.value) == str(exc) == f"more than {WALK_CAP} paths"
+            continue
+        candidates, found = _walk(g, strong, WALK_CAP)
+        assert (candidates, found) == expected
+        sizes = [len(dirs) for dirs, _, _ in found]
+        assert sizes == sorted(sizes)
+        for size in set(sizes):
+            level = [(dirs, idx) for dirs, idx, _ in found if len(dirs) == size]
+            assert level == sorted(level)
+
+
+class TestWalk:
+    @REFERENCE_SHAPES
+    def test_reference_shapes(self, name, mults):
+        assert_walk_matches_reference(cached_context(name, mults).graph)
+
+    @pytest.mark.parametrize("cap", [0, 7, 8, 12, 16, 20, 24, 26, 27])
+    def test_cap_boundary_per_level(self, a2_21, cap):
+        # A2 (2,1) has 27 paths; the count is checked while a level grows, and a cap below any count is
+        # refused with the same message as the reference's
+        g = a2_21.graph
+        try:
+            expected = reference_walk(g, True, cap)
+        except EnumerationCap as exc:
+            with pytest.raises(EnumerationCap, match=f"^{exc}$"):
+                _walk(g, True, cap)
+        else:
+            assert _walk(g, True, cap) == expected and cap == 27
+
+    @pytest.mark.parametrize("cap", [1_000, 5_000])
+    def test_cap_checked_while_a_level_grows(self, monkeypatch, cap):
+        # D4 (1,1,1,1) has 14,848 paths; a refused walk builds at most the cap and one path's successors, so a
+        # level much larger than the cap is never built whole
+        built = []
+        real = qls_mod._suffix_lists
+
+        class Counting(list):
+            def __getitem__(self, key):
+                part = super().__getitem__(key)
+                built.append(len(part))
+                return part
+
+        def counting(succ, m):
+            flat, start = real(succ, m)
+            return [Counting(successors) for successors in flat], start
+
+        monkeypatch.setattr(qls_mod, "_suffix_lists", counting)
+        g = cached_context("D4", (1, 1, 1, 1)).graph
+        with pytest.raises(EnumerationCap, match=f"^more than {cap} paths$"):
+            _walk(g, True, cap)
+        assert g.num_vertices + sum(built) <= cap + max(built)
 
 
 class TestEnumerate:

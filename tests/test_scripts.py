@@ -94,3 +94,21 @@ def test_degree_table_cap_gives_no_advice():
     # the script has no cap to raise, so its refusal states the fact only; `qbruhat` adds the advice (test_cli.py)
     proc = run_degree_table("A1", "2000000")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: more than 1000000 paths\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_degree_table_closed_pipe(unbuffered):
+    # the reader takes the first line of a table longer than a pipe buffer (D4 (1,1,1,1): 14,848 rows) and
+    # closes the pipe: exit 141 with an empty stderr, as `qbruhat degree` exits (test_cli.py)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "degree_table.py"), "D4", "1,1,1,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"deg=  0  (e | 0,1)  energies: -\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""
