@@ -21,7 +21,7 @@ import time
 
 from qbruhat import build_context
 from qbruhat.cartan import parse_integer
-from qbruhat.cli import CliError, verify_shape
+from qbruhat.cli import CliError, run_to_stdout, verify_shape
 
 SHAPES = [
     ("A1", (1,)),
@@ -72,4 +72,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_to_stdout(main))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -117,7 +118,7 @@ def _write_lines(lines: list[str]) -> None:
 
 
 def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
-    """Parse 'word;word;word|t,t,t,t' with reduced words and exact fractions."""
+    """Parse 'word;word;word|t,t,t,t' with reduced words and times n or n/d in ASCII digits, signed or not."""
     if "|" not in literal:
         raise ValueError("path literal needs a '|' between directions and times")
     dirs_part, times_part = literal.split("|", 1)
@@ -126,13 +127,14 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
         raise ValueError("empty direction in path literal")
     dirs = tuple(ctx.graph.vertex_of_word(w) for w in words)
     times = []
-    for text in times_part.split(","):
+    for text in map(str.strip, times_part.split(",")):
+        # the form of every time the CLI prints; Fraction() would also read 0.5, 1e0, 1_0 and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+            raise ValueError(f"time {text!r} is not a fraction")
         try:
-            times.append(Fraction(text.strip()))
+            times.append(Fraction(text))
         except ZeroDivisionError:
-            raise ValueError(f"time {text.strip()!r} has a zero denominator") from None
-        except ValueError:
-            raise ValueError(f"time {text.strip()!r} is not a fraction") from None
+            raise ValueError(f"time {text!r} has a zero denominator") from None
     return QLSPath(dirs, tuple(times))
 
 

@@ -35,7 +35,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
 
 from .affine_oracle import AffineOrbitElement
@@ -154,18 +153,17 @@ def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple]:
 
     A path's schedule is its (candidate indices, energies); its degree reads
     nothing else.  The candidates are read once as ticks over L, the lcm of
-    all their denominators: a path's sum over L is its sum over the lcm of
-    its own denominators times a positive integer, so the exactness check
-    and its sign mean what they mean on ``degree``.  Every row passes both
-    halves of the structure check, ``qls._structure_ok``: the tick half
-    reads the index tuple alone and runs once per tuple, where its tick list
-    is built, and the direction half runs on every row, in order.  A row
-    that fails either half is named as a path literal.  The degree and
-    ``schedule_row`` run once per distinct schedule.
+    all their denominators (``qls.time_ticks``): a path's sum over L is its
+    sum over the lcm of its own denominators times a positive integer, so
+    the exactness check and its sign mean what they mean on ``degree``.
+    Every row passes both halves of the structure check,
+    ``qls._structure_ok``: the tick half reads the index tuple alone and
+    runs once per tuple, where its tick list is built, and the direction
+    half runs on every row, in order.  A row that fails either half is
+    named as a path literal.  The degree and ``schedule_row`` run once per
+    distinct schedule.
     """
-    candidates = listing.candidates
-    L = lcm(*[t.denominator for t in candidates])
-    tick = [t.numerator * (L // t.denominator) for t in candidates]
+    L, tick = time_ticks(listing.candidates)
     by_idx: dict[tuple, tuple[list[int], dict]] = {}  # idx -> (its ticks, its schedules' rows by energies)
     for dirs, idx, energies in listing.paths:
         entry = by_idx.get(idx)

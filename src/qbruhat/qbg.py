@@ -27,20 +27,26 @@ Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
 names the graph edge vertices[k+1] -> vertices[k].
 
-Whole-graph distances come from one BFS per source, memoised per source.
-A segment query of source y and denominator q runs one sparse BFS from y
-inside the subgraph of the edges whose pairing q divides (the
-sigma-admissible edges for every sigma of denominator q), carrying the
-q-distance and the tree's energy; it is memoised per (y, q), and the
-subgraph's adjacency per q.  A reached x is strong, some q-admissible path to
-it being shortest in the whole graph, exactly when its q-distance d is
-dist(y, x), i.e. when dist(y, x) > d - 1.  A single query reads that from the
-BFS from y.  The successor tables, which query every source, first build the
-reach layers (``build_reach_layers``): R[k][x], the bitset of the sources y
-with dist(y, x) <= k, grown by or-ing R[k][s] over the in-edges s -> x until
-stable, about N^2/8 bytes per layer.  Once built, every distance the segment
-searches need is one bit of them.  Neither structure is built by the
-constructor, so the graph alone costs nothing more.
+Whole-graph distances come from one BFS per source, memoised per source
+(``distances_from``).  A segment query of source y and denominator q runs
+one sparse BFS from y inside the subgraph of the edges whose pairing q
+divides (the sigma-admissible edges for every sigma of denominator q),
+carrying the q-distance and the tree's energy; it is memoised per (y, q),
+and the subgraph's adjacency per q.  A reached x is strong, some
+q-admissible path to it being shortest in the whole graph, exactly when its
+q-distance d is dist(y, x), i.e. when dist(y, x) > d - 1.  A single query
+reads that from the BFS from y.  The successor tables, which query every
+source, first build the reach layers (``build_reach_layers``): R[k][x], the
+bitset of the sources y with dist(y, x) <= k, grown by or-ing R[k][s] over
+the in-edges s -> x until stable, about N^2/8 bytes per layer.  Once built,
+every distance the segment searches need is one bit of them.  Neither
+structure is built by the constructor, so the graph alone costs nothing more.
+
+Every public query is one read of one memoised search: ``distances_from``
+returns the whole-graph BFS itself, ``sigma_distances_from`` and
+``segment_energies`` are read-only views of the (y, q) search's distances
+and energies, and ``sigma_path`` reads its path back from those distances.
+None of them copies a search into a row of length N.
 
 At every strong x the q-tree energy must equal wt_Lambda(y => x) read back
 along one shortest path of the whole graph (memoised per pair): all shortest
@@ -252,22 +258,6 @@ class PQBG:
 
     # -- distances and shortest paths --------------------------------------
 
-    def _search(self, y: int) -> tuple[int, ...]:
-        """Distances from y over the whole graph (-1 when unreachable), by a BFS memoised per y."""
-        found = self._search_cache.get(y)
-        if found is None:
-            dist = [-1] * self.num_vertices
-            dist[y] = 0
-            dq = deque([y])
-            while dq:
-                v = dq.popleft()
-                for e in self.out_edges[v]:
-                    if dist[e.target] < 0:
-                        dist[e.target] = dist[v] + 1
-                        dq.append(e.target)
-            found = self._search_cache[y] = tuple(dist)
-        return found
-
     def _distances_to(self, x: int, q: int) -> list[int]:
         """Distance of every vertex to x over the edges whose pairing q divides; -1 if x is out of reach."""
         to_x = [-1] * self.num_vertices
@@ -311,7 +301,7 @@ class PQBG:
         """Whether dist(y, x) <= k, for k >= 0: bit y of R[k][x] once the layers are built, else the BFS from y."""
         layers = self._layers
         if layers is None:
-            return self._search(y)[x] <= k
+            return self.distances_from(y)[x] <= k
         return k >= len(layers) or layers[k][x] >> y & 1 == 1  # the last layer holds every source
 
     def _step_back(self, y: int, x: int, d: int) -> QBGEdge:
@@ -370,14 +360,45 @@ class PQBG:
             found = self._segment_cache[y, q] = (dist, energy)
         return found
 
-    def _path(self, x: int, y: int, q: int) -> DirectedPath | None:
-        """A shortest q-admissible path from y to x, read back from x along the first nearer in-edges."""
-        dist = self._segment(y, q)[0]
+    def distances_from(self, y: int) -> tuple[int, ...]:
+        """Distances from y over the whole graph (-1 when unreachable), by a BFS memoised per y."""
+        found = self._search_cache.get(y)
+        if found is None:
+            dist = [-1] * self.num_vertices
+            dist[y] = 0
+            dq = deque([y])
+            while dq:
+                v = dq.popleft()
+                for e in self.out_edges[v]:
+                    if dist[e.target] < 0:
+                        dist[e.target] = dist[v] + 1
+                        dq.append(e.target)
+            found = self._search_cache[y] = tuple(dist)
+        return found
+
+    def sigma_distances_from(self, y: int, sigma: Fraction) -> Mapping[int, int]:
+        """The q-distance of every x a sigma-admissible path from y reaches, y itself included.
+
+        A read-only view of the memoised distances of ``_segment`` at the
+        denominator q of sigma; an x out of reach is not a key.
+        """
+        return MappingProxyType(self._segment(y, _denominator(sigma))[0])
+
+    def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
+        """A shortest path from y to x inside the sigma-admissible subgraph, if any.
+
+        The path is read back from x over the distances of the search that
+        ``sigma_distances_from`` reads, each step over the first admissible
+        in-edge one step nearer y, so ties go to the least (source, label).
+        ``shortest`` reports whether that path is as short as an unrestricted
+        one, i.e. whether the pair satisfies the strong segment condition.
+        """
+        q = _denominator(sigma)
+        dist, energy = self._segment(y, q)
         if x not in dist:
-            return None
-        vertices = [x]
-        labels = []
-        quantum = []
+            return SigmaPathResult(None, False)
+        shortest = x in energy
+        vertices, labels, quantum = [x], [], []
         while x != y:
             nearer = dist[x] - 1
             e = next(e for e in self.in_edges[x] if dist.get(e.source) == nearer and self.pairings[e.label] % q == 0)
@@ -385,31 +406,7 @@ class PQBG:
             quantum.append(e.quantum)
             x = e.source
             vertices.append(x)
-        return DirectedPath(tuple(vertices), tuple(labels), tuple(quantum))
-
-    def distances_from(self, y: int) -> tuple[int, ...]:
-        """BFS distances from y along edge orientation; -1 marks unreachable."""
-        return self._search(y)
-
-    def sigma_distances_from(self, y: int, sigma: Fraction) -> tuple[int, ...]:
-        """Like ``distances_from``, inside the sigma-admissible subgraph."""
-        row = [-1] * self.num_vertices
-        for x, d in self._segment(y, _denominator(sigma))[0].items():
-            row[x] = d
-        return tuple(row)
-
-    def sigma_path(self, x: int, y: int, sigma: Fraction) -> SigmaPathResult:
-        """A shortest path from y to x inside the sigma-admissible subgraph, if any.
-
-        The path is read back from x over the distances that
-        ``sigma_distances_from`` reads, so ties go to the least (source,
-        label).  ``shortest`` reports whether that path is as short as an
-        unrestricted one, i.e. whether the pair satisfies the strong
-        segment condition.
-        """
-        q = _denominator(sigma)
-        path = self._path(x, y, q)
-        return SigmaPathResult(path, x in self._segment(y, q)[1])
+        return SigmaPathResult(DirectedPath(tuple(vertices), tuple(labels), tuple(quantum)), shortest)
 
     def segment_energies(self, y: int, sigma: Fraction) -> Mapping[int, int]:
         """wt_Lambda(y => x) for the x some sigma-admissible shortest path from y reaches, y itself included.

@@ -22,12 +22,12 @@ the canonical order with no global sort.  The cap is checked while a level
 grows.  Its successor lists are built per denominator from the graph's
 sparse segment searches, one per source, after the graph's reach layers
 (``PQBG.build_reach_layers``), so that each strongness test is one bit.
-The strong lists read the searches' energies (``PQBG.segment_energies``),
-with no row of length N, and hold each segment's energy
-wt_Lambda(x_{k+1} => x_k): a segment is strong exactly where that energy is
-held, and every energy is checked when the search is built.  The weak lists
-read the searches' distances as rows of length N
-(``PQBG.sigma_distances_from``), so the weak walk runs the same checks.
+The strong lists read the searches' energies (``PQBG.segment_energies``)
+and hold each segment's energy wt_Lambda(x_{k+1} => x_k): a segment is
+strong exactly where that energy is held, and every energy is checked when
+the search is built.  The weak lists read the same searches' distances
+(``PQBG.sigma_distances_from``), so the weak walk runs the same checks and,
+after the strong one, no new search; neither reads a row of length N.
 ``path_listing`` keeps the walk's records as indices, with each vertex name
 and candidate time text formatted once.  ``degree._walk_rows`` checks the
 structure of every row, its times once per index tuple (``_ticks_ok``)
@@ -106,25 +106,22 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
     # succ[i][x]: the pairs (y, energy), y ascending, for the directions y that
     # may follow x at time candidates[i]; the energy is wt_Lambda(y => x) in
     # the strong variant, read from the graph's sparse, checked segment
-    # energies, and None in the weak one.  Admissibility depends on the
+    # energies, and None in the weak one, which reads the keys of the same
+    # searches' distances, the reached x.  Admissibility depends on the
     # denominator alone, so times with one denominator share a table.  The
     # tables query every source, so the reach layers are built first.
     g.build_reach_layers()
     m = g.num_vertices
+    query = g.segment_energies if strong else g.sigma_distances_from
     tables: dict[int, list[list[tuple]]] = {}
     for sigma in candidates:
         if sigma.denominator in tables:
             continue
         table = tables[sigma.denominator] = [[] for _ in range(m)]
         for y in range(m):
-            if strong:
-                for x, energy in g.segment_energies(y, sigma).items():
-                    if x != y:
-                        table[x].append((y, energy))
-            else:
-                for x, sdist in enumerate(g.sigma_distances_from(y, sigma)):
-                    if x != y and sdist >= 0:
-                        table[x].append((y, None))
+            for x, value in query(y, sigma).items():
+                if x != y:
+                    table[x].append((y, value if strong else None))
     return [tables[sigma.denominator] for sigma in candidates]
 
 

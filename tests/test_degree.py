@@ -345,7 +345,7 @@ def _reference_enumerate(g, strong: bool) -> tuple[QLSPath, ...]:
     candidates = sigma_candidates(g)
 
     def may_follow(x: int, y: int, sigma: F) -> bool:
-        sdist = g.sigma_distances_from(y, sigma)[x]
+        sdist = g.sigma_distances_from(y, sigma).get(x, -1)
         return sdist == g.distances_from(y)[x] if strong else sdist >= 0
 
     found = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction as F
 from math import gcd
 
@@ -17,6 +18,7 @@ from conftest import (
     is_hat_path,
     is_tilde_path,
     path_from_json,
+    reference_search,
     reference_successors,
     reference_walk,
     type_group,
@@ -107,8 +109,8 @@ class TestSuccessorTables:
                 for x, energy in g.segment_energies(y, sigma).items():
                     if x != y:
                         strong_table[x].append((y, energy))
-                for x, sdist in enumerate(g.sigma_distances_from(y, sigma)):
-                    if x != y and sdist >= 0:
+                for x in g.sigma_distances_from(y, sigma):
+                    if x != y:
                         weak_table[x].append((y, None))
         assert (strong, weak) == reference_successors(g, candidates) and g._layers is None
 
@@ -117,6 +119,30 @@ class TestSuccessorTables:
         energies = a2_21.graph.segment_energies(0, F(1, 2))
         with pytest.raises(TypeError):
             energies[0] = 1
+
+    @DEGREE_SHAPES
+    def test_distances_are_read_only_views(self, name, mults):
+        # the weak query is a read-only mapping over one search, like the energies: its items are the
+        # q-distances of the reached x, the source included, and an x out of reach is no key
+        g = cached_context(name, mults).graph
+        for q in sorted({sigma.denominator for sigma in sigma_candidates(g)}):
+            sigma = F(1, q)
+            for y in range(g.num_vertices):
+                dist = g.sigma_distances_from(y, sigma)
+                assert isinstance(dist, Mapping)
+                assert dict(dist) == {x: d for x, d in enumerate(reference_search(g, y, q)[0]) if d >= 0}
+        with pytest.raises(TypeError):
+            dist[y] = 1
+
+    @DEGREE_SHAPES
+    def test_weak_tables_add_no_search(self, name, mults):
+        # the weak tables read the searches the strong ones made: one search per (source, denominator)
+        g = build_context(name, mults).graph
+        candidates = sigma_candidates(g)
+        _successors(g, candidates, True)
+        searched = set(g._segment_cache)
+        _successors(g, candidates, False)
+        assert set(g._segment_cache) == searched
 
 
 # above this many paths (A5, B4, C4, D5 and F4 regular) the walks are compared by their refusal of the cap

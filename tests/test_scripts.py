@@ -112,3 +112,18 @@ def test_degree_table_closed_pipe(unbuffered):
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141 and err == b""
+
+
+def test_run_verification_closed_pipe():
+    # the reader takes the first line of the report and closes the pipe: exit 141 with an empty stderr.  The
+    # whole report is about 2.3 kB, which a pipe holds, so only an unbuffered stdout writes the later lines
+    # while the script runs; a buffered one may flush them all and exit 0 before the reader closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    with subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "run_verification.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"A1 lambda=1: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141 and err == b""
