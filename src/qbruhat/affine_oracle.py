@@ -35,7 +35,11 @@ Sigma-chains are bits of the same recursion, restricted to the covers whose
 pairing sigma's denominator q divides and grown to the largest gap asked:
 one table per q, about N^2 d^2 / 16 bytes at gap d on N vertices.  At q = 1
 they decide comparability, since any chain in a finite interval refines to
-a cover chain.  The cover/edge
+a cover chain.  A lifted path's adjacent pair is judged on its two
+vertices, its delta gap and its time's denominator alone, so each such
+segment's verdict (ordered with a sigma-chain, not comparable, or
+comparable with no sigma-chain) is read once and memoised; the failure
+message, which names the pair's position, is built per path.  The cover/edge
 correspondence is checked once, at delta 0, for every delta, as the
 equality of two key sets: the covers, keyed as they are, and the graph
 edges, each keyed as the cover it must be.  Delta never decreases along a
@@ -47,15 +51,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .cartan import pair
 from .qbg import PQBG
 
 
-@dataclass(frozen=True)
-class AffineOrbitElement:
+class AffineOrbitElement(NamedTuple):
     vertex: int  # coset-representative vertex in the graph
     delta: int  # integer delta-coefficient
+
+
+# the verdict kinds of a segment, as the templates of a path's failure message at pair k, k + 1 and time sigma
+_OK, _NOT_COMPARABLE, _NO_CHAIN = "", "weights {} > {}: not comparable", "weights {} > {}: no sigma-chain at {}"
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,8 @@ class AffineOracle:
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
     # per denominator q, the (target, gain) rows of its covers and their down-set levels
     _tables: dict[int, tuple[list, list[list[int]]]] = field(default_factory=dict, init=False, repr=False)
+    # per (v, w, delta gap, q), the verdict kind of that segment (``_verdict``)
+    _verdicts: dict[tuple[int, int, int, int], str] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         g, rs = self.g, self.g.rs
@@ -169,23 +179,32 @@ class AffineOracle:
 
     # -- path-level checks -------------------------------------------------------
 
+    def _verdict(self, v: int, w: int, d: int, q: int) -> str:
+        # the verdict kind of the segment (v, 0) > (w, d) at denominator q, as its failure message's template
+        equal = v == w and d == 0
+        if not equal and self._sigma_chain(v, w, d, q):
+            return _OK
+        # any chain in a finite interval refines to a cover chain, so q = 1 decides comparability
+        if equal or not self._sigma_chain(v, w, d, 1):
+            return _NOT_COMPARABLE
+        return _NO_CHAIN
+
     def failure(self, lifted) -> str:
         """The first adjacent pair of a lifted path that is not strictly ordered with a sigma-chain; "" when none is.
 
-        ``lifted`` is any object with ``weights`` (orbit elements) and
-        ``times`` attributes, as produced by the degree module.
+        ``lifted`` is any object with ``weights`` ((vertex, delta) orbit
+        elements) and ``times`` attributes, as produced by the degree
+        module.  A pair's verdict depends only on its two vertices, its delta
+        gap and its time's denominator, and is memoised on those.
         """
-        weights = tuple(lifted.weights)
-        for k in range(len(weights) - 1):
-            v, w, gap = weights[k].vertex, weights[k + 1].vertex, weights[k + 1].delta - weights[k].delta
-            sigma = lifted.times[k + 1]
-            equal = v == w and gap == 0
-            if not equal and self._sigma_chain(v, w, gap, sigma.denominator):
-                continue
-            # any chain in a finite interval refines to a cover chain, so q = 1 decides comparability
-            if equal or not self._sigma_chain(v, w, gap, 1):
-                return f"weights {k} > {k + 1}: not comparable"
-            return f"weights {k} > {k + 1}: no sigma-chain at {sigma}"
+        weights, times, verdicts = lifted.weights, lifted.times, self._verdicts
+        for k, ((v, a), (w, b), sigma) in enumerate(zip(weights, weights[1:], times[1:])):
+            key = v, w, b - a, sigma.denominator
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = self._verdict(*key)
+            if verdict:
+                return verdict.format(k, k + 1, sigma)
         return ""
 
     def verify_ls_path(self, lifted) -> bool:

@@ -20,13 +20,14 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 from . import Context, FiniteType, build_context
-from .affine_oracle import AffineOracle
+from .affine_oracle import AffineOracle, AffineOrbitElement
 from .cartan import parse_integer, parse_multiplicities
-from .degree import InvalidQLSPath, _lift, _walk_rows, degree_rows, degree_table, endpoint_delta
+from .degree import AffineLSPath, InvalidQLSPath, _endpoint_of, _walk_rows, degree_rows, degree_table
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import EnumerationCap, QLSPath, candidate_times, enumerate_tilde, path_listing
+from .qls import EnumerationCap, QLSPath, candidate_times, enumerate_tilde, path_listing, time_ticks
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
@@ -232,16 +233,6 @@ def cmd_degree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_one(oracle, lifted, deg: int, window: int) -> tuple[str, str]:
-    """(status, detail) of a lift of degree ``deg``: inconclusive when it leaves the window, else its certification."""
-    need = max(abs(mu.delta) for mu in lifted.weights)
-    if need > window:
-        return "inconclusive", f"|delta| reaches {need}, outside window {window}; needs window {need}"
-    if oracle.verify_ls_path(lifted) and endpoint_delta(lifted) == -deg:
-        return "pass", ""
-    return "fail", oracle.failure(lifted) or "endpoint mismatch"
-
-
 def _worst(statuses) -> str:
     """The status a set of statuses reduces to: fail over inconclusive over pass."""
     return min(statuses, key=("fail", "inconclusive", "pass").index, default="pass")
@@ -250,23 +241,44 @@ def _worst(statuses) -> str:
 def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], Counter, list[dict]]:
     """The strong paths from one walk, the statuses of their lifts and the reports of the paths that did not pass.
 
-    Each path is lifted from the energies and degree its walk carries
-    (``degree._walk_rows``); its direction names and time texts are looked
+    Everything but the sigma-chains reads only a path's schedule, its
+    (candidate indices, energies), so it runs once per distinct schedule,
+    when ``degree._walk_rows`` first meets it: the times, the lift's
+    delta-coefficients (the prefix sums of the energies), the largest
+    ``|delta|`` that the window is held against, and, for a schedule inside
+    the window, the endpoint identity on the walk's ticks over one L
+    (``degree._endpoint_of``).  Each path inside the window is then built
+    as its lift and handed to ``oracle.verify_ls_path``, which memoises the
+    verdict of each segment; a path outside it is ``inconclusive`` and never
+    reaches the oracle.  A path's direction names and time texts are looked
     up only if it is reported.  The walk's records go when this returns.
     """
     listing = path_listing(graph, True, cap)
+    L, tick = time_ticks(listing.candidates)
 
     def schedule(idx, energies, deg):
-        return idx, candidate_times(listing.candidates, idx), energies, deg
+        # (indices, times, delta-coefficients, the inconclusive detail or "", whether the endpoint identity holds)
+        deltas = tuple(accumulate(energies, initial=0))
+        need = max(map(abs, deltas))
+        times = candidate_times(listing.candidates, idx)
+        if need > window:
+            return idx, times, deltas, f"|delta| reaches {need}, outside window {window}; needs window {need}", False
+        return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
 
     hat, counts, reports = [], Counter(), []
-    for dirs, (idx, times, energies, deg) in _walk_rows(graph, listing, schedule):
+    for dirs, (idx, times, deltas, outside, endpoint_ok) in _walk_rows(graph, listing, schedule):
         hat.append(QLSPath(dirs, times))
-        status, detail = _verify_one(oracle, _lift(dirs, energies, times), deg, window)
+        if outside:
+            status, detail = "inconclusive", outside
+        else:
+            lifted = AffineLSPath(tuple(map(AffineOrbitElement, dirs, deltas)), times)
+            if oracle.verify_ls_path(lifted) and endpoint_ok:
+                counts["pass"] += 1
+                continue
+            status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
         counts[status] += 1
-        if status != "pass":
-            texts = {"dirs": listing.dir_names(dirs), "times": listing.time_texts(idx)}
-            reports.append({**texts, "status": status, "detail": detail})
+        texts = {"dirs": listing.dir_names(dirs), "times": listing.time_texts(idx)}
+        reports.append({**texts, "status": status, "detail": detail})
     return hat, counts, reports
 
 
@@ -276,8 +288,10 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
     with the endpoint identity.  The strong paths are certified first
-    (``_certify_walk``), then the covers, and the weak variant is
-    enumerated last.  ``window`` is a reporting rule, not a search
+    (``_certify_walk``: the lift, the window and the endpoint once per
+    schedule, each segment's sigma-chain verdict once per key, and each
+    path inside the window handed to the oracle), then the covers, and the
+    weak variant is enumerated last.  ``window`` is a reporting rule, not a search
     bound: a path whose lift reaches ``|delta| > window`` is not certified but
     reported ``inconclusive``, with the window that settles it.
     """

@@ -25,8 +25,11 @@ route.  ``degree``, ``lift`` and ``degree_table`` take given paths
 
 The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies, the
-prefix sums of the energies in the degree formula; ``verify`` lifts the
-walk's energies, and the oracle certifies each lift from first principles.
+prefix sums of the energies in the degree formula, so the lift's
+delta-coefficients and its delta at time 1 (``_endpoint_of``, on the ticks
+over one L) read only the schedule.  ``verify`` takes both once per
+distinct schedule of the walk, and the oracle certifies each lift from
+first principles.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
@@ -107,24 +110,23 @@ def degree(path: QLSPath, g: PQBG) -> int:
     return _degree_of(*_segments(path, g))
 
 
-def _lift(directions, energies, times) -> AffineLSPath:
-    """The lift whose p-th weight is (x_p, sum of the energies of segments before p)."""
-    return AffineLSPath(tuple(map(AffineOrbitElement, directions, accumulate(energies, initial=0))), times)
-
-
 def lift(path: QLSPath, g: PQBG) -> AffineLSPath:
-    """Raise the path into the affine orbit, with the energies of its segments."""
-    return _lift(path.directions, _segments(path, g)[0], path.times)
+    """Raise the path into the affine orbit: its p-th weight is (x_p, sum of the energies of segments before p)."""
+    deltas = accumulate(_segments(path, g)[0], initial=0)
+    return AffineLSPath(tuple(map(AffineOrbitElement, path.directions, deltas)), path.times)
+
+
+def _endpoint_of(deltas, L: int, ticks: list[int]) -> int:
+    # sum_k (t_{k+1} - t_k) * delta_k, on integer ticks over L
+    total = sum(map(mul, map(sub, ticks[1:], ticks), deltas))
+    if total % L or total < 0:
+        raise NonIntegralDegree(f"endpoint delta {Fraction(total, L)} is not a nonnegative integer")
+    return total // L
 
 
 def endpoint_delta(lifted: AffineLSPath) -> int:
     """Delta-coefficient of the lift evaluated at time 1; a nonnegative integer."""
-    # sum_k (t_{k+1} - t_k) * delta_k, on integer ticks over L
-    L, ticks = time_ticks(lifted.times)
-    total = sum((b - a) * mu.delta for a, b, mu in zip(ticks, ticks[1:], lifted.weights))
-    if total % L or total < 0:
-        raise NonIntegralDegree(f"endpoint delta {Fraction(total, L)} is not a nonnegative integer")
-    return total // L
+    return _endpoint_of([mu.delta for mu in lifted.weights], *time_ticks(lifted.times))
 
 
 def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:

@@ -19,9 +19,9 @@ from conftest import (
     verify_sigma_chain,
     vertex_by_word,
 )
-from qbruhat.affine_oracle import AffineOracle, AffineOrbitElement
+from qbruhat.affine_oracle import _NO_CHAIN, _NOT_COMPARABLE, _OK, AffineOracle, AffineOrbitElement
 from qbruhat.cartan import FiniteType, pair, weyl_order
-from qbruhat.degree import lift
+from qbruhat.degree import AffineLSPath, lift
 from qbruhat.qls import QLSPath, enumerate_hat
 from test_qls import example_paths
 
@@ -39,6 +39,15 @@ SMALL_REFERENCE_SHAPES = [
     for name, mults in _REFERENCE_SHAPES
     if 0 in mults or weyl_order(FiniteType.parse(name)) <= 300
 ]
+
+
+FAULT_SHAPES = [
+    shape_param("A2", (2, 1)), shape_param("C2", (1, 1)), shape_param("A3", (0, 1, 0)), shape_param("G2", (1, 1))
+]
+
+
+# The fault shapes and every small reference shape not among them: the verdict memo is checked on each.
+MEMO_SHAPES = [*FAULT_SHAPES, *(s for s in SMALL_REFERENCE_SHAPES if s.id not in {f.id for f in FAULT_SHAPES})]
 
 
 # The reference shapes with at most 100 vertices: the regular shapes with |W| <= 100 and every shape with a
@@ -110,6 +119,14 @@ class TestRaisingSteps:
                         # roots extended by the lowest one: theta >= gamma
                         assert all(t >= c for t, c in zip(theta, gamma))
 
+    def test_orbit_elements_are_immutable_and_hashable(self, a2_21, oracle_a2):
+        # a (vertex, delta) named tuple: read-only fields, equal elements collapse in a set
+        assert AffineOrbitElement._fields == ("vertex", "delta")
+        mu = AffineOrbitElement(vertex_by_word(a2_21, "e"), 0)
+        with pytest.raises(AttributeError):
+            mu.delta = 1
+        targets = [s.target for s in oracle_a2.raising_steps(mu)]
+        assert len({mu, AffineOrbitElement(*mu), *targets, *targets}) == len(targets) + 1
 
     @pytest.mark.parametrize("fixture", ["a2_21", "c2_11"])
     def test_delta_translation(self, fixture, request):
@@ -232,32 +249,69 @@ class TestVerifyLsPath:
             assert oracle_a2.verify_ls_path(lift(eta, g))
 
     def test_corrupted_lift_fails(self, a2_21, oracle_a2):
-        from qbruhat.degree import AffineLSPath
-
         g = a2_21.graph
         eta1, _, _ = example_paths(a2_21)  # s2;s2 s1;s1|0,1/2,2/3,1
         lifted = lift(eta1, g)
         assert oracle_a2.failure(lifted) == ""
+        faults = corrupted(lifted)
+        expected = {
+            # a repeated weight: the sigma-chain search alone accepts it, as the empty chain
+            "repeated": "weights 0 > 1: not comparable",
+            "lowered": "weights 0 > 1: not comparable",
+            "raised": "weights 1 > 2: no sigma-chain at 2/3",
+        }
+        assert {kind: oracle_a2.verify_ls_path(fault) for kind, fault in faults.items()} == dict.fromkeys(faults, False)
+        assert {kind: oracle_a2.failure(fault) for kind, fault in faults.items()} == expected
+        # the verdicts memoised while every strong lift is certified leave each fault's message as it was
+        warm = AffineOracle(g)
+        assert all(warm.verify_ls_path(lift(eta, g)) for eta in enumerate_hat(g))
+        assert {kind: warm.failure(fault) for kind, fault in faults.items()} == expected
 
-        def shifted(k: int, by: int) -> AffineLSPath:
-            weights = list(lifted.weights)
-            weights[k] = AffineOrbitElement(weights[k].vertex, weights[k].delta + by)
-            return AffineLSPath(tuple(weights), lifted.times)
+    @pytest.mark.parametrize("shape", MEMO_SHAPES)
+    def test_warm_memo_is_sound(self, shape):
+        # the verdict memo is keyed by everything a verdict reads: once every strong lift is certified on one
+        # oracle, each corrupted lift fails there as it does on an empty memo, and each memoised verdict is the
+        # one the reference searches give
+        g = cached_context(*shape).graph
+        oracle, cold = AffineOracle(g), AffineOracle(g)
+        lifts = [lift(eta, g) for eta in enumerate_hat(g)]
+        assert all(oracle.verify_ls_path(lifted) for lifted in lifts)
+        for lifted in lifts:
+            for kind, fault in corrupted(lifted).items():
+                cold._verdicts.clear()
+                message = oracle.failure(fault)
+                assert message == cold.failure(fault)
+                assert kind != "repeated" or message == "weights 0 > 1: not comparable"
+        # a shape whose pairings are all 1 (every minuscule one) has no internal time, so no segment to memoise
+        assert bool(oracle._verdicts) == any(len(lifted.weights) > 1 for lifted in lifts)
+        for (v, w, d, q), verdict in oracle._verdicts.items():
+            assert verdict == reference_verdict(oracle, v, w, d, q), (v, w, d, q)
 
-        lowered, raised = shifted(1, -1), shifted(2, 1)
-        # a repeated weight: the sigma-chain search alone accepts it, as the empty chain
-        repeated = AffineLSPath((lifted.weights[0], *lifted.weights[:-1]), lifted.times)
-        assert not oracle_a2.verify_ls_path(repeated)
-        assert oracle_a2.failure(repeated) == "weights 0 > 1: not comparable"
-        assert not oracle_a2.verify_ls_path(lowered)
-        assert oracle_a2.failure(lowered) == "weights 0 > 1: not comparable"
-        assert not oracle_a2.verify_ls_path(raised)
-        assert oracle_a2.failure(raised) == "weights 1 > 2: no sigma-chain at 2/3"
+
+def corrupted(lifted) -> dict[str, AffineLSPath]:
+    """The faults of a lift that has the weights they move: its first weight repeated, its second lowered by
+    one delta and its third raised by one."""
+
+    def shifted(k: int, by: int) -> AffineLSPath:
+        weights = list(lifted.weights)
+        weights[k] = AffineOrbitElement(weights[k].vertex, weights[k].delta + by)
+        return AffineLSPath(tuple(weights), lifted.times)
+
+    faults = {}
+    if len(lifted.weights) >= 2:
+        faults["repeated"] = AffineLSPath((lifted.weights[0], *lifted.weights[:-1]), lifted.times)
+        faults["lowered"] = shifted(1, -1)
+    if len(lifted.weights) >= 3:
+        faults["raised"] = shifted(2, 1)
+    return faults
 
 
-FAULT_SHAPES = [
-    shape_param("A2", (2, 1)), shape_param("C2", (1, 1)), shape_param("A3", (0, 1, 0)), shape_param("G2", (1, 1))
-]
+def reference_verdict(oracle, v: int, w: int, d: int, q: int) -> str:
+    """The verdict kind of (v, 0) > (w, d) at denominator q: the longest-chain reference decides whether the
+    pair is strictly ordered, the chain reference whether a sigma-chain joins it."""
+    if not dist(oracle, AffineOrbitElement(v, 0), AffineOrbitElement(w, d)):
+        return _NOT_COMPARABLE
+    return _OK if sigma_chain_reference(oracle, v, w, d, q) else _NO_CHAIN
 
 
 def with_edges(g, edges):

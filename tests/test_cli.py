@@ -334,10 +334,19 @@ class TestVerify:
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
         # a reported path's record is the listing's own direction names and
-        # time texts, so no path is formatted a second time, but the endpoint
-        # identity is checked on every path the window settles; every path of
-        # A2 (2,1) passes at window 10, and 12 of its 27 are inconclusive at
-        # window 1
+        # time texts, so no path is formatted a second time, and the endpoint
+        # identity is checked once per schedule, (times, energies), that has
+        # a path the window settles; every path of A2 (2,1) passes at window
+        # 10, and 12 of its 27 are inconclusive at window 1; its 27 paths
+        # have 16 schedules, 6 of them inside window 1
+        g = cached_context("A2", (2, 1)).graph
+        lifts = [lift(p, g) for p in enumerate_hat(g)]
+        inside = {
+            (lifted.times, tuple(mu.delta for mu in lifted.weights))
+            for lifted in lifts
+            if max(abs(mu.delta) for mu in lifted.weights) <= int(window)
+        }
+        assert len(inside) == {"10": 16, "1": 6}[window]
         calls = Counter()
 
         def counting(fn):
@@ -349,11 +358,11 @@ class TestVerify:
 
         for module in (qls, degree_mod):
             monkeypatch.setattr(module, "path_to_json", counting(module.path_to_json))
-        monkeypatch.setattr(cli, "endpoint_delta", counting(cli.endpoint_delta))
+        monkeypatch.setattr(cli, "_endpoint_of", counting(degree_mod._endpoint_of))
         _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
         doc = json.loads(out)
         assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
-        assert calls["endpoint_delta"] == 27 - reported
+        assert calls["_endpoint_of"] == len(inside)
         assert doc["checks"][-1]["detail"].startswith("paths=27 ")
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
@@ -475,25 +484,29 @@ class TestVerify:
         }
 
     def test_fail_over_inconclusive_in_a_check(self, capsys, monkeypatch):
-        # one wrong endpoint among the 15 paths window 1 settles fails lift-certification over its 12
-        # inconclusive paths, and the failed check fails the run
-        real = cli.endpoint_delta
+        # one wrong endpoint fails lift-certification over its inconclusive paths, and the failed check fails
+        # the run: the endpoint is checked once per schedule, and the first schedule the walk meets is that of
+        # the six one-direction paths (x; 0, 1) of A2 (2,1), so all six fail and the 12 of its 27 paths that
+        # leave window 1 stay inconclusive
+        real = degree_mod._endpoint_of
         seen = []
 
-        def wrong_first(lifted):
-            seen.append(lifted)
-            return real(lifted) + (len(seen) == 1)
+        def wrong_first(*args):
+            seen.append(args)
+            return real(*args) + (len(seen) == 1)
 
-        monkeypatch.setattr(cli, "endpoint_delta", wrong_first)
+        monkeypatch.setattr(cli, "_endpoint_of", wrong_first)
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "fail"
         assert doc["checks"][-1] == {
             "check": "lift-certification",
             "status": "fail",
-            "detail": "paths=27 fail=1 inconclusive=12",
+            "detail": "paths=27 fail=6 inconclusive=12",
         }
-        assert [r["detail"] for r in doc["paths"] if r["status"] == "fail"] == ["endpoint mismatch"]
+        failed = [r for r in doc["paths"] if r["status"] == "fail"]
+        assert [r["detail"] for r in failed] == ["endpoint mismatch"] * 6
+        assert all(len(r["dirs"]) == 1 and r["times"] == ["0", "1"] for r in failed)
 
     def test_fail_over_inconclusive_across_checks(self, capsys, monkeypatch):
         # a graph with one edge dropped fails covers-match-edges, which outranks inconclusive lift-certification
