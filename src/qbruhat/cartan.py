@@ -14,6 +14,16 @@ routes through the Cartan matrix ``C[i][j] = <alpha_i, alpha_j^vee>``.
 Simple-root labels are 1-based (``alpha_1 .. alpha_n``); coordinate tuples
 are positional.
 
+``RootSystem`` builds the positive roots only, by a breadth-first search
+from the simple roots over raising steps: every positive root is reached
+from a simple root by simple reflections that each raise its height
+(Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+10.2).  Each root travels with its coroot and its weight coordinates, so a
+step reads the pairing it needs from the weight coordinates and moves only
+the entries that one row of the Cartan matrix touches.  The search stops
+with an error once it holds more roots than the type has, so a Cartan
+matrix of infinite type is refused instead of looping.
+
 All arithmetic is exact: integers everywhere, ``fractions.Fraction`` where
 denominators occur.  Python integers are unbounded, so overflow cannot
 happen silently.
@@ -150,13 +160,18 @@ def pair(w: Weight, c: Coroot) -> int:
 
 
 class RootSystem:
-    """Positive roots/coroots of a simple type, generated by reflection closure.
+    """Positive roots/coroots of a simple type, generated from the simple roots by raising steps.
 
     ``positive_roots[i-1]`` is the simple root ``alpha_i``; the remaining
     positive roots follow sorted by (height, coords).  ``positive_coroots``
     is the parallel coroot list (``beta -> beta^vee`` tracked through the
-    closure), ``highest_root`` indexes theta and ``rho`` is the half-sum of
-    positive roots, i.e. (1,...,1) in fundamental-weight coordinates.
+    search), ``root_weight_coords`` the parallel weight coordinates
+    ``C^T c`` (also tracked, not recomputed), ``highest_root`` indexes theta
+    and ``rho`` is the half-sum of positive roots, i.e. (1,...,1) in
+    fundamental-weight coordinates.  The search is checked: it must reach
+    ``positive_root_count`` roots and no more, give a root reached twice the
+    same coroot both times, and end at a unique highest root that dominates
+    every positive root componentwise.
     """
 
     def __init__(self, ftype: FiniteType):
@@ -168,44 +183,50 @@ class RootSystem:
     def _generate(self) -> None:
         n = self.rank
         C = self.cartan
+        limit = positive_root_count(self.type)
+        # row j of the Cartan matrix is alpha_j in weight coordinates; only its
+        # nonzero entries (i, C[j][i]) move anything under r_j
+        rows = [tuple((i, a) for i, a in enumerate(row) if a) for row in C]
 
-        def reflect_root(c: tuple[int, ...], j: int) -> tuple[int, ...]:
-            # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j, 0-based j
-            k = sum(c[i] * C[i][j] for i in range(n))
-            out = list(c)
-            out[j] -= k
-            return tuple(out)
-
-        def reflect_coroot(d: tuple[int, ...], j: int) -> tuple[int, ...]:
-            # r_j(h) = h - <alpha_j, h> alpha_j^vee
-            k = sum(d[i] * C[j][i] for i in range(n))
-            out = list(d)
-            out[j] -= k
-            return tuple(out)
-
-        unit = lambda i: tuple(1 if k == i else 0 for k in range(n))
-        seen: dict[tuple[int, ...], tuple[int, ...]] = {unit(i): unit(i) for i in range(n)}
-        queue = list(seen.keys())
-        while queue:
-            c = queue.pop()
-            d = seen[c]
-            for j in range(n):
-                c2, d2 = reflect_root(c, j), reflect_coroot(d, j)
-                if c2 not in seen:
-                    seen[c2] = d2
+        # BFS over the positive roots by raising steps.  A root beta travels as
+        # (coroot d, weight coordinates w = C^T c), so <beta, alpha_j^vee> = w[j]
+        # and r_j raises beta exactly when w[j] < 0.  Then c[j] and w move by
+        # -w[j] alpha_j, and d[j] by -<alpha_j, beta^vee>.
+        seen: dict[Root, tuple[Coroot, Weight]] = {}
+        for i in range(n):
+            unit = tuple(1 if k == i else 0 for k in range(n))
+            seen[unit] = (unit, C[i])
+        queue = list(seen)
+        for c in queue:  # the queue grows while it is walked
+            d, w = seen[c]
+            for j, wj in enumerate(w):
+                if wj >= 0:
+                    continue
+                row = rows[j]
+                c2 = list(c)
+                c2[j] -= wj
+                c2 = tuple(c2)
+                d2 = list(d)
+                d2[j] -= sum(d[i] * a for i, a in row)
+                d2 = tuple(d2)
+                found = seen.get(c2)
+                if found is None:
+                    w2 = list(w)
+                    for i, a in row:
+                        w2[i] -= wj * a
+                    seen[c2] = (d2, tuple(w2))
                     queue.append(c2)
-                elif seen[c2] != d2:
+                    if len(queue) > limit:
+                        raise RuntimeError(f"closure passed {limit} positive roots for {self.type}")
+                elif found[0] != d2:
                     raise RuntimeError("inconsistent root/coroot closure")
+        if len(queue) != limit:
+            raise RuntimeError(f"closure produced {len(queue)} positive roots for {self.type}")
 
-        positives = [c for c in seen if all(x >= 0 for x in c)]
-        simples = [unit(i) for i in range(n)]
-        rest = sorted((c for c in positives if sum(c) > 1), key=lambda c: (sum(c), c))
-        ordered = simples + rest
-        if len(ordered) != len(positives) or len(positives) != positive_root_count(self.type):
-            raise RuntimeError(f"closure produced {len(positives)} positive roots for {self.type}")
-
+        ordered = queue[:n] + sorted(queue[n:], key=lambda c: (sum(c), c))
         self.positive_roots = tuple(ordered)
-        self.positive_coroots = tuple(seen[c] for c in ordered)
+        self.positive_coroots = tuple(seen[c][0] for c in ordered)
+        self.root_weight_coords = tuple(seen[c][1] for c in ordered)
         self.num_positive = len(ordered)
 
         heights = [sum(c) for c in ordered]
@@ -222,10 +243,6 @@ class RootSystem:
                 raise RuntimeError("highest root fails componentwise domination")
 
         self.rho = (1,) * n
-        # weight-basis coordinates of each positive root: w = C^T c
-        self.root_weight_coords = tuple(
-            tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n)) for c in ordered
-        )
 
     # -- arithmetic ------------------------------------------------------
 

@@ -132,6 +132,7 @@ class PQBG:
         self._energies: dict[tuple[int, int], int] = {}
         self._adjacent: dict[int, list[list[tuple[int, int]]]] = {}
         self._segment_cache: dict[tuple[int, int], tuple[dict[int, int], dict[int, int]]] = {}
+        self._candidates: tuple[Fraction, ...] | None = None  # the memo of ``qls.sigma_candidates``
         self._check_strongly_connected()
 
     def _build(self) -> None:

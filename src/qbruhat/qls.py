@@ -72,9 +72,14 @@ def sigma_candidates(g: PQBG) -> tuple[Fraction, ...]:
     distinct, so the connecting path is nonempty), and sigma * <Lambda,
     beta^vee> integral with sigma = a/b in lowest terms forces b to divide
     the pairing value v of that edge's label, so sigma = (a v/b)/v.
+
+    The tuple is memoised on the graph, so every walk holds the same
+    ``Fraction`` objects and paths of two walks compare by identity.
     """
-    pairings = {g.pairings[e.label] for e in g.edges}
-    return tuple(sorted({Fraction(k, v) for v in pairings for k in range(1, v)}))
+    if g._candidates is None:
+        pairings = {g.pairings[e.label] for e in g.edges}
+        g._candidates = tuple(sorted({Fraction(k, v) for v in pairings for k in range(1, v)}))
+    return g._candidates
 
 
 def time_ticks(times) -> tuple[int, list[int]]:

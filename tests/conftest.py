@@ -1,6 +1,6 @@
-"""Shared fixtures and helpers: cached contexts, the reference Weyl group, exhaustive path walks, the reference
-enumeration walk, lift chains, the graph, path and oracle queries that only the tests ask, and the ``qbg`` JSON
-document built as dicts."""
+"""Shared fixtures and helpers: cached contexts, the reference root system, the reference Weyl group, exhaustive
+path walks, the reference enumeration walk, lift chains, the graph, path and oracle queries that only the tests ask,
+and the ``qbg`` JSON document built as dicts."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
-from qbruhat.cartan import Coroot, FiniteType, build_root_system
+from qbruhat.cartan import Coroot, FiniteType, build_root_system, cartan_matrix, positive_root_count
 from qbruhat.degree import lift
 from qbruhat.qbg import DirectedPath
 from qbruhat.qls import EnumerationCap, QLSPath, _structure_ok, _successors, sigma_candidates, time_ticks
@@ -58,6 +58,58 @@ def a3_010():
 @pytest.fixture(scope="session")
 def d4_0100():
     return cached_context("D4", (0, 1, 0, 0))
+
+
+# -- the reference root system: the full closure under simple reflections ------
+
+
+def reference_root_system(ftype: FiniteType) -> dict:
+    """A root system's fields from the closure of all roots, negative ones included, under every simple reflection.
+
+    Each root carries its coroot through the closure; the weight coordinates
+    are recomputed as C^T c.  Roots are ordered as in ``RootSystem``: the
+    simple roots, then the rest by (height, coords).
+    """
+    n = ftype.rank
+    C = cartan_matrix(ftype)
+
+    def reflect_root(c: tuple[int, ...], j: int) -> tuple[int, ...]:
+        # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j
+        out = list(c)
+        out[j] -= sum(c[i] * C[i][j] for i in range(n))
+        return tuple(out)
+
+    def reflect_coroot(d: tuple[int, ...], j: int) -> tuple[int, ...]:
+        # r_j(h) = h - <alpha_j, h> alpha_j^vee
+        out = list(d)
+        out[j] -= sum(d[i] * C[j][i] for i in range(n))
+        return tuple(out)
+
+    unit = lambda i: tuple(1 if k == i else 0 for k in range(n))
+    seen = {unit(i): unit(i) for i in range(n)}
+    queue = list(seen)
+    while queue:
+        c = queue.pop()
+        for j in range(n):
+            c2, d2 = reflect_root(c, j), reflect_coroot(seen[c], j)
+            if c2 not in seen:
+                seen[c2] = d2
+                queue.append(c2)
+            assert seen[c2] == d2, "inconsistent root/coroot closure"
+    positives = [c for c in seen if all(x >= 0 for x in c)]
+    assert len(seen) == 2 * len(positives) == 2 * positive_root_count(ftype)
+    ordered = [unit(i) for i in range(n)] + sorted((c for c in positives if sum(c) > 1), key=lambda c: (sum(c), c))
+    heights = [sum(c) for c in ordered]
+    return {
+        "positive_roots": tuple(ordered),
+        "positive_coroots": tuple(seen[c] for c in ordered),
+        "root_weight_coords": tuple(
+            tuple(sum(c[i] * C[i][j] for i in range(n)) for j in range(n)) for c in ordered
+        ),
+        "highest_root": heights.index(max(heights)),
+        "num_positive": len(ordered),
+        "rho": (1,) * n,
+    }
 
 
 # -- the reference: the enumerated Weyl group and its cosets W^J ---------------

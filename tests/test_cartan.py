@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
+from conftest import reference_root_system
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qbruhat import build_context
+from qbruhat import build_context, cartan
 from qbruhat.cartan import (
     FiniteType,
+    RootSystem,
     build_root_system,
     cartan_matrix,
     compute_shape,
@@ -19,6 +22,13 @@ from qbruhat.cartan import (
 )
 
 ALL_SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "F4", "G2"]
+ALL_TYPES = [
+    *(f"A{n}" for n in range(1, 9)),
+    *(f"B{n}" for n in range(2, 9)),
+    *(f"C{n}" for n in range(2, 9)),
+    *(f"D{n}" for n in range(4, 9)),
+    "E6", "E7", "E8", "F4", "G2",
+]
 
 
 def closure_second_pass(ftype: FiniteType) -> set[tuple[int, ...]]:
@@ -65,6 +75,22 @@ class TestBuild:
         second = closure_second_pass(rs.type)
         assert len(second) == rs.num_positive == positive_root_count(rs.type)
         assert second == {r for r in rs.positive_roots}
+
+    @pytest.mark.parametrize("name", ALL_TYPES)
+    def test_equals_full_closure(self, name):
+        # the raising-step BFS over the positive roots against the closure of all roots under every reflection
+        rs = build_root_system(FiniteType.parse(name))
+        for field, value in reference_root_system(rs.type).items():
+            assert getattr(rs, field) == value, field
+
+    def test_infinite_type_refused(self, monkeypatch):
+        # affine A2 has infinitely many real roots: the closure stops once it holds more than A3's 6 positive roots
+        affine = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+        monkeypatch.setattr(cartan, "cartan_matrix", lambda ftype: affine)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="^closure passed 6 positive roots for A3$"):
+            RootSystem(FiniteType("A", 3))
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("name", ALL_SMALL_TYPES)
     def test_simple_pairings_equal_cartan_matrix(self, name):

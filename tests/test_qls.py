@@ -236,6 +236,17 @@ class TestEnumerate:
         ctx = request.getfixturevalue(fixture)
         assert enumerate_hat(ctx.graph) == enumerate_tilde(ctx.graph)
 
+    def test_hat_and_tilde_share_times(self):
+        # both walks read the graph's one memoised candidate tuple, so equal paths hold the same Fraction
+        # objects and comparing them takes the identity shortcut instead of Fraction.__eq__
+        g = build_context("A2", (2, 1)).graph
+        hat, tilde = enumerate_hat(g), enumerate_tilde(g)
+        candidates = sigma_candidates(g)
+        assert candidates is sigma_candidates(g)
+        inner = [(p.times[1:-1], q.times[1:-1]) for p, q in zip(hat, tilde)]
+        assert len(hat) == len(tilde) and any(a for a, _ in inner)
+        assert all(x is y and any(x is c for c in candidates) for a, b in inner for x, y in zip(a, b, strict=True))
+
     def test_cardinality_regression(self, a2_21):
         # pinned after the oracle suites first certified this enumeration
         assert len(enumerate_hat(a2_21.graph)) == 27
