@@ -6,9 +6,12 @@ decide sigma-admissibility, and the orbit x -> x Lambda.
 
 The vertices W^J are built as the orbit W Lambda, with no Weyl group: a BFS
 from Lambda applies r_i where <mu, alpha_i^vee> > 0, raising the length by
-one (Deodhar).  Vertex x is its orbit point and its lexicographically least
-reduced word ``words[x]`` (the least i with <mu, alpha_i^vee> < 0, then the
-word of r_i mu); indices follow (length, word).  For a vertex w and a positive
+one (Deodhar).  Each orbit link mu -- r_i mu is reflected once, from its
+lower end, and written at both ends; the BFS walks points in order of
+length, so a point's down-links are written before it is walked.  Vertex x
+is its orbit point and its lexicographically least reduced word
+``words[x]`` (the least i with <mu, alpha_i^vee> < 0, then the word of
+r_i mu); indices follow (length, word).  For a vertex w and a positive
 root beta outside the parabolic subsystem there is an edge w -> w r_beta when
 one of the two length conditions holds:
 
@@ -21,7 +24,12 @@ edge is built, so each (vertex, label) pair is decided by one ``if``/``elif``
 on the target's length.  ``in_edges[x]`` is filled in (source, label)
 order; the out-lists are then filled by walking it in ascending target
 order, so ``out_edges[w]`` comes out in (target, label) order by
-construction.
+construction.  The build and the vertex names make only acyclic containers
+(tuples, lists of ints and of edges, strings), so the cyclic collector,
+which would otherwise walk them again and again as they grow (44 to 57
+collections per build of D5 and B4 regular, 2 with the pause), is paused
+across them and the caller's setting restored afterwards, also when the
+build raises.
 
 Directed paths are stored in the orientation x = w_0 <- w_1 <- ... <- w_n = y,
 i.e. ``vertices[0]`` is the endpoint the walk arrives at and ``labels[k]``
@@ -60,6 +68,7 @@ reaches vertex 0 by ``_distances_to``, an unmemoised reverse BFS.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -100,8 +109,11 @@ class SigmaPathResult:
     shortest: bool  # True when path exists with length == directed distance
 
 
+_GENERATOR_NAMES = tuple(f"s{j}" for j in range(9))  # ranks are at most 8
+
+
 def word_name(word: tuple[int, ...]) -> str:
-    return "e" if not word else " ".join(f"s{j}" for j in word)
+    return " ".join(map(_GENERATOR_NAMES.__getitem__, word)) or "e"
 
 
 def _denominator(sigma: Fraction) -> int:
@@ -125,8 +137,16 @@ class PQBG:
         self.rs = shape.rs
         self.J = shape.parabolic
         self.pairings = tuple(pair(shape.multiplicities, c) for c in self.rs.positive_coroots)  # <Lambda, beta^vee>
-        self._build()
-        self._names = tuple(map(word_name, self.words))
+        # the build makes no reference cycles, so the cyclic collector's passes over
+        # its growing containers would find nothing: paused, then the caller's state restored
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._build()
+            self._names = tuple(map(word_name, self.words))
+        finally:
+            if collecting:
+                gc.enable()
         self._search_cache: dict[int, tuple[int, ...]] = {}
         self._layers: list[list[int]] | None = None
         self._energies: dict[tuple[int, int], int] = {}
@@ -136,50 +156,63 @@ class PQBG:
         self._check_strongly_connected()
 
     def _build(self) -> None:
-        rs, lam = self.rs, self.shape.multiplicities
+        rs, lam, rank = self.rs, self.shape.multiplicities, self.rs.rank
         outside = lambda beta: any(c and i + 1 not in self.J for i, c in enumerate(beta))
         self.labels = tuple(idx for idx, beta in enumerate(rs.positive_roots) if outside(beta))  # roots outside Phi_J
         # the orbit by BFS from Lambda (points grows while it is walked), so by
         # length; left[p][i] is the point r_{i+1} mu_p, mu_p itself when fixed.
-        # r_i mu = mu - <mu, alpha_i^vee> alpha_i moves only the coordinates j
-        # where row i of the Cartan matrix is nonzero: moves[i] lists (j, c)
+        # Each link is reflected once, from its lower end (m = <mu, alpha_i^vee>
+        # > 0), and written at both ends: the lower end is walked first, so a
+        # point's down-links are all written before the walk reaches it.
+        # r_i mu = mu - m alpha_i moves only the coordinates j where row i of
+        # the Cartan matrix is nonzero: moves[i] lists (j, c)
         moves = [[(j, c) for j, c in enumerate(alpha) if c] for alpha in rs.cartan]
-        points, index, left = [lam], {lam: 0}, []
+        points, index, left, length = [lam], {lam: 0}, [[0] * rank], [0]
         for p, mu in enumerate(points):
-            row = []
-            for m, move in zip(mu, moves):
-                if m == 0:
-                    row.append(p)
-                    continue
-                nu = list(mu)
-                for j, c in move:
-                    nu[j] -= m * c
-                nu = tuple(nu)
-                found = index.get(nu)
-                if found is None:
-                    found = index[nu] = len(points)
-                    points.append(nu)
-                row.append(found)
-            left.append(row)
-        words, length = [()], [0]
-        for p in range(1, len(points)):
-            i = next(i for i, c in enumerate(points[p]) if c < 0)
+            row, up = left[p], length[p] + 1
+            for i, m in enumerate(mu):
+                if m > 0:
+                    nu = list(mu)
+                    for j, c in moves[i]:
+                        nu[j] -= m * c
+                    nu = tuple(nu)
+                    q = index.get(nu)
+                    if q is None:
+                        q = index[nu] = len(points)
+                        points.append(nu)
+                        left.append([q] * rank)
+                        length.append(up)
+                    row[i] = q
+                    left[q][i] = p
+        n = len(points)
+        words = [()]
+        for p in range(1, n):
+            mu, i = points[p], 0
+            while mu[i] >= 0:  # the least i with <mu, alpha_i^vee> < 0; mu_p is not dominant for p > 0
+                i += 1
             words.append((i + 1, *words[left[p][i]]))
-            length.append(length[left[p][i]] + 1)
-        # target[p][k]: the point x r_beta Lambda, beta = labels[k] and x the vertex
-        # of mu_p; r_beta Lambda at e, and r_i applied to the target of x' at s_i x'
-        target = [[index[rs.reflect_weight(lam, idx)] for idx in self.labels]]
-        for p in range(1, len(points)):
-            i = words[p][0] - 1
-            target.append([left[t][i] for t in target[left[p][i]]])
-        order = sorted(range(len(points)), key=lambda p: (length[p], words[p]))
-        vertex = [0] * len(points)
+        order = sorted(range(n), key=list(zip(length, words)).__getitem__)
+        vertex = [0] * n
         for v, p in enumerate(order):
             vertex[p] = v
-        self.num_vertices = len(points)
-        self.words = tuple(words[p] for p in order)
-        self._orbit = tuple(points[p] for p in order)
-        self._vertex_by_point = {point: v for v, point in enumerate(self._orbit)}
+        self.num_vertices = n
+        self.words = tuple(map(words.__getitem__, order))
+        self._orbit = tuple(map(points.__getitem__, order))
+        self._vertex_by_point = dict(zip(self._orbit, range(n)))
+        # from here on in vertex indices: length[v], and reflect[i][v] the vertex
+        # s_{i+1} x for x the vertex v.  Each table is dropped once read, so the
+        # edges and their tuples below are made without the dead ones held.
+        length = list(map(length.__getitem__, order))
+        reflect = [list(map(vertex.__getitem__, map(column.__getitem__, order))) for column in zip(*left)]
+        del left, index, vertex
+        # target[v][k]: the vertex x r_beta for x the vertex v and beta = labels[k];
+        # r_beta itself at e, and for x = s_i x', i the first letter of x's word,
+        # s_i applied to the target of x', which is shorter and so comes first
+        target = [[self._vertex_by_point[rs.reflect_weight(lam, idx)] for idx in self.labels]]
+        for v in range(1, n):
+            step = reflect[self.words[v][0] - 1]
+            target.append(list(map(step.__getitem__, target[step[v]])))
+        del reflect
 
         # 2(rho - rho_J) = sum of positive roots outside the parabolic subsystem
         two_rho_diff = tuple(map(sum, zip(*(rs.root_weight_coords[idx] for idx in self.labels))))
@@ -187,25 +220,29 @@ class PQBG:
         if any(d < 2 for d in drops):
             raise RuntimeError("<rho - rho_J, beta^vee> < 1 on an allowed label")
 
+        # edges are made by tuple.__new__, which skips the NamedTuple constructor's call
+        new, steps = tuple.__new__, list(zip(self.labels, drops))
         edges: list[QBGEdge] = []
-        incoming: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
-        for v, p in enumerate(order):
-            up = length[p] + 1
-            for idx, drop2, t in zip(self.labels, drops, target[p]):
+        incoming: list[list[QBGEdge]] = [[] for _ in range(n)]
+        for v, row in enumerate(target):
+            up = length[v] + 1
+            for (idx, drop2), w in zip(steps, row):
                 # both conditions hold only when drop2 == 0, which the check above refuses
-                lt = length[t]
-                if lt == up:
-                    e = QBGEdge(v, vertex[t], idx, False)
-                elif lt == up - drop2:
-                    e = QBGEdge(v, vertex[t], idx, True)
+                lw = length[w]
+                if lw == up:
+                    quantum = False
+                elif lw == up - drop2:
+                    quantum = True
                 else:
                     continue
+                e = new(QBGEdge, (v, w, idx, quantum))
                 edges.append(e)
-                incoming[e.target].append(e)
-        out: list[list[QBGEdge]] = [[] for _ in range(self.num_vertices)]
+                incoming[w].append(e)
+        del target
+        out: list[list[QBGEdge]] = [[] for _ in range(n)]
         for es in incoming:  # targets ascending, so each out-list comes out in (target, label) order
             for e in es:
-                out[e.source].append(e)
+                out[e[0]].append(e)
         self.edges = tuple(edges)
         self.out_edges = tuple(map(tuple, out))
         self.in_edges = tuple(map(tuple, incoming))  # appended in (source, label) order

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from conftest import (
     vertex_by_word,
 )
 from qbruhat import build_context
-from qbruhat.cartan import pair
+from qbruhat.cartan import FiniteType, build_root_system, compute_shape, pair
 from qbruhat.qbg import PQBG, word_name
 from qbruhat.qls import sigma_candidates
 
@@ -137,6 +138,30 @@ class TestBuild:
         monkeypatch.setattr(qbruhat.qbg, "pair", lambda *args: 0)
         with pytest.raises(RuntimeError, match=r"<rho - rho_J, beta\^vee> < 1 on an allowed label"):
             PQBG(a2_21.shape)
+
+    @pytest.mark.parametrize("caller_collects", [True, False])
+    def test_cyclic_collector_paused_and_restored(self, a2_21, monkeypatch, caller_collects):
+        # the build runs with the cyclic collector paused and leaves it as the caller had it,
+        # also when it raises
+        real_build = PQBG._build
+        during = []
+
+        def build(g):
+            during.append(gc.isenabled())
+            real_build(g)
+
+        monkeypatch.setattr(PQBG, "_build", build)
+        if not caller_collects:
+            gc.disable()
+        try:
+            PQBG(a2_21.shape)
+            assert during == [False] and gc.isenabled() is caller_collects
+            monkeypatch.setattr(qbruhat.qbg, "pair", lambda *args: 0)
+            with pytest.raises(RuntimeError, match="on an allowed label"):
+                PQBG(a2_21.shape)
+            assert during == [False, False] and gc.isenabled() is caller_collects
+        finally:
+            gc.enable()
 
     def test_edges_are_immutable_and_hashable(self, c2_11):
         g = c2_11.graph
@@ -263,6 +288,56 @@ class TestOrbitBuild:
         assert g.vertex_at((2, 1)) == 0
         with pytest.raises(KeyError):
             g.vertex_at(point)
+
+
+def reference_type_e_graph(g):
+    """Edges of g recomputed per (vertex, label), from its words alone, in (source, label) order.
+
+    The labels are the beta with <Lambda, beta^vee> > 0; the target of x along
+    beta is the vertex of x r_beta Lambda, the length of a vertex its word's,
+    and 2<rho - rho_J, beta^vee> is read from the labels' roots in weight
+    coordinates, summed over the Cartan matrix's rows.
+    """
+    rs, lam = g.rs, g.shape.multiplicities
+    labels = [i for i, c in enumerate(rs.positive_coroots) if pair(lam, c) > 0]
+    two_rho_diff = [0] * rs.rank
+    for i in labels:
+        for j, c in enumerate(rs.positive_roots[i]):
+            for k, a in enumerate(rs.cartan[j]):
+                two_rho_diff[k] += c * a
+    edges = []
+    for x, word in enumerate(g.words):
+        for i in labels:
+            t = g.vertex_at(rs.apply_weight(word, rs.reflect_weight(lam, i)))
+            up = len(g.words[t]) - len(word)
+            if up == 1:
+                edges.append((x, t, i, "bruhat"))
+            elif up == 1 - pair(two_rho_diff, rs.positive_coroots[i]):
+                edges.append((x, t, i, "quantum"))
+    return edges
+
+
+# type E sits above the group cap of build_context, so these graphs are built directly
+_TYPE_E_SHAPES = [
+    ("E6", (1, 0, 0, 0, 0, 0), 27, 42),
+    ("E6", (0, 1, 0, 0, 0, 0), 72, 159),
+    ("E7", (0, 0, 0, 0, 0, 0, 1), 56, 96),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 240, 529),
+]
+
+
+@pytest.mark.parametrize(
+    "name,mults,vertices,edges", _TYPE_E_SHAPES, ids=[f"{n}-{''.join(map(str, m))}" for n, m, _, _ in _TYPE_E_SHAPES]
+)
+def test_type_e_graph_matches_reference(name, mults, vertices, edges):
+    rs = build_root_system(FiniteType.parse(name))
+    g = PQBG(compute_shape(rs, mults))
+    assert (g.num_vertices, len(g.edges)) == (vertices, edges)
+    for x, word in enumerate(g.words):
+        point = rs.apply_weight(word, g.shape.multiplicities)
+        assert point == g.orbit_weight(x)
+        assert len(word) == sum(pair(point, c) < 0 for c in rs.positive_coroots)
+    assert [(e.source, e.target, e.label, e.kind) for e in g.edges] == reference_type_e_graph(g)
 
 
 class TestDistances:
