@@ -20,7 +20,9 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, chain, starmap
+from operator import add, itemgetter
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle, AffineOrbitElement
@@ -189,19 +191,28 @@ def _table_line(row: dict) -> str:
     return _csv_line((row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),)))
 
 
-def _walk_lines(g, cap: int):
+def _walk_lines(g, cap: int) -> list[str]:
     """The CSV lines of every strong path's row, as ``_table_line`` writes them, from one walk.
 
     A row's times, energies and degree depend on its schedule alone, so each
-    distinct schedule's text is made once; the rows add their direction names.
+    distinct schedule's text is made once, from the texts of its index tuple
+    and of its energies, each made once per tuple.  A level's direction
+    names are read column by column and joined per row, and each line is
+    its directions' text followed by its schedule's.
     """
     listing = path_listing(g, True, cap)
+    times = cache(lambda idx: ";".join(listing.time_texts(idx)))
+    values = cache(lambda energies: ";".join(map(str, energies)))
 
     def tail(idx, energies, deg):
-        return _csv_line((listing.time_texts(idx), map(str, energies), (str(deg),)))
+        return f",{times(idx)},{values(energies)},{deg}"
 
     name = listing.names.__getitem__
-    return (f"{';'.join(map(name, dirs))},{text}" for dirs, text in _walk_rows(g, listing, tail))
+    lines: list[str] = []
+    for dirs, rows in _walk_rows(g, listing, tail):
+        cols = [map(name, map(itemgetter(j), dirs)) for j in range(len(dirs[0]))]
+        lines += map(add, map(";".join, zip(*cols)), rows)
+    return lines
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
@@ -266,7 +277,8 @@ def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], 
         return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
 
     hat, counts, reports = [], Counter(), []
-    for dirs, (idx, times, deltas, outside, endpoint_ok) in _walk_rows(graph, listing, schedule):
+    rows = chain.from_iterable(starmap(zip, _walk_rows(graph, listing, schedule)))
+    for dirs, (idx, times, deltas, outside, endpoint_ok) in rows:
         hat.append(QLSPath(dirs, times))
         if outside:
             status, detail = "inconclusive", outside
@@ -327,8 +339,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if overall == "pass" else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The ``qbruhat`` parser; each subparser names the ``cmd_*`` that runs it as ``run``.
+
+    It is built once per process and serves every ``main`` call, so the
+    ``run`` defaults hold the ``cmd_*`` functions bound at the first build;
+    a ``cmd_*`` rebound on the module later is not the one that runs.
 
     To add a subcommand, write one ``cmd_*`` that takes only the parsed
     arguments, add one subparser with ``set_defaults(run=cmd_...)`` and one

@@ -14,11 +14,12 @@ of their denominators, so the sum is an integer over L.
 
 Every path of the shape takes one route to its row: the enumeration walk
 carries the energies, and ``_walk_rows`` reads every time as a tick over
-one L, the lcm of all candidate denominators.  It checks each path's
-structure: the times once per index tuple, the directions on every row.
-The sum and its exactness check read only the path's schedule, its
-(candidate indices, energies), so they run once per distinct schedule,
-and so does the caller's formatting of the schedule's texts.
+one L, the lcm of all candidate denominators.  It runs once per walk
+level, the paths with k directions, and checks each path's structure: the
+times once per index tuple, the directions once per level, column by
+column.  The sum and its exactness check read only the path's schedule,
+its (candidate indices, energies), so they run once per distinct
+schedule, and so does the caller's formatting of the schedule's texts.
 ``degree_rows``, ``cli.cmd_degree`` and ``cli.verify_shape`` all take this
 route.  ``degree``, ``lift`` and ``degree_table`` take given paths
 (``--path`` literals) and derive their segments with ``_segments``.
@@ -34,16 +35,18 @@ first principles.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul, sub
+from itertools import accumulate, chain, starmap
+from operator import itemgetter, mul, sub
 
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import Listing, QLSPath, _dirs_ok, _structure_ok, _ticks_ok, path_listing, path_to_json, time_ticks
+from .qls import Listing, QLSPath, _dirs_level_ok, _dirs_ok, _structure_ok, _ticks_ok, path_listing, path_to_json
+from .qls import time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -145,42 +148,72 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
 
 
 def _invalid_row(listing: Listing, dirs: tuple[int, ...], idx: tuple[int, ...]) -> InvalidQLSPath:
-    """The error of a row that fails the structure check, naming it as a path literal."""
-    literal = f"{';'.join(listing.dir_names(dirs))}|{','.join(listing.time_texts(idx))}"
+    """The error of a row that fails the structure check, naming it as a path literal.
+
+    A vertex or candidate index outside its range is named by number, as ``#-1``.
+    """
+
+    def named(texts: list[str], values: tuple[int, ...]) -> list[str]:
+        return [texts[v] if 0 <= v < len(texts) else f"#{v}" for v in values]
+
+    literal = f"{';'.join(named(listing.names, dirs))}|{','.join(['0', *named(listing.texts, idx), '1'])}"
     return InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
 
 
-def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple]:
-    """Each path of a strong ``qls.path_listing`` as (dirs, ``schedule_row(idx, energies, deg)``).
+def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple[list, Iterator]]:
+    """Each level of a strong ``qls.path_listing`` as (its dirs, ``schedule_row(idx, energies, deg)`` of each path).
 
-    A path's schedule is its (candidate indices, energies); its degree reads
-    nothing else.  The candidates are read once as ticks over L, the lcm of
-    all their denominators (``qls.time_ticks``): a path's sum over L is its
-    sum over the lcm of its own denominators times a positive integer, so
-    the exactness check and its sign mean what they mean on ``degree``.
+    A level is the run of paths with k directions; the walk lists them in
+    order of k, so a level ends where ``bisect_right`` on the number of
+    directions puts it, or before the first row of another length inside
+    it (a corrupt record, or a listing out of that order).  A path's
+    schedule is its (candidate indices, energies); its degree reads nothing
+    else.  The candidates are read once as ticks over L, the lcm of all
+    their denominators (``qls.time_ticks``): a path's sum over L is its sum
+    over the lcm of its own denominators times a positive integer, so the
+    exactness check and its sign mean what they mean on ``degree``.
     Every row passes both halves of the structure check,
     ``qls._structure_ok``: the tick half reads the index tuple alone and
-    runs once per tuple, where its tick list is built, and the direction
-    half runs on every row, in order.  A row that fails either half is
-    named as a path literal.  The degree and ``schedule_row`` run once per
-    distinct schedule.
+    runs once per tuple, in the order of the tuples' first rows, where its
+    tick list is built, and refuses an index outside [0, |C|); the direction
+    half runs once per level, column by column (``qls._dirs_level_ok``).  If
+    either fails, the level is scanned row by row with both halves, and the
+    first row that fails is named as a path literal.  The degree and
+    ``schedule_row`` run once per distinct schedule; the rows read them
+    from the level's memo.
     """
     L, tick = time_ticks(listing.candidates)
-    by_idx: dict[tuple, tuple[list[int], dict]] = {}  # idx -> (its ticks, its schedules' rows by energies)
-    for dirs, idx, energies in listing.paths:
-        entry = by_idx.get(idx)
-        if entry is None:
-            ticks = [0, *[tick[i] for i in idx], L]
-            if not _ticks_ok(L, ticks):
-                raise _invalid_row(listing, dirs, idx)
-            entry = by_idx[idx] = ticks, {}
-        ticks, made = entry
-        if not _dirs_ok(g, dirs, ticks):
-            raise _invalid_row(listing, dirs, idx)
-        row = made.get(energies)
-        if row is None:
-            row = made[energies] = schedule_row(idx, energies, _degree_of(energies, L, ticks))
-        yield dirs, row
+    paths = listing.paths
+    start = 0
+    while start < len(paths):
+        k = len(paths[start][0])
+        level = paths[start : bisect_right(paths, k, start, key=lambda path: len(path[0]))]
+        dirs = list(map(itemgetter(0), level))
+        lengths = list(map(len, dirs))
+        if lengths.count(k) != len(lengths):
+            # out of level order, bisection may reach past a row of another length: end the level before it
+            level = level[: next(r for r, n in enumerate(lengths) if n != k)]
+            dirs = dirs[: len(level)]
+        start += len(level)
+        idx = list(map(itemgetter(1), level))
+        energies = list(map(itemgetter(2), level))
+        ticks_of: dict[tuple, list[int] | None] = {}  # idx -> its ticks, None if it fails the tick half
+        ticks_failed = False
+        for i in dict.fromkeys(idx):
+            ticks = [0, *map(tick.__getitem__, i), L] if not i or (min(i) >= 0 and max(i) < len(tick)) else None
+            if ticks is None or not _ticks_ok(L, ticks):
+                ticks, ticks_failed = None, True
+            ticks_of[i] = ticks
+        if ticks_failed or not _dirs_level_ok(g, k, dirs, idx):
+            # the level fails exactly when one of its rows fails a half; name the first (the level's first
+            # row, should the level check alone fail)
+            fails = [ticks_of[i] is None or not _dirs_ok(g, d, ticks_of[i]) for d, i in zip(dirs, idx)]
+            bad = fails.index(True) if any(fails) else 0
+            raise _invalid_row(listing, dirs[bad], idx[bad])
+        made = dict.fromkeys(zip(idx, energies))
+        for i, e in made:
+            made[i, e] = schedule_row(i, e, _degree_of(e, L, ticks_of[i]))
+        yield dirs, map(made.__getitem__, zip(idx, energies))
 
 
 def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
@@ -189,8 +222,8 @@ def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
     Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.
     """
     listing = path_listing(g, True, cap)
-    rows = _walk_rows(g, listing, lambda idx, energies, deg: (listing.time_texts(idx), energies, deg))
+    levels = _walk_rows(g, listing, lambda idx, energies, deg: (listing.time_texts(idx), energies, deg))
     return [
         {"dirs": listing.dir_names(dirs), "times": list(times), "energies": list(energies), "deg": deg}
-        for dirs, (times, energies, deg) in rows
+        for dirs, (times, energies, deg) in chain.from_iterable(starmap(zip, levels))
     ]

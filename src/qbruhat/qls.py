@@ -29,11 +29,13 @@ the search is built.  The weak lists read the same searches' distances
 (``PQBG.sigma_distances_from``), so the weak walk runs the same checks and,
 after the strong one, no new search; neither reads a row of length N.
 ``path_listing`` keeps the walk's records as indices, with each vertex name
-and candidate time text formatted once.  ``degree._walk_rows`` checks the
-structure of every row, its times once per index tuple (``_ticks_ok``)
-and its directions on every row (``_dirs_ok``); it sums, checks and formats
-each distinct schedule, a path's (candidate indices, energies), once; the
-table writes the rows, and ``verify`` lifts them.
+and candidate time text formatted once.  ``degree._walk_rows`` reads them
+one level at a time and checks the structure of every row: its times once
+per index tuple (``_ticks_ok``) and its directions once per level, column
+by column (``_dirs_level_ok``, true exactly when every row passes
+``_dirs_ok``); it sums, checks and formats each distinct schedule, a
+path's (candidate indices, energies), once; the table writes the rows,
+and ``verify`` lifts them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import lt, ne
+from operator import itemgetter, lt, ne
 from typing import NamedTuple
 
 from .qbg import PQBG
@@ -100,6 +102,24 @@ def _dirs_ok(g: PQBG, dirs: tuple[int, ...], ticks: list[int]) -> bool:
     if min(dirs) < 0 or max(dirs) >= g.num_vertices:
         return False
     return all(map(ne, dirs, dirs[1:]))
+
+
+def _dirs_level_ok(g: PQBG, k: int, dirs: list[tuple[int, ...]], idx: list[tuple[int, ...]]) -> bool:
+    """The direction half on a level of rows, column by column: true exactly when every row passes ``_dirs_ok``.
+
+    The lengths come first: k >= 1, every dirs of length k and every index
+    tuple of length k - 1, so that each row's ticks are one longer than its
+    directions.  Then the columns are read, column j the j-th direction of
+    every row: the least and greatest vertex of their union must lie in
+    [0, N), and no row may repeat a direction in neighbouring columns.
+    """
+    if k < 1 or list(map(len, dirs)).count(k) != len(dirs) or list(map(len, idx)).count(k - 1) != len(idx):
+        return False
+    cols = [list(map(itemgetter(j), dirs)) for j in range(k)]
+    vertices = set().union(*cols)
+    if min(vertices) < 0 or max(vertices) >= g.num_vertices:
+        return False
+    return all(all(map(ne, left, right)) for left, right in zip(cols, cols[1:]))
 
 
 def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:

@@ -750,6 +750,31 @@ class TestDispatch:
         code, out, err = run(capsys)
         assert code == 2 and out == "" and err.startswith("usage: qbruhat")
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process: calls of different subcommands and flags through it give
+        # what a fresh parser gives each, and --help still exits 0
+        argvs = [
+            ("qbg", "--type", "A2", "--lambda", "2,1", "--format", "dot"),
+            ("qls", "--type", "A2", "--lambda", "1,1", "--variant", "tilde", "--format", "csv"),
+            ("degree", "--type", "B2", "--lambda", "1,1", "--cap", "100"),
+            ("degree", "--type", "A2", "--lambda", "2,1", "--path", "e|0,1", "--format", "json"),
+            ("verify", "--type", "A2", "--lambda", "1,1", "--window", "4"),
+            ("qls", "--type", "A2", "--lambda", "2,1", "--cap", "5"),
+            ("degree", "--type", "A2", "--lambda", "2,1", "--window", "3"),
+            ("--help",),
+            ("verify", "--help"),
+            ("qbg", "--type", "A2", "--lambda", "2,1"),
+        ]
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()

@@ -28,9 +28,12 @@ from qbruhat.qbg import PQBG
 from qbruhat.qls import (
     EnumerationCap,
     QLSPath,
+    _dirs_ok,
     _structure_ok,
+    _ticks_ok,
     enumerate_hat,
     enumerate_tilde,
+    path_listing,
     sigma_candidates,
     time_ticks,
 )
@@ -362,6 +365,12 @@ def _reference_enumerate(g, strong: bool) -> tuple[QLSPath, ...]:
     return tuple(sorted(found, key=path_sort_key))
 
 
+def _drain(g, listing) -> None:
+    """Run ``_walk_rows`` over a listing to its end, reading every row."""
+    for _, rows in degree_mod._walk_rows(g, listing, lambda idx, energies, deg: None):
+        list(rows)
+
+
 ROW_SHAPES = pytest.mark.parametrize(
     "name,mults",
     [
@@ -399,18 +408,22 @@ class TestDegreeRows:
         assert_walk_matches_reference(cached_context(name, mults).graph)
 
     def test_structure_check_runs_on_every_row(self, monkeypatch, a2_21):
-        # the direction half is the part of the check that reads each row
-        monkeypatch.setattr(degree_mod, "_dirs_ok", lambda *args: False)
+        # the direction half reads each row inside its level's check; a level that fails it is refused
+        monkeypatch.setattr(degree_mod, "_dirs_level_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath, match="structurally invalid"):
             degree_rows(a2_21.graph)
 
-    def test_structure_message_names_words_and_times(self, monkeypatch, a2_21):
-        # the row is named as a path literal, by words and time texts, not by
-        # vertex indices and a list repr
-        monkeypatch.setattr(degree_mod, "_dirs_ok", lambda *args: False)
+    def test_structure_message_names_words_and_times(self, a2_21):
+        # the first failing row of a failing level is named as a path literal, by words and time texts, not
+        # by vertex indices and a list repr
+        g = a2_21.graph
+        e, s1 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s1")
+        listing = path_listing(g, True, 10**6)
+        r = next(r for r, (dirs, idx, _) in enumerate(listing.paths) if dirs == (e, s1) and idx == (1,))
+        listing.paths[r] = ((s1, s1), (1,), listing.paths[r][2])
         with pytest.raises(InvalidQLSPath) as info:
-            degree_rows(a2_21.graph)
-        assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
+            _drain(g, listing)
+        assert str(info.value) == "invalid path 's1;s1|0,1/2,1': structurally invalid"
 
     def test_tick_half_names_the_row_as_a_literal(self, monkeypatch, a2_21):
         # the tick half runs where a new index tuple's ticks are built; failing, it names the first row with
@@ -460,18 +473,22 @@ class TestDegreeRows:
 
     @ROW_SHAPES
     def test_structure_check_once_per_row(self, monkeypatch, name, mults):
-        # the tick lists are shared per index tuple, but the direction half checks each row, in order
+        # the direction half checks each row once, inside its level: one call per number of directions, and
+        # the levels checked, concatenated, are the rows in order
         g = cached_context(name, mults).graph
         checked = []
-        real = degree_mod._dirs_ok
+        real = degree_mod._dirs_level_ok
 
-        def recording(graph, dirs, ticks):
-            checked.append(dirs)
-            return real(graph, dirs, ticks)
+        def recording(graph, k, dirs, idx):
+            checked.append((k, dirs))
+            return real(graph, k, dirs, idx)
 
-        monkeypatch.setattr(degree_mod, "_dirs_ok", recording)
+        monkeypatch.setattr(degree_mod, "_dirs_level_ok", recording)
         degree_rows(g)
-        assert checked == [path.directions for path in enumerate_hat(g)]
+        hat = [path.directions for path in enumerate_hat(g)]
+        assert [k for k, _ in checked] == sorted(set(map(len, hat)))
+        assert [d for k, dirs in checked for d in dirs] == hat
+        assert all(len(d) == k for k, dirs in checked for d in dirs)
 
     @ROW_SHAPES
     def test_tick_check_once_per_index_tuple(self, monkeypatch, name, mults):
@@ -513,10 +530,10 @@ class TestDegreeRows:
             capsys.readouterr()
         assert len(table) > len(schedules) and len(summed) == len(schedules) and set(summed.values()) == {1}
 
-    @pytest.mark.parametrize("check", ["_dirs_ok", "_ticks_ok", "_degree_of"])
+    @pytest.mark.parametrize("check", ["_dirs_level_ok", "_ticks_ok", "_degree_of"])
     def test_failure_on_the_last_row_prints_nothing(self, capsys, monkeypatch, a2_21, check):
-        # every row of the table is built before the first write, so a check that fails on the last row
-        # leaves stdout empty
+        # every row of the table is built before the first write, so a check that fails on the last row (the
+        # direction half: on the last level) leaves stdout empty
         real = getattr(degree_mod, check)
         calls = []
 
@@ -555,3 +572,120 @@ class TestDegreeRows:
         assert main([*argv, str(count)]) == 0
         out, err = capsys.readouterr()
         assert out.count("\n") == count + 1 and err == ""
+
+
+def _reference_failure(g, listing) -> str | None:
+    """The message that names the first row failing a per-row structure check, or None if every row passes."""
+    L, tick = time_ticks(listing.candidates)
+    n, c = g.num_vertices, len(listing.candidates)
+    for dirs, idx, _ in listing.paths:
+        if all(0 <= i < c for i in idx):
+            ticks = [0, *[tick[i] for i in idx], L]
+            if _ticks_ok(L, ticks) and _dirs_ok(g, dirs, ticks):
+                continue
+        words = ";".join(listing.names[v] if 0 <= v < n else f"#{v}" for v in dirs)
+        times = ",".join(["0", *(listing.texts[i] if 0 <= i < c else f"#{i}" for i in idx), "1"])
+        return f"invalid path '{words}|{times}': structurally invalid"
+    return None
+
+
+# one record's directions, corrupted; None where the corruption needs more directions than it has
+CORRUPTIONS = {
+    "equal-neighbours": lambda dirs, n: (*dirs[:-1], dirs[-2]) if len(dirs) > 1 else None,
+    "vertex-minus-one": lambda dirs, n: (*dirs[:-1], -1),
+    "vertex-n": lambda dirs, n: (*dirs[:-1], n),
+    "direction-dropped": lambda dirs, n: dirs[:-1],
+}
+
+
+class TestLevelCheck:
+    @ROW_SHAPES
+    def test_uncorrupted_listing_passes(self, name, mults):
+        g = cached_context(name, mults).graph
+        listing = path_listing(g, True, 10**6)
+        assert _reference_failure(g, listing) is None
+        _drain(g, listing)
+
+    @ROW_SHAPES
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_names_the_row_of_the_per_row_scan(self, name, mults, corruption):
+        # one record corrupted at the first, middle and last row of each level: the level pass refuses the
+        # listing with the literal of the first row that a per-row scan refuses
+        g = cached_context(name, mults).graph
+        listing = path_listing(g, True, 10**6)
+        levels: dict[int, list[int]] = {}
+        for r, (dirs, _, _) in enumerate(listing.paths):
+            levels.setdefault(len(dirs), []).append(r)
+        tried = 0
+        for rows in levels.values():
+            for r in dict.fromkeys((rows[0], rows[len(rows) // 2], rows[-1])):
+                dirs, idx, energies = listing.paths[r]
+                bad = CORRUPTIONS[corruption](dirs, g.num_vertices)
+                if bad is None:
+                    continue
+                paths = list(listing.paths)
+                paths[r] = (bad, idx, energies)
+                # every other row passes (test_uncorrupted_listing_passes), so the per-row scan stops here
+                expected = _reference_failure(g, listing._replace(paths=[paths[r]]))
+                assert expected is not None
+                with pytest.raises(InvalidQLSPath) as info:
+                    _drain(g, listing._replace(paths=paths))
+                assert str(info.value) == expected
+                tried += 1
+        assert tried >= len(levels) - 1
+
+    @ROW_SHAPES
+    def test_names_the_first_of_two_failing_rows(self, name, mults):
+        # the first and last rows of a level both corrupted: the level pass names the first
+        g = cached_context(name, mults).graph
+        listing = path_listing(g, True, 10**6)
+        levels: dict[int, list[int]] = {}
+        for r, (dirs, _, _) in enumerate(listing.paths):
+            levels.setdefault(len(dirs), []).append(r)
+        for rows in levels.values():
+            if len(rows) < 2:
+                continue
+            paths = list(listing.paths)
+            for r in (rows[0], rows[-1]):
+                dirs, idx, energies = paths[r]
+                paths[r] = (CORRUPTIONS["vertex-n"](dirs, g.num_vertices), idx, energies)
+            with pytest.raises(InvalidQLSPath) as info:
+                _drain(g, listing._replace(paths=paths))
+            assert str(info.value) == _reference_failure(g, listing._replace(paths=paths[rows[0] : rows[0] + 1]))
+
+    @pytest.mark.parametrize(
+        "corruption,literal",
+        [
+            ("direction -1", "#-1;s2 s1|0,1/2,1"),
+            ("direction N", "#6;s2 s1|0,1/2,1"),
+            ("index -1", "s2;s2 s1|0,#-1,1"),
+            ("index |C|", "s2;s2 s1|0,#3,1"),
+        ],
+    )
+    def test_out_of_range_value_named_by_number(self, a2_21, corruption, literal):
+        # a direction outside [0, N) is named by number, not as another vertex or by an IndexError, and a
+        # candidate index outside [0, |C|) is refused by the tick half, not read as another candidate
+        g = a2_21.graph
+        s2, s2s1 = vertex_by_word(a2_21, "s2"), vertex_by_word(a2_21, "s2 s1")
+        listing = path_listing(g, True, 10**6)
+        r = next(r for r, (dirs, idx, _) in enumerate(listing.paths) if dirs == (s2, s2s1) and idx == (1,))
+        value = {"direction -1": -1, "direction N": g.num_vertices, "index -1": -1, "index |C|": 3}[corruption]
+        dirs, idx, energies = listing.paths[r]
+        paths = list(listing.paths)
+        paths[r] = ((value, s2s1), idx, energies) if corruption.startswith("direction") else (dirs, (value,), energies)
+        with pytest.raises(InvalidQLSPath) as info:
+            _drain(g, listing._replace(paths=paths))
+        assert str(info.value) == f"invalid path '{literal}': structurally invalid"
+
+    def test_rows_out_of_level_order_pass(self, a2_21):
+        # a row of another length inside a level ends that level before it: every row still passes alone,
+        # and the levels read, concatenated, are the rows in the listing's order
+        g = a2_21.graph
+        listing = path_listing(g, True, 10**6)
+        paths = list(listing.paths)
+        first3 = next(r for r, (dirs, _, _) in enumerate(paths) if len(dirs) == 3)
+        paths.insert(8, paths.pop(first3))
+        moved = listing._replace(paths=paths)
+        assert _reference_failure(g, moved) is None
+        read = [d for dirs, rows in degree_mod._walk_rows(g, moved, lambda *args: None) for d in dirs]
+        assert read == [dirs for dirs, _, _ in paths]
