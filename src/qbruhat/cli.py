@@ -21,15 +21,14 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, starmap
-from operator import add, itemgetter
+from itertools import accumulate, chain
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle, AffineOrbitElement
 from .cartan import parse_integer, parse_multiplicities
 from .degree import AffineLSPath, InvalidQLSPath, _endpoint_of, _walk_rows, degree_rows, degree_table
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import EnumerationCap, QLSPath, candidate_times, enumerate_tilde, path_listing, time_ticks
+from .qls import EnumerationCap, QLSPath, _carry, candidate_times, enumerate_tilde, path_listing, time_ticks
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
@@ -63,8 +62,8 @@ def _validate(args: argparse.Namespace) -> None:
                 setattr(args, flag, parse_integer(getattr(args, flag)))
             except ValueError as exc:
                 raise CliError(f"bad --{flag} value {getattr(args, flag)!r}: {exc}") from exc
-    if getattr(args, "cap", 0) < 0:
-        raise CliError(f"cap must be non-negative, not {args.cap}")
+            if getattr(args, flag) < 0:
+                raise CliError(f"{flag} must be non-negative, not {getattr(args, flag)}")
     try:
         args.type = str(FiniteType.parse(args.type))
     except ValueError as exc:
@@ -87,11 +86,6 @@ def _write_doc(args: argparse.Namespace, **fields) -> None:
     """Write one small JSON document (``qls``, ``degree`` and ``verify``): the header, then ``fields`` in order."""
     json.dump(_header(args) | fields, sys.stdout, indent=2)
     sys.stdout.write("\n")
-
-
-def _csv_line(fields) -> str:
-    """One CSV line's text: the fields joined by ``,``, each field's strings by ``;``."""
-    return ",".join(map(";".join, fields))
 
 
 # physical lines per write: a few kB, well inside a 64 KiB pipe buffer (a block of DOT lines, about 3 kB, is
@@ -173,12 +167,12 @@ def cmd_qbg(args: argparse.Namespace) -> int:
 
 def cmd_qls(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    listing = path_listing(ctx.graph, args.variant == "hat", args.cap)
-    texts = ((listing.dir_names(dirs), listing.time_texts(idx)) for dirs, idx, _ in listing.paths)
+    levels = path_listing(ctx.graph, args.variant == "hat", args.cap).level_texts()
     if args.format == "csv":
-        _write_lines(["dirs,times", *map(_csv_line, texts)])
+        _write_lines(["dirs,times", *chain.from_iterable(map(",".join, zip(*texts)) for texts in levels)])
         return 0
-    paths = [{"dirs": dirs, "times": times} for dirs, times in texts]
+    rows = chain.from_iterable(zip(*texts) for texts in levels)
+    paths = [{"dirs": dirs.split(";"), "times": times.split(";")} for dirs, times in rows]
     _write_doc(args, variant=args.variant, count=len(paths), paths=paths)
     return 0
 
@@ -187,31 +181,23 @@ _DEGREE_HEADER = "dirs,times,energies,deg"
 
 
 def _table_line(row: dict) -> str:
-    """The CSV line of a ``degree_table`` record."""
-    return _csv_line((row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),)))
+    """The CSV line of a ``degree_table`` record: its fields joined by ``,``, each field's strings by ``;``."""
+    return ",".join(map(";".join, (row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),))))
 
 
 def _walk_lines(g, cap: int) -> list[str]:
     """The CSV lines of every strong path's row, as ``_table_line`` writes them, from one walk.
 
-    A row's times, energies and degree depend on its schedule alone, so each
-    distinct schedule's text is made once, from the texts of its index tuple
-    and of its energies, each made once per tuple.  A level's direction
-    names are read column by column and joined per row, and each line is
-    its directions' text followed by its schedule's.
+    Each level is read once ``degree._walk_rows`` has checked it and made
+    its degrees; each row's texts are its parent's followed by its step's.
     """
     listing = path_listing(g, True, cap)
-    times = cache(lambda idx: ";".join(listing.time_texts(idx)))
-    values = cache(lambda energies: ";".join(map(str, energies)))
-
-    def tail(idx, energies, deg):
-        return f",{times(idx)},{values(energies)},{deg}"
-
-    name = listing.names.__getitem__
     lines: list[str] = []
-    for dirs, rows in _walk_rows(g, listing, tail):
-        cols = [map(name, map(itemgetter(j), dirs)) for j in range(len(dirs[0]))]
-        lines += map(add, map(";".join, zip(*cols)), rows)
+    energies: list[str] = []
+    for k, ((level, degrees), (dirs, times)) in enumerate(zip(_walk_rows(g, listing), listing.level_texts())):
+        steps = {e: f"{';' if k > 1 else ''}{e}" for e in set(level.e)}  # no ';' before a row's first energy
+        energies = _carry(energies, level.parent, map(steps.__getitem__, level.e)) if k else [""] * len(level.y)
+        lines += map(",".join, zip(dirs, times, energies, map(str, degrees)))
     return lines
 
 
@@ -252,17 +238,17 @@ def _worst(statuses) -> str:
 def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], Counter, list[dict]]:
     """The strong paths from one walk, the statuses of their lifts and the reports of the paths that did not pass.
 
-    Everything but the sigma-chains reads only a path's schedule, its
-    (candidate indices, energies), so it runs once per distinct schedule,
-    when ``degree._walk_rows`` first meets it: the times, the lift's
+    Each level is read as its rows' directions and schedules once
+    ``degree._walk_rows`` has checked it.  All but the sigma-chains
+    reads only a path's schedule, its (candidate indices, energies), so it
+    runs once per distinct schedule of a level: the times, the lift's
     delta-coefficients (the prefix sums of the energies), the largest
-    ``|delta|`` that the window is held against, and, for a schedule inside
-    the window, the endpoint identity on the walk's ticks over one L
-    (``degree._endpoint_of``).  Each path inside the window is then built
-    as its lift and handed to ``oracle.verify_ls_path``, which memoises the
-    verdict of each segment; a path outside it is ``inconclusive`` and never
-    reaches the oracle.  A path's direction names and time texts are looked
-    up only if it is reported.  The walk's records go when this returns.
+    ``|delta|`` that the window is held against and, inside the window, the
+    endpoint identity on the ticks over one L (``degree._endpoint_of``).
+    Each path inside the window is handed, lifted, to
+    ``oracle.verify_ls_path``, which memoises each segment's verdict; one
+    outside it is ``inconclusive``.  A path's texts are looked up only if it
+    is reported.
     """
     listing = path_listing(graph, True, cap)
     L, tick = time_ticks(listing.candidates)
@@ -277,20 +263,21 @@ def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], 
         return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
 
     hat, counts, reports = [], Counter(), []
-    rows = chain.from_iterable(starmap(zip, _walk_rows(graph, listing, schedule)))
-    for dirs, (idx, times, deltas, outside, endpoint_ok) in rows:
-        hat.append(QLSPath(dirs, times))
-        if outside:
-            status, detail = "inconclusive", outside
-        else:
-            lifted = AffineLSPath(tuple(map(AffineOrbitElement, dirs, deltas)), times)
-            if oracle.verify_ls_path(lifted) and endpoint_ok:
-                counts["pass"] += 1
-                continue
-            status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
-        counts[status] += 1
-        texts = {"dirs": listing.dir_names(dirs), "times": listing.time_texts(idx)}
-        reports.append({**texts, "status": status, "detail": detail})
+    for (_, degrees), (dirs, schedules) in zip(_walk_rows(graph, listing), listing.level_records()):
+        made = {s: schedule(s[0::2], s[1::2], deg) for s, deg in dict(zip(schedules, degrees)).items()}
+        for d, (i, times, deltas, outside, endpoint_ok) in zip(dirs, map(made.__getitem__, schedules)):
+            hat.append(QLSPath(d, times))
+            if outside:
+                status, detail = "inconclusive", outside
+            else:
+                lifted = AffineLSPath(tuple(map(AffineOrbitElement, d, deltas)), times)
+                if oracle.verify_ls_path(lifted) and endpoint_ok:
+                    counts["pass"] += 1
+                    continue
+                status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
+            counts[status] += 1
+            texts = {"dirs": listing.dir_names(d), "times": listing.time_texts(i)}
+            reports.append({**texts, "status": status, "detail": detail})
     return hat, counts, reports
 
 

@@ -12,41 +12,34 @@ every pair that search holds (``PQBG.segment_energies``).  Times stay
 ``Fraction`` in a ``QLSPath`` and are read as integer ticks over L, the lcm
 of their denominators, so the sum is an integer over L.
 
-Every path of the shape takes one route to its row: the enumeration walk
-carries the energies, and ``_walk_rows`` reads every time as a tick over
-one L, the lcm of all candidate denominators.  It runs once per walk
-level, the paths with k directions, and checks each path's structure: the
-times once per index tuple, the directions once per level, column by
-column.  The sum and its exactness check read only the path's schedule,
-its (candidate indices, energies), so they run once per distinct
-schedule, and so does the caller's formatting of the schedule's texts.
-``degree_rows``, ``cli.cmd_degree`` and ``cli.verify_shape`` all take this
-route.  ``degree``, ``lift`` and ``degree_table`` take given paths
-(``--path`` literals) and derive their segments with ``_segments``.
+The enumeration walk carries the energies, and ``_walk_rows`` reads it one
+level at a time: each row is its parent row plus one step, so the
+structure check reads the level's new columns, and the degree sum is the
+parent's plus one term; both checks run once per level.  ``degree_rows``,
+``cli.cmd_degree`` and ``cli.verify_shape`` take this route; ``degree``,
+``lift`` and ``degree_table`` derive given paths' segments (``_segments``).
 
 The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies, the
 prefix sums of the energies in the degree formula, so the lift's
 delta-coefficients and its delta at time 1 (``_endpoint_of``, on the ticks
 over one L) read only the schedule.  ``verify`` takes both once per
-distinct schedule of the walk, and the oracle certifies each lift from
+distinct schedule of a walk level, and the oracle certifies each lift from
 first principles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, starmap
-from operator import itemgetter, mul, sub
+from itertools import accumulate, islice
+from operator import gt, mul, ne, neg, sub
 
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import Listing, QLSPath, _dirs_level_ok, _dirs_ok, _structure_ok, _ticks_ok, path_listing, path_to_json
-from .qls import time_ticks
+from .qls import Level, Listing, QLSPath, _carry, _structure_ok, path_listing, path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -100,12 +93,15 @@ def _segments(path: QLSPath, g: PQBG) -> tuple[list[int], int, list[int]]:
     return energies, L, ticks
 
 
-def _degree_of(energies: list[int], L: int, ticks: list[int]) -> int:
-    # sum_p (L - t_p) * energy_p
-    total = L * sum(energies) - sum(map(mul, ticks[1:], energies))
+def _exact(total: int, L: int) -> int:
+    """The degree of a path whose sum_p (L - t_p) * energy_p is ``total``: -total / L, a nonpositive integer."""
     if total % L or total < 0:
         raise NonIntegralDegree(f"degree sum {Fraction(total, L)} is not a nonpositive integer")
     return -(total // L)
+
+
+def _degree_of(energies: list[int], L: int, ticks: list[int]) -> int:
+    return _exact(L * sum(energies) - sum(map(mul, ticks[1:], energies)), L)
 
 
 def degree(path: QLSPath, g: PQBG) -> int:
@@ -147,73 +143,74 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
     return rows
 
 
-def _invalid_row(listing: Listing, dirs: tuple[int, ...], idx: tuple[int, ...]) -> InvalidQLSPath:
-    """The error of a row that fails the structure check, naming it as a path literal.
+def _invalid_row(listing: Listing, k: int, r: int) -> InvalidQLSPath:
+    """The error of row r of walk level k, which fails the structure check, naming it as a path literal.
 
-    A vertex or candidate index outside its range is named by number, as ``#-1``.
+    The row is read back through its parent rows; a vertex or candidate
+    index outside its range is named by number, as ``#-1``.
     """
+    dirs, schedules = next(islice(listing.level_records(), k, None))
 
     def named(texts: list[str], values: tuple[int, ...]) -> list[str]:
         return [texts[v] if 0 <= v < len(texts) else f"#{v}" for v in values]
 
-    literal = f"{';'.join(named(listing.names, dirs))}|{','.join(['0', *named(listing.texts, idx), '1'])}"
+    times = ["0", *named(listing.texts, schedules[r][::2]), "1"]
+    literal = f"{';'.join(named(listing.names, dirs[r]))}|{','.join(times)}"
     return InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
 
 
-def _walk_rows(g: PQBG, listing: Listing, schedule_row) -> Iterator[tuple[list, Iterator]]:
-    """Each level of a strong ``qls.path_listing`` as (its dirs, ``schedule_row(idx, energies, deg)`` of each path).
+def _level_ok(n: int, c: int, before: Level | None, level: Level) -> bool:
+    """Whether each row of a walk level is its parent row in the level ``before`` plus one valid step.
 
-    A level is the run of paths with k directions; the walk lists them in
-    order of k, so a level ends where ``bisect_right`` on the number of
-    directions puts it, or before the first row of another length inside
-    it (a corrupt record, or a listing out of that order).  A path's
-    schedule is its (candidate indices, energies); its degree reads nothing
-    else.  The candidates are read once as ticks over L, the lcm of all
-    their denominators (``qls.time_ticks``): a path's sum over L is its sum
-    over the lcm of its own denominators times a positive integer, so the
-    exactness check and its sign mean what they mean on ``degree``.
-    Every row passes both halves of the structure check,
-    ``qls._structure_ok``: the tick half reads the index tuple alone and
-    runs once per tuple, in the order of the tuples' first rows, where its
-    tick list is built, and refuses an index outside [0, |C|); the direction
-    half runs once per level, column by column (``qls._dirs_level_ok``).  If
-    either fails, the level is scanned row by row with both halves, and the
-    first row that fails is named as a path literal.  The degree and
-    ``schedule_row`` run once per distinct schedule; the rows read them
-    from the level's memo.
+    The direction lies in [0, N) and differs from the parent's last one, the
+    index lies in [0, |C|) and follows the parent's; the first level has no
+    parent.  With the earlier levels passed, a level passes exactly when all
+    its rows pass the structure check of a path (``qls._structure_ok``).
+    """
+    if min(level.y) < 0 or max(level.y) >= n:
+        return False
+    if before is None:
+        return True
+    if min(level.i) < 0 or max(level.i) >= c:
+        return False
+    return all(map(ne, level.y, map(before.y.__getitem__, level.parent))) and all(
+        map(gt, level.i, map(before.i.__getitem__, level.parent))
+    )
+
+
+def _level_degrees(L: int, sums: list[int]) -> list[int]:
+    """The degrees of a level's rows from their sums over L; ``_exact`` reads each row only if the column fails."""
+    if min(sums) < 0 or any(map(L.__rmod__, sums)):
+        for total in sums:
+            _exact(total, L)
+    return list(map(neg, map(L.__rfloordiv__, sums)))
+
+
+def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
+    """Each level of a strong ``qls.path_listing`` with the degree of each row, once the level is checked.
+
+    A level passes when its columns have one length and ``_level_ok``
+    holds; if not, its first failing row is named as a path literal.  A
+    row's sum_p (L - t_p) * energy_p, on ticks over L, the lcm of all
+    candidate denominators, is its parent's plus its own segment's term.
+    It is the sum over the lcm of its own denominators times a positive
+    integer, so the exactness and sign check (``_level_degrees``, once per
+    level) means what it means on ``degree``.
     """
     L, tick = time_ticks(listing.candidates)
-    paths = listing.paths
-    start = 0
-    while start < len(paths):
-        k = len(paths[start][0])
-        level = paths[start : bisect_right(paths, k, start, key=lambda path: len(path[0]))]
-        dirs = list(map(itemgetter(0), level))
-        lengths = list(map(len, dirs))
-        if lengths.count(k) != len(lengths):
-            # out of level order, bisection may reach past a row of another length: end the level before it
-            level = level[: next(r for r, n in enumerate(lengths) if n != k)]
-            dirs = dirs[: len(level)]
-        start += len(level)
-        idx = list(map(itemgetter(1), level))
-        energies = list(map(itemgetter(2), level))
-        ticks_of: dict[tuple, list[int] | None] = {}  # idx -> its ticks, None if it fails the tick half
-        ticks_failed = False
-        for i in dict.fromkeys(idx):
-            ticks = [0, *map(tick.__getitem__, i), L] if not i or (min(i) >= 0 and max(i) < len(tick)) else None
-            if ticks is None or not _ticks_ok(L, ticks):
-                ticks, ticks_failed = None, True
-            ticks_of[i] = ticks
-        if ticks_failed or not _dirs_level_ok(g, k, dirs, idx):
-            # the level fails exactly when one of its rows fails a half; name the first (the level's first
-            # row, should the level check alone fail)
-            fails = [ticks_of[i] is None or not _dirs_ok(g, d, ticks_of[i]) for d, i in zip(dirs, idx)]
-            bad = fails.index(True) if any(fails) else 0
-            raise _invalid_row(listing, dirs[bad], idx[bad])
-        made = dict.fromkeys(zip(idx, energies))
-        for i, e in made:
-            made[i, e] = schedule_row(i, e, _degree_of(e, L, ticks_of[i]))
-        yield dirs, map(made.__getitem__, zip(idx, energies))
+    weight = [L - t for t in tick]
+    n, c = g.num_vertices, len(tick)
+    before, sums = None, []
+    for k, level in enumerate(listing.levels):
+        if len(set(map(len, level))) != 1:
+            raise InvalidQLSPath(f"walk level {k + 1} has columns of unequal length")
+        if not _level_ok(n, c, before, level):
+            rows = (Level(*[column[r : r + 1] for column in level]) for r in range(len(level.y)))
+            raise _invalid_row(listing, k, next(r for r, row in enumerate(rows) if not _level_ok(n, c, before, row)))
+        terms = map(mul, map(weight.__getitem__, level.i), level.e)
+        sums = _carry(sums, level.parent, terms) if k else [0] * len(level.y)
+        yield level, _level_degrees(L, sums)
+        before = level
 
 
 def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
@@ -222,8 +219,8 @@ def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
     Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.
     """
     listing = path_listing(g, True, cap)
-    levels = _walk_rows(g, listing, lambda idx, energies, deg: (listing.time_texts(idx), energies, deg))
     return [
-        {"dirs": listing.dir_names(dirs), "times": list(times), "energies": list(energies), "deg": deg}
-        for dirs, (times, energies, deg) in chain.from_iterable(starmap(zip, levels))
+        {"dirs": listing.dir_names(d), "times": listing.time_texts(s[::2]), "energies": list(s[1::2]), "deg": deg}
+        for (_, degrees), (dirs, schedules) in zip(_walk_rows(g, listing), listing.level_records())
+        for d, s, deg in zip(dirs, schedules, degrees)
     ]

@@ -14,36 +14,29 @@ Enumeration orders paths by number of directions, then directions, then
 times.
 
 One walk over candidate indices serves both variants, the degree table and
-``verify``.  It runs level by level, one level per number of directions:
-each path is extended from a suffix of its last direction's successor
-list, ordered by candidate index, so no empty list is visited; each level
-is sorted on (directions, indices), and the levels, concatenated, are in
-the canonical order with no global sort.  The cap is checked while a level
-grows.  Its successor lists are built per denominator from the graph's
-sparse segment searches, one per source, after the graph's reach layers
-(``PQBG.build_reach_layers``), so that each strongness test is one bit.
-The strong lists read the searches' energies (``PQBG.segment_energies``)
-and hold each segment's energy wt_Lambda(x_{k+1} => x_k): a segment is
-strong exactly where that energy is held, and every energy is checked when
-the search is built.  The weak lists read the same searches' distances
-(``PQBG.sigma_distances_from``), so the weak walk runs the same checks and,
-after the strong one, no new search; neither reads a row of length N.
-``path_listing`` keeps the walk's records as indices, with each vertex name
-and candidate time text formatted once.  ``degree._walk_rows`` reads them
-one level at a time and checks the structure of every row: its times once
-per index tuple (``_ticks_ok``) and its directions once per level, column
-by column (``_dirs_level_ok``, true exactly when every row passes
-``_dirs_ok``); it sums, checks and formats each distinct schedule, a
-path's (candidate indices, energies), once; the table writes the rows,
-and ``verify`` lifts them.
+``verify``.  It keeps each level, the paths with k directions, as int
+columns (``Level``): each row's parent row and its last step.  A row is
+extended from a suffix of its last direction's successor list, so no
+empty list is visited; each level is sorted on one packed int per row, and
+the levels, concatenated, are in the canonical order.  The cap is checked
+while a level grows.  The successor lists come per denominator from the
+graph's sparse segment searches, after its reach layers: the strong lists
+hold each segment's energy wt_Lambda(x_{k+1} => x_k), a segment being
+strong exactly where one is held, and the weak ones the same searches'
+distances, so both walks run the searches' energy checks.  A reader builds
+only what it reads, each row's value carried from its parent's, one
+``map`` pass per column and level (``_carried``).  ``degree._walk_rows``
+checks each level on its new columns alone and carries the degree sums.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
-from operator import itemgetter, lt, ne
+from operator import add, itemgetter, lt, ne
 from typing import NamedTuple
 
 from .qbg import PQBG
@@ -90,41 +83,13 @@ def time_ticks(times) -> tuple[int, list[int]]:
     return L, [t.numerator * (L // t.denominator) for t in times]
 
 
-def _ticks_ok(L: int, ticks: list[int]) -> bool:
-    """The half of the structure check that reads the times only: 0 = ticks[0] < ... < ticks[-1] = L."""
-    return bool(ticks) and ticks[0] == 0 and ticks[-1] == L and all(map(lt, ticks, ticks[1:]))
-
-
-def _dirs_ok(g: PQBG, dirs: tuple[int, ...], ticks: list[int]) -> bool:
-    """The half that reads the directions: one more time than directions, vertices in range, neighbours distinct."""
-    if len(ticks) != len(dirs) + 1 or not dirs:
+def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:
+    """One more tick than directions, 0 = ticks[0] < ... < ticks[-1] = L, vertices in [0, N), neighbours distinct."""
+    if not dirs or len(ticks) != len(dirs) + 1 or ticks[0] != 0 or ticks[-1] != L:
         return False
     if min(dirs) < 0 or max(dirs) >= g.num_vertices:
         return False
-    return all(map(ne, dirs, dirs[1:]))
-
-
-def _dirs_level_ok(g: PQBG, k: int, dirs: list[tuple[int, ...]], idx: list[tuple[int, ...]]) -> bool:
-    """The direction half on a level of rows, column by column: true exactly when every row passes ``_dirs_ok``.
-
-    The lengths come first: k >= 1, every dirs of length k and every index
-    tuple of length k - 1, so that each row's ticks are one longer than its
-    directions.  Then the columns are read, column j the j-th direction of
-    every row: the least and greatest vertex of their union must lie in
-    [0, N), and no row may repeat a direction in neighbouring columns.
-    """
-    if k < 1 or list(map(len, dirs)).count(k) != len(dirs) or list(map(len, idx)).count(k - 1) != len(idx):
-        return False
-    cols = [list(map(itemgetter(j), dirs)) for j in range(k)]
-    vertices = set().union(*cols)
-    if min(vertices) < 0 or max(vertices) >= g.num_vertices:
-        return False
-    return all(all(map(ne, left, right)) for left, right in zip(cols, cols[1:]))
-
-
-def _structure_ok(g: PQBG, dirs: tuple[int, ...], L: int, ticks: list[int]) -> bool:
-    """The structure check of a path given as directions and ticks over L: both halves."""
-    return _dirs_ok(g, dirs, ticks) and _ticks_ok(L, ticks)
+    return all(map(lt, ticks, ticks[1:])) and all(map(ne, dirs, dirs[1:]))
 
 
 def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list[list[list[tuple]]]:
@@ -151,72 +116,99 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
 
 
 def _suffix_lists(succ: list[list[list[tuple]]], m: int) -> tuple[list[list[tuple]], list[list[int]]]:
-    # flat[x]: the successors of x at every candidate, as singleton tuples ((y,), (i,), (energy,)) in
-    # candidate order, then y ascending; flat[x][start[x][i]:] are those at candidates i and later.  The
-    # singletons are shared, so a walk step concatenates tuples and builds no new one.
-    ys = [(y,) for y in range(m)]
-    ones: dict = {}
+    # flat[x]: the successors of x at every candidate as steps (y, i, energy), in candidate order, then y
+    # ascending; flat[x][start[x][i]:] are those at candidates i and later
     flat: list[list[tuple]] = [[] for _ in range(m)]
     start: list[list[int]] = [[] for _ in range(m)]
     for i, table in enumerate(succ):
-        si = (i,)
         for x, pairs in enumerate(table):
             start[x].append(len(flat[x]))
-            flat[x] += [(ys[y], si, ones.setdefault(energy, (energy,))) for y, energy in pairs]
+            flat[x] += [(y, i, energy) for y, energy in pairs]
     for x in range(m):
         start[x].append(len(flat[x]))
     return flat, start
 
 
-def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[tuple]]:
-    """The candidate times and every path as (dirs, candidate indices, energies), in the canonical order.
+class Level(NamedTuple):
+    """The paths with k directions, in order, as columns: row r extends row ``parent[r]`` of the level before.
 
-    The walk goes level by level, one level per number of directions.  A
-    path whose last candidate index is i is extended by the successors of
-    its last direction at the candidates after i, read from one suffix of
-    that direction's flat successor list.  Each level is sorted on
-    (dirs, indices), which orders by directions, then times, since the
-    candidates ascend and no two paths tie; the levels are concatenated in
-    order, so no global sort runs.  The energies are the segments'
-    wt_Lambda(x_{p+1} => x_p) in the strong variant.  Each vertex x gives
-    the path (x; 0, 1) and an edge s -> t whose label pairs to v the v - 1
-    paths (t, s; 0, k/v, 1), so the walk refuses a cap below their count
-    before building any time; after that the count is checked after each
-    path is extended, so no level grows past the cap by more than one
-    path's successors.
+    It goes on to direction ``y[r]`` at candidate ``i[r]``, over a segment of energy ``e[r]`` (None in the weak
+    variant).  On the first level, the paths (x; 0, 1), ``y`` is x and the other columns hold -1, -1 and None.
+    """
+
+    parent: list[int]
+    y: list[int]
+    i: list[int]
+    e: list
+
+
+def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[Level]]:
+    """The candidate times and every path as a row of its walk level, the levels in order.
+
+    A row with last index i is extended by its last direction's successors
+    at the candidates after i.  A level's rows are sorted on one int that
+    packs the rank of the parent's directions, y, the parent's row (among
+    equal directions, the order of the indices) and i.  Each vertex x gives
+    the path (x; 0, 1) and an edge whose label pairs to v gives v - 1 paths
+    of two directions, so a cap below their count is refused before any time
+    is built; after that the count is checked as each row is extended.
     """
     if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
         raise EnumerationCap(f"more than {cap} paths")
     candidates = sigma_candidates(g)
-    flat, start = _suffix_lists(_successors(g, candidates, strong), g.num_vertices)
-    found: list[tuple] = []
-    level: list[tuple] = [((x,), (), ()) for x in range(g.num_vertices)]
-    while level:
-        found += level
-        room = cap - len(found)
-        grown: list[tuple] = []
-        for dirs, idx, energies in level:
-            cur = dirs[-1]
-            tail = flat[cur][start[cur][idx[-1] + 1] if idx else 0 :]
+    n, radix = g.num_vertices, len(candidates) + 1
+    flat, start = _suffix_lists(_successors(g, candidates, strong), n)
+    level = Level([-1] * n, list(range(n)), [-1] * n, [None] * n)
+    rank = level.y  # each row's rank of directions among the distinct directions of its level
+    levels: list[Level] = []
+    room = cap
+    while level.y:
+        levels.append(level)
+        room -= len(level.y)
+        parent, steps = [], []
+        for r, (x, j) in enumerate(zip(level.y, level.i)):
+            tail = flat[x][start[x][j + 1] :]
             if tail:
-                grown += [(dirs + y, idx + i, energies + e) for y, i, e in tail]
-                if len(grown) > room:
+                steps += tail
+                parent += repeat(r, len(tail))
+                if len(steps) > room:
                     raise EnumerationCap(f"more than {cap} paths")
-        grown.sort()
-        level = grown
-    return candidates, found
+        y, i, e = ([*map(itemgetter(k), steps)] for k in range(3))
+        high = list(map(add, map(n.__mul__, map(rank.__getitem__, parent)), y))
+        keys = list(map(add, map((len(level.y) * radix).__mul__, high), map(add, map(radix.__mul__, parent), i)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        high = list(map(high.__getitem__, order))
+        rank = list(accumulate(map(ne, high[1:], high), initial=0))
+        level = Level(*[list(map(column.__getitem__, order)) for column in (parent, y, i, e)])
+    return candidates, levels
+
+
+def _carry(values: list, parent: list[int], steps) -> list:
+    """Each row's value: its parent's value followed by its step."""
+    return list(map(add, map(values.__getitem__, parent), steps))
+
+
+def _carried(levels: list[Level], first, steps) -> Iterator[list]:
+    """Per level, each row's value: ``first(x)`` for (x; 0, 1), then its parent's followed by its ``steps(level)``."""
+    values: list = []
+    for k, level in enumerate(levels):
+        values = _carry(values, level.parent, steps(level)) if k else list(map(first, level.y))
+        yield values
+
+
+class _Ones(dict):
+    """The singleton tuple of each value, made once: ``ones[v] == (v,)``."""
+
+    def __missing__(self, value):
+        self[value] = one = (value,)
+        return one
 
 
 class Listing(NamedTuple):
-    """A walk's paths in order, each as (dirs, candidate indices, energies).
-
-    The records carry indices only: ``names[v]`` is the name of vertex v and
-    ``texts[i]`` the text of candidate time i, each formatted once, and a
-    path's texts are looked up from them only where it is written.
-    """
+    """A walk's levels, with each vertex name (``names[v]``) and candidate time text (``texts[i]``) made once."""
 
     candidates: tuple[Fraction, ...]
-    paths: list[tuple]
+    levels: list[Level]
     names: list[str]
     texts: list[str]
 
@@ -226,11 +218,25 @@ class Listing(NamedTuple):
     def time_texts(self, idx: tuple[int, ...]) -> list[str]:
         return ["0", *[self.texts[i] for i in idx], "1"]
 
+    def level_texts(self) -> Iterator[tuple[list[str], list[str]]]:
+        """Per level, each row's directions and times as CSV fields: the names, and the time texts, joined by ``;``."""
+        names, texts = [f";{name}" for name in self.names], [f";{text}" for text in self.texts]
+        dir_levels = _carried(self.levels, self.names.__getitem__, lambda level: map(names.__getitem__, level.y))
+        time_levels = _carried(self.levels, lambda x: "0", lambda level: map(texts.__getitem__, level.i))
+        for dirs, times in zip(dir_levels, time_levels):
+            yield dirs, list(map(add, times, repeat(";1")))
+
+    def level_records(self) -> Iterator[tuple[list[tuple], list[tuple]]]:
+        """Per level, each row's directions and schedule, the tuple (i_1, e_1, i_2, e_2, ...) of its steps."""
+        ones = _Ones()
+        dir_levels = _carried(self.levels, ones.__getitem__, lambda level: map(ones.__getitem__, level.y))
+        return zip(dir_levels, _carried(self.levels, lambda x: (), lambda level: zip(level.i, level.e)))
+
 
 def path_listing(g: PQBG, strong: bool, cap: int) -> Listing:
     """Every path of a variant from one walk (any ``EnumerationCap`` is raised here), with its texts."""
-    candidates, found = _walk(g, strong, cap)
-    return Listing(candidates, found, [g.vertex_name(v) for v in range(g.num_vertices)], [str(t) for t in candidates])
+    candidates, levels = _walk(g, strong, cap)
+    return Listing(candidates, levels, [g.vertex_name(v) for v in range(g.num_vertices)], [str(t) for t in candidates])
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -242,8 +248,15 @@ def candidate_times(candidates: tuple[Fraction, ...], idx: tuple[int, ...]) -> t
 
 
 def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
-    candidates, found = _walk(g, strong, cap)
-    return tuple(QLSPath(dirs, candidate_times(candidates, idx)) for dirs, idx, _ in found)
+    # each row's directions and its times but the last, carried from its parent
+    candidates, levels = _walk(g, strong, cap)
+    ones, times = _Ones(), [(t,) for t in candidates]
+    found: list[QLSPath] = []
+    dir_levels = _carried(levels, ones.__getitem__, lambda level: map(ones.__getitem__, level.y))
+    time_levels = _carried(levels, lambda x: (_ZERO,), lambda level: map(times.__getitem__, level.i))
+    for dirs, prefix in zip(dir_levels, time_levels):
+        found += map(QLSPath, dirs, map(add, prefix, repeat((_ONE,))))
+    return tuple(found)
 
 
 def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:

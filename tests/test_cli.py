@@ -23,7 +23,7 @@ import qbruhat.qbg as qbg
 import qbruhat.qls as qls
 from qbruhat.cli import main
 from qbruhat.degree import degree_table, lift
-from qbruhat.qls import enumerate_hat, sigma_candidates
+from qbruhat.qls import enumerate_hat, enumerate_tilde, path_to_json, sigma_candidates
 from test_degree import ROW_SHAPES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -287,6 +287,22 @@ class TestQls:
         _, tilde_out, _ = run(capsys, "qls", "--type", "C2", "--lambda", "1,1", "--variant", "tilde")
         hat, tilde = json.loads(hat_out), json.loads(tilde_out)
         assert hat["paths"] == tilde["paths"]
+
+    @ROW_SHAPES
+    @pytest.mark.parametrize("variant", ["hat", "tilde"])
+    def test_listing_is_the_paths_json(self, capsys, name, mults, variant):
+        # the texts carried level by level are the path_to_json texts of the enumerated paths, in order: the
+        # CSV joins each record's strings, and the JSON document holds the records themselves
+        g = cached_context(name, mults).graph
+        records = [path_to_json(g, path) for path in {"hat": enumerate_hat, "tilde": enumerate_tilde}[variant](g)]
+        argv = ("qls", "--type", name, "--lambda", ",".join(map(str, mults)), "--variant", variant, "--format")
+        code, out, err = run(capsys, *argv, "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["dirs,times", *[f"{';'.join(r['dirs'])},{';'.join(r['times'])}" for r in records]]
+        code, out, err = run(capsys, *argv, "json")
+        doc = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (doc["variant"], doc["count"], doc["paths"]) == (variant, len(records), records)
 
 
 class TestVerify:
@@ -655,6 +671,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "build_context", fail)
         code, out, err = run(capsys, command, "--type", "A2", "--lambda", "1,0", f"--{flag}={value}")
         assert (code, out, err) == (2, "", f"error: bad --{flag} value {value!r}: {value!r} is not an integer\n")
+
+    def test_negative_window_refused_before_the_type(self, capsys, monkeypatch):
+        # refused next to a negative --cap, before the type is read and before the graph is built; Z9 is no type
+        def fail(*args, **kwargs):
+            raise AssertionError("worked on a negative window")
+
+        monkeypatch.setattr(cli, "build_context", fail)
+        code, out, err = run(capsys, "verify", "--type", "Z9", "--lambda", "1", "--window", "-1")
+        assert (code, out, err) == (2, "", "error: window must be non-negative, not -1\n")
 
     def test_integer_flags_sign_and_whitespace(self, capsys):
         argv = ("verify", "--type", "A2", "--lambda", "2,1")

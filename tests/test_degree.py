@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
+import qbruhat.cli as cli_mod
 import qbruhat.degree as degree_mod
 from conftest import cached_context, path_sort_key, reference_search, segment_chains, vertex_by_word
 from qbruhat import build_context
@@ -27,10 +28,10 @@ from qbruhat.degree import (
 from qbruhat.qbg import PQBG
 from qbruhat.qls import (
     EnumerationCap,
+    Listing,
     QLSPath,
-    _dirs_ok,
     _structure_ok,
-    _ticks_ok,
+    candidate_times,
     enumerate_hat,
     enumerate_tilde,
     path_listing,
@@ -366,9 +367,34 @@ def _reference_enumerate(g, strong: bool) -> tuple[QLSPath, ...]:
 
 
 def _drain(g, listing) -> None:
-    """Run ``_walk_rows`` over a listing to its end, reading every row."""
-    for _, rows in degree_mod._walk_rows(g, listing, lambda idx, energies, deg: None):
-        list(rows)
+    """Run ``_walk_rows`` over a listing to its end, checking every level."""
+    for _ in degree_mod._walk_rows(g, listing):
+        pass
+
+
+def _records(listing) -> list[tuple]:
+    """The listing's rows as (dirs, candidate indices, energies), read back through the parent rows."""
+    return [(d, s[::2], s[1::2]) for dirs, schedules in listing.level_records() for d, s in zip(dirs, schedules)]
+
+
+def _with(listing, k: int, column: str, values: list):
+    """The listing with one column of its level k replaced; the walk's own lists are left as they are."""
+    levels = list(listing.levels)
+    levels[k] = levels[k]._replace(**{column: values})
+    return listing._replace(levels=levels)
+
+
+def _set(listing, k: int, r: int, column: str, value):
+    """The listing with the entry of row r of level k in ``column`` set to ``value``."""
+    values = list(getattr(listing.levels[k], column))
+    values[r] = value
+    return _with(listing, k, column, values)
+
+
+def _row_of(listing, dirs: tuple[int, ...], idx: tuple[int, ...]) -> int:
+    """The row, within its level, of the path with these directions and candidate indices."""
+    level_dirs, schedules = list(listing.level_records())[len(dirs) - 1]
+    return next(r for r, (d, s) in enumerate(zip(level_dirs, schedules)) if (d, s[::2]) == (dirs, idx))
 
 
 ROW_SHAPES = pytest.mark.parametrize(
@@ -404,12 +430,12 @@ class TestDegreeRows:
 
     @ROW_SHAPES
     def test_walk_equals_reference(self, name, mults):
-        # level by level over suffix successor lists, record for record the depth-first walk and its sort
+        # level by level over suffix successor columns, record for record the depth-first walk and its sort
         assert_walk_matches_reference(cached_context(name, mults).graph)
 
     def test_structure_check_runs_on_every_row(self, monkeypatch, a2_21):
-        # the direction half reads each row inside its level's check; a level that fails it is refused
-        monkeypatch.setattr(degree_mod, "_dirs_level_ok", lambda *args: False)
+        # every level is checked before it is read; a level that fails the check is refused
+        monkeypatch.setattr(degree_mod, "_level_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath, match="structurally invalid"):
             degree_rows(a2_21.graph)
 
@@ -417,21 +443,24 @@ class TestDegreeRows:
         # the first failing row of a failing level is named as a path literal, by words and time texts, not
         # by vertex indices and a list repr
         g = a2_21.graph
-        e, s1 = vertex_by_word(a2_21, "e"), vertex_by_word(a2_21, "s1")
+        s1 = vertex_by_word(a2_21, "s1")
         listing = path_listing(g, True, 10**6)
-        r = next(r for r, (dirs, idx, _) in enumerate(listing.paths) if dirs == (e, s1) and idx == (1,))
-        listing.paths[r] = ((s1, s1), (1,), listing.paths[r][2])
+        level = zip(*list(listing.level_records())[1])
+        r = next(r for r, (dirs, schedule) in enumerate(level) if dirs[0] == s1 and schedule[::2] == (1,))
         with pytest.raises(InvalidQLSPath) as info:
-            _drain(g, listing)
+            _drain(g, _set(listing, 1, r, "y", s1))
         assert str(info.value) == "invalid path 's1;s1|0,1/2,1': structurally invalid"
 
-    def test_tick_half_names_the_row_as_a_literal(self, monkeypatch, a2_21):
-        # the tick half runs where a new index tuple's ticks are built; failing, it names the first row with
-        # that tuple, with the same literal as the direction half
-        monkeypatch.setattr(degree_mod, "_ticks_ok", lambda *args: False)
+    def test_tick_half_names_the_row_as_a_literal(self, a2_21):
+        # the half of the check that reads the candidate indices refuses an index that does not follow its
+        # parent's, and names the row with the same literal as the direction half
+        g = a2_21.graph
+        s1, s2, s2s1 = (vertex_by_word(a2_21, word) for word in ("s1", "s2", "s2 s1"))
+        listing = path_listing(g, True, 10**6)
+        r = _row_of(listing, (s2, s2s1, s1), (1, 2))
         with pytest.raises(InvalidQLSPath) as info:
-            degree_rows(a2_21.graph)
-        assert str(info.value) == "invalid path 'e|0,1': structurally invalid"
+            _drain(g, _set(listing, 2, r, "i", 1))
+        assert str(info.value) == "invalid path 's2;s2 s1;s1|0,1/2,1/2,1': structurally invalid"
 
     @staticmethod
     def _perturbed_graph():
@@ -471,90 +500,87 @@ class TestDegreeRows:
         with pytest.raises(NonIntegralDegree):
             degree_rows(g)
 
+    @staticmethod
+    def _checked_levels(monkeypatch, g) -> list:
+        """The (level before, level) pairs that ``_level_ok`` reads while ``degree_rows`` runs."""
+        checked = []
+        real = degree_mod._level_ok
+
+        def recording(n, c, before, level):
+            checked.append((before, level))
+            return real(n, c, before, level)
+
+        monkeypatch.setattr(degree_mod, "_level_ok", recording)
+        degree_rows(g)
+        return checked
+
     @ROW_SHAPES
     def test_structure_check_once_per_row(self, monkeypatch, name, mults):
-        # the direction half checks each row once, inside its level: one call per number of directions, and
-        # the levels checked, concatenated, are the rows in order
+        # the structure check reads each row once, inside its level: one call per number of directions, each
+        # against the level before, and the levels checked, concatenated, are the rows in order
         g = cached_context(name, mults).graph
-        checked = []
-        real = degree_mod._dirs_level_ok
-
-        def recording(graph, k, dirs, idx):
-            checked.append((k, dirs))
-            return real(graph, k, dirs, idx)
-
-        monkeypatch.setattr(degree_mod, "_dirs_level_ok", recording)
-        degree_rows(g)
+        checked = self._checked_levels(monkeypatch, g)
+        levels = [level for _, level in checked]
+        assert [before for before, _ in checked] == [None, *levels[:-1]]
         hat = [path.directions for path in enumerate_hat(g)]
-        assert [k for k, _ in checked] == sorted(set(map(len, hat)))
-        assert [d for k, dirs in checked for d in dirs] == hat
-        assert all(len(d) == k for k, dirs in checked for d in dirs)
+        assert [len(level.y) for level in levels] == [list(map(len, hat)).count(k) for k in sorted(set(map(len, hat)))]
+        assert [dirs for dirs, _, _ in _records(Listing((), levels, [], []))] == hat
 
     @ROW_SHAPES
     def test_tick_check_once_per_index_tuple(self, monkeypatch, name, mults):
-        # the tick half reads the times alone, so it runs once for each distinct time tuple, where its tick
-        # list is built, in the order of the tuples' first rows
+        # the time half reads the times through the candidate indices: each row's last index once, inside its
+        # level, after its parent's passed; the index tuples read back from the levels checked are each row's
         g = cached_context(name, mults).graph
-        checked = []
-        real = degree_mod._ticks_ok
-
-        def recording(L, ticks):
-            checked.append((L, tuple(ticks)))
-            return real(L, ticks)
-
-        monkeypatch.setattr(degree_mod, "_ticks_ok", recording)
-        degree_rows(g)
-        firsts = list(dict.fromkeys(path.times for path in enumerate_hat(g)))
-        L = checked[0][0]
-        assert checked == [(L, tuple(t * L for t in times)) for times in firsts]
+        candidates = sigma_candidates(g)
+        levels = [level for _, level in self._checked_levels(monkeypatch, g)]
+        idx = [i for _, i, _ in _records(Listing(candidates, levels, [], []))]
+        assert [(F(0), *[candidates[j] for j in i], F(1)) for i in idx] == [path.times for path in enumerate_hat(g)]
+        assert all(level.i == [-1] * len(level.y) for level in levels[:1])
 
     @ROW_SHAPES
     @pytest.mark.parametrize("route", ["degree_rows", "csv"])
     def test_degree_sum_once_per_schedule(self, capsys, monkeypatch, name, mults, route):
-        # the sum reads a row's times and energies only, so it runs once for each distinct pair of them
+        # the exactness check reads each row's sum over L once, one level at a time; the sum is carried from
+        # the parent row, and equals the sum of the row's own schedule, (times, energies), from scratch
         g = cached_context(name, mults).graph
         table = degree_table(g.shape, g, enumerate_hat(g))
         schedules = {(tuple(row["times"]), tuple(row["energies"])) for row in table}
-        summed = Counter()
-        real = degree_mod._degree_of
+        summed = []
+        real = degree_mod._level_degrees
 
-        def counting(energies, L, ticks):
-            summed[tuple(ticks), tuple(energies)] += 1
-            return real(energies, L, ticks)
+        def recording(L, sums):
+            summed.append((L, list(sums)))
+            return real(L, sums)
 
-        monkeypatch.setattr(degree_mod, "_degree_of", counting)
+        monkeypatch.setattr(degree_mod, "_level_degrees", recording)
         if route == "degree_rows":
             degree_rows(g)
         else:
             assert main(["degree", "--type", name, "--lambda", ",".join(map(str, mults)), "--format", "csv"]) == 0
             capsys.readouterr()
-        assert len(table) > len(schedules) and len(summed) == len(schedules) and set(summed.values()) == {1}
+        L = summed[0][0]
+        sums = [total for _, level in summed for total in level]
+        expected = []
+        for row in table:
+            L_row, ticks = time_ticks([F(t) for t in row["times"]])
+            expected.append(L // L_row * (L_row * sum(row["energies"]) - sum(map(mul, ticks[1:], row["energies"]))))
+        assert len(table) > len(schedules) and sums == expected and {L} == {L for L, _ in summed}
+        assert len(summed) == len({len(row["dirs"]) for row in table})
 
-    @pytest.mark.parametrize("check", ["_dirs_level_ok", "_ticks_ok", "_degree_of"])
-    def test_failure_on_the_last_row_prints_nothing(self, capsys, monkeypatch, a2_21, check):
-        # every row of the table is built before the first write, so a check that fails on the last row (the
-        # direction half: on the last level) leaves stdout empty
-        real = getattr(degree_mod, check)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(degree_mod, check, counting)
-        degree_rows(a2_21.graph)
-        last = len(calls)
-
-        def failing_last(*args):
-            calls.append(args)
-            if len(calls) == 2 * last:
-                raise NonIntegralDegree("failed") if check == "_degree_of" else InvalidQLSPath("failed")
-            return real(*args)
-
-        monkeypatch.setattr(degree_mod, check, failing_last)
+    @pytest.mark.parametrize("column", ["y", "i", "e"], ids=["direction", "time", "energy"])
+    def test_failure_on_the_last_row_prints_nothing(self, capsys, monkeypatch, a2_21, column):
+        # every row of the table is built before the first write, so a direction out of range, an index that
+        # does not follow its parent's or an energy that breaks the degree's exactness on the last row of the
+        # last level leaves stdout empty
+        g = a2_21.graph
+        listing = path_listing(g, True, 10**6)
+        k, r = len(listing.levels) - 1, len(listing.levels[-1].y) - 1
+        parent = listing.levels[k - 1].i[listing.levels[k].parent[r]]
+        value = {"y": g.num_vertices, "i": parent, "e": listing.levels[k].e[r] + 1}[column]
+        monkeypatch.setattr(cli_mod, "path_listing", lambda *args: _set(listing, k, r, column, value))
         with pytest.raises((InvalidQLSPath, NonIntegralDegree)):
             main(["degree", "--type", "A2", "--lambda", "2,1", "--format", "csv"])
-        assert len(calls) == 2 * last and capsys.readouterr().out == ""
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("name,mults", [("A2", (2, 1)), ("B2", (1, 1))])
     def test_cap_boundary(self, capsys, name, mults):
@@ -575,13 +601,21 @@ class TestDegreeRows:
 
 
 def _reference_failure(g, listing) -> str | None:
-    """The message that names the first row failing a per-row structure check, or None if every row passes."""
+    """The message that refuses the listing in a per-row scan, or None if every row passes.
+
+    A level whose columns differ in length has no rows to scan and is
+    refused as a whole; the rows of the other levels are read back through
+    their parent rows and scanned with the structure check of a path.
+    """
+    for k, level in enumerate(listing.levels):
+        if len(set(map(len, level))) != 1:
+            return f"walk level {k + 1} has columns of unequal length"
     L, tick = time_ticks(listing.candidates)
     n, c = g.num_vertices, len(listing.candidates)
-    for dirs, idx, _ in listing.paths:
+    for dirs, idx, _ in _records(listing):
         if all(0 <= i < c for i in idx):
             ticks = [0, *[tick[i] for i in idx], L]
-            if _ticks_ok(L, ticks) and _dirs_ok(g, dirs, ticks):
+            if _structure_ok(g, dirs, L, ticks):
                 continue
         words = ";".join(listing.names[v] if 0 <= v < n else f"#{v}" for v in dirs)
         times = ",".join(["0", *(listing.texts[i] if 0 <= i < c else f"#{i}" for i in idx), "1"])
@@ -589,13 +623,33 @@ def _reference_failure(g, listing) -> str | None:
     return None
 
 
-# one record's directions, corrupted; None where the corruption needs more directions than it has
+def _parent(listing, k: int, r: int, column: str):
+    return getattr(listing.levels[k - 1], column)[listing.levels[k].parent[r]]
+
+
+# one row's corruption, as (column, its new value), or the column whose entry of the row is dropped; None where
+# the row has no step to corrupt (the first level has no time and no parent direction)
 CORRUPTIONS = {
-    "equal-neighbours": lambda dirs, n: (*dirs[:-1], dirs[-2]) if len(dirs) > 1 else None,
-    "vertex-minus-one": lambda dirs, n: (*dirs[:-1], -1),
-    "vertex-n": lambda dirs, n: (*dirs[:-1], n),
-    "direction-dropped": lambda dirs, n: dirs[:-1],
+    "equal-neighbours": lambda listing, k, r, n, c: ("y", _parent(listing, k, r, "y")) if k else None,
+    "vertex-minus-one": lambda listing, k, r, n, c: ("y", -1),
+    "vertex-n": lambda listing, k, r, n, c: ("y", n),
+    "direction-dropped": lambda listing, k, r, n, c: "y",
+    "candidate-minus-one": lambda listing, k, r, n, c: ("i", -1) if k else None,
+    "candidate-c": lambda listing, k, r, n, c: ("i", c) if k else None,
+    "index-not-after-parent": lambda listing, k, r, n, c: ("i", _parent(listing, k, r, "i")) if k else None,
 }
+
+
+def _corrupt(listing, k: int, r: int, corruption: str, n: int):
+    """The listing with row r of level k corrupted, or None where the corruption does not apply to it."""
+    change = CORRUPTIONS[corruption](listing, k, r, n, len(listing.candidates))
+    if change is None:
+        return None
+    if isinstance(change, str):
+        values = list(getattr(listing.levels[k], change))
+        del values[r]
+        return _with(listing, k, change, values)
+    return _set(listing, k, r, *change)
 
 
 class TestLevelCheck:
@@ -609,83 +663,115 @@ class TestLevelCheck:
     @ROW_SHAPES
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_names_the_row_of_the_per_row_scan(self, name, mults, corruption):
-        # one record corrupted at the first, middle and last row of each level: the level pass refuses the
-        # listing with the literal of the first row that a per-row scan refuses
+        # one row corrupted at the first, middle and last row of each level: the level pass refuses the
+        # listing with the message of the per-row scan, the literal of the first row it refuses
         g = cached_context(name, mults).graph
         listing = path_listing(g, True, 10**6)
-        levels: dict[int, list[int]] = {}
-        for r, (dirs, _, _) in enumerate(listing.paths):
-            levels.setdefault(len(dirs), []).append(r)
         tried = 0
-        for rows in levels.values():
+        for k, level in enumerate(listing.levels):
+            rows = range(len(level.y))
             for r in dict.fromkeys((rows[0], rows[len(rows) // 2], rows[-1])):
-                dirs, idx, energies = listing.paths[r]
-                bad = CORRUPTIONS[corruption](dirs, g.num_vertices)
+                bad = _corrupt(listing, k, r, corruption, g.num_vertices)
                 if bad is None:
                     continue
-                paths = list(listing.paths)
-                paths[r] = (bad, idx, energies)
                 # every other row passes (test_uncorrupted_listing_passes), so the per-row scan stops here
-                expected = _reference_failure(g, listing._replace(paths=[paths[r]]))
+                expected = _reference_failure(g, bad)
                 assert expected is not None
                 with pytest.raises(InvalidQLSPath) as info:
-                    _drain(g, listing._replace(paths=paths))
+                    _drain(g, bad)
                 assert str(info.value) == expected
                 tried += 1
-        assert tried >= len(levels) - 1
+        assert tried >= len(listing.levels) - 1
+
+    @ROW_SHAPES
+    def test_index_before_the_parents_refused(self, name, mults):
+        # an index in range that comes before its parent's index, not only one equal to it, is refused: the
+        # first row of each level from the third on whose parent's index is at least 1 gets that index less 1
+        g = cached_context(name, mults).graph
+        listing = path_listing(g, True, 10**6)
+        tried = 0
+        for k in range(2, len(listing.levels)):
+            level, before = listing.levels[k], listing.levels[k - 1]
+            r = next((r for r, p in enumerate(level.parent) if before.i[p] >= 1), None)
+            if r is None:
+                continue
+            bad = _set(listing, k, r, "i", before.i[level.parent[r]] - 1)
+            with pytest.raises(InvalidQLSPath) as info:
+                _drain(g, bad)
+            assert str(info.value) == _reference_failure(g, bad)
+            tried += 1
+        assert tried or len(listing.levels) < 3
 
     @ROW_SHAPES
     def test_names_the_first_of_two_failing_rows(self, name, mults):
         # the first and last rows of a level both corrupted: the level pass names the first
         g = cached_context(name, mults).graph
         listing = path_listing(g, True, 10**6)
-        levels: dict[int, list[int]] = {}
-        for r, (dirs, _, _) in enumerate(listing.paths):
-            levels.setdefault(len(dirs), []).append(r)
-        for rows in levels.values():
-            if len(rows) < 2:
+        for k, level in enumerate(listing.levels):
+            if len(level.y) < 2:
                 continue
-            paths = list(listing.paths)
-            for r in (rows[0], rows[-1]):
-                dirs, idx, energies = paths[r]
-                paths[r] = (CORRUPTIONS["vertex-n"](dirs, g.num_vertices), idx, energies)
+            bad = _set(_set(listing, k, 0, "y", g.num_vertices), k, len(level.y) - 1, "y", g.num_vertices)
+            first = _set(listing, k, 0, "y", g.num_vertices)
             with pytest.raises(InvalidQLSPath) as info:
-                _drain(g, listing._replace(paths=paths))
-            assert str(info.value) == _reference_failure(g, listing._replace(paths=paths[rows[0] : rows[0] + 1]))
+                _drain(g, bad)
+            assert str(info.value) == _reference_failure(g, first)
 
     @pytest.mark.parametrize(
         "corruption,literal",
         [
-            ("direction -1", "#-1;s2 s1|0,1/2,1"),
-            ("direction N", "#6;s2 s1|0,1/2,1"),
+            ("direction -1", "s2;#-1|0,1/2,1"),
+            ("direction N", "s2;#6|0,1/2,1"),
             ("index -1", "s2;s2 s1|0,#-1,1"),
             ("index |C|", "s2;s2 s1|0,#3,1"),
         ],
     )
     def test_out_of_range_value_named_by_number(self, a2_21, corruption, literal):
         # a direction outside [0, N) is named by number, not as another vertex or by an IndexError, and a
-        # candidate index outside [0, |C|) is refused by the tick half, not read as another candidate
+        # candidate index outside [0, |C|) is refused by the time half, not read as another candidate
         g = a2_21.graph
         s2, s2s1 = vertex_by_word(a2_21, "s2"), vertex_by_word(a2_21, "s2 s1")
         listing = path_listing(g, True, 10**6)
-        r = next(r for r, (dirs, idx, _) in enumerate(listing.paths) if dirs == (s2, s2s1) and idx == (1,))
+        r = _row_of(listing, (s2, s2s1), (1,))
         value = {"direction -1": -1, "direction N": g.num_vertices, "index -1": -1, "index |C|": 3}[corruption]
-        dirs, idx, energies = listing.paths[r]
-        paths = list(listing.paths)
-        paths[r] = ((value, s2s1), idx, energies) if corruption.startswith("direction") else (dirs, (value,), energies)
         with pytest.raises(InvalidQLSPath) as info:
-            _drain(g, listing._replace(paths=paths))
+            _drain(g, _set(listing, 1, r, "y" if corruption.startswith("direction") else "i", value))
         assert str(info.value) == f"invalid path '{literal}': structurally invalid"
 
-    def test_rows_out_of_level_order_pass(self, a2_21):
-        # a row of another length inside a level ends that level before it: every row still passes alone,
-        # and the levels read, concatenated, are the rows in the listing's order
+    @pytest.mark.parametrize("column", ["parent", "y", "i", "e"])
+    def test_columns_of_unequal_length_refused(self, a2_21, column):
+        # a level is its rows only when its four columns pair up: a column one entry short is refused before
+        # any row is read
         g = a2_21.graph
         listing = path_listing(g, True, 10**6)
-        paths = list(listing.paths)
-        first3 = next(r for r, (dirs, _, _) in enumerate(paths) if len(dirs) == 3)
-        paths.insert(8, paths.pop(first3))
-        moved = listing._replace(paths=paths)
+        for k, level in enumerate(listing.levels):
+            with pytest.raises(InvalidQLSPath, match=f"^walk level {k + 1} has columns of unequal length$"):
+                _drain(g, _with(listing, k, column, getattr(level, column)[:-1]))
+
+    def test_negative_sum_refused(self, a2_21):
+        # the sign half of the exactness check: an energy of -L on a two-direction row makes its sum
+        # -(L - t) * L, a multiple of L below zero, which the level refuses as degree sum -(L - t)
+        g = a2_21.graph
+        listing = path_listing(g, True, 10**6)
+        L, tick = time_ticks(listing.candidates)
+        i = listing.levels[1].i[0]
+        with pytest.raises(NonIntegralDegree, match=f"^degree sum {tick[i] - L} is not a nonpositive integer$"):
+            _drain(g, _set(listing, 1, 0, "e", -L))
+
+    def test_rows_out_of_level_order_pass(self, a2_21):
+        # the check reads each row against its parent, not against its neighbours: two rows of the last level
+        # swapped still pass, and the degrees read are those of the rows in the listing's order
+        g = a2_21.graph
+        listing = path_listing(g, True, 10**6)
+        last = listing.levels[-1]
+        assert len(last.y) >= 2
+        moved = listing
+        for column in last._fields:
+            values = list(getattr(last, column))
+            values[0], values[1] = values[1], values[0]
+            moved = _with(moved, len(listing.levels) - 1, column, values)
         assert _reference_failure(g, moved) is None
-        read = [d for dirs, rows in degree_mod._walk_rows(g, moved, lambda *args: None) for d in dirs]
-        assert read == [dirs for dirs, _, _ in paths]
+        records = _records(moved)
+        assert records != _records(listing) and sorted(records) == sorted(_records(listing))
+        degrees = [deg for _, level in degree_mod._walk_rows(g, moved) for deg in level]
+        paths = [QLSPath(dirs, candidate_times(listing.candidates, idx)) for dirs, idx, _ in records]
+        assert degrees == [degree(path, g) for path in paths]

@@ -28,6 +28,7 @@ from qbruhat import build_context
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
     EnumerationCap,
+    Listing,
     QLSPath,
     _successors,
     _walk,
@@ -149,6 +150,16 @@ class TestSuccessorTables:
 WALK_CAP = 20_000
 
 
+def walk_records(g, strong: bool, cap: int) -> tuple[tuple[F, ...], list[tuple]]:
+    """``qls._walk`` read as the records (dirs, candidate indices, energies) of ``reference_walk``, through the
+    directions and schedules of ``Listing.level_records``; its levels' columns must have one length each."""
+    candidates, levels = _walk(g, strong, cap)
+    assert all(len(set(map(len, level))) == 1 for level in levels)
+    listing = Listing(candidates, levels, [], [])
+    rows = [row for columns in listing.level_records() for row in zip(*columns)]
+    return candidates, [(dirs, schedule[::2], schedule[1::2]) for dirs, schedule in rows]
+
+
 def assert_walk_matches_reference(g):
     """``qls._walk`` equals the depth-first reference record for record, for both variants, and every
     level of it is sorted on (dirs, indices); a shape with more than ``WALK_CAP`` paths is refused alike."""
@@ -160,10 +171,11 @@ def assert_walk_matches_reference(g):
                 _walk(g, strong, WALK_CAP)
             assert str(info.value) == str(exc) == f"more than {WALK_CAP} paths"
             continue
-        candidates, found = _walk(g, strong, WALK_CAP)
+        candidates, found = walk_records(g, strong, WALK_CAP)
         assert (candidates, found) == expected
         sizes = [len(dirs) for dirs, _, _ in found]
         assert sizes == sorted(sizes)
+        assert [len(level.y) for level in _walk(g, strong, WALK_CAP)[1]] == [sizes.count(k) for k in sorted(set(sizes))]
         for size in set(sizes):
             level = [(dirs, idx) for dirs, idx, _ in found if len(dirs) == size]
             assert level == sorted(level)
@@ -185,11 +197,11 @@ class TestWalk:
             with pytest.raises(EnumerationCap, match=f"^{exc}$"):
                 _walk(g, True, cap)
         else:
-            assert _walk(g, True, cap) == expected and cap == 27
+            assert walk_records(g, True, cap) == expected and cap == 27
 
     @pytest.mark.parametrize("cap", [1_000, 5_000])
     def test_cap_checked_while_a_level_grows(self, monkeypatch, cap):
-        # D4 (1,1,1,1) has 14,848 paths; a refused walk builds at most the cap and one path's successors, so a
+        # D4 (1,1,1,1) has 14,848 paths; a refused walk builds at most the cap and one row's successors, so a
         # level much larger than the cap is never built whole
         built = []
         real = qls_mod._suffix_lists
