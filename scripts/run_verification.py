@@ -22,6 +22,7 @@ import time
 from qbruhat import build_context
 from qbruhat.cartan import parse_integer
 from qbruhat.cli import CliError, run_to_stdout, verify_shape
+from qbruhat.qls import DEFAULT_CAP
 
 SHAPES = [
     ("A1", (1,)),
@@ -42,7 +43,7 @@ SHAPES = [
 
 def run_shape(name: str, mults: tuple[int, ...], window: int) -> bool:
     t0 = time.monotonic()
-    status, checks, _ = verify_shape(build_context(name, mults), window, cap=10**6)
+    status, checks, _ = verify_shape(build_context(name, mults), window, cap=DEFAULT_CAP)
     elapsed = time.monotonic() - t0
     details = " ".join(f"{c['check']}={c['status']}({c['detail']})" for c in checks)
     good = status == "pass"

@@ -6,7 +6,9 @@ reader (as after SIGPIPE, with nothing on stderr).
 The ``qbg`` JSON document and DOT graph and the ``qls`` and ``degree`` CSV
 tables are rendered as lines and written in blocks by ``_write_lines``, so
 that 141 holds on an unbuffered stdout too; the other JSON documents
-(``qls``, ``degree``, ``verify``) are dumped by ``_write_doc``.
+(``qls``, ``degree``, ``verify``) are dumped by ``_write_doc``.  The
+``degree`` table is CSV lines either way (``degree.degree_lines``, or a
+``--path`` record's line); its JSON document holds each row's record.
 All numeric output uses exact fraction strings; identical invocations
 produce byte-identical output.
 """
@@ -18,17 +20,16 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 
 from . import Context, FiniteType, build_context
-from .affine_oracle import AffineOracle, AffineOrbitElement
+from .affine_oracle import AffineOracle
 from .cartan import parse_integer, parse_multiplicities
-from .degree import AffineLSPath, InvalidQLSPath, _endpoint_of, _walk_rows, degree_rows, degree_table
+from .degree import TABLE_HEADER, InvalidQLSPath, certify_walk, degree_lines, degree_table, line_record
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import EnumerationCap, QLSPath, _carry, candidate_times, enumerate_tilde, path_listing, time_ticks
+from .qls import DEFAULT_CAP, EnumerationCap, QLSPath, enumerate_tilde, path_listing
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
 
 SCHEMA_PREFIX = "qbruhat"
@@ -177,44 +178,22 @@ def cmd_qls(args: argparse.Namespace) -> int:
     return 0
 
 
-_DEGREE_HEADER = "dirs,times,energies,deg"
-
-
 def _table_line(row: dict) -> str:
     """The CSV line of a ``degree_table`` record: its fields joined by ``,``, each field's strings by ``;``."""
     return ",".join(map(";".join, (row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),))))
 
 
-def _walk_lines(g, cap: int) -> list[str]:
-    """The CSV lines of every strong path's row, as ``_table_line`` writes them, from one walk.
-
-    Each level is read once ``degree._walk_rows`` has checked it and made
-    its degrees; each row's texts are its parent's followed by its step's.
-    """
-    listing = path_listing(g, True, cap)
-    lines: list[str] = []
-    energies: list[str] = []
-    for k, ((level, degrees), (dirs, times)) in enumerate(zip(_walk_rows(g, listing), listing.level_texts())):
-        steps = {e: f"{';' if k > 1 else ''}{e}" for e in set(level.e)}  # no ';' before a row's first energy
-        energies = _carry(energies, level.parent, map(steps.__getitem__, level.e)) if k else [""] * len(level.y)
-        lines += map(",".join, zip(dirs, times, energies, map(str, degrees)))
-    return lines
-
-
 def cmd_degree(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    if args.path is None and args.format == "csv":
-        _write_lines([_DEGREE_HEADER, *_walk_lines(ctx.graph, args.cap)])
-        return 0
     if args.path is None:
-        rows = degree_rows(ctx.graph, args.cap)
+        lines = degree_lines(ctx.graph, args.cap)
     else:
         try:
             path = parse_path_literal(ctx, args.path)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         try:
-            rows = degree_table(ctx.shape, ctx.graph, [path])
+            lines = [TABLE_HEADER, *map(_table_line, degree_table(ctx.shape, ctx.graph, [path]))]
         except InvalidQLSPath as exc:
             reason = str(exc)
             if exc.time_index is not None:
@@ -224,9 +203,9 @@ def cmd_degree(args: argparse.Namespace) -> int:
             print(f"invalid path {args.path!r}: {reason}", file=sys.stderr)
             return 1
     if args.format == "json":
-        _write_doc(args, rows=rows)
+        _write_doc(args, rows=list(map(line_record, lines[1:])))
     else:
-        _write_lines([_DEGREE_HEADER, *map(_table_line, rows)])
+        _write_lines(lines)
     return 0
 
 
@@ -235,76 +214,30 @@ def _worst(statuses) -> str:
     return min(statuses, key=("fail", "inconclusive", "pass").index, default="pass")
 
 
-def _certify_walk(oracle, graph, window: int, cap: int) -> tuple[list[QLSPath], Counter, list[dict]]:
-    """The strong paths from one walk, the statuses of their lifts and the reports of the paths that did not pass.
-
-    Each level is read as its rows' directions and schedules once
-    ``degree._walk_rows`` has checked it.  All but the sigma-chains
-    reads only a path's schedule, its (candidate indices, energies), so it
-    runs once per distinct schedule of a level: the times, the lift's
-    delta-coefficients (the prefix sums of the energies), the largest
-    ``|delta|`` that the window is held against and, inside the window, the
-    endpoint identity on the ticks over one L (``degree._endpoint_of``).
-    Each path inside the window is handed, lifted, to
-    ``oracle.verify_ls_path``, which memoises each segment's verdict; one
-    outside it is ``inconclusive``.  A path's texts are looked up only if it
-    is reported.
-    """
-    listing = path_listing(graph, True, cap)
-    L, tick = time_ticks(listing.candidates)
-
-    def schedule(idx, energies, deg):
-        # (indices, times, delta-coefficients, the inconclusive detail or "", whether the endpoint identity holds)
-        deltas = tuple(accumulate(energies, initial=0))
-        need = max(map(abs, deltas))
-        times = candidate_times(listing.candidates, idx)
-        if need > window:
-            return idx, times, deltas, f"|delta| reaches {need}, outside window {window}; needs window {need}", False
-        return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
-
-    hat, counts, reports = [], Counter(), []
-    for (_, degrees), (dirs, schedules) in zip(_walk_rows(graph, listing), listing.level_records()):
-        made = {s: schedule(s[0::2], s[1::2], deg) for s, deg in dict(zip(schedules, degrees)).items()}
-        for d, (i, times, deltas, outside, endpoint_ok) in zip(dirs, map(made.__getitem__, schedules)):
-            hat.append(QLSPath(d, times))
-            if outside:
-                status, detail = "inconclusive", outside
-            else:
-                lifted = AffineLSPath(tuple(map(AffineOrbitElement, d, deltas)), times)
-                if oracle.verify_ls_path(lifted) and endpoint_ok:
-                    counts["pass"] += 1
-                    continue
-                status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
-            counts[status] += 1
-            texts = {"dirs": listing.dir_names(d), "times": listing.time_texts(i)}
-            reports.append({**texts, "status": status, "detail": detail})
-    return hat, counts, reports
-
-
 def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], list[dict]]:
     """Run the oracle suites on one shape: (overall status, checks, reports of the paths that did not pass).
 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
-    with the endpoint identity.  The strong paths are certified first
-    (``_certify_walk``: the lift, the window and the endpoint once per
-    schedule, each segment's sigma-chain verdict once per key, and each
-    path inside the window handed to the oracle), then the covers, and the
-    weak variant is enumerated last.  ``window`` is a reporting rule, not a search
-    bound: a path whose lift reaches ``|delta| > window`` is not certified but
-    reported ``inconclusive``, with the window that settles it.
+    with the endpoint identity.  The weak variant is enumerated first, then
+    ``degree.certify_walk`` certifies the strong paths of one walk and
+    compares them with it path by path, and the covers come last.
+    ``window`` is a reporting rule, not a search bound: a path whose lift
+    reaches ``|delta| > window`` is not certified but reported
+    ``inconclusive``, with the window that settles it.
     """
     if window < 0:
         raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
     oracle = AffineOracle(graph)
-    hat, counts, reports = _certify_walk(oracle, graph, window, cap)
-    report = oracle.covers_to_edges()
     tilde = enumerate_tilde(graph, cap=cap)
+    same, counts, reports = certify_walk(oracle, graph, window, cap, tilde)
+    report = oracle.covers_to_edges()
+    strong = counts.total()
     checks = [
         {"check": check, "status": status, "detail": detail}
         for check, status, detail in (
-            ("strong-equals-weak", "pass" if tuple(hat) == tilde else "fail", f"strong={len(hat)} weak={len(tilde)}"),
+            ("strong-equals-weak", "pass" if same else "fail", f"strong={strong} weak={len(tilde)}"),
             (
                 "covers-match-edges",
                 "pass" if report.ok else "fail",
@@ -313,7 +246,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
             (
                 "lift-certification",
                 _worst(counts),
-                f"paths={len(hat)} fail={counts['fail']} inconclusive={counts['inconclusive']}",
+                f"paths={strong} fail={counts['fail']} inconclusive={counts['inconclusive']}",
             ),
         )
     ]
@@ -344,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--lambda", dest="lam", required=True, help="comma-separated multiplicities")
     common.add_argument("--format", default=None, help="output format")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", default=str(10**6), help="enumeration cap")
+    capped.add_argument("--cap", default=str(DEFAULT_CAP), help="enumeration cap")
 
     parser = argparse.ArgumentParser(prog="qbruhat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

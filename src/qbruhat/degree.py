@@ -15,9 +15,11 @@ of their denominators, so the sum is an integer over L.
 The enumeration walk carries the energies, and ``_walk_rows`` reads it one
 level at a time: each row is its parent row plus one step, so the
 structure check reads the level's new columns, and the degree sum is the
-parent's plus one term; both checks run once per level.  ``degree_rows``,
-``cli.cmd_degree`` and ``cli.verify_shape`` take this route; ``degree``,
-``lift`` and ``degree_table`` derive given paths' segments (``_segments``).
+parent's plus one term; both checks run once per level.  Only this module
+reads the walk: ``degree_lines`` makes the table's CSV lines, whose records
+(``line_record``) are ``degree_rows`` and the ``degree`` command's JSON,
+and ``certify_walk`` certifies ``verify``'s lifts.  ``degree``, ``lift``
+and ``degree_table`` derive given paths' segments (``_segments``).
 
 The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies, the
@@ -30,6 +32,7 @@ first principles.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +42,8 @@ from operator import gt, mul, ne, neg, sub
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import Level, Listing, QLSPath, _carry, _structure_ok, path_listing, path_to_json, time_ticks
+from .qls import DEFAULT_CAP, Level, Listing, QLSPath, _carry, _structure_ok, candidate_times, path_listing
+from .qls import path_to_json, time_ticks
 
 
 class InvalidQLSPath(ValueError):
@@ -150,13 +154,8 @@ def _invalid_row(listing: Listing, k: int, r: int) -> InvalidQLSPath:
     index outside its range is named by number, as ``#-1``.
     """
     dirs, schedules = next(islice(listing.level_records(), k, None))
-
-    def named(texts: list[str], values: tuple[int, ...]) -> list[str]:
-        return [texts[v] if 0 <= v < len(texts) else f"#{v}" for v in values]
-
-    times = ["0", *named(listing.texts, schedules[r][::2]), "1"]
-    literal = f"{';'.join(named(listing.names, dirs[r]))}|{','.join(times)}"
-    return InvalidQLSPath(f"invalid path '{literal}': structurally invalid")
+    names, times = listing.path_texts(dirs[r], schedules[r][::2])
+    return InvalidQLSPath(f"invalid path '{';'.join(names)}|{','.join(times)}': structurally invalid")
 
 
 def _level_ok(n: int, c: int, before: Level | None, level: Level) -> bool:
@@ -213,14 +212,75 @@ def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
         before = level
 
 
-def degree_rows(g: PQBG, cap: int = 10**6) -> list[dict]:
-    """The records of ``degree_table`` for every strong-variant path, from one enumeration walk.
+TABLE_HEADER = "dirs,times,energies,deg"
 
-    Equal to ``degree_table(g.shape, g, enumerate_hat(g, cap))``.
+
+def degree_lines(g: PQBG, cap: int) -> list[str]:
+    """The degree table as CSV lines, from one walk: ``TABLE_HEADER``, then one line per strong path.
+
+    Each level is read once ``_walk_rows`` has checked it and made its
+    degrees; each row's texts are its parent's followed by its step's.
     """
     listing = path_listing(g, True, cap)
-    return [
-        {"dirs": listing.dir_names(d), "times": listing.time_texts(s[::2]), "energies": list(s[1::2]), "deg": deg}
-        for (_, degrees), (dirs, schedules) in zip(_walk_rows(g, listing), listing.level_records())
-        for d, s, deg in zip(dirs, schedules, degrees)
-    ]
+    lines = [TABLE_HEADER]
+    energies: list[str] = []
+    for k, ((level, degrees), (dirs, times)) in enumerate(zip(_walk_rows(g, listing), listing.level_texts())):
+        steps = {e: f"{';' if k > 1 else ''}{e}" for e in set(level.e)}  # no ';' before a row's first energy
+        energies = _carry(energies, level.parent, map(steps.__getitem__, level.e)) if k else [""] * len(level.y)
+        lines += map(",".join, zip(dirs, times, energies, map(str, degrees)))
+    return lines
+
+
+def line_record(line: str) -> dict:
+    """The ``degree_table`` record of a table line: its fields split on ``,``, then on ``;``, the numbers as ints."""
+    dirs, times, energies, deg = line.split(",")
+    energies = [int(e) for e in energies.split(";") if e]
+    return {"dirs": dirs.split(";"), "times": times.split(";"), "energies": energies, "deg": int(deg)}
+
+
+def degree_rows(g: PQBG, cap: int = DEFAULT_CAP) -> list[dict]:
+    """``degree_table(g.shape, g, enumerate_hat(g, cap))``, read as the records of the rows of ``degree_lines``."""
+    return list(map(line_record, degree_lines(g, cap)[1:]))
+
+
+def certify_walk(oracle, g: PQBG, window: int, cap: int, weak: tuple[QLSPath, ...]) -> tuple[bool, Counter, list]:
+    """Certify the strong paths of one walk: (whether they are ``weak``, their lifts' statuses, the failing reports).
+
+    Each level is read as its rows' directions and schedules once
+    ``_walk_rows`` has checked it, and each path is compared with the next
+    of ``weak`` as it is read.  The times, the lift's delta-coefficients
+    (the energies' prefix sums), the window and the endpoint identity
+    (``_endpoint_of``) run once per distinct schedule of a level.  Each
+    path inside the window is handed, lifted, to ``oracle.verify_ls_path``;
+    one outside it is ``inconclusive``.  Only reported paths get texts.
+    """
+    listing = path_listing(g, True, cap)
+    L, tick = time_ticks(listing.candidates)
+
+    def schedule(idx, energies, deg):
+        # (indices, times, delta-coefficients, the inconclusive detail or "", whether the endpoint identity holds)
+        deltas = tuple(accumulate(energies, initial=0))
+        need = max(map(abs, deltas))
+        times = candidate_times(listing.candidates, idx)
+        if need > window:
+            return idx, times, deltas, f"|delta| reaches {need}, outside window {window}; needs window {need}", False
+        return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
+
+    weak_paths, same, counts, reports = iter(weak), True, Counter(), []
+    for (_, degrees), (dirs, schedules) in zip(_walk_rows(g, listing), listing.level_records()):
+        made = {s: schedule(s[0::2], s[1::2], deg) for s, deg in dict(zip(schedules, degrees)).items()}
+        for d, (i, times, deltas, outside, endpoint_ok) in zip(dirs, map(made.__getitem__, schedules)):
+            path = next(weak_paths, None)
+            same = same and path is not None and path.directions == d and path.times == times
+            if outside:
+                status, detail = "inconclusive", outside
+            else:
+                lifted = AffineLSPath(tuple(map(AffineOrbitElement, d, deltas)), times)
+                if oracle.verify_ls_path(lifted) and endpoint_ok:
+                    counts["pass"] += 1
+                    continue
+                status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
+            counts[status] += 1
+            names, texts = listing.path_texts(d, i)
+            reports.append({"dirs": names, "times": texts, "status": status, "detail": detail})
+    return same and next(weak_paths, None) is None, counts, reports

@@ -46,6 +46,10 @@ class EnumerationCap(RuntimeError):
     """Path enumeration exceeded its configured budget."""
 
 
+# the number of paths a walk may list when no cap is given
+DEFAULT_CAP = 10**6
+
+
 @dataclass(frozen=True)
 class QLSPath:
     directions: tuple[int, ...]  # vertex indices, adjacent entries distinct
@@ -212,11 +216,11 @@ class Listing(NamedTuple):
     names: list[str]
     texts: list[str]
 
-    def dir_names(self, dirs: tuple[int, ...]) -> list[str]:
-        return [self.names[v] for v in dirs]
-
-    def time_texts(self, idx: tuple[int, ...]) -> list[str]:
-        return ["0", *[self.texts[i] for i in idx], "1"]
+    def path_texts(self, dirs: tuple[int, ...], idx: tuple[int, ...]) -> tuple[list[str], list[str]]:
+        """A path's direction names and time texts; a vertex or candidate index out of range is named ``#v``."""
+        n, c = len(self.names), len(self.texts)
+        names = [self.names[v] if 0 <= v < n else f"#{v}" for v in dirs]
+        return names, ["0", *[self.texts[i] if 0 <= i < c else f"#{i}" for i in idx], "1"]
 
     def level_texts(self) -> Iterator[tuple[list[str], list[str]]]:
         """Per level, each row's directions and times as CSV fields: the names, and the time texts, joined by ``;``."""
@@ -259,7 +263,7 @@ def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
     return tuple(found)
 
 
-def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+def enumerate_hat(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
     """All paths of the strong variant, in the canonical order.
 
     That is by number of directions, then directions, then times; the
@@ -268,7 +272,7 @@ def enumerate_hat(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
     return _enumerate(g, True, cap)
 
 
-def enumerate_tilde(g: PQBG, cap: int = 10**6) -> tuple[QLSPath, ...]:
+def enumerate_tilde(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
     """All paths of the weak variant, in the same order; equal to the strong ones (tested, not assumed)."""
     return _enumerate(g, False, cap)
 

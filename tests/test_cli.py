@@ -250,6 +250,18 @@ class TestDegree:
         lam = ",".join(map(str, mults))
         assert run(capsys, "degree", "--type", name, "--lambda", lam, "--format", fmt) == (0, expected, "")
 
+    @pytest.mark.parametrize("literal", ["e|0,1", "e;s1 s2 s1;s1 s2|0,1/3,1/2,1"])
+    def test_path_json_written_as_degree_table(self, capsys, a2_21, literal):
+        # a literal's row reaches the JSON document through its CSV line: the document is byte for byte what
+        # the writer prints for degree_table's record, with no energies (one direction) or with two
+        g = a2_21.graph
+        table = degree_table(g.shape, g, [cli.parse_path_literal(a2_21, literal)])
+        assert len(table[0]["energies"]) == literal.count(";")
+        cli._write_doc(argparse.Namespace(command="degree", type="A2", lam=(2, 1)), rows=table)
+        expected = capsys.readouterr().out
+        argv = ("degree", "--type", "A2", "--lambda", "2,1", "--path", literal, "--format", "json")
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_non_rep_direction(self, capsys):
         code, _, _ = run(
             capsys, "degree", "--type", "A2", "--lambda", "1,0", "--path", "s2|0,1"
@@ -374,7 +386,7 @@ class TestVerify:
 
         for module in (qls, degree_mod):
             monkeypatch.setattr(module, "path_to_json", counting(module.path_to_json))
-        monkeypatch.setattr(cli, "_endpoint_of", counting(degree_mod._endpoint_of))
+        monkeypatch.setattr(degree_mod, "_endpoint_of", counting(degree_mod._endpoint_of))
         _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
         doc = json.loads(out)
         assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
@@ -384,23 +396,19 @@ class TestVerify:
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_texts_built_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
         # the walk's records carry indices; a path's direction names and time texts are looked up only
-        # when it is reported
-        calls = Counter()
+        # when it is reported, and they are the texts of its record
+        calls = []
+        real = qls.Listing.path_texts
 
-        def counting(method):
-            real = getattr(qls.Listing, method)
+        def recording(listing, dirs, idx):
+            calls.append(real(listing, dirs, idx))
+            return calls[-1]
 
-            def wrapper(*args):
-                calls[method] += 1
-                return real(*args)
-
-            monkeypatch.setattr(qls.Listing, method, wrapper)
-
-        counting("dir_names")
-        counting("time_texts")
+        monkeypatch.setattr(qls.Listing, "path_texts", recording)
         _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
-        assert len(json.loads(out)["paths"]) == reported
-        assert [calls["dir_names"], calls["time_texts"]] == [reported, reported]
+        paths = json.loads(out)["paths"]
+        assert len(paths) == len(calls) == reported
+        assert [(r["dirs"], r["times"]) for r in paths] == [(list(d), list(t)) for d, t in calls]
 
     def test_window_guard(self, capsys, monkeypatch):
         # a lift that leaves the window is reported inconclusive with the window that settles it, and is
@@ -426,8 +434,10 @@ class TestVerify:
         def fail(*args, **kwargs):
             raise AssertionError("enumerated under a negative window")
 
-        for name in ("enumerate_hat", "enumerate_tilde", "path_listing", "_walk_rows"):
+        for name in ("enumerate_hat", "enumerate_tilde", "path_listing"):
             monkeypatch.setattr(cli, name, fail)
+        for name in ("path_listing", "_walk_rows"):
+            monkeypatch.setattr(degree_mod, name, fail)
         with pytest.raises(cli.CliError, match="^window must be non-negative, not -1$"):
             cli.verify_shape(a2_21, -1, cap=10**6)
         code, out, err = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "-1")
@@ -462,6 +472,39 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--type", type_name, "--lambda", lam, "--window", window)
         assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
         assert certified == inside
+
+    @pytest.mark.parametrize(
+        "change", ["none", "last dropped", "last repeated", "two swapped", "times moved", "directions moved"]
+    )
+    def test_weak_listing_compared_path_by_path(self, capsys, monkeypatch, change):
+        # the strong walk is compared with the weak listing path by path as it is read: every row equal, and
+        # no weak path left over; the detail counts the certified strong paths and the weak listing
+        real = cli.enumerate_tilde
+
+        def changed(*args, **kwargs):
+            paths = list(real(*args, **kwargs))
+            if change == "last dropped":
+                paths.pop()
+            elif change == "last repeated":
+                paths.append(paths[-1])
+            elif change == "two swapped":
+                paths[7], paths[8] = paths[8], paths[7]
+            elif change == "times moved":
+                last = paths[-1]
+                paths[-1] = qls.QLSPath(last.directions, (*last.times[:-2], Fraction(9, 10), last.times[-1]))
+            elif change == "directions moved":
+                paths[0] = qls.QLSPath(paths[1].directions, paths[0].times)  # (x; 0, 1) with the next x
+            return tuple(paths)
+
+        monkeypatch.setattr(cli, "enumerate_tilde", changed)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "10")
+        weak = {"last dropped": 26, "last repeated": 28}.get(change, 27)
+        assert json.loads(out)["checks"][0] == {
+            "check": "strong-equals-weak",
+            "status": "pass" if change == "none" else "fail",
+            "detail": f"strong=27 weak={weak}",
+        }
+        assert code == (0 if change == "none" else 1)
 
     def test_window_monotone(self, a2_21):
         # a larger window only settles more paths: each inconclusive path at the larger window is
@@ -511,7 +554,7 @@ class TestVerify:
             seen.append(args)
             return real(*args) + (len(seen) == 1)
 
-        monkeypatch.setattr(cli, "_endpoint_of", wrong_first)
+        monkeypatch.setattr(degree_mod, "_endpoint_of", wrong_first)
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "fail"
@@ -569,8 +612,9 @@ class TestFormats:
 
         monkeypatch.setattr(cli, "enumerate_hat", fail)
         monkeypatch.setattr(cli, "enumerate_tilde", fail)
-        monkeypatch.setattr(cli, "degree_rows", fail)
+        monkeypatch.setattr(cli, "degree_lines", fail)
         monkeypatch.setattr(cli, "path_listing", fail)
+        monkeypatch.setattr(degree_mod, "path_listing", fail)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
 

@@ -7,7 +7,6 @@ from operator import mul
 
 import pytest
 
-import qbruhat.cli as cli_mod
 import qbruhat.degree as degree_mod
 from conftest import cached_context, path_sort_key, reference_search, segment_chains, vertex_by_word
 from qbruhat import build_context
@@ -577,7 +576,7 @@ class TestDegreeRows:
         k, r = len(listing.levels) - 1, len(listing.levels[-1].y) - 1
         parent = listing.levels[k - 1].i[listing.levels[k].parent[r]]
         value = {"y": g.num_vertices, "i": parent, "e": listing.levels[k].e[r] + 1}[column]
-        monkeypatch.setattr(cli_mod, "path_listing", lambda *args: _set(listing, k, r, column, value))
+        monkeypatch.setattr(degree_mod, "path_listing", lambda *args: _set(listing, k, r, column, value))
         with pytest.raises((InvalidQLSPath, NonIntegralDegree)):
             main(["degree", "--type", "A2", "--lambda", "2,1", "--format", "csv"])
         assert capsys.readouterr().out == ""
