@@ -3,12 +3,10 @@
 Exit codes: 0 success, 1 a failed or inconclusive check or an invalid path
 literal, 2 bad input or an exceeded ``--cap``, 141 stdout closed by its
 reader (as after SIGPIPE, with nothing on stderr).
-The ``qbg`` JSON document and DOT graph and the ``qls`` and ``degree`` CSV
-tables are rendered as lines and written in blocks by ``_write_lines``, so
-that 141 holds on an unbuffered stdout too; the other JSON documents
-(``qls``, ``degree``, ``verify``) are dumped by ``_write_doc``.  The
-``degree`` table is CSV lines either way (``degree.degree_lines``, or a
-``--path`` record's line); its JSON document holds each row's record.
+Every document, JSON, DOT or CSV, is rendered as lines and written in
+blocks by ``_write_lines``, so that 141 holds on an unbuffered stdout too.
+``_doc_lines`` lays JSON out as ``json.dumps(..., indent=2)`` would; a
+``qls`` or ``degree`` record is rendered from its CSV line (``degree_lines``).
 All numeric output uses exact fraction strings; identical invocations
 produce byte-identical output.
 """
@@ -27,7 +25,7 @@ from itertools import chain
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle
 from .cartan import parse_integer, parse_multiplicities
-from .degree import TABLE_HEADER, InvalidQLSPath, certify_walk, degree_lines, degree_table, line_record
+from .degree import TABLE_HEADER, InvalidQLSPath, certify_walk, degree_lines, degree_table, table_line
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
 from .qls import DEFAULT_CAP, EnumerationCap, QLSPath, enumerate_tilde, path_listing
 from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
@@ -78,15 +76,38 @@ def _context(args: argparse.Namespace) -> Context:
         raise CliError(str(exc)) from exc
 
 
-def _header(args: argparse.Namespace) -> dict:
-    """The schema, type and lambda that open every JSON document."""
-    return {"schema": f"{SCHEMA_PREFIX}/{args.command}/1", "type": args.type, "lambda": list(args.lam)}
+def _doc_lines(args: argparse.Namespace, fields: dict, arrays: dict[str, list[str]]) -> list[str]:
+    """A JSON document as ``json.dumps(..., indent=2)`` lays it out, as texts for ``_write_lines``.
+
+    The schema, type and lambda open it, then ``fields``, then each of
+    ``arrays``: a name and its record texts, each laid out at the depth of
+    an array item and ending in ``,``, which the last one loses.
+    """
+    head = {"schema": f"{SCHEMA_PREFIX}/{args.command}/1", "type": args.type, "lambda": list(args.lam)} | fields
+    lines = [json.dumps(head, indent=2)[: -len("\n}")]]
+    for name, texts in arrays.items():
+        lines[-1] += ","
+        lines += [f'  "{name}": [', *texts[:-1], texts[-1][:-1], "  ]"] if texts else [f'  "{name}": []']
+    return [*lines, "}"]
 
 
-def _write_doc(args: argparse.Namespace, **fields) -> None:
-    """Write one small JSON document (``qls``, ``degree`` and ``verify``): the header, then ``fields`` in order."""
-    json.dump(_header(args) | fields, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _row_texts(lines: list[str]) -> list[str]:
+    """The record text of each ``qls`` or ``degree`` CSV line after the header, for ``_doc_lines``.
+
+    A line is ``dirs,times`` or ``dirs,times,energies,deg``, each list's
+    items joined by ``;``.  Names and time texts need no JSON escaping.
+    """
+    texts, strings, numbers = [], '",\n        "', ",\n        "  # the separators of string and number items
+    for line in lines[1:]:
+        dirs, times, *rest = line.split(",")
+        text = f'    {{\n      "dirs": [\n        "{dirs.replace(";", strings)}"\n      ],\n'
+        text += f'      "times": [\n        "{times.replace(";", strings)}"\n      ]'
+        if rest:
+            energies, deg = rest
+            energies = f"[\n        {energies.replace(';', numbers)}\n      ]" if energies else "[]"
+            text += f',\n      "energies": {energies},\n      "deg": {deg}'
+        texts.append(text + "\n    },")
+    return texts
 
 
 # physical lines per write: a few kB, well inside a 64 KiB pipe buffer (a block of DOT lines, about 3 kB, is
@@ -97,10 +118,9 @@ _BLOCK_LINES = 64
 def _write_lines(lines: list[str]) -> None:
     """Write each text as a line; the caller renders every text before the first write.
 
-    The ``qls`` and ``degree`` CSV tables, the ``qbg`` JSON document (a text
-    per record, so a text may hold several lines) and the ``qbg`` DOT graph
-    go out here, in blocks of about ``_BLOCK_LINES`` physical lines, so that
-    a reader that closes the pipe early is seen by the next block's write
+    Every document goes out here, a JSON record as one text of several
+    lines, in blocks of about ``_BLOCK_LINES`` physical lines, so that a
+    reader that closes the pipe early is seen by the next block's write
     even on an unbuffered stdout, where a write the closed pipe cuts short
     returns without an error.  The first block takes ``_BLOCK_LINES``
     texts, and each next one as many as make ``_BLOCK_LINES`` lines at the
@@ -136,14 +156,12 @@ def parse_path_literal(ctx: Context, literal: str) -> QLSPath:
     return QLSPath(dirs, tuple(times))
 
 
-def _qbg_lines(args: argparse.Namespace, g) -> list[str]:
-    """The ``qbg`` JSON document as ``json.dump(..., indent=2)`` lays it out: its head, then one text per record.
-
-    Each vertex name and each label's root name and pairing is encoded
-    once, and each record is one f-string over those texts.  Neither list
-    is empty: the zero shape is refused, so the graph has an edge.
-    """
-    head = json.dumps(_header(args) | {"parabolic": sorted(g.J)}, indent=2)[: -len("\n}")]
+def cmd_qbg(args: argparse.Namespace) -> int:
+    g = _context(args).graph
+    if args.format == "dot":
+        _write_lines(g.to_dot())
+        return 0
+    # each vertex name and each label's root name and pairing is encoded once, each record one f-string over them
     names = [json.dumps(g.vertex_name(v)) for v in range(g.num_vertices)]
     labels = {idx: f'"label": {json.dumps(g.root_name(idx))},\n      "pairing": {g.pairings[idx]}' for idx in g.labels}
     vertices = [
@@ -155,32 +173,18 @@ def _qbg_lines(args: argparse.Namespace, g) -> list[str]:
         f'      {labels[e.label]},\n      "kind": "{e.kind}"\n    }},'
         for e in g.edges
     ]
-    vertices[-1] = vertices[-1][:-1]  # no comma after an array's last record
-    edges[-1] = edges[-1][:-1]
-    return [f"{head},", '  "vertices": [', *vertices, "  ],", '  "edges": [', *edges, "  ]", "}"]
-
-
-def cmd_qbg(args: argparse.Namespace) -> int:
-    g = _context(args).graph
-    _write_lines(g.to_dot() if args.format == "dot" else _qbg_lines(args, g))
+    _write_lines(_doc_lines(args, {"parabolic": sorted(g.J)}, {"vertices": vertices, "edges": edges}))
     return 0
 
 
 def cmd_qls(args: argparse.Namespace) -> int:
     ctx = _context(args)
     levels = path_listing(ctx.graph, args.variant == "hat", args.cap).level_texts()
-    if args.format == "csv":
-        _write_lines(["dirs,times", *chain.from_iterable(map(",".join, zip(*texts)) for texts in levels)])
-        return 0
-    rows = chain.from_iterable(zip(*texts) for texts in levels)
-    paths = [{"dirs": dirs.split(";"), "times": times.split(";")} for dirs, times in rows]
-    _write_doc(args, variant=args.variant, count=len(paths), paths=paths)
+    lines = ["dirs,times", *chain.from_iterable(map(",".join, zip(*texts)) for texts in levels)]
+    if args.format == "json":
+        lines = _doc_lines(args, {"variant": args.variant, "count": len(lines) - 1}, {"paths": _row_texts(lines)})
+    _write_lines(lines)
     return 0
-
-
-def _table_line(row: dict) -> str:
-    """The CSV line of a ``degree_table`` record: its fields joined by ``,``, each field's strings by ``;``."""
-    return ",".join(map(";".join, (row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),))))
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
@@ -193,7 +197,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         try:
-            lines = [TABLE_HEADER, *map(_table_line, degree_table(ctx.shape, ctx.graph, [path]))]
+            lines = [TABLE_HEADER, *map(table_line, degree_table(ctx.shape, ctx.graph, [path]))]
         except InvalidQLSPath as exc:
             reason = str(exc)
             if exc.time_index is not None:
@@ -203,9 +207,8 @@ def cmd_degree(args: argparse.Namespace) -> int:
             print(f"invalid path {args.path!r}: {reason}", file=sys.stderr)
             return 1
     if args.format == "json":
-        _write_doc(args, rows=list(map(line_record, lines[1:])))
-    else:
-        _write_lines(lines)
+        lines = _doc_lines(args, {}, {"rows": _row_texts(lines)})
+    _write_lines(lines)
     return 0
 
 
@@ -255,7 +258,9 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     overall, checks, failing = verify_shape(_context(args), args.window, args.cap)
-    _write_doc(args, window=args.window, status=overall, checks=checks, paths=failing)
+    # one text per report, so that a reader who closes the pipe is seen by the next block's write
+    reports = ["    " + json.dumps(report, indent=2).replace("\n", "\n    ") + "," for report in failing]
+    _write_lines(_doc_lines(args, {"window": args.window, "status": overall, "checks": checks}, {"paths": reports}))
     return 0 if overall == "pass" else 1
 
 

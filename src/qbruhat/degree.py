@@ -16,10 +16,10 @@ The enumeration walk carries the energies, and ``_walk_rows`` reads it one
 level at a time: each row is its parent row plus one step, so the
 structure check reads the level's new columns, and the degree sum is the
 parent's plus one term; both checks run once per level.  Only this module
-reads the walk: ``degree_lines`` makes the table's CSV lines, whose records
-(``line_record``) are ``degree_rows`` and the ``degree`` command's JSON,
-and ``certify_walk`` certifies ``verify``'s lifts.  ``degree``, ``lift``
-and ``degree_table`` derive given paths' segments (``_segments``).
+reads the walk: ``degree_lines`` makes the table's CSV lines, its one
+public form, and ``certify_walk`` certifies ``verify``'s lifts.
+``degree``, ``lift`` and ``degree_table`` derive given paths' segments
+(``_segments``); ``table_line`` writes a ``degree_table`` record as a line.
 
 The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies, the
@@ -42,7 +42,7 @@ from operator import gt, mul, ne, neg, sub
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
 from .qbg import PQBG
-from .qls import DEFAULT_CAP, Level, Listing, QLSPath, _carry, _structure_ok, candidate_times, path_listing
+from .qls import Level, Listing, QLSPath, _carry, _structure_ok, candidate_times, path_listing
 from .qls import path_to_json, time_ticks
 
 
@@ -215,6 +215,11 @@ def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
 TABLE_HEADER = "dirs,times,energies,deg"
 
 
+def table_line(row: dict) -> str:
+    """The CSV line of a ``degree_table`` record: its fields joined by ``,``, each field's strings by ``;``."""
+    return ",".join(map(";".join, (row["dirs"], row["times"], map(str, row["energies"]), (str(row["deg"]),))))
+
+
 def degree_lines(g: PQBG, cap: int) -> list[str]:
     """The degree table as CSV lines, from one walk: ``TABLE_HEADER``, then one line per strong path.
 
@@ -229,18 +234,6 @@ def degree_lines(g: PQBG, cap: int) -> list[str]:
         energies = _carry(energies, level.parent, map(steps.__getitem__, level.e)) if k else [""] * len(level.y)
         lines += map(",".join, zip(dirs, times, energies, map(str, degrees)))
     return lines
-
-
-def line_record(line: str) -> dict:
-    """The ``degree_table`` record of a table line: its fields split on ``,``, then on ``;``, the numbers as ints."""
-    dirs, times, energies, deg = line.split(",")
-    energies = [int(e) for e in energies.split(";") if e]
-    return {"dirs": dirs.split(";"), "times": times.split(";"), "energies": energies, "deg": int(deg)}
-
-
-def degree_rows(g: PQBG, cap: int = DEFAULT_CAP) -> list[dict]:
-    """``degree_table(g.shape, g, enumerate_hat(g, cap))``, read as the records of the rows of ``degree_lines``."""
-    return list(map(line_record, degree_lines(g, cap)[1:]))
 
 
 def certify_walk(oracle, g: PQBG, window: int, cap: int, weak: tuple[QLSPath, ...]) -> tuple[bool, Counter, list]:

@@ -250,7 +250,7 @@ class PQBG:
     def _check_strongly_connected(self) -> None:
         # every vertex is reached from vertex 0 and reaches it: two traversals
         # that together are equivalent to strong connectivity
-        if min(self.distances_from(0)) < 0 or min(self._distances_to(0, 1)) < 0:
+        if min(self.distances_from(0)) < 0 or min(self._distances_to(0)) < 0:
             raise RuntimeError("parabolic quantum Bruhat graph is not strongly connected")
 
     # -- vertex helpers ----------------------------------------------------
@@ -296,15 +296,15 @@ class PQBG:
 
     # -- distances and shortest paths --------------------------------------
 
-    def _distances_to(self, x: int, q: int) -> list[int]:
-        """Distance of every vertex to x over the edges whose pairing q divides; -1 if x is out of reach."""
+    def _distances_to(self, x: int) -> list[int]:
+        """Distance of every vertex to x; -1 if x is out of reach."""
         to_x = [-1] * self.num_vertices
         to_x[x] = 0
         dq = deque([x])
         while dq:
             v = dq.popleft()
             for e in self.in_edges[v]:
-                if to_x[e.source] < 0 and self.pairings[e.label] % q == 0:
+                if to_x[e.source] < 0:
                     to_x[e.source] = to_x[v] + 1
                     dq.append(e.source)
         return to_x

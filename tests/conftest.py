@@ -189,6 +189,20 @@ def admissible_labels(g, sigma: Fraction) -> frozenset[int]:
     return frozenset(idx for idx in g.labels if g.pairings[idx] * sigma % 1 == 0)
 
 
+def distances_to(g, x: int, q: int) -> list[int]:
+    """Distance of every vertex to x over the edges whose pairing q divides; -1 if x is out of reach."""
+    to_x = [-1] * g.num_vertices
+    to_x[x] = 0
+    dq = deque([x])
+    while dq:
+        v = dq.popleft()
+        for e in g.in_edges[v]:
+            if to_x[e.source] < 0 and g.pairings[e.label] % q == 0:
+                to_x[e.source] = to_x[v] + 1
+                dq.append(e.source)
+    return to_x
+
+
 def all_paths_up_to(
     g, x: int, y: int, max_len: int | None = None, cap: int = 200_000, sigma: Fraction | None = None
 ) -> list[DirectedPath]:
@@ -229,7 +243,7 @@ def all_paths_up_to(
 def shortest_sigma_paths(g, x: int, y: int, sigma: Fraction) -> list[DirectedPath]:
     """All sigma-admissible paths from y to x of minimal sigma-admissible length."""
     allowed = admissible_labels(g, sigma)
-    to_x = g._distances_to(x, sigma.denominator)
+    to_x = distances_to(g, x, sigma.denominator)
     if to_x[y] < 0:
         return []
     found: list[DirectedPath] = []

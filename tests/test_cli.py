@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -22,7 +21,7 @@ import qbruhat.degree as degree_mod
 import qbruhat.qbg as qbg
 import qbruhat.qls as qls
 from qbruhat.cli import main
-from qbruhat.degree import degree_table, lift
+from qbruhat.degree import degree_table, lift, table_line
 from qbruhat.qls import enumerate_hat, enumerate_tilde, path_to_json, sigma_candidates
 from test_degree import ROW_SHAPES
 
@@ -46,6 +45,11 @@ DOT_STDOUT = {
     ("G2", "2,2"): "79fb3ec30759c4e2571a9ec7bee1a45110ebdc46aee8d424bcc14409b76e07d3",
     ("D4", "1,1,1,1"): "95359abd59531e17de8296191d0c9ef2f5efd39375c191c6b11ac2995e43897a",
 }
+
+
+def _document(command: str, name: str, mults: tuple[int, ...], **fields) -> dict:
+    """A JSON document as dicts: the header the CLI writes for ``command``, then ``fields`` in order."""
+    return {"schema": f"qbruhat/{command}/1", "type": name, "lambda": list(mults)} | fields
 
 
 def run(capsys, *argv):
@@ -87,6 +91,12 @@ class TestQbg:
     @REFERENCE_SHAPES
     def test_json_is_the_reference_document(self, capsys, name, mults):
         # the records written as texts print what dumping the document's dicts prints
+        lam = ",".join(map(str, mults))
+        assert run(capsys, "qbg", "--type", name, "--lambda", lam) == (0, qbg_document(name, mults), "")
+
+    @ROW_SHAPES
+    def test_json_on_row_shapes_is_the_reference_document(self, capsys, name, mults):
+        # the shapes of the degree and listing comparisons, graphs on a proper parabolic among them
         lam = ",".join(map(str, mults))
         assert run(capsys, "qbg", "--type", name, "--lambda", lam) == (0, qbg_document(name, mults), "")
 
@@ -238,27 +248,25 @@ class TestDegree:
     @ROW_SHAPES
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_written_as_degree_table(self, capsys, name, mults, fmt):
-        # the walk's rows, each schedule's texts made once, print what the same writer prints when fed
-        # degree_table's records of the enumerated paths
+        # the walk's rows, each schedule's texts made once, print degree_table's records of the enumerated
+        # paths: as table_line writes them, or as json.dumps lays out the document that holds them
         g = cached_context(name, mults).graph
         table = degree_table(g.shape, g, enumerate_hat(g))
         if fmt == "csv":
-            cli._write_lines(["dirs,times,energies,deg", *map(cli._table_line, table)])
+            expected = "\n".join(["dirs,times,energies,deg", *map(table_line, table)]) + "\n"
         else:
-            cli._write_doc(argparse.Namespace(command="degree", type=name, lam=mults), rows=table)
-        expected = capsys.readouterr().out
+            expected = json.dumps(_document("degree", name, mults, rows=table), indent=2) + "\n"
         lam = ",".join(map(str, mults))
         assert run(capsys, "degree", "--type", name, "--lambda", lam, "--format", fmt) == (0, expected, "")
 
     @pytest.mark.parametrize("literal", ["e|0,1", "e;s1 s2 s1;s1 s2|0,1/3,1/2,1"])
     def test_path_json_written_as_degree_table(self, capsys, a2_21, literal):
         # a literal's row reaches the JSON document through its CSV line: the document is byte for byte what
-        # the writer prints for degree_table's record, with no energies (one direction) or with two
+        # json.dumps prints for degree_table's record, with no energies (one direction) or with two
         g = a2_21.graph
         table = degree_table(g.shape, g, [cli.parse_path_literal(a2_21, literal)])
         assert len(table[0]["energies"]) == literal.count(";")
-        cli._write_doc(argparse.Namespace(command="degree", type="A2", lam=(2, 1)), rows=table)
-        expected = capsys.readouterr().out
+        expected = json.dumps(_document("degree", "A2", (2, 1), rows=table), indent=2) + "\n"
         argv = ("degree", "--type", "A2", "--lambda", "2,1", "--path", literal, "--format", "json")
         assert run(capsys, *argv) == (0, expected, "")
 
@@ -304,17 +312,15 @@ class TestQls:
     @pytest.mark.parametrize("variant", ["hat", "tilde"])
     def test_listing_is_the_paths_json(self, capsys, name, mults, variant):
         # the texts carried level by level are the path_to_json texts of the enumerated paths, in order: the
-        # CSV joins each record's strings, and the JSON document holds the records themselves
+        # CSV joins each record's strings, and the JSON document is byte for byte json.dumps of the records
         g = cached_context(name, mults).graph
         records = [path_to_json(g, path) for path in {"hat": enumerate_hat, "tilde": enumerate_tilde}[variant](g)]
         argv = ("qls", "--type", name, "--lambda", ",".join(map(str, mults)), "--variant", variant, "--format")
         code, out, err = run(capsys, *argv, "csv")
         assert (code, err) == (0, "")
         assert out.splitlines() == ["dirs,times", *[f"{';'.join(r['dirs'])},{';'.join(r['times'])}" for r in records]]
-        code, out, err = run(capsys, *argv, "json")
-        doc = json.loads(out)
-        assert (code, err) == (0, "")
-        assert (doc["variant"], doc["count"], doc["paths"]) == (variant, len(records), records)
+        doc = _document("qls", name, mults, variant=variant, count=len(records), paths=records)
+        assert run(capsys, *argv, "json") == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
 class TestVerify:
@@ -328,6 +334,15 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 0 and doc["status"] == "pass"
         assert all(c["status"] == "pass" for c in doc["checks"])
+
+    @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
+    def test_document_is_the_stdlib_layout(self, capsys, window, reported):
+        # the reports, each written as its own text, lay the document out as json.dumps does, and a run with
+        # nothing to report writes an empty array
+        code, out, err = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
+        doc = json.loads(out)
+        assert (code, err) == (1 if reported else 0, "") and out == json.dumps(doc, indent=2) + "\n"
+        assert len(doc["paths"]) == reported and ('"paths": []' in out) == (not reported)
 
     def test_c2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "C2", "--lambda", "1,1", "--window", "10")
@@ -739,12 +754,16 @@ class TestExitCodes:
             (("qbg",), b"{\n"),
             (("qbg", "--format", "dot"), b"digraph pqbg {\n"),
             (("degree", "--format", "csv"), b"dirs,times,energies,deg\n"),
+            (("qls", "--format", "json"), b"{\n"),
+            (("degree", "--format", "json"), b"{\n"),
+            (("verify", "--window", "0"), b"{\n"),
         ],
-        ids=["qbg-json", "qbg-dot", "degree-csv"],
+        ids=["qbg-json", "qbg-dot", "degree-csv", "qls-json", "degree-json", "verify-reports"],
     )
     def test_closed_pipe(self, argv, first, unbuffered):
         # the reader takes the first line of an output longer than a pipe buffer (on D4 (1,1,1,1) the graph is
-        # 222 kB as JSON and 74 kB as DOT, the table 1.5 MB) and closes the pipe: exit 141 as after SIGPIPE,
+        # 222 kB as JSON and 74 kB as DOT, the table 1.5 MB as CSV and 5.0 MB as JSON, the listing 3.8 MB as
+        # JSON and the verify reports at window 0 4.0 MB) and closes the pipe: exit 141 as after SIGPIPE,
         # with no traceback.  The output goes out in blocks of lines, so the next block's write sees the close,
         # also where an unbuffered stdout drops the rest of a cut write
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -8,7 +8,7 @@ from operator import mul
 import pytest
 
 import qbruhat.degree as degree_mod
-from conftest import cached_context, path_sort_key, reference_search, segment_chains, vertex_by_word
+from conftest import cached_context, distances_to, path_sort_key, reference_search, segment_chains, vertex_by_word
 from qbruhat import build_context
 from qbruhat.affine_oracle import AffineOrbitElement
 from qbruhat.cli import main
@@ -17,15 +17,18 @@ from qbruhat.degree import (
     InvalidQLSPath,
     NonIntegralDegree,
     _degree_of,
+    TABLE_HEADER,
     degree,
-    degree_rows,
+    degree_lines,
     degree_table,
     endpoint_delta,
     lift,
     segment_energy,
+    table_line,
 )
 from qbruhat.qbg import PQBG
 from qbruhat.qls import (
+    DEFAULT_CAP,
     EnumerationCap,
     Listing,
     QLSPath,
@@ -85,7 +88,7 @@ class TestSegmentEnergy:
         ctx = build_context("A2", (2, 1))
         g = ctx.graph
         r2r1, r2 = vertex_by_word(ctx, "s2 s1"), vertex_by_word(ctx, "s2")
-        assert g._distances_to(r2, 2)[r2r1] == g.distances_from(r2r1)[r2] == 1 and g._energy(r2r1, r2, 1) == 2
+        assert distances_to(g, r2, 2)[r2r1] == g.distances_from(r2r1)[r2] == 1 and g._energy(r2r1, r2, 1) == 2
         g._energies[r2r1, r2] = 3
         with pytest.raises(RuntimeError, match="carry energies 3 and 2"):
             g.segment_energies(r2r1, F(1, 2))
@@ -339,7 +342,7 @@ class TestTickEquivalence:
             assert _degree_of([energy], *time_ticks(path.times)) == _reference_degree_of([(sigma, energy)])
 
 
-# degree_rows builds the table's rows inside the enumeration walk, whose
+# degree_lines builds the table's rows inside the enumeration walk, whose
 # strong successors come from the energy rows.  The reference enumeration
 # reads the strong condition from the two distance rows instead.
 
@@ -417,7 +420,7 @@ class TestDegreeRows:
     def test_rows_equal_table(self, name, mults):
         g = cached_context(name, mults).graph
         paths = enumerate_hat(g)
-        assert degree_rows(g, len(paths)) == degree_table(g.shape, g, paths)
+        assert degree_lines(g, len(paths)) == [TABLE_HEADER, *map(table_line, degree_table(g.shape, g, paths))]
 
     @ROW_SHAPES
     def test_enumeration_unchanged(self, name, mults):
@@ -436,7 +439,7 @@ class TestDegreeRows:
         # every level is checked before it is read; a level that fails the check is refused
         monkeypatch.setattr(degree_mod, "_level_ok", lambda *args: False)
         with pytest.raises(InvalidQLSPath, match="structurally invalid"):
-            degree_rows(a2_21.graph)
+            degree_lines(a2_21.graph, DEFAULT_CAP)
 
     def test_structure_message_names_words_and_times(self, a2_21):
         # the first failing row of a failing level is named as a path literal, by words and time texts, not
@@ -477,7 +480,7 @@ class TestDegreeRows:
         # a sigma-admissible tree that carries another energy than a shortest
         # path of the whole graph is refused while the walk reads the searches
         with pytest.raises(RuntimeError, match="carry energies"):
-            degree_rows(self._perturbed_graph())
+            degree_lines(self._perturbed_graph(), DEFAULT_CAP)
 
     def test_weak_listing_refuses_a_perturbed_energy(self):
         # the weak walk reads only distances, but they come from the same
@@ -497,11 +500,11 @@ class TestDegreeRows:
         g = build_context("A2", (2, 1)).graph
         monkeypatch.setattr(PQBG, "segment_energies", shifted)
         with pytest.raises(NonIntegralDegree):
-            degree_rows(g)
+            degree_lines(g, DEFAULT_CAP)
 
     @staticmethod
     def _checked_levels(monkeypatch, g) -> list:
-        """The (level before, level) pairs that ``_level_ok`` reads while ``degree_rows`` runs."""
+        """The (level before, level) pairs that ``_level_ok`` reads while ``degree_lines`` runs."""
         checked = []
         real = degree_mod._level_ok
 
@@ -510,7 +513,7 @@ class TestDegreeRows:
             return real(n, c, before, level)
 
         monkeypatch.setattr(degree_mod, "_level_ok", recording)
-        degree_rows(g)
+        degree_lines(g, DEFAULT_CAP)
         return checked
 
     @ROW_SHAPES
@@ -537,7 +540,7 @@ class TestDegreeRows:
         assert all(level.i == [-1] * len(level.y) for level in levels[:1])
 
     @ROW_SHAPES
-    @pytest.mark.parametrize("route", ["degree_rows", "csv"])
+    @pytest.mark.parametrize("route", ["degree_lines", "csv"])
     def test_degree_sum_once_per_schedule(self, capsys, monkeypatch, name, mults, route):
         # the exactness check reads each row's sum over L once, one level at a time; the sum is carried from
         # the parent row, and equals the sum of the row's own schedule, (times, energies), from scratch
@@ -552,8 +555,8 @@ class TestDegreeRows:
             return real(L, sums)
 
         monkeypatch.setattr(degree_mod, "_level_degrees", recording)
-        if route == "degree_rows":
-            degree_rows(g)
+        if route == "degree_lines":
+            degree_lines(g, DEFAULT_CAP)
         else:
             assert main(["degree", "--type", name, "--lambda", ",".join(map(str, mults)), "--format", "csv"]) == 0
             capsys.readouterr()
@@ -588,8 +591,8 @@ class TestDegreeRows:
         with pytest.raises(EnumerationCap):
             enumerate_hat(g, count - 1)
         with pytest.raises(EnumerationCap):
-            degree_rows(g, count - 1)
-        assert len(enumerate_hat(g, count)) == len(degree_rows(g, count)) == count
+            degree_lines(g, count - 1)
+        assert len(enumerate_hat(g, count)) == len(degree_lines(g, count)) - 1 == count
         argv = ["degree", "--type", name, "--lambda", ",".join(map(str, mults)), "--cap"]
         assert main([*argv, str(count - 1)]) == 2
         out, err = capsys.readouterr()

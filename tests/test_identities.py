@@ -22,8 +22,8 @@ import pytest
 
 from conftest import cached_context, evaluate
 from qbruhat.cartan import pair
-from qbruhat.degree import degree, degree_rows
-from qbruhat.qls import enumerate_hat
+from qbruhat.degree import degree, degree_lines
+from qbruhat.qls import DEFAULT_CAP, enumerate_hat
 
 
 def graded_endpoints(type_name: str, mults: tuple[int, ...]) -> Counter:
@@ -138,5 +138,5 @@ def weyl_dimension(type_name: str, mults: tuple[int, ...]) -> int:
 )
 def test_degree_zero_rows_number_the_dimension(type_name, mults, dim):
     # degree 0 forces every segment energy to 0, so this counts the zero-energy entries of the segment tables
-    rows = degree_rows(cached_context(type_name, mults).graph)
-    assert sum(row["deg"] == 0 for row in rows) == weyl_dimension(type_name, mults) == dim
+    lines = degree_lines(cached_context(type_name, mults).graph, DEFAULT_CAP)
+    assert sum(line.rsplit(",", 1)[1] == "0" for line in lines[1:]) == weyl_dimension(type_name, mults) == dim
