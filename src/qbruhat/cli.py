@@ -96,9 +96,13 @@ def _row_texts(lines: list[str]) -> list[str]:
 
     A line is ``dirs,times`` or ``dirs,times,energies,deg``, each list's
     items joined by ``;``.  Names and time texts need no JSON escaping.
+    The list is consumed: its header is dropped and each line is replaced
+    by its record text in place, so each line is freed as its record is
+    made; the list itself is returned.
     """
-    texts, strings, numbers = [], '",\n        "', ",\n        "  # the separators of string and number items
-    for line in lines[1:]:
+    strings, numbers = '",\n        "', ",\n        "  # the separators of string and number items
+    del lines[0]
+    for k, line in enumerate(lines):
         dirs, times, *rest = line.split(",")
         text = f'    {{\n      "dirs": [\n        "{dirs.replace(";", strings)}"\n      ],\n'
         text += f'      "times": [\n        "{times.replace(";", strings)}"\n      ]'
@@ -106,8 +110,8 @@ def _row_texts(lines: list[str]) -> list[str]:
             energies, deg = rest
             energies = f"[\n        {energies.replace(';', numbers)}\n      ]" if energies else "[]"
             text += f',\n      "energies": {energies},\n      "deg": {deg}'
-        texts.append(text + "\n    },")
-    return texts
+        lines[k] = text + "\n    },"
+    return lines
 
 
 # physical lines per write: a few kB, well inside a 64 KiB pipe buffer (a block of DOT lines, about 3 kB, is

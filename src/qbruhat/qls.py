@@ -13,20 +13,24 @@ of the candidates' denominators (of a literal's own, for a literal).
 Enumeration orders paths by number of directions, then directions, then
 times.
 
-One walk over candidate indices serves both variants, the degree table and
-``verify``.  It keeps each level, the paths with k directions, as int
-columns (``Level``): each row's parent row and its last step.  A row is
-extended from a suffix of its last direction's successor list, so no
-empty list is visited; each level is sorted on one packed int per row, and
-the levels, concatenated, are in the canonical order.  The cap is checked
-while a level grows.  The successor lists come per denominator from the
-graph's sparse segment searches, after its reach layers: the strong lists
-hold each segment's energy wt_Lambda(x_{k+1} => x_k), a segment being
-strong exactly where one is held, and the weak ones the same searches'
-distances, so both walks run the searches' energy checks.  A reader builds
-only what it reads, each row's value carried from its parent's, one
-``map`` pass per column and level (``_carried``).  ``degree._walk_rows``
-checks each level on its new columns alone and carries the degree sums.
+One walk over candidate indices serves both variants, the degree table
+and ``verify``.  It keeps each level, the paths with k directions, as
+int columns (``Level``): each row's parent row and its last step.  A row
+is extended from a suffix of its last direction's successor list, each
+suffix sliced once, so no empty list is visited.  A level's rows are
+generated parent row by parent row, each suffix in candidate order, then
+y order, so one stable sort on (the rank of the parent's directions, y)
+puts rows that tie on it in the order of their indices; the levels,
+concatenated, are in the canonical order.  The cap is checked while a
+level grows.  The successor lists come per denominator from the graph's
+sparse segment searches, after its reach layers: the strong lists hold
+each segment's energy wt_Lambda(x_{k+1} => x_k), a segment being strong
+exactly where one is held, and the weak ones the same searches'
+distances, so both walks run the searches' energy checks.  A reader
+builds only what it reads, each row's value carried from its parent's,
+one ``map`` pass per column and level (``_carried``).
+``degree._walk_rows`` checks each level on its new columns alone and
+carries the degree sums.
 """
 
 from __future__ import annotations
@@ -150,18 +154,22 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[L
     """The candidate times and every path as a row of its walk level, the levels in order.
 
     A row with last index i is extended by its last direction's successors
-    at the candidates after i.  A level's rows are sorted on one int that
-    packs the rank of the parent's directions, y, the parent's row (among
-    equal directions, the order of the indices) and i.  Each vertex x gives
-    the path (x; 0, 1) and an edge whose label pairs to v gives v - 1 paths
-    of two directions, so a cap below their count is refused before any time
-    is built; after that the count is checked as each row is extended.
+    at the candidates after i, a suffix of ``flat[x]`` sliced the first time
+    it is read.  The rows come out parent row by parent row, each suffix in
+    candidate order, then y order, so rows equal in (the rank of the
+    parent's directions, y) are already in (parent row, i) order, which
+    among equal directions is the order of the indices; one stable sort on
+    that pair alone orders the level.  Each vertex x gives the path
+    (x; 0, 1) and an edge whose label pairs to v gives v - 1 paths of two
+    directions, so a cap below their count is refused before any time is
+    built; after that the count is checked as each row is extended.
     """
     if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
         raise EnumerationCap(f"more than {cap} paths")
     candidates = sigma_candidates(g)
-    n, radix = g.num_vertices, len(candidates) + 1
+    n = g.num_vertices
     flat, start = _suffix_lists(_successors(g, candidates, strong), n)
+    tails: list[list] = [[None] * len(s) for s in start]  # tails[x][j]: flat[x][start[x][j]:], sliced when first read
     level = Level([-1] * n, list(range(n)), [-1] * n, [None] * n)
     rank = level.y  # each row's rank of directions among the distinct directions of its level
     levels: list[Level] = []
@@ -171,7 +179,9 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[L
         room -= len(level.y)
         parent, steps = [], []
         for r, (x, j) in enumerate(zip(level.y, level.i)):
-            tail = flat[x][start[x][j + 1] :]
+            tail = tails[x][j + 1]
+            if tail is None:
+                tail = tails[x][j + 1] = flat[x][start[x][j + 1] :]
             if tail:
                 steps += tail
                 parent += repeat(r, len(tail))
@@ -179,8 +189,7 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[L
                     raise EnumerationCap(f"more than {cap} paths")
         y, i, e = ([*map(itemgetter(k), steps)] for k in range(3))
         high = list(map(add, map(n.__mul__, map(rank.__getitem__, parent)), y))
-        keys = list(map(add, map((len(level.y) * radix).__mul__, high), map(add, map(radix.__mul__, parent), i)))
-        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order = sorted(range(len(high)), key=high.__getitem__)
         high = list(map(high.__getitem__, order))
         rank = list(accumulate(map(ne, high[1:], high), initial=0))
         level = Level(*[list(map(column.__getitem__, order)) for column in (parent, y, i, e)])

@@ -186,6 +186,20 @@ class TestWalk:
     def test_reference_shapes(self, name, mults):
         assert_walk_matches_reference(cached_context(name, mults).graph)
 
+    @DEGREE_SHAPES
+    def test_ties_across_parents_kept_in_generation_order(self, name, mults):
+        # a level is sorted on (parent's directions, y) alone; rows from different parent rows tie on it, and
+        # only the order they are generated in, parent row by parent row, puts them in the order of their indices
+        g = cached_context(name, mults).graph
+        candidates, levels = _walk(g, True, WALK_CAP)
+        dir_levels = [dirs for dirs, _ in Listing(candidates, levels, [], []).level_records()]
+        ties = 0
+        for dirs, level in zip(dir_levels, levels[1:]):
+            first: dict[tuple, int] = {}
+            ties += sum(first.setdefault((dirs[p], y), p) != p for p, y in zip(level.parent, level.y))
+        assert ties > 0
+        assert_walk_matches_reference(g)
+
     @pytest.mark.parametrize("cap", [0, 7, 8, 12, 16, 20, 24, 26, 27])
     def test_cap_boundary_per_level(self, a2_21, cap):
         # A2 (2,1) has 27 paths; the count is checked while a level grows, and a cap below any count is
