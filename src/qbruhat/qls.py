@@ -28,9 +28,12 @@ each segment's energy wt_Lambda(x_{k+1} => x_k), a segment being strong
 exactly where one is held, and the weak ones the same searches'
 distances, so both walks run the searches' energy checks.  A reader
 builds only what it reads, each row's value carried from its parent's,
-one ``map`` pass per column and level (``_carried``).
-``degree._walk_rows`` checks each level on its new columns alone and
-carries the degree sums.
+one ``map`` pass per column and level (``_carried``).  There are three:
+``Listing.level_texts`` (the CSV fields), ``Listing.level_records``
+(each row's direction tuple and schedule) and ``Listing.paths``, the
+``QLSPath`` tuple built from the records, whose paths of one level and
+one schedule share one times tuple.  ``degree._walk_rows`` checks each
+level on its new columns alone and carries the degree sums.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class EnumerationCap(RuntimeError):
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QLSPath:
     directions: tuple[int, ...]  # vertex indices, adjacent entries distinct
     times: tuple[Fraction, ...]  # 0 = t_0 < t_1 < ... < t_s = 1
@@ -245,6 +248,14 @@ class Listing(NamedTuple):
         dir_levels = _carried(self.levels, ones.__getitem__, lambda level: map(ones.__getitem__, level.y))
         return zip(dir_levels, _carried(self.levels, lambda x: (), lambda level: zip(level.i, level.e)))
 
+    def paths(self) -> tuple[QLSPath, ...]:
+        """Every path, in order, from ``level_records``: the times made once per distinct schedule of a level."""
+        found: list[QLSPath] = []
+        for dirs, schedules in self.level_records():
+            made = {s: candidate_times(self.candidates, s[0::2]) for s in dict.fromkeys(schedules)}
+            found += map(QLSPath, dirs, map(made.__getitem__, schedules))
+        return tuple(found)
+
 
 def path_listing(g: PQBG, strong: bool, cap: int) -> Listing:
     """Every path of a variant from one walk (any ``EnumerationCap`` is raised here), with its texts."""
@@ -260,30 +271,19 @@ def candidate_times(candidates: tuple[Fraction, ...], idx: tuple[int, ...]) -> t
     return (_ZERO, *[candidates[i] for i in idx], _ONE)
 
 
-def _enumerate(g: PQBG, strong: bool, cap: int) -> tuple[QLSPath, ...]:
-    # each row's directions and its times but the last, carried from its parent
-    candidates, levels = _walk(g, strong, cap)
-    ones, times = _Ones(), [(t,) for t in candidates]
-    found: list[QLSPath] = []
-    dir_levels = _carried(levels, ones.__getitem__, lambda level: map(ones.__getitem__, level.y))
-    time_levels = _carried(levels, lambda x: (_ZERO,), lambda level: map(times.__getitem__, level.i))
-    for dirs, prefix in zip(dir_levels, time_levels):
-        found += map(QLSPath, dirs, map(add, prefix, repeat((_ONE,))))
-    return tuple(found)
-
-
 def enumerate_hat(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
-    """All paths of the strong variant, in the canonical order.
+    """All paths of the strong variant, in the canonical order: ``Listing.paths`` of the strong walk.
 
     That is by number of directions, then directions, then times; the
-    internal times are the ``sigma_candidates`` objects themselves.
+    internal times are the ``sigma_candidates`` objects themselves, and
+    the paths of one level with one schedule share one times tuple.
     """
-    return _enumerate(g, True, cap)
+    return path_listing(g, True, cap).paths()
 
 
 def enumerate_tilde(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
     """All paths of the weak variant, in the same order; equal to the strong ones (tested, not assumed)."""
-    return _enumerate(g, False, cap)
+    return path_listing(g, False, cap).paths()
 
 
 def path_to_json(g: PQBG, path: QLSPath) -> dict:

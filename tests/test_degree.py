@@ -415,7 +415,7 @@ ROW_SHAPES = pytest.mark.parametrize(
 )
 
 
-class TestDegreeRows:
+class TestDegreeLines:
     @ROW_SHAPES
     def test_rows_equal_table(self, name, mults):
         g = cached_context(name, mults).graph
@@ -529,7 +529,7 @@ class TestDegreeRows:
         assert [dirs for dirs, _, _ in _records(Listing((), levels, [], []))] == hat
 
     @ROW_SHAPES
-    def test_tick_check_once_per_index_tuple(self, monkeypatch, name, mults):
+    def test_index_check_once_per_level(self, monkeypatch, name, mults):
         # the time half reads the times through the candidate indices: each row's last index once, inside its
         # level, after its parent's passed; the index tuples read back from the levels checked are each row's
         g = cached_context(name, mults).graph
@@ -541,7 +541,7 @@ class TestDegreeRows:
 
     @ROW_SHAPES
     @pytest.mark.parametrize("route", ["degree_lines", "csv"])
-    def test_degree_sum_once_per_schedule(self, capsys, monkeypatch, name, mults, route):
+    def test_degree_sum_once_per_level(self, capsys, monkeypatch, name, mults, route):
         # the exactness check reads each row's sum over L once, one level at a time; the sum is carried from
         # the parent row, and equals the sum of the row's own schedule, (times, energies), from scratch
         g = cached_context(name, mults).graph

@@ -27,6 +27,7 @@ from conftest import (
 from qbruhat import build_context
 from qbruhat.cli import parse_path_literal
 from qbruhat.qls import (
+    DEFAULT_CAP,
     EnumerationCap,
     Listing,
     QLSPath,
@@ -34,6 +35,7 @@ from qbruhat.qls import (
     _walk,
     enumerate_hat,
     enumerate_tilde,
+    path_listing,
     path_to_json,
     sigma_candidates,
 )
@@ -272,6 +274,21 @@ class TestEnumerate:
         inner = [(p.times[1:-1], q.times[1:-1]) for p, q in zip(hat, tilde)]
         assert len(hat) == len(tilde) and any(a for a, _ in inner)
         assert all(x is y and any(x is c for c in candidates) for a, b in inner for x, y in zip(a, b, strict=True))
+
+    @pytest.mark.parametrize("name,mults", [("G2", (2, 2)), ("D4", (1, 1, 1, 1))], ids=["G2-2,2", "D4-1,1,1,1"])
+    @pytest.mark.parametrize("strong", [True, False], ids=["hat", "tilde"])
+    def test_one_times_tuple_per_schedule(self, name, mults, strong):
+        # the paths are read from the walk's records: the paths of a level with one schedule share one times
+        # tuple, and its internal times are the candidates themselves
+        g = cached_context(name, mults).graph
+        paths = (enumerate_hat if strong else enumerate_tilde)(g)
+        candidates = {id(c) for c in sigma_candidates(g)}
+        assert all(id(t) in candidates for p in paths for t in p.times[1:-1])
+        schedules = [set(s) for _, s in path_listing(g, strong, DEFAULT_CAP).level_records()]
+        times: list[set[int]] = [set() for _ in schedules]
+        for p in paths:
+            times[len(p.directions) - 1].add(id(p.times))
+        assert list(map(len, times)) == list(map(len, schedules)) and len(paths) > sum(map(len, schedules))
 
     def test_cardinality_regression(self, a2_21):
         # pinned after the oracle suites first certified this enumeration
