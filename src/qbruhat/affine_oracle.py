@@ -22,7 +22,10 @@ found by reflecting the weight; the oracle never reads the Weyl group table.
 A graph edge x -> y labelled beta must be the cover of (x, 0) by (y, 0)
 along x beta when x beta > 0 (Bruhat), and the cover of
 (x, <Lambda, beta^vee>) by (y, 0) along -x beta when x beta < 0 (quantum);
-so one action of x's word on beta keys the edge as the cover it must be.
+so the edge is keyed as the cover it must be by the signed index of x beta
+(``~k`` for -beta_k), read by one lookup per letter of x's word in a table
+of the simple reflections' action on positive-root indices; a cover is keyed
+by the index of its root.
 
 Covers never need other reflections, so chain searches over these steps are
 exhaustive.  The steps out of (v, n) are those out of (v, 0) shifted by n,
@@ -66,6 +69,7 @@ class AffineOrbitElement(NamedTuple):
 _OK, _NOT_COMPARABLE, _NO_CHAIN = "", "weights {} > {}: not comparable", "weights {} > {}: no sigma-chain at {}"
 
 
+# the steps as objects, for ``raising_steps``; the oracle itself reads the ``_steps`` rows
 @dataclass(frozen=True)
 class RaisingStep:
     kind: str  # "finite" | "affine"
@@ -147,20 +151,19 @@ class AffineOracle:
         return levels
 
     @cached_property
-    def _covers(self) -> tuple[tuple[RaisingStep, ...], ...]:
-        # per vertex v, the steps out of (v, 0) that are covers, i.e. have no element strictly between their ends
+    def _covers(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        # per vertex v, the ``_steps`` rows out of (v, 0) that are covers, i.e. have no element strictly between
+        # their ends
         n, steps = self.g.num_vertices, self._steps
         top = max((gain for row in steps for _, _, gain, _ in row), default=0)
         down = self._grow([tuple((t, gain) for _, t, gain, _ in row) for row in steps], [], top)
         covers = []
-        for v in range(n):
-            out = self.raising_steps(AffineOrbitElement(v, 0))
+        for row in steps:
             # everything strictly below some step's target; no target is strictly below itself
             below = 0
-            for s in out:
-                t, a = s.target.vertex, s.target.delta
-                below |= (down[top - a][t] ^ 1 << t) << a * n
-            covers.append(tuple(s for s in out if not below >> s.target.delta * n + s.target.vertex & 1))
+            for _, t, gain, _ in row:
+                below |= (down[top - gain][t] ^ 1 << t) << gain * n
+            covers.append(tuple(step for step in row if not below >> step[2] * n + step[1] & 1))
         return tuple(covers)
 
     # -- chains ----------------------------------------------------------------
@@ -168,7 +171,7 @@ class AffineOracle:
     def _levels(self, q: int, d: int) -> list[list[int]]:
         # the down-sets over the covers whose pairing q divides, grown through gap d
         if q not in self._tables:
-            rows = [tuple((s.target.vertex, s.target.delta) for s in row if s.pairing % q == 0) for row in self._covers]
+            rows = [tuple((t, gain) for _, t, gain, p in row if p % q == 0) for row in self._covers]
             self._tables[q] = rows, []
         rows, levels = self._tables[q]
         return self._grow(rows, levels, d)
@@ -217,31 +220,29 @@ class AffineOracle:
         """Exhaustive two-way check between orbit covers and graph edges, as the equality of two key sets.
 
         Each cover (v, 0) > (t, k) by the positive root gamma is keyed as it
-        is, (v, t, gamma, k).  Each graph edge s -> t labelled beta is keyed
-        as the cover it must be: t Lambda = r_{s beta}(s Lambda), so the step
-        out of (t, 0) by |s beta| lands on s, with gain 0 when s beta > 0 (a
-        Bruhat edge, key (t, s, s beta, 0)) and gain <Lambda, beta^vee> when
-        s beta < 0 (a quantum edge, key (t, s, -s beta, <Lambda, beta^vee>)).
-        An edge of the wrong kind puts a negative root in its key and a wrong
-        label or target gives a key no cover has, so a key on one side only,
-        or an edge key seen twice, is a mismatch.  Since (v, n) > (t, n + k)
-        is a cover exactly when (v, 0) > (t, k) is, the check holds for every
-        delta.
+        is, (v, t, the index of gamma, k).  Each graph edge s -> t labelled
+        beta is keyed as the cover it must be: t Lambda = r_{s beta}(s
+        Lambda), so the step out of (t, 0) by |s beta| lands on s, with gain
+        0 when s beta > 0 (a Bruhat edge, key (t, s, index of s beta, 0)) and
+        gain <Lambda, beta^vee> when s beta < 0 (a quantum edge, key (t, s,
+        index of -s beta, <Lambda, beta^vee>)).  The signed index of s beta
+        (``~k`` for -beta_k) is read by one lookup per letter of s's word in
+        ``RootSystem.simple_index_action``.  An edge of the wrong kind puts a
+        negative index in its key and a wrong label or target gives a key no
+        cover has, so a key on one side only, or an edge key seen twice, is a
+        mismatch.  Since (v, n) > (t, n + k) is a cover exactly when (v, 0) >
+        (t, k) is, the check holds for every delta.
         """
-        g, rs = self.g, self.g.rs
+        g = self.g
         name = lambda v, delta: f"({g.vertex_name(v)}, {delta}d)"
-        covers = {
-            (v, step.target.vertex, rs.positive_roots[step.root], step.target.delta)
-            for v in range(g.num_vertices)
-            for step in self._covers[v]
-        }
+        covers = {(v, t, i, gain) for v, row in enumerate(self._covers) for i, t, gain, _ in row}
+        action, words, pairings = g.rs.simple_index_action(), g.words, g.pairings
         edges = Counter()
         for e in g.edges:
-            moved = rs.apply_root_coords(g.words[e.source], rs.positive_roots[e.label])
-            if e.quantum:
-                edges[e.target, e.source, tuple(-c for c in moved), g.pairings[e.label]] += 1
-            else:
-                edges[e.target, e.source, moved, 0] += 1
+            k = e.label
+            for j in reversed(words[e.source]):
+                k = action[j][k]
+            edges[(e.target, e.source, ~k, pairings[e.label]) if e.quantum else (e.target, e.source, k, 0)] += 1
 
         mismatches = [
             f"edge lift {name(t, 0)} > {name(s, k)} is listed {count} times"

@@ -35,6 +35,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import mul, sub
 
 _RANK_RANGE = {
     "A": (1, 8),
@@ -156,7 +157,7 @@ Weight = tuple[int, ...]
 
 def pair(w: Weight, c: Coroot) -> int:
     """Duality pairing <w, c>.  Exact because the two bases are dual."""
-    return sum(a * b for a, b in zip(w, c))
+    return sum(map(mul, w, c))
 
 
 class RootSystem:
@@ -249,8 +250,7 @@ class RootSystem:
     def reflect_weight(self, w: Weight, index: int) -> Weight:
         """r_beta(w) = w - <w, beta^vee> beta for the positive root at ``index``."""
         k = pair(w, self.positive_coroots[index])
-        beta_w = self.root_weight_coords[index]
-        return tuple(a - k * b for a, b in zip(w, beta_w))
+        return tuple(map(sub, w, map(k.__mul__, self.root_weight_coords[index])))
 
     def apply_weight(self, word: Sequence[int], w: Weight) -> Weight:
         """w moved by the element a word names: its simple reflections (1-based labels) applied right to left."""
@@ -261,14 +261,27 @@ class RootSystem:
             w = tuple(x - wj * c for x, c in zip(w, C[j - 1]))
         return w
 
-    def apply_root_coords(self, word: Sequence[int], coords: Root) -> Root:
-        """Like ``apply_weight``, on a root."""
-        # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j
-        C = self.cartan
-        out = list(coords)
-        for j in reversed(word):
-            out[j - 1] -= sum(c * row[j - 1] for c, row in zip(out, C))
-        return tuple(out)
+    def simple_index_action(self) -> tuple[tuple[int, ...] | None, ...]:
+        """Each simple reflection's action on signed positive-root indices, indexed by its 1-based label.
+
+        ``action[j][m]`` is the index of r_j(beta_m), a negative root
+        -beta_k being encoded as ``~k``.  Row j lists the images of the
+        indices 0 .. N-1, then those of ~(N-1) .. ~0, so that Python's
+        negative indexing reads ``action[j][~k]``; r_j(-beta) = -r_j(beta)
+        gives the second half from the first.  Row 0 is None.
+        """
+        index = {c: m for m, c in enumerate(self.positive_roots)}
+        action: list[tuple[int, ...] | None] = [None]
+        for j in range(self.rank):
+            # r_j(beta) = beta - <beta, alpha_j^vee> alpha_j, and <beta, alpha_j^vee> is beta's weight coordinate j;
+            # alpha_j alone leaves the positive roots, to -alpha_j
+            images = []
+            for m, (c, w) in enumerate(zip(self.positive_roots, self.root_weight_coords)):
+                moved = list(c)
+                moved[j] -= w[j]
+                images.append(~j if m == j else index[tuple(moved)])
+            action.append((*images, *(~k for k in reversed(images))))
+        return tuple(action)
 
 
 def build_root_system(ftype: FiniteType) -> RootSystem:

@@ -91,6 +91,15 @@ def _doc_lines(args: argparse.Namespace, fields: dict, arrays: dict[str, list[st
     return [*lines, "}"]
 
 
+# the separators of string and number items in a record's arrays
+_STRINGS, _NUMBERS = '",\n        "', ",\n        "
+
+
+def _record_head(dirs: str, times: str) -> str:
+    """A record's text up to its times array, the items of each already joined by ``_STRINGS``."""
+    return f'    {{\n      "dirs": [\n        "{dirs}"\n      ],\n      "times": [\n        "{times}"\n      ]'
+
+
 def _row_texts(lines: list[str]) -> list[str]:
     """The record text of each ``qls`` or ``degree`` CSV line after the header, for ``_doc_lines``.
 
@@ -100,18 +109,26 @@ def _row_texts(lines: list[str]) -> list[str]:
     by its record text in place, so each line is freed as its record is
     made; the list itself is returned.
     """
-    strings, numbers = '",\n        "', ",\n        "  # the separators of string and number items
     del lines[0]
     for k, line in enumerate(lines):
         dirs, times, *rest = line.split(",")
-        text = f'    {{\n      "dirs": [\n        "{dirs.replace(";", strings)}"\n      ],\n'
-        text += f'      "times": [\n        "{times.replace(";", strings)}"\n      ]'
+        text = _record_head(dirs.replace(";", _STRINGS), times.replace(";", _STRINGS))
         if rest:
             energies, deg = rest
-            energies = f"[\n        {energies.replace(';', numbers)}\n      ]" if energies else "[]"
+            energies = f"[\n        {energies.replace(';', _NUMBERS)}\n      ]" if energies else "[]"
             text += f',\n      "energies": {energies},\n      "deg": {deg}'
         lines[k] = text + "\n    },"
     return lines
+
+
+def _report_text(report: dict) -> str:
+    """The record text of a ``verify`` report, for ``_doc_lines``: laid out as ``_row_texts`` lays out a record.
+
+    Its names, time texts and status need no JSON escaping; its detail is
+    encoded by ``json.dumps``.
+    """
+    text = _record_head(_STRINGS.join(report["dirs"]), _STRINGS.join(report["times"]))
+    return text + f',\n      "status": "{report["status"]}",\n      "detail": {json.dumps(report["detail"])}\n    }},'
 
 
 # physical lines per write: a few kB, well inside a 64 KiB pipe buffer (a block of DOT lines, about 3 kB, is
@@ -263,7 +280,7 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 def cmd_verify(args: argparse.Namespace) -> int:
     overall, checks, failing = verify_shape(_context(args), args.window, args.cap)
     # one text per report, so that a reader who closes the pipe is seen by the next block's write
-    reports = ["    " + json.dumps(report, indent=2).replace("\n", "\n    ") + "," for report in failing]
+    reports = list(map(_report_text, failing))
     _write_lines(_doc_lines(args, {"window": args.window, "status": overall, "checks": checks}, {"paths": reports}))
     return 0 if overall == "pass" else 1
 

@@ -32,7 +32,7 @@ one ``map`` pass per column and level (``_carried``).  There are three:
 ``Listing.level_texts`` (the CSV fields), ``Listing.level_records``
 (each row's direction tuple and schedule) and ``Listing.paths``, the
 ``QLSPath`` tuple built from the records, whose paths of one level and
-one schedule share one times tuple.  ``degree._walk_rows`` checks each
+one index tuple share one times tuple.  ``degree._walk_rows`` checks each
 level on its new columns alone and carries the degree sums.
 """
 
@@ -249,11 +249,13 @@ class Listing(NamedTuple):
         return zip(dir_levels, _carried(self.levels, lambda x: (), lambda level: zip(level.i, level.e)))
 
     def paths(self) -> tuple[QLSPath, ...]:
-        """Every path, in order, from ``level_records``: the times made once per distinct schedule of a level."""
+        """Every path, in order, from ``level_records``: the times made once per distinct index tuple of a level."""
         found: list[QLSPath] = []
         for dirs, schedules in self.level_records():
-            made = {s: candidate_times(self.candidates, s[0::2]) for s in dict.fromkeys(schedules)}
-            found += map(QLSPath, dirs, map(made.__getitem__, schedules))
+            # a strong schedule holds the energies too, so schedules with one index tuple share its times
+            indices = {s: s[0::2] for s in dict.fromkeys(schedules)}
+            made = {i: candidate_times(self.candidates, i) for i in indices.values()}
+            found += map(QLSPath, dirs, map(made.__getitem__, map(indices.__getitem__, schedules)))
         return tuple(found)
 
 
@@ -276,7 +278,7 @@ def enumerate_hat(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
 
     That is by number of directions, then directions, then times; the
     internal times are the ``sigma_candidates`` objects themselves, and
-    the paths of one level with one schedule share one times tuple.
+    the paths of one level with one index tuple share one times tuple.
     """
     return path_listing(g, True, cap).paths()
 

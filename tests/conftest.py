@@ -1,6 +1,6 @@
-"""Shared fixtures and helpers: cached contexts, the reference root system, the reference Weyl group, exhaustive
-path walks, the reference enumeration walk, lift chains, the graph, path and oracle queries that only the tests ask,
-and the ``qbg`` JSON document built as dicts."""
+"""Shared fixtures and helpers: cached contexts, the reference root system and root action, the reference Weyl
+group, exhaustive path walks, the reference enumeration walk, lift chains, the graph, path and oracle queries that
+only the tests ask, and the ``qbg`` JSON document built as dicts."""
 
 from __future__ import annotations
 
@@ -110,6 +110,16 @@ def reference_root_system(ftype: FiniteType) -> dict:
         "num_positive": len(ordered),
         "rho": (1,) * n,
     }
+
+
+def apply_root_coords(rs, word, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """A root in simple-root coordinates moved by the element a word names: its simple reflections (1-based labels)
+    applied right to left, each r_j(beta) = beta - <beta, alpha_j^vee> alpha_j summed over the Cartan matrix."""
+    C = rs.cartan
+    out = list(coords)
+    for j in reversed(word):
+        out[j - 1] -= sum(c * row[j - 1] for c, row in zip(out, C))
+    return tuple(out)
 
 
 # -- the reference: the enumerated Weyl group and its cosets W^J ---------------
@@ -528,7 +538,7 @@ def sigma_chain_reference(oracle, v: int, w: int, d: int, q: int) -> bool:
             return True
         key = (u, w, gap, q)
         if key not in memo:
-            memo[key] = any(s.pairing % q == 0 and chain(s.target.vertex, gap - s.target.delta) for s in covers[u])
+            memo[key] = any(p % q == 0 and chain(t, gap - gain) for _, t, gain, p in covers[u])
         return memo[key]
 
     return chain(v, d)

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     _REFERENCE_SHAPES,
     REFERENCE_SHAPES,
+    apply_root_coords,
     cached_context,
     dist,
     group_cosets,
@@ -39,6 +40,11 @@ SMALL_REFERENCE_SHAPES = [
     for name, mults in _REFERENCE_SHAPES
     if 0 in mults or weyl_order(FiniteType.parse(name)) <= 300
 ]
+
+
+# The small reference shapes, the regular F4 shape and a regular G2 shape with pairings up to 10: the root-index
+# action of the edge keys is checked on each.
+ACTION_SHAPES = [*SMALL_REFERENCE_SHAPES, shape_param("F4", (1, 1, 1, 1)), shape_param("G2", (2, 2))]
 
 
 FAULT_SHAPES = [
@@ -378,8 +384,27 @@ class TestCoversToEdges:
         oracle = AffineOracle(cached_context(*shape).graph)
         for v in range(oracle.g.num_vertices):
             mu = AffineOrbitElement(v, 0)
-            steps = oracle.raising_steps(mu)
-            assert oracle._covers[v] == tuple(s for s in steps if dist(oracle, mu, s.target) == 1)
+            longest = lambda step: dist(oracle, mu, AffineOrbitElement(step[1], step[2]))
+            assert oracle._covers[v] == tuple(step for step in oracle._steps[v] if longest(step) == 1)
+
+    @pytest.mark.parametrize("shape", ACTION_SHAPES)
+    def test_index_action_is_the_coordinate_action(self, shape):
+        # the edge keys' signed root indices: along every vertex word, each positive root index and its negative
+        # ~m go where the coordinate action sends the root and its negative
+        g = cached_context(*shape).graph
+        rs = g.rs
+        action, roots = rs.simple_index_action(), rs.positive_roots
+        signed = lambda k: roots[k] if k >= 0 else tuple(-c for c in roots[~k])
+
+        def act(word, k):
+            for j in reversed(word):
+                k = action[j][k]
+            return k
+
+        for word in g.words:
+            for m, root in enumerate(roots):
+                moved = apply_root_coords(rs, word, root)
+                assert signed(act(word, m)) == moved and signed(act(word, ~m)) == tuple(-c for c in moved), (word, m)
 
     def test_finite_step_must_shorten(self, a2_21):
         # the down-sets are built in vertex order, which is by length

@@ -344,6 +344,20 @@ class TestVerify:
         assert (code, err) == (1 if reported else 0, "") and out == json.dumps(doc, indent=2) + "\n"
         assert len(doc["paths"]) == reported and ('"paths": []' in out) == (not reported)
 
+    @pytest.mark.parametrize(
+        "dirs,times,status,detail",
+        [
+            (["e"], ["0", "1"], "fail", "endpoint mismatch"),
+            (["s1 s2", "s2"], ["0", "1/2", "1"], "inconclusive", 'a "quoted" \\ back\\slash, a tab\t and \u00e9'),
+        ],
+        ids=["plain", "escaped"],
+    )
+    def test_report_text_is_the_stdlib_layout(self, dirs, times, status, detail):
+        # a report's text is its json.dumps(indent=2) layout at the depth of an array item; the detail, the one
+        # field that may hold a quote or a backslash, is escaped exactly as json.dumps escapes it
+        report = {"dirs": dirs, "times": times, "status": status, "detail": detail}
+        assert cli._report_text(report) == "    " + json.dumps(report, indent=2).replace("\n", "\n    ") + ","
+
     def test_c2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "C2", "--lambda", "1,1", "--window", "10")
         assert code == 0 and json.loads(out)["status"] == "pass"
@@ -581,6 +595,8 @@ class TestVerify:
         failed = [r for r in doc["paths"] if r["status"] == "fail"]
         assert [r["detail"] for r in failed] == ["endpoint mismatch"] * 6
         assert all(len(r["dirs"]) == 1 and r["times"] == ["0", "1"] for r in failed)
+        # fail and inconclusive reports alike are laid out as json.dumps lays them out
+        assert len(doc["paths"]) == 18 and out == json.dumps(doc, indent=2) + "\n"
 
     def test_fail_over_inconclusive_across_checks(self, capsys, monkeypatch):
         # a graph with one edge dropped fails covers-match-edges, which outranks inconclusive lift-certification

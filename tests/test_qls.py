@@ -277,18 +277,18 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("name,mults", [("G2", (2, 2)), ("D4", (1, 1, 1, 1))], ids=["G2-2,2", "D4-1,1,1,1"])
     @pytest.mark.parametrize("strong", [True, False], ids=["hat", "tilde"])
-    def test_one_times_tuple_per_schedule(self, name, mults, strong):
-        # the paths are read from the walk's records: the paths of a level with one schedule share one times
-        # tuple, and its internal times are the candidates themselves
+    def test_one_times_tuple_per_index_tuple(self, name, mults, strong):
+        # the paths are read from the walk's records: the paths of a level with one candidate index tuple share
+        # one times tuple, whatever their energies, and its internal times are the candidates themselves
         g = cached_context(name, mults).graph
         paths = (enumerate_hat if strong else enumerate_tilde)(g)
         candidates = {id(c) for c in sigma_candidates(g)}
         assert all(id(t) in candidates for p in paths for t in p.times[1:-1])
-        schedules = [set(s) for _, s in path_listing(g, strong, DEFAULT_CAP).level_records()]
-        times: list[set[int]] = [set() for _ in schedules]
+        indices = [{s[0::2] for s in level} for _, level in path_listing(g, strong, DEFAULT_CAP).level_records()]
+        times: list[set[int]] = [set() for _ in indices]
         for p in paths:
             times[len(p.directions) - 1].add(id(p.times))
-        assert list(map(len, times)) == list(map(len, schedules)) and len(paths) > sum(map(len, schedules))
+        assert list(map(len, times)) == list(map(len, indices)) and len(paths) > sum(map(len, indices))
 
     def test_cardinality_regression(self, a2_21):
         # pinned after the oracle suites first certified this enumeration

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbruhat
-from conftest import cached_context, element_of_word
+from conftest import apply_root_coords, cached_context, element_of_word
 from qbruhat import build_context
 from qbruhat.cartan import FiniteType, build_root_system, weyl_order
 from qbruhat.qbg import word_name
@@ -34,7 +34,7 @@ def inversion_count(group: WeylGroup, a: int) -> int:
     rs = group.rs
     neg = 0
     for r in rs.positive_roots:
-        image = rs.apply_root_coords(group.elements[a].word, r)
+        image = apply_root_coords(rs, group.elements[a].word, r)
         if all(c <= 0 for c in image):
             neg += 1
     return neg
@@ -318,7 +318,7 @@ class TestReferenceEquivalence:
             for v in weights:
                 assert rs.apply_weight(word, v) == _mat_vec(wmats[a], v)
             for c in roots:
-                assert rs.apply_root_coords(word, c) == _mat_vec(rmats[a], c)
+                assert apply_root_coords(rs, word, c) == _mat_vec(rmats[a], c)
 
     def test_reflections(self, name):
         g = group_of(name)
