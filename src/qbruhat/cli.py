@@ -20,7 +20,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 
 from . import Context, FiniteType, build_context
 from .affine_oracle import AffineOracle
@@ -200,8 +199,9 @@ def cmd_qbg(args: argparse.Namespace) -> int:
 
 def cmd_qls(args: argparse.Namespace) -> int:
     ctx = _context(args)
-    levels = path_listing(ctx.graph, args.variant == "hat", args.cap).level_texts()
-    lines = ["dirs,times", *chain.from_iterable(map(",".join, zip(*texts)) for texts in levels)]
+    lines = ["dirs,times"]
+    for dirs, times in path_listing(ctx.graph, args.variant == "hat", args.cap).level_texts():
+        lines += [f"{d},{t};1" for d, t in zip(dirs, times)]
     if args.format == "json":
         lines = _doc_lines(args, {"variant": args.variant, "count": len(lines) - 1}, {"paths": _row_texts(lines)})
     _write_lines(lines)

@@ -15,9 +15,13 @@ of their denominators, so the sum is an integer over L.
 The enumeration walk carries the energies, and ``_walk_rows`` reads it one
 level at a time: each row is its parent row plus one step, so the
 structure check reads the level's new columns, and the degree sum is the
-parent's plus one term; both checks run once per level.  Only this module
-reads the walk: ``degree_lines`` makes the table's CSV lines, its one
-public form, and ``certify_walk`` certifies ``verify``'s lifts.
+parent's plus one term, each one list comprehension over the level's
+columns; the structure check runs once per level, the exactness check
+once per distinct sum of the level (``_level_degrees``).  Only this
+module reads the walk: ``degree_lines`` makes the table's CSV lines, its
+one public form, each line one f-string from the carried texts and the
+text of each distinct degree, and ``certify_walk`` certifies ``verify``'s
+lifts.
 ``degree``, ``lift`` and ``degree_table`` derive given paths' segments
 (``_segments``); ``table_line`` writes a ``degree_table`` record as a line.
 
@@ -26,8 +30,8 @@ delta-coefficient equal to the sum of the earlier segment energies, the
 prefix sums of the energies in the degree formula, so the lift's
 delta-coefficients and its delta at time 1 (``_endpoint_of``, on the ticks
 over one L) read only the schedule.  ``verify`` takes both once per
-distinct schedule of a walk level, and the oracle certifies each lift from
-first principles.
+distinct schedule of a walk level, and the times once per distinct index
+tuple, and the oracle certifies each lift from first principles.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import gt, mul, ne, neg, sub
+from operator import mul, sub
 
 from .affine_oracle import AffineOrbitElement
 from .cartan import LevelZeroShape
@@ -172,17 +176,18 @@ def _level_ok(n: int, c: int, before: Level | None, level: Level) -> bool:
         return True
     if min(level.i) < 0 or max(level.i) >= c:
         return False
-    return all(map(ne, level.y, map(before.y.__getitem__, level.parent))) and all(
-        map(gt, level.i, map(before.i.__getitem__, level.parent))
-    )
+    ys, idx = before.y, before.i
+    return all([y != ys[p] and i > idx[p] for p, y, i in zip(level.parent, level.y, level.i)])
 
 
 def _level_degrees(L: int, sums: list[int]) -> list[int]:
-    """The degrees of a level's rows from their sums over L; ``_exact`` reads each row only if the column fails."""
-    if min(sums) < 0 or any(map(L.__rmod__, sums)):
-        for total in sums:
-            _exact(total, L)
-    return list(map(neg, map(L.__rfloordiv__, sums)))
+    """The degrees of a level's rows from their sums over L, ``_exact`` run once per distinct sum.
+
+    The distinct sums are checked and divided in the order of the rows that
+    first hold them, so a failure names the first failing row's sum.
+    """
+    degrees = {total: _exact(total, L) for total in dict.fromkeys(sums)}
+    return [degrees[total] for total in sums]
 
 
 def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
@@ -194,7 +199,7 @@ def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
     candidate denominators, is its parent's plus its own segment's term.
     It is the sum over the lcm of its own denominators times a positive
     integer, so the exactness and sign check (``_level_degrees``, once per
-    level) means what it means on ``degree``.
+    distinct sum of a level) means what it means on ``degree``.
     """
     L, tick = time_ticks(listing.candidates)
     weight = [L - t for t in tick]
@@ -206,8 +211,10 @@ def _walk_rows(g: PQBG, listing: Listing) -> Iterator[tuple[Level, list[int]]]:
         if not _level_ok(n, c, before, level):
             rows = (Level(*[column[r : r + 1] for column in level]) for r in range(len(level.y)))
             raise _invalid_row(listing, k, next(r for r, row in enumerate(rows) if not _level_ok(n, c, before, row)))
-        terms = map(mul, map(weight.__getitem__, level.i), level.e)
-        sums = _carry(sums, level.parent, terms) if k else [0] * len(level.y)
+        if k:
+            sums = [sums[p] + weight[i] * e for p, i, e in zip(level.parent, level.i, level.e)]
+        else:
+            sums = [0] * len(level.y)
         yield level, _level_degrees(L, sums)
         before = level
 
@@ -224,15 +231,18 @@ def degree_lines(g: PQBG, cap: int) -> list[str]:
     """The degree table as CSV lines, from one walk: ``TABLE_HEADER``, then one line per strong path.
 
     Each level is read once ``_walk_rows`` has checked it and made its
-    degrees; each row's texts are its parent's followed by its step's.
+    degrees; each row's texts are its parent's followed by its step's, and
+    its line is one f-string that adds the times' closing ``;1`` and the
+    text of its degree, made once per distinct degree of the level.
     """
     listing = path_listing(g, True, cap)
     lines = [TABLE_HEADER]
     energies: list[str] = []
     for k, ((level, degrees), (dirs, times)) in enumerate(zip(_walk_rows(g, listing), listing.level_texts())):
         steps = {e: f"{';' if k > 1 else ''}{e}" for e in set(level.e)}  # no ';' before a row's first energy
-        energies = _carry(energies, level.parent, map(steps.__getitem__, level.e)) if k else [""] * len(level.y)
-        lines += map(",".join, zip(dirs, times, energies, map(str, degrees)))
+        energies = _carry(energies, level.parent, steps, level.e) if k else [""] * len(level.y)
+        texts = {deg: str(deg) for deg in set(degrees)}
+        lines += [f"{d},{t};1,{s},{texts[deg]}" for d, t, s, deg in zip(dirs, times, energies, degrees)]
     return lines
 
 
@@ -243,25 +253,29 @@ def certify_walk(oracle, g: PQBG, window: int, cap: int, weak: tuple[QLSPath, ..
     ``_walk_rows`` has checked it, and each path is compared with the next
     of ``weak`` as it is read.  The times, the lift's delta-coefficients
     (the energies' prefix sums), the window and the endpoint identity
-    (``_endpoint_of``) run once per distinct schedule of a level.  Each
+    (``_endpoint_of``) run once per distinct schedule of a level; the times
+    are made once per distinct candidate index tuple of a level.  Each
     path inside the window is handed, lifted, to ``oracle.verify_ls_path``;
     one outside it is ``inconclusive``.  Only reported paths get texts.
     """
     listing = path_listing(g, True, cap)
     L, tick = time_ticks(listing.candidates)
 
-    def schedule(idx, energies, deg):
+    def schedule(s, deg, index_times):
         # (indices, times, delta-coefficients, the inconclusive detail or "", whether the endpoint identity holds)
-        deltas = tuple(accumulate(energies, initial=0))
+        idx, deltas = s[0::2], tuple(accumulate(s[1::2], initial=0))
         need = max(map(abs, deltas))
-        times = candidate_times(listing.candidates, idx)
+        times = index_times[idx]
         if need > window:
             return idx, times, deltas, f"|delta| reaches {need}, outside window {window}; needs window {need}", False
         return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
 
     weak_paths, same, counts, reports = iter(weak), True, Counter(), []
     for (_, degrees), (dirs, schedules) in zip(_walk_rows(g, listing), listing.level_records()):
-        made = {s: schedule(s[0::2], s[1::2], deg) for s, deg in dict(zip(schedules, degrees)).items()}
+        rows = dict(zip(schedules, degrees))
+        # a schedule holds the energies too, so schedules with one index tuple share its times
+        index_times = {i: candidate_times(listing.candidates, i) for i in dict.fromkeys(s[0::2] for s in rows)}
+        made = {s: schedule(s, deg, index_times) for s, deg in rows.items()}
         for d, (i, times, deltas, outside, endpoint_ok) in zip(dirs, map(made.__getitem__, schedules)):
             path = next(weak_paths, None)
             same = same and path is not None and path.directions == d and path.times == times

@@ -17,23 +17,28 @@ One walk over candidate indices serves both variants, the degree table
 and ``verify``.  It keeps each level, the paths with k directions, as
 int columns (``Level``): each row's parent row and its last step.  A row
 is extended from a suffix of its last direction's successor list, each
-suffix sliced once, so no empty list is visited.  A level's rows are
+suffix sliced once per walk (``_suffix_lists``).  A level's rows are
 generated parent row by parent row, each suffix in candidate order, then
 y order, so one stable sort on (the rank of the parent's directions, y)
 puts rows that tie on it in the order of their indices; the levels,
-concatenated, are in the canonical order.  The cap is checked while a
-level grows.  The successor lists come per denominator from the graph's
+concatenated, are in the canonical order.  The cap is checked on a
+level's size, the sum of its parents' suffix lengths, before any of its
+rows is built.  The successor lists come per denominator from the graph's
 sparse segment searches, after its reach layers: the strong lists hold
 each segment's energy wt_Lambda(x_{k+1} => x_k), a segment being strong
 exactly where one is held, and the weak ones the same searches'
-distances, so both walks run the searches' energy checks.  A reader
-builds only what it reads, each row's value carried from its parent's,
-one ``map`` pass per column and level (``_carried``).  There are three:
-``Listing.level_texts`` (the CSV fields), ``Listing.level_records``
-(each row's direction tuple and schedule) and ``Listing.paths``, the
+distances, so both walks run the searches' energy checks.  Each level's
+sort key, its re-ordered keys and its gathered columns are one list
+comprehension each.  A reader builds only what it reads, each row's value
+carried from its parent's: one list comprehension per column and level
+over ``zip(level.parent, column)``, each step's value looked up in a
+table made once (``_carry``).  There are three: ``Listing.level_texts``
+(the CSV fields, less the closing ``;1`` of the times, which the writer
+of each line adds in the same pass), ``Listing.level_records`` (each
+row's direction tuple and schedule) and ``Listing.paths``, the
 ``QLSPath`` tuple built from the records, whose paths of one level and
 one index tuple share one times tuple.  ``degree._walk_rows`` checks each
-level on its new columns alone and carries the degree sums.
+level on its new columns alone and carries the degree sums the same way.
 """
 
 from __future__ import annotations
@@ -41,9 +46,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain
 from math import lcm
-from operator import add, itemgetter, lt, ne
+from operator import itemgetter, lt, ne
 from typing import NamedTuple
 
 from .qbg import PQBG
@@ -126,18 +131,16 @@ def _successors(g: PQBG, candidates: tuple[Fraction, ...], strong: bool) -> list
     return [tables[sigma.denominator] for sigma in candidates]
 
 
-def _suffix_lists(succ: list[list[list[tuple]]], m: int) -> tuple[list[list[tuple]], list[list[int]]]:
-    # flat[x]: the successors of x at every candidate as steps (y, i, energy), in candidate order, then y
-    # ascending; flat[x][start[x][i]:] are those at candidates i and later
+def _suffix_lists(succ: list[list[list[tuple]]], m: int) -> list[list[list[tuple]]]:
+    # tails[x][j]: the successors of x at the candidates after j as steps (y, i, energy), in candidate order,
+    # then y ascending; the last entry, tails[x][-1], holds them all, so index -1 of the first level reads it
     flat: list[list[tuple]] = [[] for _ in range(m)]
     start: list[list[int]] = [[] for _ in range(m)]
     for i, table in enumerate(succ):
         for x, pairs in enumerate(table):
             start[x].append(len(flat[x]))
             flat[x] += [(y, i, energy) for y, energy in pairs]
-    for x in range(m):
-        start[x].append(len(flat[x]))
-    return flat, start
+    return [[row[k:] for k in starts[1:]] + [[], row] for row, starts in zip(flat, start)]
 
 
 class Level(NamedTuple):
@@ -157,22 +160,23 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[L
     """The candidate times and every path as a row of its walk level, the levels in order.
 
     A row with last index i is extended by its last direction's successors
-    at the candidates after i, a suffix of ``flat[x]`` sliced the first time
-    it is read.  The rows come out parent row by parent row, each suffix in
-    candidate order, then y order, so rows equal in (the rank of the
-    parent's directions, y) are already in (parent row, i) order, which
-    among equal directions is the order of the indices; one stable sort on
-    that pair alone orders the level.  Each vertex x gives the path
+    at the candidates after i, ``tails[x][i]``; a level's parents' suffixes
+    are read in one list comprehension, and their lengths summed, before
+    the level's columns are built.  The rows come out parent row by parent
+    row, each suffix in candidate order, then y order, so rows equal in
+    (the rank of the parent's directions, y) are already in (parent row, i)
+    order, which among equal directions is the order of the indices; one
+    stable sort on that pair alone orders the level.  Each vertex x gives the path
     (x; 0, 1) and an edge whose label pairs to v gives v - 1 paths of two
     directions, so a cap below their count is refused before any time is
-    built; after that the count is checked as each row is extended.
+    built; after that the count is checked on each level's size before
+    its rows are built.
     """
     if g.num_vertices + max((g.pairings[e.label] for e in g.edges), default=1) - 1 > cap:
         raise EnumerationCap(f"more than {cap} paths")
     candidates = sigma_candidates(g)
     n = g.num_vertices
-    flat, start = _suffix_lists(_successors(g, candidates, strong), n)
-    tails: list[list] = [[None] * len(s) for s in start]  # tails[x][j]: flat[x][start[x][j]:], sliced when first read
+    tails = _suffix_lists(_successors(g, candidates, strong), n)
     level = Level([-1] * n, list(range(n)), [-1] * n, [None] * n)
     rank = level.y  # each row's rank of directions among the distinct directions of its level
     levels: list[Level] = []
@@ -180,35 +184,30 @@ def _walk(g: PQBG, strong: bool, cap: int) -> tuple[tuple[Fraction, ...], list[L
     while level.y:
         levels.append(level)
         room -= len(level.y)
-        parent, steps = [], []
-        for r, (x, j) in enumerate(zip(level.y, level.i)):
-            tail = tails[x][j + 1]
-            if tail is None:
-                tail = tails[x][j + 1] = flat[x][start[x][j + 1] :]
-            if tail:
-                steps += tail
-                parent += repeat(r, len(tail))
-                if len(steps) > room:
-                    raise EnumerationCap(f"more than {cap} paths")
-        y, i, e = ([*map(itemgetter(k), steps)] for k in range(3))
-        high = list(map(add, map(n.__mul__, map(rank.__getitem__, parent)), y))
+        got = [tails[x][j] for x, j in zip(level.y, level.i)]
+        if sum(map(len, got)) > room:
+            raise EnumerationCap(f"more than {cap} paths")
+        parent = [r for r, tail in enumerate(got) for _ in tail]
+        steps = [*chain.from_iterable(got)]
+        high = [rank[p] * n + step[0] for p, step in zip(parent, steps)]
         order = sorted(range(len(high)), key=high.__getitem__)
-        high = list(map(high.__getitem__, order))
+        high = [high[o] for o in order]
         rank = list(accumulate(map(ne, high[1:], high), initial=0))
-        level = Level(*[list(map(column.__getitem__, order)) for column in (parent, y, i, e)])
+        steps = [steps[o] for o in order]
+        level = Level([parent[o] for o in order], *([*map(itemgetter(k), steps)] for k in range(3)))
     return candidates, levels
 
 
-def _carry(values: list, parent: list[int], steps) -> list:
-    """Each row's value: its parent's value followed by its step."""
-    return list(map(add, map(values.__getitem__, parent), steps))
+def _carry(values: list, parent: list[int], steps, column: list) -> list:
+    """Each row's value: its parent's value followed by ``steps[x]``, x its entry of ``column``."""
+    return [values[p] + steps[x] for p, x in zip(parent, column)]
 
 
-def _carried(levels: list[Level], first, steps) -> Iterator[list]:
-    """Per level, each row's value: ``first(x)`` for (x; 0, 1), then its parent's followed by its ``steps(level)``."""
+def _carried(levels: list[Level], first, steps, column: str) -> Iterator[list]:
+    """Per level, each row's value: ``first[x]`` for (x; 0, 1), then ``_carry`` through ``steps`` of its ``column``."""
     values: list = []
     for k, level in enumerate(levels):
-        values = _carry(values, level.parent, steps(level)) if k else list(map(first, level.y))
+        values = _carry(values, level.parent, steps, getattr(level, column)) if k else [first[x] for x in level.y]
         yield values
 
 
@@ -235,18 +234,26 @@ class Listing(NamedTuple):
         return names, ["0", *[self.texts[i] if 0 <= i < c else f"#{i}" for i in idx], "1"]
 
     def level_texts(self) -> Iterator[tuple[list[str], list[str]]]:
-        """Per level, each row's directions and times as CSV fields: the names, and the time texts, joined by ``;``."""
+        """Per level, each row's directions and times as CSV fields, less the times' closing ``;1``.
+
+        The fields are the names and the time texts, each joined by ``;``;
+        the reader that writes a row's line adds the ``;1``.
+        """
         names, texts = [f";{name}" for name in self.names], [f";{text}" for text in self.texts]
-        dir_levels = _carried(self.levels, self.names.__getitem__, lambda level: map(names.__getitem__, level.y))
-        time_levels = _carried(self.levels, lambda x: "0", lambda level: map(texts.__getitem__, level.i))
-        for dirs, times in zip(dir_levels, time_levels):
-            yield dirs, list(map(add, times, repeat(";1")))
+        return zip(
+            _carried(self.levels, self.names, names, "y"), _carried(self.levels, ["0"] * len(self.names), texts, "i")
+        )
 
     def level_records(self) -> Iterator[tuple[list[tuple], list[tuple]]]:
         """Per level, each row's directions and schedule, the tuple (i_1, e_1, i_2, e_2, ...) of its steps."""
         ones = _Ones()
-        dir_levels = _carried(self.levels, ones.__getitem__, lambda level: map(ones.__getitem__, level.y))
-        return zip(dir_levels, _carried(self.levels, lambda x: (), lambda level: zip(level.i, level.e)))
+        schedules: list[tuple] = []
+        for k, (dirs, level) in enumerate(zip(_carried(self.levels, ones, ones, "y"), self.levels)):
+            if k:
+                schedules = [schedules[p] + (i, e) for p, i, e in zip(level.parent, level.i, level.e)]
+            else:
+                schedules = [()] * len(level.y)
+            yield dirs, schedules
 
     def paths(self) -> tuple[QLSPath, ...]:
         """Every path, in order, from ``level_records``: the times made once per distinct index tuple of a level."""

@@ -322,6 +322,18 @@ class TestQls:
         doc = _document("qls", name, mults, variant=variant, count=len(records), paths=records)
         assert run(capsys, *argv, "json") == (0, json.dumps(doc, indent=2) + "\n", "")
 
+    @ROW_SHAPES
+    def test_strong_csv_is_the_degree_csv_cut(self, capsys, name, mults):
+        # both tables carry each row's direction and time texts from its parent row and add the times' closing
+        # ";1" as they write the line: the strong listing's CSV is the first two fields of the degree CSV, line
+        # for line, header included
+        lam = ",".join(map(str, mults))
+        code, table, err = run(capsys, "degree", "--type", name, "--lambda", lam, "--format", "csv")
+        assert (code, err) == (0, "")
+        expected = [",".join(line.split(",")[:2]) for line in table.splitlines()]
+        code, listing, err = run(capsys, "qls", "--type", name, "--lambda", lam, "--variant", "hat", "--format", "csv")
+        assert (code, err) == (0, "") and listing.splitlines() == expected
+
 
 class TestVerify:
     def test_a1_passes(self, capsys):
@@ -421,6 +433,25 @@ class TestVerify:
         assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
         assert calls["_endpoint_of"] == len(inside)
         assert doc["checks"][-1]["detail"].startswith("paths=27 ")
+
+    @pytest.mark.parametrize("name,mults,window", [("G2", (2, 2), "100"), ("A2", (2, 1), "1")])
+    def test_times_made_once_per_index_tuple(self, capsys, monkeypatch, name, mults, window):
+        # a strong schedule holds the energies too, so the times are made once per distinct candidate index
+        # tuple of a level, not once per schedule: on G2 (2,2) its 11,025 paths have 7,461 schedules and 4,084
+        # index tuples; A2 (2,1) at window 1 reports 12 inconclusive paths, whose times are made all the same
+        g = cached_context(name, mults).graph
+        levels = [level for _, level in qls.path_listing(g, True, qls.DEFAULT_CAP).level_records()]
+        indices = sum(len({s[0::2] for s in level}) for level in levels)
+        schedules = sum(len(set(level)) for level in levels)
+        made = []
+        real = degree_mod.candidate_times
+        monkeypatch.setattr(degree_mod, "candidate_times", lambda *args: made.append(args[1]) or real(*args))
+        lam = ",".join(map(str, mults))
+        code, out, _ = run(capsys, "verify", "--type", name, "--lambda", lam, "--window", window)
+        assert code == {"100": 0, "1": 1}[window] and json.loads(out)["checks"][0]["status"] == "pass"
+        assert len(made) == len(set(made)) == indices < schedules
+        if name == "G2":
+            assert (indices, schedules) == (4084, 7461)
 
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_texts_built_only_for_reported_paths(self, capsys, monkeypatch, window, reported):

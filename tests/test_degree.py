@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qbruhat.degree as degree_mod
 from conftest import cached_context, distances_to, path_sort_key, reference_search, segment_chains, vertex_by_word
@@ -17,6 +19,7 @@ from qbruhat.degree import (
     InvalidQLSPath,
     NonIntegralDegree,
     _degree_of,
+    _exact,
     TABLE_HEADER,
     degree,
     degree_lines,
@@ -777,3 +780,38 @@ class TestLevelCheck:
         degrees = [deg for _, level in degree_mod._walk_rows(g, moved) for deg in level]
         paths = [QLSPath(dirs, candidate_times(listing.candidates, idx)) for dirs, idx, _ in records]
         assert degrees == [degree(path, g) for path in paths]
+
+
+@st.composite
+def _level_sums(draw, valid: bool):
+    """(L, a level's sums over L): nonnegative multiples of L, or any integers, most of which fail the check."""
+    L = draw(st.integers(1, 12))
+    multiple = st.integers(0, 30).map(L.__mul__)
+    return L, draw(st.lists(multiple if valid else multiple | st.integers(-3 * L, 30 * L), max_size=40))
+
+
+def _scan(L: int, sums: list[int]) -> tuple[str, list[int] | str]:
+    """The per-row scan's outcome: ("ok", the degrees) or ("refused", its message)."""
+    try:
+        return "ok", [_exact(total, L) for total in sums]
+    except NonIntegralDegree as exc:
+        return "refused", str(exc)
+
+
+class TestLevelDegrees:
+    # the level's table checks and divides each distinct sum once, in the order of the rows that first hold it
+
+    @given(_level_sums(valid=True))
+    def test_valid_sums_are_the_per_row_scan(self, case):
+        L, sums = case
+        assert ("ok", degree_mod._level_degrees(L, sums)) == _scan(L, sums)
+
+    @given(_level_sums(valid=False))
+    def test_refuses_as_the_per_row_scan(self, case):
+        # a negative sum or one L does not divide refuses the level with the message of the first such row
+        L, sums = case
+        try:
+            outcome = "ok", degree_mod._level_degrees(L, sums)
+        except NonIntegralDegree as exc:
+            outcome = "refused", str(exc)
+        assert outcome == _scan(L, sums)

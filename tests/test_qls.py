@@ -217,26 +217,31 @@ class TestWalk:
 
     @pytest.mark.parametrize("cap", [1_000, 5_000])
     def test_cap_checked_while_a_level_grows(self, monkeypatch, cap):
-        # D4 (1,1,1,1) has 14,848 paths; a refused walk builds at most the cap and one row's successors, so a
-        # level much larger than the cap is never built whole
-        built = []
-        real = qls_mod._suffix_lists
+        # D4 (1,1,1,1) has 14,848 paths; the size of a level is known from its parents' successor lists before
+        # any of its rows is built, so a refused walk builds levels of at most the cap rows together, and reads
+        # the successors of those rows alone: twice each, once for the parent column and once for the steps
+        read, built = [], []
+        real_suffixes, real_level = qls_mod._suffix_lists, qls_mod.Level
 
         class Counting(list):
-            def __getitem__(self, key):
-                part = super().__getitem__(key)
-                built.append(len(part))
-                return part
+            def __iter__(self):
+                read.append(len(self))
+                return super().__iter__()
 
         def counting(succ, m):
-            flat, start = real(succ, m)
-            return [Counting(successors) for successors in flat], start
+            return [[Counting(tail) for tail in tails] for tails in real_suffixes(succ, m)]
+
+        def level(*columns):
+            built.append(len(columns[1]))
+            return real_level(*columns)
 
         monkeypatch.setattr(qls_mod, "_suffix_lists", counting)
+        monkeypatch.setattr(qls_mod, "Level", level)
         g = cached_context("D4", (1, 1, 1, 1)).graph
         with pytest.raises(EnumerationCap, match=f"^more than {cap} paths$"):
             _walk(g, True, cap)
-        assert g.num_vertices + sum(built) <= cap + max(built)
+        assert built[0] == g.num_vertices and sum(built) <= cap
+        assert sum(read) <= 2 * (sum(built) - g.num_vertices)
 
 
 class TestEnumerate:
