@@ -41,12 +41,13 @@ they decide comparability, since any chain in a finite interval refines to
 a cover chain.  A lifted path's adjacent pair is judged on its two
 vertices, its delta gap and its time's denominator alone, so each such
 segment's verdict (ordered with a sigma-chain, not comparable, or
-comparable with no sigma-chain) is read once and memoised; the failure
-message, which names the pair's position, is built per path.  The cover/edge
-correspondence is checked once, at delta 0, for every delta, as the
-equality of two key sets: the covers, keyed as they are, and the graph
-edges, each keyed as the cover it must be.  Delta never decreases along a
-step, which bounds every search between the two endpoint delta-coefficients.
+comparable with no sigma-chain) is read once and memoised (``verdict``):
+``verify`` reads it per step of its walk, the gap being the step's energy,
+and ``failure`` names a lift's failing pair.  The cover/edge correspondence
+is checked once, at delta 0, for every delta, as the equality of two key
+sets: the covers, keyed as they are, and the graph edges, each keyed as
+the cover it must be.  Delta never decreases along a step, which bounds
+every search between the two endpoint delta-coefficients.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class AffineOracle:
     _steps: list[tuple[tuple[int, int, int, int], ...]] = field(init=False, repr=False)
     # per denominator q, the (target, gain) rows of its covers and their down-set levels
     _tables: dict[int, tuple[list, list[list[int]]]] = field(default_factory=dict, init=False, repr=False)
-    # per (v, w, delta gap, q), the verdict kind of that segment (``_verdict``)
+    # per (v, w, delta gap, q), the verdict kind of that segment (``verdict``)
     _verdicts: dict[tuple[int, int, int, int], str] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -182,15 +183,16 @@ class AffineOracle:
 
     # -- path-level checks -------------------------------------------------------
 
-    def _verdict(self, v: int, w: int, d: int, q: int) -> str:
-        # the verdict kind of the segment (v, 0) > (w, d) at denominator q, as its failure message's template
-        equal = v == w and d == 0
-        if not equal and self._sigma_chain(v, w, d, q):
-            return _OK
-        # any chain in a finite interval refines to a cover chain, so q = 1 decides comparability
-        if equal or not self._sigma_chain(v, w, d, 1):
-            return _NOT_COMPARABLE
-        return _NO_CHAIN
+    def verdict(self, v: int, w: int, d: int, q: int) -> str:
+        """The memoised verdict of the segment (v, 0) > (w, d) at denominator q, as its failure message's template."""
+        key = v, w, d, q
+        if key not in self._verdicts:
+            equal = v == w and d == 0
+            ordered = not equal and self._sigma_chain(v, w, d, q)
+            # any chain in a finite interval refines to a cover chain, so q = 1 decides comparability
+            comparable = ordered or not equal and self._sigma_chain(v, w, d, 1)
+            self._verdicts[key] = _OK if ordered else _NO_CHAIN if comparable else _NOT_COMPARABLE
+        return self._verdicts[key]
 
     def failure(self, lifted) -> str:
         """The first adjacent pair of a lifted path that is not strictly ordered with a sigma-chain; "" when none is.
@@ -198,14 +200,11 @@ class AffineOracle:
         ``lifted`` is any object with ``weights`` ((vertex, delta) orbit
         elements) and ``times`` attributes, as produced by the degree
         module.  A pair's verdict depends only on its two vertices, its delta
-        gap and its time's denominator, and is memoised on those.
+        gap and its time's denominator (``verdict``).
         """
-        weights, times, verdicts = lifted.weights, lifted.times, self._verdicts
+        weights, times = lifted.weights, lifted.times
         for k, ((v, a), (w, b), sigma) in enumerate(zip(weights, weights[1:], times[1:])):
-            key = v, w, b - a, sigma.denominator
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = verdicts[key] = self._verdict(*key)
+            verdict = self.verdict(v, w, b - a, sigma.denominator)
             if verdict:
                 return verdict.format(k, k + 1, sigma)
         return ""

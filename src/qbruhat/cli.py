@@ -26,8 +26,8 @@ from .affine_oracle import AffineOracle
 from .cartan import parse_integer, parse_multiplicities
 from .degree import TABLE_HEADER, InvalidQLSPath, certify_walk, degree_lines, degree_table, table_line
 from .degree import degree, lift  # noqa: F401  (perfbench/tracing.py wraps them)
-from .qls import DEFAULT_CAP, EnumerationCap, QLSPath, enumerate_tilde, path_listing
-from .qls import enumerate_hat  # noqa: F401  (perfbench/tracing.py wraps it)
+from .qls import DEFAULT_CAP, EnumerationCap, QLSPath, compare_variants, path_listing
+from .qls import enumerate_hat, enumerate_tilde  # noqa: F401  (perfbench/tracing.py wraps them)
 
 SCHEMA_PREFIX = "qbruhat"
 
@@ -243,9 +243,9 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
 
     The checks are strong/weak enumeration agreement, the cover/edge
     correspondence (exact for every delta) and per-path lift certification
-    with the endpoint identity.  The weak variant is enumerated first, then
-    ``degree.certify_walk`` certifies the strong paths of one walk and
-    compares them with it path by path, and the covers come last.
+    with the endpoint identity.  ``degree.certify_walk`` certifies the
+    strong paths of one walk, ``qls.compare_variants`` then compares the
+    variants' tables and counts the weak paths, and the covers come last.
     ``window`` is a reporting rule, not a search bound: a path whose lift
     reaches ``|delta| > window`` is not certified but reported
     ``inconclusive``, with the window that settles it.
@@ -254,14 +254,14 @@ def verify_shape(ctx: Context, window: int, cap: int) -> tuple[str, list[dict], 
         raise CliError(f"window must be non-negative, not {window}")
     graph = ctx.graph
     oracle = AffineOracle(graph)
-    tilde = enumerate_tilde(graph, cap=cap)
-    same, counts, reports = certify_walk(oracle, graph, window, cap, tilde)
+    counts, reports = certify_walk(oracle, graph, window, cap)
+    same, weak = compare_variants(graph, cap)
     report = oracle.covers_to_edges()
     strong = counts.total()
     checks = [
         {"check": check, "status": status, "detail": detail}
         for check, status, detail in (
-            ("strong-equals-weak", "pass" if same else "fail", f"strong={strong} weak={len(tilde)}"),
+            ("strong-equals-weak", "pass" if same else "fail", f"strong={strong} weak={weak}"),
             (
                 "covers-match-edges",
                 "pass" if report.ok else "fail",

@@ -29,9 +29,9 @@ The lift raises each direction x_p to the affine orbit element with
 delta-coefficient equal to the sum of the earlier segment energies, the
 prefix sums of the energies in the degree formula, so the lift's
 delta-coefficients and its delta at time 1 (``_endpoint_of``, on the ticks
-over one L) read only the schedule.  ``verify`` takes both once per
-distinct schedule of a walk level, and the times once per distinct index
-tuple, and the oracle certifies each lift from first principles.
+over one L) read only the schedule.  A segment's verdict reads only its
+directions, energy and time's denominator, so ``certify_walk`` carries
+each row's delta, endpoint sum and verdict from its parent's in columns.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count
 from operator import mul, sub
 
 from .affine_oracle import AffineOrbitElement
@@ -152,13 +152,9 @@ def degree_table(shape: LevelZeroShape, g: PQBG, paths) -> list[dict]:
 
 
 def _invalid_row(listing: Listing, k: int, r: int) -> InvalidQLSPath:
-    """The error of row r of walk level k, which fails the structure check, naming it as a path literal.
-
-    The row is read back through its parent rows; a vertex or candidate
-    index outside its range is named by number, as ``#-1``.
-    """
-    dirs, schedules = next(islice(listing.level_records(), k, None))
-    names, times = listing.path_texts(dirs[r], schedules[r][::2])
+    """The error of row r of walk level k, which fails the structure check, naming it as a path literal."""
+    dirs, idx, _ = listing.row(k, r)
+    names, times = listing.path_texts(dirs, idx)
     return InvalidQLSPath(f"invalid path '{';'.join(names)}|{','.join(times)}': structurally invalid")
 
 
@@ -246,48 +242,50 @@ def degree_lines(g: PQBG, cap: int) -> list[str]:
     return lines
 
 
-def certify_walk(oracle, g: PQBG, window: int, cap: int, weak: tuple[QLSPath, ...]) -> tuple[bool, Counter, list]:
-    """Certify the strong paths of one walk: (whether they are ``weak``, their lifts' statuses, the failing reports).
+def certify_walk(oracle, g: PQBG, window: int, cap: int) -> tuple[Counter, list]:
+    """Certify the lifts of the strong paths of one walk: (their statuses, the reports of those that do not pass).
 
-    Each level is read as its rows' directions and schedules once
-    ``_walk_rows`` has checked it, and each path is compared with the next
-    of ``weak`` as it is read.  The times, the lift's delta-coefficients
-    (the energies' prefix sums), the window and the endpoint identity
-    (``_endpoint_of``) run once per distinct schedule of a level; the times
-    are made once per distinct candidate index tuple of a level.  Each
-    path inside the window is handed, lifted, to ``oracle.verify_ls_path``;
-    one outside it is ``inconclusive``.  Only reported paths get texts.
+    A lift passes when each |delta_p| is inside the window, each segment's
+    ``oracle.verdict`` is "ordered" and its delta at time 1 is minus the
+    degree.  Each level of ``_walk_rows`` carries each row's delta, endpoint
+    sum before its last time and verdict so far from its parent's, reading
+    a verdict once per distinct step of a level.  Only a row that does not
+    pass is read back (``Listing.row``) and, inside the window, lifted.
     """
     listing = path_listing(g, True, cap)
     L, tick = time_ticks(listing.candidates)
-
-    def schedule(s, deg, index_times):
-        # (indices, times, delta-coefficients, the inconclusive detail or "", whether the endpoint identity holds)
-        idx, deltas = s[0::2], tuple(accumulate(s[1::2], initial=0))
-        need = max(map(abs, deltas))
-        times = index_times[idx]
-        if need > window:
-            return idx, times, deltas, f"|delta| reaches {need}, outside window {window}; needs window {need}", False
-        return idx, times, deltas, "", _endpoint_of(deltas, L, [0, *[tick[i] for i in idx], L]) == -deg
-
-    weak_paths, same, counts, reports = iter(weak), True, Counter(), []
-    for (_, degrees), (dirs, schedules) in zip(_walk_rows(g, listing), listing.level_records()):
-        rows = dict(zip(schedules, degrees))
-        # a schedule holds the energies too, so schedules with one index tuple share its times
-        index_times = {i: candidate_times(listing.candidates, i) for i in dict.fromkeys(s[0::2] for s in rows)}
-        made = {s: schedule(s, deg, index_times) for s, deg in rows.items()}
-        for d, (i, times, deltas, outside, endpoint_ok) in zip(dirs, map(made.__getitem__, schedules)):
-            path = next(weak_paths, None)
-            same = same and path is not None and path.directions == d and path.times == times
-            if outside:
-                status, detail = "inconclusive", outside
+    qs, n, c = [t.denominator for t in listing.candidates], g.num_vertices, len(tick)
+    counts, reports = Counter(), []
+    for k, (level, degrees) in enumerate(_walk_rows(g, listing)):
+        parent, ys, idx, es = level
+        if k:
+            part = [part[p] + (tick[i] - last[p]) * delta[p] for p, i in zip(parent, idx)]
+            delta = [delta[p] + e for p, e in zip(parent, es)]
+            # a step is judged once per distinct (x, i, y) of the level, which fixes its energy; -1 marks one not judged
+            moves = zip(parent, ys, idx, delta)
+            steps = [(xs[p] * c + i) * n + y if ok[p] and abs(d) <= window else -1 for p, y, i, d in moves]
+            first = dict(zip(steps, count())).items()  # a row of each distinct step
+            ordered = {s: s >= 0 and not oracle.verdict(xs[parent[r]], ys[r], es[r], qs[idx[r]]) for s, r in first}
+            ok, last = [ordered[s] for s in steps], [tick[i] for i in idx]
+        else:
+            part = last = delta = [0] * len(ys)
+            ok = [True] * len(ys)
+        xs = ys
+        rows = zip(count(), ok, part, last, delta, degrees)
+        bad = [r for r, o, pre, t, d, deg in rows if not o or pre + (L - t) * d != -deg * L]
+        counts["pass"] += len(ok) - len(bad)
+        for r in bad:
+            dirs, row_idx, energies = listing.row(k, r)
+            deltas = [*accumulate(energies, initial=0)]
+            need = max(map(abs, deltas))
+            if need > window:
+                status, detail = "inconclusive", f"|delta| reaches {need}, outside window {window}; needs window {need}"
             else:
-                lifted = AffineLSPath(tuple(map(AffineOrbitElement, d, deltas)), times)
-                if oracle.verify_ls_path(lifted) and endpoint_ok:
-                    counts["pass"] += 1
-                    continue
+                _endpoint_of(deltas, L, [0, *[tick[i] for i in row_idx], L])  # raises on an endpoint that is no integer
+                weights = tuple(map(AffineOrbitElement, dirs, deltas))
+                lifted = AffineLSPath(weights, candidate_times(listing.candidates, row_idx))
                 status, detail = "fail", oracle.failure(lifted) or "endpoint mismatch"
             counts[status] += 1
-            names, texts = listing.path_texts(d, i)
+            names, texts = listing.path_texts(dirs, row_idx)
             reports.append({"dirs": names, "times": texts, "status": status, "detail": detail})
-    return same and next(weak_paths, None) is None, counts, reports
+    return counts, reports

@@ -39,6 +39,8 @@ row's direction tuple and schedule) and ``Listing.paths``, the
 ``QLSPath`` tuple built from the records, whose paths of one level and
 one index tuple share one times tuple.  ``degree._walk_rows`` checks each
 level on its new columns alone and carries the degree sums the same way.
+``Listing.row`` reads one row back through its parents.
+``compare_variants`` compares the variants on their tables, unwalked.
 """
 
 from __future__ import annotations
@@ -233,6 +235,15 @@ class Listing(NamedTuple):
         names = [self.names[v] if 0 <= v < n else f"#{v}" for v in dirs]
         return names, ["0", *[self.texts[i] if 0 <= i < c else f"#{i}" for i in idx], "1"]
 
+    def row(self, k: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+        """Row r of level k read back through its parent rows: its directions, candidate indices and energies."""
+        steps = []
+        for level in self.levels[k::-1]:
+            steps.append((level.y[r], level.i[r], level.e[r]))
+            r = level.parent[r]
+        dirs, idx, energies = zip(*reversed(steps))
+        return dirs, idx[1:], energies[1:]
+
     def level_texts(self) -> Iterator[tuple[list[str], list[str]]]:
         """Per level, each row's directions and times as CSV fields, less the times' closing ``;1``.
 
@@ -293,6 +304,28 @@ def enumerate_hat(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
 def enumerate_tilde(g: PQBG, cap: int = DEFAULT_CAP) -> tuple[QLSPath, ...]:
     """All paths of the weak variant, in the same order; equal to the strong ones (tested, not assumed)."""
     return path_listing(g, False, cap).paths()
+
+
+def compare_variants(g: PQBG, cap: int) -> tuple[bool, int]:
+    """(Whether the weak walk lists exactly the strong walk's paths, how many it lists), with neither walk run.
+
+    A walk reads only the (y, i) columns of its successor lists, and the
+    entry y of x at i is the path (x, y; 0, t_i, 1), so the listings agree
+    exactly when each source's two searches at each denominator reach the
+    same vertices.  The paths from x with indices all >= i are those with
+    indices > i and x before each such path from a y of x at i: a DP of N
+    counts per candidate.  A count above ``cap`` raises ``EnumerationCap``.
+    """
+    candidates = sigma_candidates(g)
+    sigmas = {sigma.denominator: sigma for sigma in candidates}.values()
+    strong, weak = g.segment_energies, g.sigma_distances_from
+    same = all(strong(y, sigma).keys() == weak(y, sigma).keys() for sigma in sigmas for y in range(g.num_vertices))
+    counts = [1] * g.num_vertices
+    for table in reversed(_successors(g, candidates, False)):
+        counts = [c + sum([counts[y] for y, _ in pairs]) for c, pairs in zip(counts, table)]
+    if sum(counts) > cap:
+        raise EnumerationCap(f"more than {cap} paths")
+    return same, sum(counts)
 
 
 def path_to_json(g: PQBG, path: QLSPath) -> dict:

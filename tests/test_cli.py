@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,10 @@ import qbruhat.cli as cli
 import qbruhat.degree as degree_mod
 import qbruhat.qbg as qbg
 import qbruhat.qls as qls
+from qbruhat import build_context
+from qbruhat.affine_oracle import AffineOracle
 from qbruhat.cli import main
-from qbruhat.degree import degree_table, lift, table_line
+from qbruhat.degree import degree, degree_table, endpoint_delta, lift, table_line
 from qbruhat.qls import enumerate_hat, enumerate_tilde, path_to_json, sigma_candidates
 from test_degree import ROW_SHAPES
 
@@ -56,6 +59,70 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(message: str):
+    """A stand-in that fails the test with ``message`` when it is called."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError(message)
+
+    return fail
+
+
+def max_delta(lifted) -> int:
+    return max(abs(mu.delta) for mu in lifted.weights)
+
+
+def reference_statuses(g, oracle, window: int) -> dict[tuple, tuple[str, str | None]]:
+    """Each strong path's (status, detail), keyed by its direction names and time texts, from its own lift.
+
+    A lift that leaves the window is inconclusive; one inside it passes when
+    the oracle certifies it and its endpoint delta is minus the path's degree.
+    """
+    found = {}
+    for path in enumerate_hat(g):
+        lifted, key = lift(path, g), (tuple(map(g.vertex_name, path.directions)), tuple(map(str, path.times)))
+        need = max_delta(lifted)
+        if need > window:
+            found[key] = ("inconclusive", f"|delta| reaches {need}, outside window {window}; needs window {need}")
+        elif oracle.verify_ls_path(lifted) and endpoint_delta(lifted) == -degree(path, g):
+            found[key] = ("pass", None)
+        else:
+            found[key] = ("fail", oracle.failure(lifted) or "endpoint mismatch")
+    return found
+
+
+def changed_weak_search(change: str):
+    """``PQBG.sigma_distances_from`` on A2 (2,1) with the weak search of s1 (vertex 1) at the denominator 3 changed.
+
+    It reaches s1 and s2 s1 (vertex 4).  ``change`` drops the last vertex,
+    adds the first one it does not reach, at the last one's distance, swaps
+    it with the search of s2 (vertex 2), or puts in its place the search of
+    s1 at the denominator 2 or that of s1 s2 s1 (vertex 5); "none" keeps it.
+    """
+    real = qbg.PQBG.sigma_distances_from
+
+    def search(g, y, sigma):
+        if change == "none" or sigma.denominator != 3 or y not in (1, 2):
+            return real(g, y, sigma)
+        if change == "two swapped":
+            return real(g, 3 - y, sigma)
+        found = dict(real(g, y, sigma))
+        last = [*found][-1]
+        if y == 2:
+            return found
+        if change == "last dropped":
+            del found[last]
+        elif change == "last repeated":
+            found[min(set(range(g.num_vertices)) - found.keys())] = found[last]
+        elif change == "times moved":
+            return real(g, y, Fraction(1, 2))
+        elif change == "directions moved":
+            return real(g, 5, sigma)
+        return found
+
+    return search
 
 
 class TestQbg:
@@ -403,19 +470,11 @@ class TestVerify:
     @pytest.mark.parametrize("window,reported", [("10", 0), ("1", 12)])
     def test_records_only_for_reported_paths(self, capsys, monkeypatch, window, reported):
         # a reported path's record is the listing's own direction names and
-        # time texts, so no path is formatted a second time, and the endpoint
-        # identity is checked once per schedule, (times, energies), that has
-        # a path the window settles; every path of A2 (2,1) passes at window
-        # 10, and 12 of its 27 are inconclusive at window 1; its 27 paths
-        # have 16 schedules, 6 of them inside window 1
-        g = cached_context("A2", (2, 1)).graph
-        lifts = [lift(p, g) for p in enumerate_hat(g)]
-        inside = {
-            (lifted.times, tuple(mu.delta for mu in lifted.weights))
-            for lifted in lifts
-            if max(abs(mu.delta) for mu in lifted.weights) <= int(window)
-        }
-        assert len(inside) == {"10": 16, "1": 6}[window]
+        # time texts, so no path is formatted a second time; only a reported
+        # row is read back through its parent rows, and the endpoint identity
+        # is carried in the walk's columns, so a lift's endpoint is recomputed
+        # only for a failing row; every path of A2 (2,1) passes at window 10,
+        # and 12 of its 27 are inconclusive at window 1
         calls = Counter()
 
         def counting(fn):
@@ -428,17 +487,18 @@ class TestVerify:
         for module in (qls, degree_mod):
             monkeypatch.setattr(module, "path_to_json", counting(module.path_to_json))
         monkeypatch.setattr(degree_mod, "_endpoint_of", counting(degree_mod._endpoint_of))
+        monkeypatch.setattr(qls.Listing, "row", counting(qls.Listing.row))
         _, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", window)
         doc = json.loads(out)
-        assert calls["path_to_json"] == 0 and len(doc["paths"]) == reported
-        assert calls["_endpoint_of"] == len(inside)
-        assert doc["checks"][-1]["detail"].startswith("paths=27 ")
+        assert calls["path_to_json"] == calls["_endpoint_of"] == 0
+        assert len(doc["paths"]) == calls["row"] == reported
+        assert doc["checks"][-1]["detail"] == f"paths=27 fail=0 inconclusive={reported}"
 
     @pytest.mark.parametrize("name,mults,window", [("G2", (2, 2), "100"), ("A2", (2, 1), "1")])
     def test_times_made_once_per_index_tuple(self, capsys, monkeypatch, name, mults, window):
-        # a strong schedule holds the energies too, so the times are made once per distinct candidate index
-        # tuple of a level, not once per schedule: on G2 (2,2) its 11,025 paths have 7,461 schedules and 4,084
-        # index tuples; A2 (2,1) at window 1 reports 12 inconclusive paths, whose times are made all the same
+        # a path's times are made only for the lift of a failing row, not per path, schedule or index tuple: on
+        # G2 (2,2) its 11,025 paths have 7,461 schedules and 4,084 index tuples and all pass; A2 (2,1) at window 1
+        # reports 12 inconclusive paths, whose time texts are the listing's own
         g = cached_context(name, mults).graph
         levels = [level for _, level in qls.path_listing(g, True, qls.DEFAULT_CAP).level_records()]
         indices = sum(len({s[0::2] for s in level}) for level in levels)
@@ -449,7 +509,7 @@ class TestVerify:
         lam = ",".join(map(str, mults))
         code, out, _ = run(capsys, "verify", "--type", name, "--lambda", lam, "--window", window)
         assert code == {"100": 0, "1": 1}[window] and json.loads(out)["checks"][0]["status"] == "pass"
-        assert len(made) == len(set(made)) == indices < schedules
+        assert made == [] and indices < schedules
         if name == "G2":
             assert (indices, schedules) == (4084, 7461)
 
@@ -471,20 +531,28 @@ class TestVerify:
         assert [(r["dirs"], r["times"]) for r in paths] == [(list(d), list(t)) for d, t in calls]
 
     def test_window_guard(self, capsys, monkeypatch):
-        # a lift that leaves the window is reported inconclusive with the window that settles it, and is
-        # never handed to the oracle: 12 of the 27 paths of A2 (2,1) leave window 1
-        certified = []
-        real = cli.AffineOracle.verify_ls_path
+        # a lift that leaves the window is reported inconclusive with the window that settles it, and none of its
+        # segments is judged: 12 of the 27 paths of A2 (2,1) leave window 1, and the oracle judges exactly the
+        # segments of the other 15, each keyed (x_k, x_{k+1}, delta gap, denominator of sigma)
+        g = cached_context("A2", (2, 1)).graph
+        inside = [lifted for lifted in map(partial(lift, g=g), enumerate_hat(g)) if max_delta(lifted) <= 1]
+        segments = {
+            (v, w, b - a, sigma.denominator)
+            for lifted in inside
+            for (v, a), (w, b), sigma in zip(lifted.weights, lifted.weights[1:], lifted.times[1:])
+        }
+        judged = []
+        real = cli.AffineOracle.verdict
 
-        def recording(oracle, lifted):
-            certified.append(max(abs(mu.delta) for mu in lifted.weights))
-            return real(oracle, lifted)
+        def recording(oracle, *key):
+            judged.append(key)
+            return real(oracle, *key)
 
-        monkeypatch.setattr(cli.AffineOracle, "verify_ls_path", recording)
+        monkeypatch.setattr(cli.AffineOracle, "verdict", recording)
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "inconclusive"
-        assert len(doc["paths"]) == 12 and len(certified) == 15 and max(certified) <= 1
+        assert len(doc["paths"]) == 12 and len(inside) == 15 and set(judged) == segments
         for record in doc["paths"]:
             match = re.fullmatch(r"\|delta\| reaches (\d+), outside window 1; needs window \1", record["detail"])
             assert record["status"] == "inconclusive" and match and int(match[1]) > 1
@@ -509,62 +577,96 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--type", type_name, "--lambda", lam, "--window", window)
         assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
 
-    @pytest.mark.parametrize("shape", [("A2", "2,1", "1"), ("A2", "2,1", "10"), ("C2", "1,1", "10")])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            ("A2", "2,1", "1"),
+            ("A2", "2,1", "10"),
+            ("C2", "1,1", "10"),
+            ("A2", "2,1", "0"),
+            ("C2", "1,1", "1"),
+            ("G2", "2,2", "2"),
+            ("G2", "2,2", "100"),
+            ("B3", "1,1,1", "1"),
+            ("B3", "1,1,1", "4"),
+            ("A4", "1,1,1,1", "3"),
+            ("A4", "1,1,1,1", "100"),
+        ],
+    )
     def test_lifts_the_walks_energies(self, capsys, monkeypatch, shape):
-        # verify lifts the energies the enumeration walk carries and derives no segments per path: its
-        # output stays pinned, and the oracle is handed the lift of each strong path inside the window
+        # the statuses read off the walk's columns are those of the per-path reference, each strong path lifted
+        # on its own and checked against the window, the oracle and the endpoint identity; verify derives no
+        # segments per path, and its output stays pinned where it is
         type_name, lam, window = shape
         g = cached_context(type_name, tuple(map(int, lam.split(",")))).graph
-        lifts = [lift(p, g) for p in enumerate_hat(g)]
-        inside = [lifted for lifted in lifts if max(abs(mu.delta) for mu in lifted.weights) <= int(window)]
-        certified = []
-        real = cli.AffineOracle.verify_ls_path
-
-        def recording(oracle, lifted):
-            certified.append(lifted)
-            return real(oracle, lifted)
-
-        def refuse(*args):
-            raise AssertionError("segments derived for one path")
-
-        monkeypatch.setattr(cli.AffineOracle, "verify_ls_path", recording)
-        monkeypatch.setattr(degree_mod, "_segments", refuse)
+        expected = reference_statuses(g, AffineOracle(g), int(window))
+        monkeypatch.setattr(degree_mod, "_segments", refuse("segments derived for one path"))
         code, out, err = run(capsys, "verify", "--type", type_name, "--lambda", lam, "--window", window)
-        assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
-        assert certified == inside
+        doc = json.loads(out)
+        assert {(tuple(r["dirs"]), tuple(r["times"])): (r["status"], r["detail"]) for r in doc["paths"]} == {
+            key: found for key, found in expected.items() if found[0] != "pass"
+        }
+        statuses = Counter(status for status, _ in expected.values())
+        assert doc["checks"][-1]["detail"] == (
+            f"paths={len(expected)} fail={statuses['fail']} inconclusive={statuses['inconclusive']}"
+        )
+        if shape in VERIFY_STDOUT:
+            assert (code, sha256(out), err) == (*VERIFY_STDOUT[shape], "")
+
+    @pytest.mark.parametrize("name,mults,window", [("A2", (2, 1), 1), ("G2", (2, 2), 2), ("B3", (1, 1, 1), 4)])
+    def test_failing_lifts_are_the_per_path_reference(self, monkeypatch, name, mults, window):
+        # with no sigma-chain at any denominator above 1, every lift of two or more directions inside the window
+        # fails: each report's status and detail, the first failing pair named by oracle.failure, are those of
+        # the per-path reference on the same oracle
+        real = AffineOracle._sigma_chain
+        monkeypatch.setattr(AffineOracle, "_sigma_chain", lambda oracle, v, w, d, q: q == 1 and real(oracle, v, w, d, q))
+        ctx = cached_context(name, mults)
+        expected = reference_statuses(ctx.graph, AffineOracle(ctx.graph), window)
+        _, _, reports = cli.verify_shape(ctx, window, cap=10**6)
+        assert {(tuple(r["dirs"]), tuple(r["times"])): (r["status"], r["detail"]) for r in reports} == {
+            key: found for key, found in expected.items() if found[0] != "pass"
+        }
+        assert sum(r["status"] == "fail" for r in reports) > 0
+
+    def test_never_lists_or_lifts_a_passing_path(self, capsys, monkeypatch):
+        # verify lists no weak path, builds no QLSPath and hands no lift to verify_ls_path
+        for owner, name in [(cli, "enumerate_tilde"), (qls, "enumerate_tilde"), (qls.Listing, "paths")]:
+            monkeypatch.setattr(owner, name, refuse(f"{name} called"))
+        monkeypatch.setattr(cli.AffineOracle, "verify_ls_path", refuse("verify_ls_path called"))
+        code, out, err = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "10")
+        assert (code, sha256(out), err) == (*VERIFY_STDOUT[("A2", "2,1", "10")], "")
 
     @pytest.mark.parametrize(
         "change", ["none", "last dropped", "last repeated", "two swapped", "times moved", "directions moved"]
     )
     def test_weak_listing_compared_path_by_path(self, capsys, monkeypatch, change):
-        # the strong walk is compared with the weak listing path by path as it is read: every row equal, and
-        # no weak path left over; the detail counts the certified strong paths and the weak listing
-        real = cli.enumerate_tilde
-
-        def changed(*args, **kwargs):
-            paths = list(real(*args, **kwargs))
-            if change == "last dropped":
-                paths.pop()
-            elif change == "last repeated":
-                paths.append(paths[-1])
-            elif change == "two swapped":
-                paths[7], paths[8] = paths[8], paths[7]
-            elif change == "times moved":
-                last = paths[-1]
-                paths[-1] = qls.QLSPath(last.directions, (*last.times[:-2], Fraction(9, 10), last.times[-1]))
-            elif change == "directions moved":
-                paths[0] = qls.QLSPath(paths[1].directions, paths[0].times)  # (x; 0, 1) with the next x
-            return tuple(paths)
-
-        monkeypatch.setattr(cli, "enumerate_tilde", changed)
+        # the variants are compared on their searches: a weak search of A2 (2,1) changed at the denominator 3,
+        # that of s1 (vertex 1) or of s1 and s2, fails the check, and the detail counts the paths that the weak
+        # walk of the changed searches lists; with s1's search at the denominator 2 in its place that count is
+        # 27 again, but the paths differ and the check fails all the same
+        monkeypatch.setattr(qbg.PQBG, "sigma_distances_from", changed_weak_search(change))
+        g = build_context("A2", (2, 1)).graph
+        if change != "none":
+            assert g.sigma_distances_from(1, Fraction(1, 3)).keys() != g.segment_energies(1, Fraction(1, 3)).keys()
+        weak = len(enumerate_tilde(g))
+        assert (weak == 27) == (change in ("none", "times moved"))
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "10")
-        weak = {"last dropped": 26, "last repeated": 28}.get(change, 27)
         assert json.loads(out)["checks"][0] == {
             "check": "strong-equals-weak",
             "status": "pass" if change == "none" else "fail",
             "detail": f"strong=27 weak={weak}",
         }
         assert code == (0 if change == "none" else 1)
+
+    @pytest.mark.parametrize("change", ["none", "last repeated"])
+    def test_cap_on_the_weak_count(self, capsys, monkeypatch, change):
+        # a cap one below the count is refused with exit 2 and the single line of an exceeded cap, and so is a
+        # weak count above the cap when the strong walk keeps within it
+        monkeypatch.setattr(qbg.PQBG, "sigma_distances_from", changed_weak_search(change))
+        argv = ("verify", "--type", "A2", "--lambda", "2,1", "--window", "10", "--cap")
+        cap = 26 if change == "none" else 27
+        assert run(capsys, *argv, str(cap)) == (2, "", f"error: more than {cap} paths; raise the cap to continue\n")
+        assert run(capsys, *argv, "27")[0] == (0 if change == "none" else 2)
 
     def test_window_monotone(self, a2_21):
         # a larger window only settles more paths: each inconclusive path at the larger window is
@@ -603,18 +705,18 @@ class TestVerify:
         }
 
     def test_fail_over_inconclusive_in_a_check(self, capsys, monkeypatch):
-        # one wrong endpoint fails lift-certification over its inconclusive paths, and the failed check fails
-        # the run: the endpoint is checked once per schedule, and the first schedule the walk meets is that of
-        # the six one-direction paths (x; 0, 1) of A2 (2,1), so all six fail and the 12 of its 27 paths that
-        # leave window 1 stay inconclusive
-        real = degree_mod._endpoint_of
+        # one wrong endpoint identity fails lift-certification over its inconclusive paths, and the failed check
+        # fails the run: the degrees of the walk's first level, the six one-direction paths (x; 0, 1) of A2 (2,1),
+        # made one less than their endpoints allow, fail all six, and the 12 of its 27 paths that leave window 1
+        # stay inconclusive
+        real = degree_mod._level_degrees
         seen = []
 
         def wrong_first(*args):
             seen.append(args)
-            return real(*args) + (len(seen) == 1)
+            return [deg - (len(seen) == 1) for deg in real(*args)]
 
-        monkeypatch.setattr(degree_mod, "_endpoint_of", wrong_first)
+        monkeypatch.setattr(degree_mod, "_level_degrees", wrong_first)
         code, out, _ = run(capsys, "verify", "--type", "A2", "--lambda", "2,1", "--window", "1")
         doc = json.loads(out)
         assert code == 1 and doc["status"] == "fail"

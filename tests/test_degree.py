@@ -37,6 +37,7 @@ from qbruhat.qls import (
     QLSPath,
     _structure_ok,
     candidate_times,
+    compare_variants,
     enumerate_hat,
     enumerate_tilde,
     path_listing,
@@ -432,6 +433,23 @@ class TestDegreeLines:
         g = cached_context(name, mults).graph
         hat, tilde = enumerate_hat(g), enumerate_tilde(g)
         assert hat == tilde == _reference_enumerate(g, True) == _reference_enumerate(g, False)
+
+    @ROW_SHAPES
+    def test_weak_count_is_the_weak_listing(self, name, mults):
+        # the DP over the weak successor lists counts the paths of the weak walk without listing them, and the
+        # tables of the two variants agree; a cap one below the count is refused
+        g = cached_context(name, mults).graph
+        count = len(enumerate_tilde(g))
+        assert compare_variants(g, count) == (True, count)
+        with pytest.raises(EnumerationCap, match=f"^more than {count - 1} paths$"):
+            compare_variants(g, count - 1)
+
+    @ROW_SHAPES
+    def test_row_read_back_is_the_records(self, name, mults):
+        # a row read back through its parent rows is its record: its directions, candidate indices and energies
+        listing = path_listing(cached_context(name, mults).graph, True, DEFAULT_CAP)
+        rows = [listing.row(k, r) for k, level in enumerate(listing.levels) for r in range(len(level.y))]
+        assert rows == _records(listing)
 
     @ROW_SHAPES
     def test_walk_equals_reference(self, name, mults):
